@@ -9,7 +9,7 @@ recorded in the report when used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charfun import BottMatrix, GF2Vector, from_bott, validate
@@ -44,6 +44,8 @@ class ManifoldDescription:
     bmat: Optional[BottMatrix] = None
     involution: Optional[GF2Vector] = None
     fixed_set_connected: bool = False
+    # the cohomology ring, built once by manifold_ring
+    _ring: Optional[Ring] = field(default=None, init=False, repr=False, compare=False)
 
 
 def bott_manifold(dims: Sequence[int], B: BottMatrix,
@@ -73,13 +75,17 @@ def sphere_manifold(n: int, fixed_set_connected: bool = False) -> ManifoldDescri
 
 
 def manifold_ring(M: ManifoldDescription) -> Ring:
-    if M.kind == "bott":
-        return BottRing(M.dims, M.bmat)
-    if M.kind == "small_cover":
-        return SmallCoverRing(M.P, M.vectors)
-    if M.kind == "sphere":
-        return SphereRing(M.n)
-    raise InputError(f"unsupported manifold kind {M.kind!r}")
+    if M._ring is None:
+        if M.kind == "bott":
+            ring = BottRing(M.dims, M.bmat)
+        elif M.kind == "small_cover":
+            ring = SmallCoverRing(M.P, M.vectors)
+        elif M.kind == "sphere":
+            ring = SphereRing(M.n)
+        else:
+            raise InputError(f"unsupported manifold kind {M.kind!r}")
+        object.__setattr__(M, "_ring", ring)
+    return M._ring
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,7 @@ def _manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
         candidates.append(IntervalValue(certificate_length(M.dims), hi,
                                         "tensor power certificate", "grading cap"))
     if M.kind in ("bott", "small_cover") and M.n > 1:
-        has_simplex, det_ok = simplex_facet_hypotheses(M.P, _vectors_of(M))
+        has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
         if has_simplex:
             rp = zcl_rp(M.n - 1, budget)
             candidates.append(IntervalValue(rp.lo, hi,
@@ -201,10 +207,6 @@ def _manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     hi = min(c.hi for c in candidates)
     best = max(candidates, key=lambda c: c.lo)
     return IntervalValue(lo, hi, best.lo_source, "grading cap", best.witness)
-
-
-def _vectors_of(M: ManifoldDescription) -> Tuple[GF2Vector, ...]:
-    return M.vectors
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,7 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
             if det_ok:
                 tc.upper(2 * (n + p1) + 1, "single-factor projective cap",
                          "invertible neighbour matrix, one fibre factor")
+    tc.upper(2 * dim_d + 1, "dimension cap")
 
     tcs = _Builder("TC_S")
     tcs.lower(2, "more than one point")

@@ -8,6 +8,7 @@ codes: 0 success, 1 invalid facet assignment, 2 malformed input, 64 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -101,7 +102,14 @@ def _load(path: str) -> ProblemSpec:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read problem file: {exc}")
-    return ProblemSpec(data)
+    try:
+        return ProblemSpec(data)
+    except (InputError, CharacteristicError):
+        raise
+    except KeyError as exc:
+        raise InputError(f"malformed problem document: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed problem document: {exc}") from exc
 
 
 def _require_char(spec: ProblemSpec):
@@ -112,8 +120,10 @@ def _require_char(spec: ProblemSpec):
 def _manifold(spec: ProblemSpec) -> bounds_mod.ManifoldDescription:
     _require_char(spec)
     if spec.bmat is not None:
-        return bounds_mod.bott_manifold(spec.dims, spec.bmat, spec.involution,
-                                        spec.fixed_set_connected)
+        # the parsed polytope and vectors already came from dims and the matrix
+        return bounds_mod.ManifoldDescription(
+            "bott", spec.P.n, spec.P, spec.vectors, spec.dims, spec.bmat,
+            spec.involution, spec.fixed_set_connected)
     return bounds_mod.small_cover_manifold(spec.P, spec.vectors, spec.involution,
                                            spec.fixed_set_connected)
 
@@ -132,7 +142,10 @@ def _budget(spec: ProblemSpec, args) -> int:
         return spec.exact_budget
     env = os.environ.get("SMALLCOVER_EXACT_BUDGET")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"SMALLCOVER_EXACT_BUDGET is not an integer: {env!r}")
     return invariants.DEFAULT_BUDGET
 
 
@@ -253,9 +266,9 @@ def cmd_bounds(args) -> int:
     M = _manifold(spec)
     if args.assume_fixed_set_connected or args.involution:
         inv = charfun.parse_bits(args.involution) if args.involution else M.involution
-        M = bounds_mod.ManifoldDescription(
-            M.kind, M.n, M.P, M.vectors, M.dims, M.bmat, inv,
-            M.fixed_set_connected or args.assume_fixed_set_connected,
+        M = dataclasses.replace(
+            M, involution=inv,
+            fixed_set_connected=M.fixed_set_connected or args.assume_fixed_set_connected,
         )
     fmt = _format(spec, args)
     budget = _budget(spec, args)
@@ -285,7 +298,10 @@ def cmd_dold(args) -> int:
     M = _manifold(spec)
     p = spec.dold_p
     if args.dold:
-        p = tuple(int(x) for x in args.dold.split(","))
+        try:
+            p = tuple(int(x) for x in args.dold.split(","))
+        except ValueError:
+            raise InputError(f"--dold needs comma-separated integers, got {args.dold!r}")
     if not p:
         raise InputError("dold needs an exponent list (--dold or the dold section)")
     fmt = _format(spec, args)

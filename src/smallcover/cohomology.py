@@ -12,7 +12,6 @@ Sphere rings and the twisted product (Dold-type) rings are assembled on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -130,137 +129,140 @@ def span_product(alg: GradedAlgebra, V: Sequence[Tuple[int, int]],
     return out
 
 
-def longest_nonzero_power(alg: GradedAlgebra, gens: Sequence[Tuple[int, int]]) -> int:
-    """Largest k with a nonzero product of k elements from the span of gens.
+def ideal_powers(alg: GradedAlgebra, gens: Sequence[Tuple[int, int]],
+                 ideal_gens: Sequence[Tuple[int, int]]) -> List[GradedSpan]:
+    """Spans of the ideal powers [I^1, I^2, ...] down to the first zero.
 
-    Exact: the k-fold products of the given spanning elements span the k-th
-    power of the generated ideal, so the power is nonzero iff some such
-    product is.  Every generator must have positive degree, hence the power
-    dies at or before the top degree and the loop terminates.
+    gens span the ideal I as a vector space and ideal_gens generate it as an
+    ideal.  Each power is an ideal, so I^{k+1} = I^k * I is spanned by the
+    products of a basis of I^k with the ideal generators alone.  The ideal
+    generators must have positive degree, so the powers die at or before the
+    top degree and the loop terminates.
     """
-    if any(d <= 0 for d, m in gens if m):
-        raise InputError("generators must have positive degree")
-    return len(ideal_powers(alg, gens))
-
-
-def ideal_powers(alg: GradedAlgebra, gens: Sequence[Tuple[int, int]]) -> List[GradedSpan]:
-    """Spans of the ideal powers [I^1, I^2, ...] down to the first zero."""
-    gens = [g for g in gens if g[1]]
+    ideal_gens = [g for g in ideal_gens if g[1]]
+    if any(d <= 0 for d, _ in ideal_gens):
+        raise InputError("ideal generators must have positive degree")
     powers = []
     V = GradedSpan()
     for d, m in gens:
         V.insert(d, m)
     while not V.is_zero:
         powers.append(V)
-        V = span_product(alg, V.basis(), gens)
+        V = span_product(alg, V.basis(), ideal_gens)
     return powers
 
 
-def tensor_square(A: GradedAlgebra) -> Tuple[GradedAlgebra, List[List[Tuple[int, int, int, int]]]]:
-    """The algebra A (x) A with basis pairs, graded by total degree."""
-    top = 2 * A.top
-    pairs: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
-    index: Dict[Tuple[int, int, int, int], int] = {}
-    for d in range(top + 1):
-        for d1 in range(max(0, d - A.top), min(d, A.top) + 1):
-            d2 = d - d1
-            for i in range(A.betti[d1]):
-                for j in range(A.betti[d2]):
-                    index[(d1, i, d2, j)] = len(pairs[d])
-                    pairs[d].append((d1, i, d2, j))
-    betti = [len(p) for p in pairs]
-    labels = [
-        [f"{A.labels[d1][i]}(x){A.labels[d2][j]}" for (d1, i, d2, j) in pairs[d]]
-        for d in range(top + 1)
-    ]
+def algebra_generators(alg: GradedAlgebra) -> List[Tuple[int, int]]:
+    """Homogeneous generators of a connected algebra, as basis elements.
 
-    def mult(da: int, ia: int, db: int, jb: int) -> int:
-        a1, i1, a2, j1 = pairs[da][ia]
-        b1, i2, b2, j2 = pairs[db][jb]
-        left = A.mult_basis(a1, i1, b1, i2)
-        if not left:
-            return 0
-        right = A.mult_basis(a2, j1, b2, j2)
-        if not right:
-            return 0
-        dl, dr = a1 + b1, a2 + b2
+    In each positive degree d, the basis elements that extend the span of the
+    products A_i * A_{d-i} (0 < i < d), taken greedily in basis order: a
+    complement of the decomposables, so they generate A as an algebra.
+    """
+    if not alg.betti or alg.betti[0] != 1:
+        raise InputError("algebra is not connected")
+    gens: List[Tuple[int, int]] = []
+    for d in range(1, alg.top + 1):
+        span = GradedSpan()
+        for i in range(1, d // 2 + 1):
+            for a in range(alg.betti[i]):
+                for b in range(alg.betti[d - i]):
+                    span.insert(d, alg.mult_basis(i, a, d - i, b))
+        for k in range(alg.betti[d]):
+            if span.insert(d, 1 << k):
+                gens.append((d, 1 << k))
+    return gens
+
+
+class TensorAlgebra(GradedAlgebra):
+    """Graded tensor product A (x) B; no Koszul signs in characteristic 2.
+
+    Basis element i of degree d is the pair pairs[d][i] = (d1, i1, d2, i2):
+    basis element (d1, i1) of A times basis element (d2, i2) of B.  index
+    maps a pair back to its position in its degree.
+    """
+
+    def __init__(self, A: GradedAlgebra, B: GradedAlgebra, label: Callable[[str, str], str]):
+        top = A.top + B.top
+        pairs: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
+        index: Dict[Tuple[int, int, int, int], int] = {}
+        for d in range(top + 1):
+            for d1 in range(max(0, d - B.top), min(d, A.top) + 1):
+                d2 = d - d1
+                for i in range(A.betti[d1]):
+                    for j in range(B.betti[d2]):
+                        index[(d1, i, d2, j)] = len(pairs[d])
+                        pairs[d].append((d1, i, d2, j))
+        self.pairs = pairs
+        self.index = index
+        labels = [
+            [label(A.labels[d1][i], B.labels[d2][j]) for (d1, i, d2, j) in pairs[d]]
+            for d in range(top + 1)
+        ]
+
+        def mult(da: int, ia: int, db: int, jb: int) -> int:
+            a1, i1, a2, j1 = pairs[da][ia]
+            b1, i2, b2, j2 = pairs[db][jb]
+            left = A.mult_basis(a1, i1, b1, i2)
+            if not left:
+                return 0
+            right = B.mult_basis(a2, j1, b2, j2)
+            if not right:
+                return 0
+            dl, dr = a1 + b1, a2 + b2
+            acc = 0
+            ml = left
+            while ml:
+                li = ml.bit_length() - 1
+                ml &= ~(1 << li)
+                mr = right
+                while mr:
+                    rj = mr.bit_length() - 1
+                    mr &= ~(1 << rj)
+                    acc ^= 1 << index[(dl, li, dr, rj)]
+            return acc
+
+        super().__init__([len(p) for p in pairs], mult, labels)
+
+    def diagonal(self, g: Tuple[int, int]) -> Tuple[int, int]:
+        """g (x) 1 + 1 (x) g for a homogeneous g of positive degree, in a
+        tensor square with the unit as basis element (0, 0)."""
+        d, m = g
         acc = 0
-        ml = left
-        while ml:
-            li = ml.bit_length() - 1
-            ml &= ~(1 << li)
-            mr = right
-            while mr:
-                rj = mr.bit_length() - 1
-                mr &= ~(1 << rj)
-                acc ^= 1 << index[(dl, li, dr, rj)]
-        return acc
-
-    return GradedAlgebra(betti, mult, labels), pairs
+        while m:
+            i = m.bit_length() - 1
+            m &= ~(1 << i)
+            acc ^= (1 << self.index[(d, i, 0, 0)]) ^ (1 << self.index[(0, 0, d, i)])
+        return (d, acc)
 
 
-def cup_kernel(A: GradedAlgebra) -> Tuple[GradedAlgebra, List[Tuple[int, int]]]:
+def tensor_square(A: GradedAlgebra) -> TensorAlgebra:
+    """The algebra A (x) A with basis pairs, graded by total degree."""
+    return TensorAlgebra(A, A, lambda la, lb: f"{la}(x){lb}")
+
+
+def cup_kernel(A: GradedAlgebra) -> Tuple[TensorAlgebra, List[Tuple[int, int]]]:
     """Tensor square together with a basis of the multiplication kernel.
 
     Kernel elements are returned as homogeneous (total degree, mask) pairs of
     positive degree; the degree-0 part of the kernel is zero.
     """
-    T, pairs = tensor_square(A)
+    T = tensor_square(A)
     gens: List[Tuple[int, int]] = []
     for d in range(1, T.top + 1):
-        images = [A.mult_basis(*p) for p in pairs[d]]
+        images = [A.mult_basis(*p) for p in T.pairs[d]]
         for combo in gf2.kernel_combos(images):
             gens.append((d, combo))
     return T, gens
 
 
-def tensor_product_algebra(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
-    """Graded tensor product; no Koszul signs in characteristic 2."""
-    top = A.top + B.top
-    triples: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
-    index: Dict[Tuple[int, int, int, int], int] = {}
-    for d in range(top + 1):
-        for d1 in range(max(0, d - B.top), min(d, A.top) + 1):
-            d2 = d - d1
-            for i in range(A.betti[d1]):
-                for j in range(B.betti[d2]):
-                    index[(d1, i, d2, j)] = len(triples[d])
-                    triples[d].append((d1, i, d2, j))
-    betti = [len(t) for t in triples]
-
-    def label(d1, i, d2, j):
-        la, lb = A.labels[d1][i], B.labels[d2][j]
-        if la == "1":
-            return lb
-        if lb == "1":
-            return la
-        return f"{la}*{lb}"
-
-    labels = [[label(*t) for t in triples[d]] for d in range(top + 1)]
-
-    def mult(da, ia, db, jb):
-        a1, i1, a2, j1 = triples[da][ia]
-        b1, i2, b2, j2 = triples[db][jb]
-        left = A.mult_basis(a1, i1, b1, i2)
-        if not left:
-            return 0
-        right = B.mult_basis(a2, j1, b2, j2)
-        if not right:
-            return 0
-        dl, dr = a1 + b1, a2 + b2
-        acc = 0
-        ml = left
-        while ml:
-            li = ml.bit_length() - 1
-            ml &= ~(1 << li)
-            mr = right
-            while mr:
-                rj = mr.bit_length() - 1
-                mr &= ~(1 << rj)
-                acc ^= 1 << index[(dl, li, dr, rj)]
-        return acc
-
-    return GradedAlgebra(betti, mult, labels)
+def _product_label(la: str, lb: str) -> str:
+    """Label of a basis product in a tensor product of rings, unit omitted."""
+    if la == "1":
+        return lb
+    if lb == "1":
+        return la
+    return f"{la}*{lb}"
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +282,8 @@ class Ring:
     top: int
     generators: Tuple[Tuple[str, int], ...]
     relations_text: Tuple[str, ...]
+    # exact zero-divisor-cup-length, kept by invariants.zcl_exact
+    _zcl = None
 
     def algebra(self) -> GradedAlgebra:
         raise NotImplementedError
@@ -777,7 +781,8 @@ class DoldRing(Ring):
 
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
-            self._alg = tensor_product_algebra(self._fibre_algebra(), self.base.algebra())
+            self._alg = TensorAlgebra(self._fibre_algebra(), self.base.algebra(),
+                                      _product_label)
         return self._alg
 
 

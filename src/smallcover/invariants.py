@@ -10,7 +10,7 @@ kernel elements stay in the kernel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,11 +20,11 @@ from .cohomology import (
     BottRing,
     GradedAlgebra,
     Ring,
+    TensorAlgebra,
+    algebra_generators,
     cup_kernel,
     ideal_powers,
-    longest_nonzero_power,
     projective_ring,
-    span_product,
 )
 from .errors import BudgetExceeded, InputError
 from .gf2 import TensorElement, binom_odd, tensor_cup, tensor_mul
@@ -64,13 +64,17 @@ class ZclCertificate:
 
 
 def cup_length_algebra(alg: GradedAlgebra) -> int:
-    """Longest nonzero product of positive-degree elements, by exhaustion."""
-    gens = [
+    """Longest nonzero product of positive-degree elements, by exhaustion.
+
+    Exact: the positive-degree part is an ideal generated by the algebra
+    generators, and its k-th power is nonzero iff some k-fold product is.
+    """
+    positive = [
         (d, 1 << i)
         for d in range(1, alg.top + 1)
         for i in range(alg.betti[d])
     ]
-    return longest_nonzero_power(alg, gens)
+    return len(ideal_powers(alg, positive, algebra_generators(alg)))
 
 
 def cup_length(ring: Ring) -> int:
@@ -170,21 +174,30 @@ def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
 
 
 def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
-    """Exact zero-divisor-cup-length of a ring of total dimension <= budget."""
+    """Exact zero-divisor-cup-length of a ring of total dimension <= budget.
+
+    The kernel of the multiplication map is the ideal generated by the
+    diagonal classes g (x) 1 + 1 (x) g of the algebra generators g, so each
+    kernel power is its predecessor times those few classes.  The ring keeps
+    the result; the budget is checked before it is reused.
+    """
     if ring.dim > budget:
         raise BudgetExceeded(
             f"ring dimension {ring.dim} exceeds the exact-search budget {budget}"
         )
-    alg = ring.algebra()
-    T, kernel = cup_kernel(alg)
-    powers = ideal_powers(T, kernel)
-    k = len(powers)
-    witness = _extract_witness(T, kernel, powers)
-    return IntervalValue(k, k, "exhaustive kernel power search",
-                         "exhaustive kernel power search", witness)
+    if ring._zcl is None:
+        alg = ring.algebra()
+        T, kernel = cup_kernel(alg)
+        diagonals = [T.diagonal(g) for g in algebra_generators(alg)]
+        powers = ideal_powers(T, kernel, diagonals)
+        k = len(powers)
+        witness = _extract_witness(T, kernel, powers)
+        ring._zcl = IntervalValue(k, k, "exhaustive kernel power search",
+                                  "exhaustive kernel power search", witness)
+    return ring._zcl
 
 
-def _extract_witness(T: GradedAlgebra, kernel: Sequence[Tuple[int, int]],
+def _extract_witness(T: TensorAlgebra, kernel: Sequence[Tuple[int, int]],
                      powers: Sequence) -> Tuple[str, ...]:
     """Greedy factor extraction: peel one kernel generator per power level."""
     k = len(powers)
@@ -200,22 +213,15 @@ def _extract_witness(T: GradedAlgebra, kernel: Sequence[Tuple[int, int]],
             cand = g if current is None else T.mult_elem(current, g)
             if not cand[1]:
                 continue
-            if remaining == 0:
-                chosen.append(g)
-                current = cand
-                break
-            tail = span_product(T, [cand], _span_basis(powers[remaining - 1]))
-            if not tail.is_zero:
+            if remaining == 0 or any(
+                T.mult_elem(cand, v)[1] for v in powers[remaining - 1].basis()
+            ):
                 chosen.append(g)
                 current = cand
                 break
         else:
             raise AssertionError("witness extraction failed")
     return tuple(T.render_elem(g) for g in chosen)
-
-
-def _span_basis(span) -> List[Tuple[int, int]]:
-    return span.basis()
 
 
 # ---------------------------------------------------------------------------

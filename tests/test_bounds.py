@@ -6,6 +6,7 @@ from smallcover.bounds import (
     cat_bounds,
     dold_bounds,
     eq_cat_bounds,
+    manifold_ring,
     simplex_facet_hypotheses,
     small_cover_manifold,
     special_family_bounds,
@@ -182,3 +183,32 @@ def test_bound_report_json_round_trip():
     ]:
         data = rep.to_json()
         assert BoundReport.from_json(data) == rep
+
+
+def test_dold_tc_dimension_cap():
+    _, tc, _ = dold_bounds(bott_manifold((16, 8), BottMatrix.make((16, 8))), [1])
+    assert tc.interval.hi <= 2 * 25 + 1
+    for m in (1, 2, 3):
+        for dims, B in all_bott_matrices(m, 3):
+            n, dim = sum(dims), 1
+            for d in dims:
+                dim *= d + 1
+            if dim > 12:
+                continue
+            _, tc, _ = dold_bounds(bott_manifold(dims, B), [1])
+            assert tc.interval.lo <= tc.interval.hi <= 2 * (n + 1) + 1, dims
+
+
+def test_manifold_ring_built_once():
+    M = rp_manifold(3)
+    ring = manifold_ring(M)
+    assert manifold_ring(M) is ring
+    assert ring._zcl is None
+    tc_bounds(M)
+    kept = ring._zcl
+    assert kept is not None
+    symm_tc_bounds(M)
+    dold_bounds(M, [1])
+    assert ring._zcl is kept
+    # the ring is not part of the description's value
+    assert M == rp_manifold(3) and "_ring" not in repr(M)

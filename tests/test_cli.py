@@ -164,3 +164,57 @@ def test_options_in_problem_file(capsys, tmp_path):
     })
     code, out = run(capsys, "betti", path)
     assert json.loads(out)["betti"] == [1, 2, 1]
+
+
+def assert_malformed(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_dims_exit_2(capsys, tmp_path):
+    path = write(tmp_path, "nodims.json", {
+        "polytope": {"type": "product_of_simplices"},
+        "characteristic": {"type": "bott_matrix", "dims": [2], "beta": {}},
+    })
+    assert_malformed(capsys, ["bounds", path])
+
+
+def test_bad_budget_option_exit_2(capsys, tmp_path):
+    path = write(tmp_path, "budget.json", {
+        "polytope": {"type": "polygon", "edges": 4},
+        "characteristic": {"type": "facet_vectors",
+                           "vectors": ["10", "01", "10", "11"]},
+        "options": {"exact_budget": "x"},
+    })
+    assert_malformed(capsys, ["zcl", path])
+
+
+def test_bad_budget_env_exit_2(capsys, klein, monkeypatch):
+    monkeypatch.setenv("SMALLCOVER_EXACT_BUDGET", "abc")
+    assert_malformed(capsys, ["zcl", klein])
+
+
+def test_bad_dold_flag_exit_2(capsys, klein):
+    assert_malformed(capsys, ["dold", klein, "--dold", "2,x"])
+
+
+def test_bounds_builds_the_polytope_once(capsys, tmp_path, monkeypatch):
+    from smallcover import bounds, polytope
+
+    calls = []
+    build = polytope.product_of_simplices
+
+    def counted(dims):
+        calls.append(dims)
+        return build(dims)
+
+    monkeypatch.setattr(polytope, "product_of_simplices", counted)
+    monkeypatch.setattr(bounds, "product_of_simplices", counted)
+    path = write(tmp_path, "tower.json", {
+        "polytope": {"type": "product_of_simplices", "dims": [3, 2]},
+        "characteristic": {"type": "bott_matrix", "dims": [3, 2],
+                           "beta": {"2,1": "11"}},
+    })
+    code, _ = run(capsys, "bounds", path, "--involution", "10000")
+    assert code == 0 and len(calls) == 1

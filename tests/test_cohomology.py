@@ -6,9 +6,13 @@ from smallcover import gf2
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import (
     BottRing,
+    GradedAlgebra,
     SmallCoverRing,
+    algebra_generators,
     bott_ring,
+    cup_kernel,
     dold_ring,
+    ideal_powers,
     minimal_non_faces,
     point_ring,
     poincare_pairing,
@@ -19,7 +23,7 @@ from smallcover.cohomology import (
     verify_top_monomial,
 )
 from smallcover.errors import CharacteristicError, InputError
-from smallcover.polytope import h_vector, polygon, product_of_simplices
+from smallcover.polytope import explicit_polytope, h_vector, polygon, product_of_simplices
 
 from conftest import all_bott_matrices, random_characteristic, random_product_dims
 
@@ -205,3 +209,77 @@ def test_poincare_pairing_needs_top_class():
     P = polygon(4)
     ring = SmallCoverRing(P, [parse_bits(s) for s in ["10", "01", "10", "11"]])
     assert poincare_pairing(ring).by_degree == (True, True, True)
+
+
+# --- algebra generators and the ideal-power step ------------------------------
+
+
+def test_algebra_generators_degrees():
+    def degrees(ring):
+        return [d for d, _ in algebra_generators(ring.algebra())]
+
+    assert degrees(point_ring()) == []
+    assert degrees(sphere_ring(3)) == [3]
+    assert degrees(projective_ring(5)) == [1]
+    assert degrees(BottRing((2, 3), BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)}))) == [1, 1]
+    assert degrees(BottRing((1, 1, 1), BottMatrix.make((1, 1, 1)))) == [1, 1, 1]
+    # Dold rings: the truncated class a, the square-zero classes, the base
+    assert degrees(dold_ring(projective_ring(2), [2])) == [1, 1]
+    assert degrees(dold_ring(sphere_ring(3), [1, 2])) == [1, 2, 3]
+    assert degrees(dold_ring(projective_ring(1), [2, 2])) == [1, 1, 2]
+    with pytest.raises(InputError):
+        algebra_generators(GradedAlgebra([2, 1], lambda d1, i, d2, j: 0))
+
+
+def _polygon_vectors(k):
+    vectors = [(1, 0), (0, 1)] * (k // 2)
+    return vectors + [(1, 1)] if k % 2 else vectors
+
+
+def _prism(k):
+    P = explicit_polytope(3, k + 2, [(i, (i + 1) % k, cap)
+                                     for i in range(k) for cap in (k, k + 1)])
+    return P, [v + (0,) for v in _polygon_vectors(k)] + [(0, 0, 1), (0, 0, 1)]
+
+
+def _assert_same_powers(ring):
+    alg = ring.algebra()
+    T, kernel = cup_kernel(alg)
+    diagonals = [T.diagonal(g) for g in algebra_generators(alg)]
+    fast = ideal_powers(T, kernel, diagonals)
+    full = ideal_powers(T, kernel, kernel)
+    assert len(fast) == len(full)
+    for a, b in zip(fast, full):
+        assert all(b.contains(*v) for v in a.basis())
+        assert all(a.contains(*v) for v in b.basis())
+
+
+def test_generator_step_matches_full_kernel_step():
+    count = 0
+    for m in (1, 2, 3):
+        for dims, B in all_bott_matrices(m, 3):
+            ring = BottRing(dims, B)
+            if ring.dim <= 12:
+                _assert_same_powers(ring)
+                count += 1
+    assert count == 101
+    for k in (4, 5, 6, 7):
+        _assert_same_powers(SmallCoverRing(polygon(k), _polygon_vectors(k)))
+    for k in (3, 4):
+        _assert_same_powers(SmallCoverRing(*_prism(k)))
+    _assert_same_powers(dold_ring(projective_ring(2), [1]))
+
+
+def test_diagonal_classes_lie_in_the_kernel():
+    alg = projective_ring(3).algebra()
+    T, kernel = cup_kernel(alg)
+    z = T.diagonal((1, 1))
+    assert z[0] == 1 and bin(z[1]).count("1") == 2
+    assert T.render_elem(z) == "1(x)y1 + y1(x)1"
+    assert ideal_powers(T, kernel, kernel)[0].contains(*z)
+
+
+def test_ideal_powers_need_positive_degree_generators():
+    alg = projective_ring(2).algebra()
+    with pytest.raises(InputError):
+        ideal_powers(alg, [(1, 1)], [(0, 1)])

@@ -14,6 +14,7 @@ from smallcover.invariants import (
     IntervalValue,
     certificate_length,
     cup_length,
+    cup_length_algebra,
     norm_cup_length,
     power_exponent,
     sphere_zcl_declared,
@@ -146,3 +147,26 @@ def test_norm_cup_length_labels():
     iv = norm_cup_length(projective_ring(2))
     assert iv.lo == 3 and iv.lo_source.startswith("norm subring")
     assert norm_cup_length(point_ring()).lo == 0
+
+
+def test_cup_length_algebra_matches_closed_forms():
+    rings = [
+        projective_ring(4),
+        sphere_ring(3),
+        point_ring(),
+        dold_ring(projective_ring(2), [2]),
+        dold_ring(sphere_ring(3), [1, 2]),
+        BottRing((2, 3), BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)})),
+        SmallCoverRing(polygon(5), [parse_bits(s) for s in ["10", "01", "10", "01", "11"]]),
+    ]
+    for ring in rings:
+        assert cup_length_algebra(ring.algebra()) == cup_length(ring)
+
+
+def test_zcl_exact_kept_on_the_ring():
+    ring = projective_ring(3)
+    iv = zcl_exact(ring)
+    assert zcl_exact(ring) is iv
+    # the budget is still checked before the kept result is reused
+    with pytest.raises(BudgetExceeded):
+        zcl_exact(ring, budget=3)
