@@ -237,12 +237,14 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
         b.upper(2 * n + 1, "dimension cap")
         return b.report()
     b.lower(cat.interval.lo, "category floor", "TC is at least cat")
+    ring = manifold_ring(M)
     if M.kind == "bott":
-        cert = zcl_certificate_bott(M.dims, M.bmat)
+        if ring._cert is None:
+            ring._cert = zcl_certificate_bott(M.dims, M.bmat)
+        cert = ring._cert
         b.lower(cert.k + 1, "tensor power certificate",
                 f"{cert.k} diagonal zero divisors with nonzero product, "
                 f"surviving terms {', '.join(cert.surviving_terms)}")
-    ring = manifold_ring(M)
     try:
         ex = zcl_exact(ring, budget)
         b.lower(ex.lo + 1, "exact kernel search", "complete search within budget",

@@ -44,10 +44,10 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     for v in vectors:
         if len(v) != P.n:
             raise CharacteristicError("vector length differs from the dimension")
+    masks = [gf2.mask_of(v) for v in vectors]
     bad = []
     for v in P.vertices:
-        rows = [vectors[f] for f in sorted(v)]
-        if gf2.rank_gf2(rows) != P.n:
+        if len(gf2.row_reduce_masks([masks[f] for f in v])) != P.n:
             bad.append(tuple(sorted(v)))
     return ValidationReport(not bad, tuple(sorted(bad)))
 

@@ -348,11 +348,11 @@ def _suite_lemma(max_m: int, max_n: int, corrupt: bool):
                 ok = False  # fault injection hook for tests
             if not ok and fail is None:
                 fail = f"dims={list(dims)} beta={dict(B.beta)}"
-    return count, fail
+    return count, 0, fail
 
 
 def _suite_betti(max_m: int, max_n: int, rng: random.Random):
-    count, fail = 0, None
+    count, skipped, fail = 0, 0, None
     cases = []
     for _ in range(10):
         m = rng.randint(1, max_m)
@@ -362,29 +362,31 @@ def _suite_betti(max_m: int, max_n: int, rng: random.Random):
     for P in cases:
         lam = _random_characteristic(P, rng)
         if lam is None:
+            skipped += 1
             continue
         count += 1
         ring = cohomology.SmallCoverRing(P, lam)
         h = polytope.h_vector(P).h
         if tuple(ring.betti) != h and fail is None:
             fail = f"{P.family}: betti {ring.betti} != h {h}"
-    return count, fail
+    return count, skipped, fail
 
 
 def _suite_duality(max_m: int, max_n: int, rng: random.Random):
-    count, fail = 0, None
+    count, skipped, fail = 0, 0, None
     for _ in range(8):
         m = rng.randint(1, max_m)
         dims = tuple(rng.randint(1, max_n) for _ in range(m))
         P = polytope.product_of_simplices(dims)
         lam = _random_characteristic(P, rng)
         if lam is None:
+            skipped += 1
             continue
         count += 1
         rep = cohomology.poincare_pairing(cohomology.SmallCoverRing(P, lam))
         if not rep.nondegenerate and fail is None:
             fail = f"dims={list(dims)}: degenerate pairing {rep.by_degree}"
-    return count, fail
+    return count, skipped, fail
 
 
 def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
@@ -406,7 +408,7 @@ def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
               and invariants.verify_certificate(ring, cert))
         if not ok and fail is None:
             fail = f"dims={list(dims)} beta={beta}"
-    return count, fail
+    return count, 0, fail
 
 
 def _suite_binom(_max_m, _max_n, _rng):
@@ -420,7 +422,7 @@ def _suite_binom(_max_m, _max_n, _rng):
             count += 1
             if invariants.binom_odd(k, i) != bool(pascal[k][i]) and fail is None:
                 fail = f"C({k},{i})"
-    return count, fail
+    return count, 0, fail
 
 
 def _random_characteristic(P: polytope.SimplePolytope, rng: random.Random,
@@ -457,13 +459,16 @@ def cmd_verify(args) -> int:
         if name not in _SUITES:
             raise InputError(f"unknown suite {name!r}")
         if name == "lemma":
-            count, fail = _suite_lemma(args.max_m, args.max_n, args.inject_fault)
+            count, skipped, fail = _suite_lemma(args.max_m, args.max_n, args.inject_fault)
         else:
-            count, fail = _SUITES[name](args.max_m, args.max_n, rng)
+            count, skipped, fail = _SUITES[name](args.max_m, args.max_n, rng)
+        cases = f"{count} cases"
+        if skipped:
+            cases += f", {skipped} draw{'s' if skipped > 1 else ''} skipped"
         if fail is None:
-            print(f"{name}: {count} cases, pass")
+            print(f"{name}: {cases}, pass")
         else:
-            print(f"{name}: {count} cases, FAIL ({fail})")
+            print(f"{name}: {cases}, FAIL ({fail})")
             failed = True
     return 1 if failed else 0
 

@@ -303,6 +303,8 @@ class Ring:
 
 class BottRing(Ring):
     kind = "bott"
+    # tensor-power certificate, kept by bounds.tc_bounds
+    _cert = None
 
     def __init__(self, dims: Sequence[int], B: BottMatrix):
         dims = tuple(dims)
@@ -396,21 +398,6 @@ class BottRing(Ring):
                 lst.sort(key=grlex_key)
             self._std = by_deg
         return self._std
-
-    def poly_mask(self, p: GF2Poly) -> Tuple[int, int]:
-        """Reduced homogeneous polynomial -> (degree, basis mask)."""
-        p = self.normal_form(p)
-        if not p:
-            return (0, 0)
-        degs = {mono_deg(m) for m in p}
-        if len(degs) != 1:
-            raise InputError("polynomial is not homogeneous")
-        d = degs.pop()
-        std = self.standard_monomials()[d]
-        mask = 0
-        for m in p:
-            mask |= 1 << std.index(m)
-        return (d, mask)
 
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
@@ -562,6 +549,7 @@ class SmallCoverRing(Ring):
         self.ideal_gens = gens
         self.relations_text = tuple(gf2.poly_render(g, self.names) for g in gens)
         self._slices: Dict[int, Tuple[List[Monomial], Dict[int, int], List[Monomial]]] = {}
+        self._tables: Dict[int, Dict[Monomial, int]] = {}
         self._alg: Optional[GradedAlgebra] = None
 
     @property
@@ -609,43 +597,34 @@ class SmallCoverRing(Ring):
             self._slices[d] = (mons, pivots, basis)
         return self._slices[d]
 
-    def reduce_mask(self, d: int, mask: int) -> int:
-        _, pivots, _ = self._slice(d)
-        while True:
-            reducible = 0
-            m = mask
-            while m:
-                lead = m.bit_length() - 1
-                if lead in pivots:
-                    reducible = 1
-                    mask ^= pivots[lead]
-                    break
-                m &= ~(1 << lead)
-            if not reducible:
-                return mask
+    def _table(self, d: int) -> Dict[Monomial, int]:
+        """Normal form of every monomial of degree d, as a basis mask.
 
-    def poly_mask(self, p: GF2Poly) -> Tuple[int, int]:
-        """Homogeneous polynomial in the free classes -> (degree, basis mask)."""
-        if not p:
-            return (0, 0)
-        degs = {mono_deg(m) for m in p}
-        if len(degs) != 1:
-            raise InputError("polynomial is not homogeneous")
-        d = degs.pop()
-        if d > self.top:
-            return (d, 0)
-        mons, _, basis = self._slice(d)
-        pos = {m: i for i, m in enumerate(mons)}
-        mask = 0
-        for mon in p:
-            mask ^= 1 << pos[mon]
-        mask = self.reduce_mask(d, mask)
-        bpos = {m: i for i, m in enumerate(basis)}
-        out = 0
-        for i, mon in enumerate(mons):
-            if (mask >> i) & 1:
-                out |= 1 << bpos[mon]
-        return (d, out)
+        Each monomial reduces once against the slice's pivot rows.  A pivot
+        row is its lead monomial plus lower ones, so in ascending order a
+        pivot monomial's normal form is the XOR of the forms already found
+        for the rest of its row; a basis monomial is its own form.  The
+        normal form is linear, so this equals reducing any mask bit by bit.
+        """
+        if d not in self._tables:
+            mons, pivots, _ = self._slice(d)
+            forms: List[int] = []
+            rank = 0
+            for i in range(len(mons)):
+                row = pivots.get(i)
+                if row is None:
+                    forms.append(1 << rank)
+                    rank += 1
+                    continue
+                acc = 0
+                rest = row & ~(1 << i)
+                while rest:
+                    b = rest.bit_length() - 1
+                    rest &= ~(1 << b)
+                    acc ^= forms[b]
+                forms.append(acc)
+            self._tables[d] = dict(zip(mons, forms))
+        return self._tables[d]
 
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
@@ -656,8 +635,7 @@ class SmallCoverRing(Ring):
             def mult(d1, i, d2, j):
                 u = slices[d1][2][i]
                 v = slices[d2][2][j]
-                _, mask = self.poly_mask(frozenset({mono_mul(u, v)}))
-                return mask
+                return self._table(d1 + d2)[mono_mul(u, v)]
 
             self._alg = GradedAlgebra(betti, mult, labels)
         return self._alg

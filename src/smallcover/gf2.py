@@ -215,12 +215,6 @@ def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     return frozenset(acc)
 
 
-def tensor_from_poly(p: GF2Poly, arity: int) -> TensorElement:
-    """Embed u -> u x 1."""
-    one = mono_one(arity)
-    return frozenset((m, one) for m in p)
-
-
 def tensor_cup(s: TensorElement) -> GF2Poly:
     """Image under the multiplication map u x v -> uv."""
     acc: set = set()

@@ -1,5 +1,6 @@
 import pytest
 
+from smallcover import bounds
 from smallcover.bounds import (
     BoundReport,
     bott_manifold,
@@ -212,3 +213,20 @@ def test_manifold_ring_built_once():
     assert ring._zcl is kept
     # the ring is not part of the description's value
     assert M == rp_manifold(3) and "_ring" not in repr(M)
+
+
+def test_certificate_built_once_per_tower(monkeypatch):
+    calls = []
+    build = bounds.zcl_certificate_bott
+
+    def counted(dims, B):
+        calls.append(dims)
+        return build(dims, B)
+
+    monkeypatch.setattr(bounds, "zcl_certificate_bott", counted)
+    M = bott_manifold((3, 2), BottMatrix.make((3, 2), {(2, 1): (1, 0)}))
+    tc = tc_bounds(M)
+    symm_tc_bounds(M)
+    assert calls == [(3, 2)]
+    assert manifold_ring(M)._cert is not None
+    assert tc_bounds(M) == tc and calls == [(3, 2)]

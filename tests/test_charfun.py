@@ -1,6 +1,6 @@
 import pytest
 
-from smallcover import charfun
+from smallcover import charfun, gf2
 from smallcover.charfun import (
     BottMatrix,
     from_bott,
@@ -10,7 +10,7 @@ from smallcover.charfun import (
     validate,
 )
 from smallcover.errors import CharacteristicError, InputError, ReductionFailed
-from smallcover.polytope import polygon, product_of_simplices
+from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 
 from conftest import all_bott_matrices, random_characteristic
 
@@ -124,3 +124,34 @@ def test_reduce_rejects_invalid():
     bad = [(1, 0), (1, 0), (1, 0), (0, 1)]
     with pytest.raises(CharacteristicError):
         reduce_to_bott(dims, bad)
+
+
+def _reference_validate(P, vectors):
+    bad = tuple(sorted(tuple(sorted(v)) for v in P.vertices
+                       if gf2.rank_gf2([vectors[f] for f in sorted(v)]) != P.n))
+    return charfun.ValidationReport(not bad, bad)
+
+
+def test_packed_validate_matches_rank_reference(rng):
+    prisms = [explicit_polytope(3, k + 2, [(i, (i + 1) % k, cap)
+                                           for i in range(k) for cap in (k, k + 1)])
+              for k in (3, 4, 6)]
+    shapes = ([product_of_simplices(d) for d in [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1, 1)]]
+              + [polygon(k) for k in (3, 4, 5, 8)] + prisms)
+    accepted = rejected = 0
+    for P in shapes:
+        n = P.n
+        nonzero = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 1 << n)]
+        draws = [[rng.choice(nonzero) for _ in range(P.facet_count)] for _ in range(20)]
+        for vectors in draws[:10]:  # one vertex a basis: rejected and accepted draws
+            for i, f in enumerate(sorted(P.vertices[0])):
+                vectors[f] = tuple(int(c == i) for c in range(n))
+        valid = random_characteristic(P, rng)
+        if valid is not None:
+            draws.append(list(valid))
+        for vectors in draws:
+            report = validate(P, vectors)
+            assert report == _reference_validate(P, vectors), (P.family, vectors)
+            accepted += report.valid
+            rejected += not report.valid
+    assert accepted >= len(shapes) and rejected > 100

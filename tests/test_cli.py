@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -218,3 +219,16 @@ def test_bounds_builds_the_polytope_once(capsys, tmp_path, monkeypatch):
     })
     code, _ = run(capsys, "bounds", path, "--involution", "10000")
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("suite, draws", [("betti", 16), ("duality", 8)])
+def test_verify_reports_skipped_draws(capsys, suite, draws):
+    for seed in ("0", "1", "2"):
+        code, out = run(capsys, "verify", "--suite", suite, "--seed", seed)
+        assert code == 0, out
+        m = re.fullmatch(rf"{suite}: (\d+) cases(?:, (\d+) draws? skipped)?, pass\n", out)
+        assert m, out
+        assert int(m.group(1)) + int(m.group(2) or 0) == draws
+    # seed 0 gives up on half of the duality draws
+    code, out = run(capsys, "verify", "--suite", "duality", "--seed", "0")
+    assert out == "duality: 4 cases, 4 draws skipped, pass\n"

@@ -283,3 +283,70 @@ def test_ideal_powers_need_positive_degree_generators():
     alg = projective_ring(2).algebra()
     with pytest.raises(InputError):
         ideal_powers(alg, [(1, 1)], [(0, 1)])
+
+
+# --- table-driven products ---------------------------------------------------
+
+
+def _scrambled_bott_vectors(rng, dims):
+    """from_bott vectors of a random tower under a random basis change."""
+    m = len(dims)
+    beta = {(k, j): tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
+            for k in range(2, m + 1) for j in range(1, k)}
+    vectors = from_bott(dims, BottMatrix.make(dims, beta))
+    n = sum(dims)
+    while True:
+        C = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        if gf2.rank_gf2(C) == n:
+            break
+    return [tuple(sum(r[i] * v[i] for i in range(n)) & 1 for r in C) for v in vectors]
+
+
+def _reference_products(ring):
+    """Every basis product by the bit-by-bit reduction of its monomial."""
+    out = {}
+    for d1 in range(ring.top + 1):
+        for d2 in range(ring.top + 1 - d1):
+            mons, pivots, basis = ring._slice(d1 + d2)
+            pos = {mon: k for k, mon in enumerate(mons)}
+            bpos = {mon: k for k, mon in enumerate(basis)}
+            for i, u in enumerate(ring._slice(d1)[2]):
+                for j, v in enumerate(ring._slice(d2)[2]):
+                    mask = 1 << pos[gf2.mono_mul(u, v)]
+                    reducible = True
+                    while reducible:
+                        reducible = False
+                        rest = mask
+                        while rest:
+                            lead = rest.bit_length() - 1
+                            if lead in pivots:
+                                mask ^= pivots[lead]
+                                reducible = True
+                                break
+                            rest &= ~(1 << lead)
+                    basis_mask = 0
+                    for k, mon in enumerate(mons):
+                        if (mask >> k) & 1:
+                            basis_mask |= 1 << bpos[mon]
+                    out[(d1, i, d2, j)] = basis_mask
+    return out
+
+
+def test_table_products_match_reduction(rng):
+    cases = []
+    for dims in [(1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 2), (1, 1, 1, 1), (3, 3),
+                 (2, 2, 1), (3, 3, 3), (1, 1, 1, 1, 1, 2), (3, 3, 3, 3)]:
+        cases.append((product_of_simplices(dims), _scrambled_bott_vectors(rng, dims)))
+    for k in range(3, 13):
+        cases.append((polygon(k), random_characteristic(polygon(k), rng)))
+    for k in range(3, 9):
+        P, _ = _prism(k)
+        cases.append((P, random_characteristic(P, rng)))
+    for P, vectors in cases:
+        assert vectors is not None, P.family
+        ring = SmallCoverRing(P, vectors)
+        alg = ring.algebra()
+        expected = _reference_products(ring)
+        assert expected
+        for (d1, i, d2, j), mask in expected.items():
+            assert alg.mult_basis(d1, i, d2, j) == mask, (P.family, d1, i, d2, j)
