@@ -24,6 +24,7 @@ from .invariants import (
     sphere_zcl_declared,
     zcl_certificate_bott,
     zcl_exact,
+    zcl_interval,
     zcl_rp,
 )
 from .polytope import (
@@ -176,18 +177,16 @@ def simplex_facet_hypotheses(P: SimplePolytope, vectors: Sequence[GF2Vector]):
     return has_simplex, det_ok
 
 
-def _manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
-    """Zero-divisor interval for the manifold's ring, merging every route."""
-    candidates: List[IntervalValue] = []
-    if M.kind != "sphere":  # spheres use the declared values only
-        try:
-            candidates.append(zcl_exact(manifold_ring(M), budget))
-        except BudgetExceeded:
-            pass
+def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
+    """Zero-divisor interval for the manifold: the ring's own interval
+    (`zcl_interval`) merged with the facet projective rules.  Each side
+    names the candidate that set it."""
     hi = 2 * M.n
-    if M.kind == "bott":
-        candidates.append(IntervalValue(certificate_length(M.dims), hi,
-                                        "tensor power certificate", "grading cap"))
+    if M.kind == "sphere":  # spheres use the declared values only
+        candidates = [IntervalValue(sphere_zcl_declared(M.n), hi,
+                                    "declared sphere value", "grading cap")]
+    else:
+        candidates = [zcl_interval(manifold_ring(M), budget)]
     if M.kind in ("bott", "small_cover") and M.n > 1:
         has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
         if has_simplex:
@@ -198,15 +197,9 @@ def _manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
             rp = zcl_rp(M.n, budget)
             candidates.append(IntervalValue(rp.lo, hi,
                                             "connected-sum projective subring", "grading cap"))
-    if M.kind == "sphere":
-        candidates.append(IntervalValue(sphere_zcl_declared(M.n), hi,
-                                        "declared sphere value", "grading cap"))
-    if not candidates:
-        candidates.append(IntervalValue(1, hi, "degree-one diagonal class", "grading cap"))
-    lo = max(c.lo for c in candidates)
-    hi = min(c.hi for c in candidates)
-    best = max(candidates, key=lambda c: c.lo)
-    return IntervalValue(lo, hi, best.lo_source, "grading cap", best.witness)
+    lower = max(candidates, key=lambda c: c.lo)
+    upper = min(candidates, key=lambda c: c.hi)
+    return IntervalValue(lower.lo, upper.hi, lower.lo_source, upper.hi_source, lower.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +307,7 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
     if M.kind == "sphere":
         b.lower(sphere_zcl_declared(n) + 2, "norm subring")
     else:
-        zcl = _manifold_zcl(M, budget)
+        zcl = manifold_zcl(M, budget)
         b.lower(zcl.lo + 2, "norm subring",
                 f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
     b.upper(2 * n + 1, "dimension cap")
@@ -356,7 +349,7 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
         zcl_base_lo = sphere_zcl_declared(n)
         zcl_src = "declared sphere value"
     else:
-        zb = _manifold_zcl(M, budget)
+        zb = manifold_zcl(M, budget)
         zcl_base_lo = zb.lo
         zcl_src = zb.lo_source
     rp = zcl_rp(p1, budget)

@@ -16,7 +16,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import bounds as bounds_mod
-from . import charfun, cohomology, invariants, polytope
+from . import charfun, cohomology, invariants, polytope, sampling
 from .errors import BudgetExceeded, CharacteristicError, InputError, ReductionFailed
 
 EX_USAGE = 64
@@ -221,7 +221,7 @@ def cmd_cl(args) -> int:
 
 def cmd_zcl(args) -> int:
     spec = _load(args.problem)
-    ring = _ring(spec)
+    M = _manifold(spec)
     fmt = _format(spec, args)
     budget = _budget(spec, args)
     if args.certificate_only:
@@ -234,7 +234,7 @@ def cmd_zcl(args) -> int:
                    "surviving_terms": list(cert.surviving_terms)}
         _emit(fmt, lines, payload)
         return 0
-    iv = invariants.zcl_interval(ring, budget)
+    iv = bounds_mod.manifold_zcl(M, budget)
     lines = [f"zcl in [{iv.lo}, {iv.hi}]",
              f"  lower: {iv.lo_source}",
              f"  upper: {iv.hi_source}"]
@@ -318,30 +318,14 @@ def cmd_dold(args) -> int:
 # ---------------------------------------------------------------------------
 # verification sweeps
 
-
-def _all_bott_matrices(m: int, max_n: int):
-    """All Bott matrices with exactly m blocks and block dimensions <= max_n."""
-    from itertools import product as iproduct
-
-    for dims in iproduct(range(1, max_n + 1), repeat=m):
-        slots = [(k, j) for k in range(2, m + 1) for j in range(1, k)]
-        widths = [dims[k - 1] for k, _ in slots]
-        total = sum(widths)
-        for bits in range(1 << total):
-            beta = {}
-            off = 0
-            for (k, j), w in zip(slots, widths):
-                chunk = tuple((bits >> (off + i)) & 1 for i in range(w))
-                off += w
-                if any(chunk):
-                    beta[(k, j)] = chunk
-            yield dims, charfun.BottMatrix.make(dims, beta)
+# draws per random facet assignment before a sweep skips the polytope
+_SAMPLER_TRIES = 400
 
 
 def _suite_lemma(max_m: int, max_n: int, corrupt: bool):
     count, fail = 0, None
     for m in range(1, max_m + 1):
-        for dims, B in _all_bott_matrices(m, max_n):
+        for dims, B in sampling.all_bott_matrices(m, max_n):
             count += 1
             ok = cohomology.verify_top_monomial(dims, B)
             if corrupt and count == 1:
@@ -360,7 +344,7 @@ def _suite_betti(max_m: int, max_n: int, rng: random.Random):
         cases.append(polytope.product_of_simplices(dims))
     cases += [polytope.polygon(k) for k in range(3, 9)]
     for P in cases:
-        lam = _random_characteristic(P, rng)
+        lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
         if lam is None:
             skipped += 1
             continue
@@ -378,7 +362,7 @@ def _suite_duality(max_m: int, max_n: int, rng: random.Random):
         m = rng.randint(1, max_m)
         dims = tuple(rng.randint(1, max_n) for _ in range(m))
         P = polytope.product_of_simplices(dims)
-        lam = _random_characteristic(P, rng)
+        lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
         if lam is None:
             skipped += 1
             continue
@@ -423,22 +407,6 @@ def _suite_binom(_max_m, _max_n, _rng):
             if invariants.binom_odd(k, i) != bool(pascal[k][i]) and fail is None:
                 fail = f"C({k},{i})"
     return count, 0, fail
-
-
-def _random_characteristic(P: polytope.SimplePolytope, rng: random.Random,
-                           tries: int = 400):
-    """Random valid facet vectors, or None if sampling keeps failing."""
-    n = P.n
-    nonzero = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 1 << n)]
-    first = sorted(P.vertices[0])
-    for _ in range(tries):
-        vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
-        # make the first vertex a basis to help the success rate
-        for i, f in enumerate(first):
-            vectors[f] = tuple(1 if c == i else 0 for c in range(n))
-        if charfun.validate(P, vectors).valid:
-            return tuple(vectors)
-    return None
 
 
 _SUITES = {

@@ -3,7 +3,10 @@
 Vertices are the primitive data: each vertex is the set of the n facets
 meeting it.  Higher faces are recovered by intersecting facet subsets, and
 f-/h-vectors are derived from the incidence structure (closed forms for the
-built-in families).
+built-in families).  A product of simplices holds only its block dimensions:
+its vertex count, simplex facets, facet neighbours and disjoint facet pairs
+come in closed form, and its vertices are built only when something iterates
+them, up to MAX_PRODUCT_VERTICES.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from typing import FrozenSet, List, Sequence, Tuple
 
 from .errors import InputError
 
+# Largest product of simplices whose vertices are built: (3,)x8 has 65 536.
+MAX_PRODUCT_VERTICES = 65536
+
 
 @dataclass(frozen=True)
 class SimplePolytope:
@@ -23,24 +29,24 @@ class SimplePolytope:
     vertices: Tuple[FrozenSet[int], ...]
     family: Tuple = ("explicit",)
     # facet -> sorted tuple of incident vertex indices, derived once
-    _facet_vertices: Tuple[Tuple[int, ...], ...] = field(default=None, repr=False)
+    _facet_vertices: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         if self.n < 0 or self.facet_count < 0:
             raise InputError("negative dimension or facet count")
-        seen = [[] for _ in range(self.facet_count)]
         for vi, v in enumerate(self.vertices):
             if len(v) != self.n:
                 raise InputError(f"vertex {vi} does not lie on exactly {self.n} facets")
             for f in v:
                 if not 0 <= f < self.facet_count:
                     raise InputError(f"vertex {vi} uses unknown facet {f}")
-                seen[f].append(vi)
+        incidence = _incidence(self.vertices, self.facet_count)
         if self.n > 0:
-            for f, incident in enumerate(seen):
+            for f, incident in enumerate(incidence):
                 if not incident:
                     raise InputError(f"facet {f} lies on no vertex")
-        object.__setattr__(self, "_facet_vertices", tuple(tuple(s) for s in seen))
+        object.__setattr__(self, "_facet_vertices", incidence)
 
     @property
     def vertex_count(self) -> int:
@@ -55,35 +61,84 @@ class SimplePolytope:
         return not set(self.facet_vertex_indices(f)) & set(self.facet_vertex_indices(g))
 
 
+def _incidence(vertices, facet_count: int) -> Tuple[Tuple[int, ...], ...]:
+    seen = [[] for _ in range(facet_count)]
+    for vi, v in enumerate(vertices):
+        for f in v:
+            seen[f].append(vi)
+    return tuple(tuple(s) for s in seen)
+
+
+class ProductOfSimplices(SimplePolytope):
+    """Product of simplices held as its dims; see product_of_simplices.
+
+    `vertices` and `_facet_vertices` are built on first access and then
+    stored: __getattr__ runs only while an attribute is missing, so later
+    reads are plain attribute reads.  Equality and hashing go by dims alone.
+    """
+
+    def __init__(self, dims: Sequence[int]):
+        dims = tuple(int(d) for d in dims)
+        if not dims or any(d < 1 for d in dims):
+            raise InputError("dims must be a nonempty list of positive integers")
+        object.__setattr__(self, "n", sum(dims))
+        object.__setattr__(self, "facet_count", sum(dims) + len(dims))
+        object.__setattr__(self, "family", ("product_of_simplices", dims))
+
+    def __getattr__(self, name):
+        if name == "vertices":
+            value = self._build_vertices()
+        elif name == "_facet_vertices":
+            value = _incidence(self.vertices, self.facet_count)
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _build_vertices(self) -> Tuple[FrozenSet[int], ...]:
+        dims = self.family[1]
+        count = self.vertex_count
+        if count > MAX_PRODUCT_VERTICES:
+            raise InputError(
+                f"product of simplices {list(dims)} has {count} vertices; "
+                f"at most {MAX_PRODUCT_VERTICES} can be built"
+            )
+        # a vertex keeps all facets of each block but one
+        prefixes = [()]
+        for off, d in zip(block_offsets(dims), dims):
+            block = range(off, off + d + 1)
+            kept = [tuple(g for g in block if g != f) for f in block]
+            prefixes = [p + k for p in prefixes for k in kept]
+        return tuple(map(frozenset, prefixes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family
+
+    def __hash__(self):
+        return hash(self.family)
+
+    def __repr__(self):
+        return f"ProductOfSimplices(dims={self.family[1]})"
+
+    @property
+    def vertex_count(self) -> int:
+        return product_vertex_count(self.family[1])
+
+    def facets_disjoint(self, f: int, g: int) -> bool:
+        # only the two facets of a 1-dimensional block miss each other
+        block = _block(self, f)
+        return f != g and block == _block(self, g) and self.family[1][block[0]] == 1
+
+
 def product_of_simplices(dims: Sequence[int]) -> SimplePolytope:
     """Product of simplices with the given dimensions.
 
     Block j contributes facets indexed consecutively; a vertex omits exactly
-    one facet from each block.
+    one facet from each block.  Holds only the dims (see ProductOfSimplices).
     """
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise InputError("dims must be a nonempty list of positive integers")
-    n = sum(dims)
-    offsets = []
-    off = 0
-    for d in dims:
-        offsets.append(off)
-        off += d + 1
-    facet_count = off
-
-    vertices: List[FrozenSet[int]] = []
-
-    def build(j: int, acc: List[int]):
-        if j == len(dims):
-            vertices.append(frozenset(acc))
-            return
-        base = offsets[j]
-        for omit in range(dims[j] + 1):
-            build(j + 1, acc + [base + k for k in range(dims[j] + 1) if k != omit])
-
-    build(0, [])
-    return SimplePolytope(n, facet_count, tuple(vertices), ("product_of_simplices", dims))
+    return ProductOfSimplices(dims)
 
 
 def block_offsets(dims: Sequence[int]) -> List[int]:
@@ -208,8 +263,28 @@ def h_vector(P: SimplePolytope) -> HVector:
     return hv
 
 
+def _block(P: SimplePolytope, f: int) -> Tuple[int, int]:
+    """(block, first facet of the block) of facet f in a product of simplices."""
+    if not 0 <= f < P.facet_count:
+        raise InputError(f"unknown facet {f}")
+    off = 0
+    for j, d in enumerate(P.family[1]):
+        if f <= off + d:
+            return j, off
+        off += d + 1
+
+
 def simplex_facets(P: SimplePolytope) -> List[int]:
     """Facets that are simplices: their induced vertex count equals n."""
+    if P.family[0] == "product_of_simplices":
+        # a block-j facet has n_j * prod_{i != j} (n_i + 1) vertices
+        dims, count = P.family[1], P.vertex_count
+        return [
+            f
+            for off, d in zip(block_offsets(dims), dims)
+            if count // (d + 1) * d == P.n
+            for f in range(off, off + d + 1)
+        ]
     return [
         f
         for f in range(P.facet_count)
@@ -219,6 +294,11 @@ def simplex_facets(P: SimplePolytope) -> List[int]:
 
 def facet_neighbours(P: SimplePolytope, f: int) -> List[int]:
     """Facets other than f sharing at least one vertex with f."""
+    if P.family[0] == "product_of_simplices":
+        # every other facet, except the other facet of a 1-dimensional block
+        j, off = _block(P, f)
+        skip = range(off, off + 2) if P.family[1][j] == 1 else (f,)
+        return [g for g in range(P.facet_count) if g not in skip]
     out = set()
     for vi in P.facet_vertex_indices(f):
         out |= P.vertices[vi]

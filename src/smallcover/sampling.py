@@ -1,0 +1,46 @@
+"""Random facet vectors and the enumeration of small Bott towers.
+
+Shared by the CLI's verification sweeps and the test suite; each caller
+passes its own try count, so its random stream stays its own.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import product
+from typing import Iterator, Optional, Tuple
+
+from .charfun import BottMatrix, GF2Vector, validate
+from .polytope import SimplePolytope
+
+
+def random_characteristic(P: SimplePolytope, rng: random.Random,
+                          tries: int) -> Optional[Tuple[GF2Vector, ...]]:
+    """Random valid facet vectors for P, or None after `tries` draws."""
+    n = P.n
+    nonzero = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 1 << n)]
+    first = sorted(P.vertices[0])
+    for _ in range(tries):
+        vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
+        # make the first vertex a basis to help the success rate
+        for i, f in enumerate(first):
+            vectors[f] = tuple(1 if c == i else 0 for c in range(n))
+        if validate(P, vectors).valid:
+            return tuple(vectors)
+    return None
+
+
+def all_bott_matrices(m: int, max_n: int) -> Iterator[Tuple[Tuple[int, ...], BottMatrix]]:
+    """All Bott matrices with exactly m blocks and block dimensions <= max_n."""
+    slots = [(k, j) for k in range(2, m + 1) for j in range(1, k)]
+    for dims in product(range(1, max_n + 1), repeat=m):
+        widths = [dims[k - 1] for k, _ in slots]
+        for bits in range(1 << sum(widths)):
+            beta = {}
+            off = 0
+            for (k, j), w in zip(slots, widths):
+                chunk = tuple((bits >> (off + i)) & 1 for i in range(w))
+                off += w
+                if any(chunk):
+                    beta[(k, j)] = chunk
+            yield dims, BottMatrix.make(dims, beta)

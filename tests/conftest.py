@@ -2,21 +2,13 @@ import random
 
 import pytest
 
-from smallcover import charfun, polytope
+from smallcover import sampling
+from smallcover.sampling import all_bott_matrices  # noqa: F401  (shared by the test modules)
 
 
-def random_characteristic(P, rng, tries=500):
-    """Random valid facet vectors for P, or None after too many tries."""
-    n = P.n
-    first = sorted(P.vertices[0])
-    nonzero = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 1 << n)]
-    for _ in range(tries):
-        vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
-        for i, f in enumerate(first):
-            vectors[f] = tuple(1 if c == i else 0 for c in range(n))
-        if charfun.validate(P, vectors).valid:
-            return tuple(vectors)
-    return None
+def random_characteristic(P, rng):
+    """Random valid facet vectors for P, or None after 500 tries."""
+    return sampling.random_characteristic(P, rng, tries=500)
 
 
 def random_product_dims(rng, max_vertices=256, max_m=6):
@@ -28,24 +20,6 @@ def random_product_dims(rng, max_vertices=256, max_m=6):
             count *= d + 1
         if count <= max_vertices:
             return dims
-
-
-def all_bott_matrices(m, max_n):
-    from itertools import product as iproduct
-
-    for dims in iproduct(range(1, max_n + 1), repeat=m):
-        slots = [(k, j) for k in range(2, m + 1) for j in range(1, k)]
-        widths = [dims[k - 1] for k, _ in slots]
-        total = sum(widths)
-        for bits in range(1 << total):
-            beta = {}
-            off = 0
-            for (k, j), w in zip(slots, widths):
-                chunk = tuple((bits >> (off + i)) & 1 for i in range(w))
-                off += w
-                if any(chunk):
-                    beta[(k, j)] = chunk
-            yield dims, charfun.BottMatrix.make(dims, beta)
 
 
 @pytest.fixture

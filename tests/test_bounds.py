@@ -8,6 +8,7 @@ from smallcover.bounds import (
     dold_bounds,
     eq_cat_bounds,
     manifold_ring,
+    manifold_zcl,
     simplex_facet_hypotheses,
     small_cover_manifold,
     special_family_bounds,
@@ -230,3 +231,13 @@ def test_certificate_built_once_per_tower(monkeypatch):
     assert calls == [(3, 2)]
     assert manifold_ring(M)._cert is not None
     assert tc_bounds(M) == tc and calls == [(3, 2)]
+
+
+def test_manifold_zcl_names_the_side_that_set_each_end():
+    B = BottMatrix.make((2,))
+    exact = manifold_zcl(bott_manifold((2,), B), 12)
+    assert (exact.lo, exact.hi) == (3, 3)
+    assert exact.hi_source == "exhaustive kernel power search"
+    capped = manifold_zcl(bott_manifold((2,), B), 1)
+    assert (capped.lo, capped.hi) == (3, 4)
+    assert capped.hi_source == "grading cap"

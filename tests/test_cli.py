@@ -232,3 +232,72 @@ def test_verify_reports_skipped_draws(capsys, suite, draws):
     # seed 0 gives up on half of the duality draws
     code, out = run(capsys, "verify", "--suite", "duality", "--seed", "0")
     assert out == "duality: 4 cases, 4 draws skipped, pass\n"
+
+
+def _twisted_tower(tmp_path, name, dims):
+    m = len(dims)
+    return write(tmp_path, name, {
+        "polytope": {"type": "product_of_simplices", "dims": list(dims)},
+        "characteristic": {"type": "bott_matrix", "dims": list(dims),
+                           "beta": {"2,1": "101", f"{m},3": "110"}},
+        "dold": {"p": [1, 2]},
+    })
+
+
+def test_tower_commands_never_build_vertices(capsys, tmp_path, monkeypatch):
+    from smallcover import polytope
+
+    def refuse(self):
+        raise AssertionError("product vertices built")
+
+    monkeypatch.setattr(polytope.ProductOfSimplices, "_build_vertices", refuse)
+    path = _twisted_tower(tmp_path, "t38.json", (3,) * 8)
+    for argv in (["bounds", path, "--invariant", "all"], ["dold", path], ["zcl", path]):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0, argv
+        json.loads(out)
+
+
+def test_zcl_and_dold_on_a_twelve_block_tower(capsys, tmp_path):
+    path = _twisted_tower(tmp_path, "t312.json", (3,) * 12)
+    code, out = run(capsys, "zcl", path, "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and (data["lo"], data["hi"]) == (36, 72)
+    code, out = run(capsys, "dold", path, "--format", "json")
+    assert code == 0 and len(json.loads(out)["reports"]) == 3
+
+
+def test_vertex_cap_exit_2(capsys, tmp_path):
+    n = 27  # (3,)x9: 262 144 vertices
+    path = write(tmp_path, "big.json", {
+        "polytope": {"type": "product_of_simplices", "dims": [3] * 9},
+        "characteristic": {"type": "facet_vectors", "vectors": ["1" * n] * 36},
+    })
+    assert_malformed(capsys, ["validate", path])
+
+
+def _rp_facet_vectors(tmp_path, n):
+    vectors = ["".join("1" if c == i else "0" for c in range(n)) for i in range(n)]
+    return write(tmp_path, f"rp{n}.json", {
+        "polytope": {"type": "product_of_simplices", "dims": [n]},
+        "characteristic": {"type": "facet_vectors", "vectors": vectors + ["1" * n]},
+    })
+
+
+def test_zcl_and_bounds_share_one_route(capsys, tmp_path):
+    path = _rp_facet_vectors(tmp_path, 16)
+    code, out = run(capsys, "zcl", path, "--format", "json")
+    zcl = json.loads(out)
+    assert code == 0 and (zcl["lo"], zcl["hi"]) == (31, 32)
+    assert zcl["lo_source"] == "connected-sum projective subring"
+    code, out = run(capsys, "bounds", path, "--format", "json")
+    reports = {r["invariant"]: r for r in json.loads(out)["reports"]}
+    assert (reports["TC"]["lo"], reports["TC"]["hi"]) == (zcl["lo"] + 1, 33)
+    assert reports["TC_S"]["lo"] == zcl["lo"] + 2
+
+
+def test_zcl_names_the_exact_upper_end(capsys, tmp_path):
+    code, out = run(capsys, "zcl", _rp_facet_vectors(tmp_path, 2), "--format", "json")
+    data = json.loads(out)
+    assert (data["lo"], data["hi"]) == (3, 3)
+    assert data["hi_source"] == "exhaustive kernel power search"

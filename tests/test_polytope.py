@@ -1,6 +1,6 @@
 import pytest
 
-from smallcover import polytope
+from smallcover import bounds, charfun, polytope
 from smallcover.errors import InputError
 from smallcover.polytope import (
     HVector,
@@ -136,3 +136,96 @@ def test_facet_neighbours():
     assert facet_neighbours(P, 0) == [1, 4]
     P = product_of_simplices([2])
     assert facet_neighbours(P, 0) == [1, 2]
+
+
+def _small_products():
+    """Every product of simplices with entries 1-4, at most 6 blocks and at
+    most 256 vertices (740 of them)."""
+    from itertools import product
+
+    return [dims for m in range(1, 7) for dims in product(range(1, 5), repeat=m)
+            if product_vertex_count(dims) <= 256]
+
+
+def _scanned_h_vector(P):
+    """h-vector from the materialised vertices alone.
+
+    Two vertices of a simple polytope span an edge when they share n - 1
+    facets.  A vertex's index in the product layout is a linear functional
+    (block j's omitted facet, weighted by its place value), and for such a
+    functional h_i counts the vertices with exactly i lower neighbours.
+    """
+    edges = {}
+    for vi, v in enumerate(P.vertices):
+        for f in v:
+            edges.setdefault(v - {f}, []).append(vi)
+    lower = [0] * P.vertex_count
+    for a, b in edges.values():
+        lower[max(a, b)] += 1
+    h = [0] * (P.n + 1)
+    for count in lower:
+        h[count] += 1
+    return tuple(h), len(edges)
+
+
+def test_product_closed_forms_match_vertex_scan():
+    products = _small_products()
+    assert len(products) == 740
+    for dims in products:
+        P = product_of_simplices(dims)
+        Q = explicit_polytope(P.n, P.facet_count, [sorted(v) for v in P.vertices])
+        assert P.vertex_count == Q.vertex_count == len(P.vertices)
+        assert simplex_facets(P) == simplex_facets(Q), dims
+        for f in range(P.facet_count):
+            assert facet_neighbours(P, f) == facet_neighbours(Q, f), (dims, f)
+            for g in range(P.facet_count):
+                assert P.facets_disjoint(f, g) == Q.facets_disjoint(f, g), (dims, f, g)
+        h, edge_count = _scanned_h_vector(P)
+        assert h_vector(P).h == h, dims
+        if P.n > 1:
+            assert f_vector(P).f[1] == edge_count, dims
+        if P.vertex_count <= 24:  # the generic face enumeration is quadratic
+            assert f_vector(P) == f_vector(Q), dims
+
+
+def test_product_closed_forms_reject_unknown_facets():
+    P = product_of_simplices([1, 2])
+    with pytest.raises(InputError):
+        facet_neighbours(P, 5)
+    with pytest.raises(InputError):
+        P.facets_disjoint(0, -1)
+
+
+def test_product_equality_ignores_built_vertices():
+    built, lazy = product_of_simplices([2, 1, 3]), product_of_simplices([2, 1, 3])
+    assert built.vertices and built._facet_vertices
+    assert "vertices" not in vars(lazy)
+    assert built == lazy and hash(built) == hash(lazy)
+    assert len({built, lazy}) == 1
+    assert "vertices" not in vars(lazy)
+    assert product_of_simplices([1, 2]) != product_of_simplices([2, 1])
+    # an explicit polytope with the same vertices is a different description
+    explicit = explicit_polytope(built.n, built.facet_count,
+                                 [sorted(v) for v in built.vertices])
+    assert built != explicit and explicit != built
+    B = charfun.BottMatrix.make((2, 1, 3))
+    assert bounds.bott_manifold((2, 1, 3), B) == bounds.ManifoldDescription(
+        "bott", 6, built, tuple(charfun.from_bott((2, 1, 3), B)), (2, 1, 3), B)
+
+
+def test_product_vertices_are_stored_once_built():
+    P = product_of_simplices([3, 3])
+    first = P.vertices
+    assert vars(P)["vertices"] is first and P.vertices is first
+
+
+def test_product_vertex_cap():
+    assert polytope.MAX_PRODUCT_VERTICES == product_vertex_count((3,) * 8)
+    big = product_of_simplices((3,) * 9)
+    # closed-form queries still answer
+    assert big.vertex_count == 4 ** 9
+    assert simplex_facets(big) == [] and len(facet_neighbours(big, 0)) == 35
+    with pytest.raises(InputError, match="262144 vertices"):
+        big.vertices
+    with pytest.raises(InputError):
+        faces_meeting(big, {0})
