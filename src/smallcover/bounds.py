@@ -9,6 +9,7 @@ recorded in the report when used.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -177,6 +178,28 @@ def simplex_facet_hypotheses(P: SimplePolytope, vectors: Sequence[GF2Vector]):
     return has_simplex, det_ok
 
 
+def free_circle_blocks(dims: Sequence[int], B: BottMatrix) -> List[int]:
+    """Blocks j (1-based) whose stage carries a free circle action by scalars.
+
+    Block j counts when n_j > 1 is odd, its fibre line bundles pair up, and
+    no later block is twisted by y_j (beta(j', j) = 0 for every j' > j).  The
+    bundles pair up when every vector of {w_0 = 0, w_1, ..., w_{n_j}}, with
+    w_k = (beta(j, l)[k])_{l < j}, occurs an even number of times: the fibre
+    is then a complex projectivisation.  The README gives the argument.
+    """
+    twisted = {j for (_, j), bits in B.beta if any(bits)}
+    out = []
+    for j, nj in enumerate(dims, start=1):
+        if nj == 1 or nj % 2 == 0 or j in twisted:
+            continue
+        rows = [B.block(j, l) for l in range(1, j)]
+        fibre = Counter(tuple(row[k] for row in rows) for k in range(nj))
+        fibre[(0,) * (j - 1)] += 1
+        if all(c % 2 == 0 for c in fibre.values()):
+            out.append(j)
+    return out
+
+
 def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     """Zero-divisor interval for the manifold: the ring's own interval
     (`zcl_interval`) merged with the facet projective rules.  Each side
@@ -190,11 +213,11 @@ def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     if M.kind in ("bott", "small_cover") and M.n > 1:
         has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
         if has_simplex:
-            rp = zcl_rp(M.n - 1, budget)
+            rp = zcl_rp(M.n - 1)
             candidates.append(IntervalValue(rp.lo, hi,
                                             "facet projective restriction", "grading cap"))
         if det_ok:
-            rp = zcl_rp(M.n, budget)
+            rp = zcl_rp(M.n)
             candidates.append(IntervalValue(rp.lo, hi,
                                             "connected-sum projective subring", "grading cap"))
     lower = max(candidates, key=lambda c: c.lo)
@@ -247,16 +270,16 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
     if n > 1:
         has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
         if has_simplex:
-            rp = zcl_rp(n - 1, budget)
+            rp = zcl_rp(n - 1)
             b.lower(rp.lo + 1, "facet projective restriction",
                     f"simplex facet restricts onto the ({n - 1})-projective ring")
         if det_ok:
-            rp = zcl_rp(n, budget)
+            rp = zcl_rp(n)
             b.lower(rp.lo + 1, "connected-sum projective subring",
                     f"invertible neighbour matrix embeds the {n}-projective ring")
     b.upper(2 * n + 1, "dimension cap")
     if M.kind == "bott":
-        k = sum(1 for d in M.dims if d > 1 and d % 2 == 1)
+        k = len(free_circle_blocks(M.dims, M.bmat))
         if k:
             b.upper(2 * n - k + 1, "free circle actions",
                     f"{k} odd blocks of dimension > 1")
@@ -352,7 +375,7 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
         zb = manifold_zcl(M, budget)
         zcl_base_lo = zb.lo
         zcl_src = zb.lo_source
-    rp = zcl_rp(p1, budget)
+    rp = zcl_rp(p1)
     tc.lower(zcl_base_lo + rp.lo + r, "tensor zero-divisor sum",
              f"base bound {zcl_base_lo} ({zcl_src}) plus fibre bound {rp.lo}")
     tc.lower(cl_base + p1 + r, "category floor")
@@ -387,7 +410,12 @@ class FamilyResult:
 
 
 def special_family_bounds(dims: Sequence[int]) -> List[FamilyResult]:
-    """Closed-form corollaries whose hypotheses the block dimensions satisfy."""
+    """Closed-form corollaries whose hypotheses the block dimensions satisfy.
+
+    The upper ends set by "free circle actions" hold for untwisted towers
+    only: a twisted tower keeps that rule only on the blocks that
+    `free_circle_blocks` accepts, which needs the Bott matrix.
+    """
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise InputError("dims must be a nonempty list of positive integers")

@@ -16,7 +16,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import bounds as bounds_mod
-from . import charfun, cohomology, invariants, polytope, sampling
+from . import charfun, cohomology, gf2, invariants, polytope, sampling
 from .errors import BudgetExceeded, CharacteristicError, InputError, ReductionFailed
 
 EX_USAGE = 64
@@ -229,7 +229,8 @@ def cmd_zcl(args) -> int:
             raise InputError("--certificate-only needs a bott_matrix characteristic")
         cert = invariants.zcl_certificate_bott(spec.dims, spec.bmat)
         lines = [f"certificate length = {cert.k}",
-                 "surviving terms: " + ", ".join(cert.surviving_terms)]
+                 "surviving terms: " + ", ".join(cert.surviving_terms),
+                 f"argument: {cert.argument}"]
         payload = {"certificate_length": cert.k,
                    "surviving_terms": list(cert.surviving_terms)}
         _emit(fmt, lines, payload)
@@ -404,7 +405,7 @@ def _suite_binom(_max_m, _max_n, _rng):
     for k in range(65):
         for i in range(k + 1):
             count += 1
-            if invariants.binom_odd(k, i) != bool(pascal[k][i]) and fail is None:
+            if gf2.binom_odd(k, i) != bool(pascal[k][i]) and fail is None:
                 fail = f"C({k},{i})"
     return count, 0, fail
 

@@ -548,6 +548,7 @@ class SmallCoverRing(Ring):
                 gens.append(g)
         self.ideal_gens = gens
         self.relations_text = tuple(gf2.poly_render(g, self.names) for g in gens)
+        self._monos: Dict[int, List[Monomial]] = {}
         self._slices: Dict[int, Tuple[List[Monomial], Dict[int, int], List[Monomial]]] = {}
         self._tables: Dict[int, Dict[Monomial, int]] = {}
         self._alg: Optional[GradedAlgebra] = None
@@ -557,20 +558,24 @@ class SmallCoverRing(Ring):
         return self.P.vertex_count
 
     def _monomials(self, d: int) -> List[Monomial]:
-        out: List[Monomial] = []
+        """All monomials of degree d in grlex order, built once per degree."""
+        if d not in self._monos:
+            out: List[Monomial] = []
 
-        def rec(i: int, left: int, acc: List[int]):
-            if i == self.nvars - 1:
-                out.append(tuple(acc + [left]))
-                return
-            for e in range(left + 1):
-                rec(i + 1, left - e, acc + [e])
+            def rec(i: int, left: int, acc: List[int]):
+                if i == self.nvars - 1:
+                    out.append(tuple(acc + [left]))
+                    return
+                for e in range(left + 1):
+                    rec(i + 1, left - e, acc + [e])
 
-        if self.nvars == 0:
-            return [()] if d == 0 else []
-        rec(0, d, [])
-        out.sort(key=grlex_key)
-        return out
+            if self.nvars == 0:
+                out = [()] if d == 0 else []
+            else:
+                rec(0, d, [])
+                out.sort(key=grlex_key)
+            self._monos[d] = out
+        return self._monos[d]
 
     def _slice(self, d: int):
         """(monomials, pivot rows, basis monomials) of degree d."""

@@ -24,10 +24,9 @@ from .cohomology import (
     algebra_generators,
     cup_kernel,
     ideal_powers,
-    projective_ring,
 )
 from .errors import BudgetExceeded, InputError
-from .gf2 import TensorElement, binom_odd, tensor_cup, tensor_mul
+from .gf2 import TensorElement, tensor_cup, tensor_mul
 
 DEFAULT_BUDGET = 12
 
@@ -53,10 +52,17 @@ class IntervalValue:
 
 @dataclass(frozen=True)
 class ZclCertificate:
+    """k zero divisors whose product is nonzero.
+
+    `product` holds witness terms of the reduced product, not the product
+    itself: for a tower certificate it is the single split term T*.
+    `argument` names why the witness terms survive.
+    """
     k: int
     factors: Tuple[TensorElement, ...]
     product: TensorElement
     surviving_terms: Tuple[str, ...] = ()
+    argument: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -109,64 +115,83 @@ def certificate_length(dims: Sequence[int]) -> int:
     return sum((1 << power_exponent(d)) - 1 for d in dims)
 
 
+LEADING_TERM_ARGUMENT = (
+    "lex leading term: of the terms y^(d-s) (x) y^s of the product, only "
+    "s = n reaches y^(d-n) (x) y^n, since reduction never raises a monomial"
+)
+
+
 def zcl_certificate_bott(dims: Sequence[int], B: BottMatrix) -> ZclCertificate:
     """Nonzero product of diagonal zero divisors of maximal binary length.
 
     Uses one factor a_j = 1 (x) y_j + y_j (x) 1 per generator, raised to
-    d_j = 2^{r_j} - 1: every binomial coefficient in the expansion is odd, so
-    the reduced power keeps the split term y_j^{d_j - n_j} (x) y_j^{n_j}.
+    d_j = 2^{r_j} - 1.  Every C(d_j, s) is odd, so before reduction the
+    product is the sum over 0 <= s <= d of y^{d-s} (x) y^s.  The split term
+    T* = y^{d-n} (x) y^n is already in normal form (d_j - n_j < n_j).  The
+    relation of y_j rewrites y_j^{n_j+1} into terms with a lower power of y_j
+    and only lower variables, so in lex order with y_m most significant the
+    normal form of a monomial u has only monomials <= u.  T* can therefore
+    come only from an s with y^s >= y^n and y^{d-s} >= y^{d-n}; at the
+    highest index where s differs from n these two conditions contradict
+    each other.  So only s = n contributes, T* has coefficient 1, and the
+    product is nonzero for every twisting matrix.
+
+    The certificate is built from that argument alone, in O(m): `product`
+    holds the witness term {T*}, not the expanded product.
+    `verify_certificate` re-checks it by the full expansion.
     """
-    ring = BottRing(dims, B)
-    m = ring.m
+    dims = tuple(dims)
+    if B.dims != dims:
+        raise InputError("matrix dims disagree with the ring dims")
+    m = len(dims)
+    names = gf2.default_names(m, "y")
     one = gf2.mono_one(m)
     factors: List[TensorElement] = []
-    product: TensorElement = frozenset({(one, one)})
+    left: List[int] = []
     surviving = []
-    for j, nj in enumerate(ring.dims, start=1):
+    for j, nj in enumerate(dims, start=1):
         dj = (1 << power_exponent(nj)) - 1
-        a_j = frozenset({(one, gf2.mono_var(m, j)), (gf2.mono_var(m, j), one)})
-        factors.extend([a_j] * dj)
-        # expand a_j^{d_j} directly: all C(d_j, s) are odd
-        power: TensorElement = frozenset()
-        for s in range(dj + 1):
-            assert binom_odd(dj, s)
-            left = ring.power(j, dj - s)
-            right = ring.power(j, s)
-            if left and right:
-                power ^= gf2.tensor((x, y) for x in left for y in right)
+        y_j = gf2.mono_var(m, j)
+        factors.extend([frozenset({(one, y_j), (y_j, one)})] * dj)
+        left.append(dj - nj)
         split = (gf2.mono_var(m, j, dj - nj), gf2.mono_var(m, j, nj))
-        if split not in power:
-            raise AssertionError("expected split term missing from the reduced power")
-        surviving.append(gf2.tensor_render(frozenset({split}), ring.names))
-        product = _reduce_tensor(ring, tensor_mul(product, power))
-    if not product:
-        raise AssertionError("certificate product vanished")
-    return ZclCertificate(certificate_length(dims), tuple(factors), product, tuple(surviving))
+        surviving.append(gf2.tensor_render(frozenset({split}), names))
+    witness: TensorElement = frozenset({(tuple(left), dims)})
+    return ZclCertificate(certificate_length(dims), tuple(factors), witness,
+                          tuple(surviving), LEADING_TERM_ARGUMENT)
 
 
-def _reduce_tensor(ring: BottRing, t: TensorElement) -> TensorElement:
-    """Normal form on both tensor legs."""
+def _reduce_tensor(ring: BottRing, t: TensorElement, forms: dict) -> TensorElement:
+    """Normal form on both tensor legs; `forms` memoises each monomial's."""
     acc: set = set()
     for u, v in t:
-        left = ring.normal_form(frozenset({u}))
-        right = ring.normal_form(frozenset({v}))
-        for x in left:
-            for y in right:
+        for mon in (u, v):
+            if mon not in forms:
+                forms[mon] = ring.normal_form(frozenset({mon}))
+        for x in forms[u]:
+            for y in forms[v]:
                 acc.symmetric_difference_update({(x, y)})
     return frozenset(acc)
 
 
 def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
-    """Re-check: every factor dies under multiplication, the product does not."""
-    if len(cert.factors) != cert.k:
+    """Oracle for a certificate, by the full expansion.
+
+    Checks that there are k factors, that each one dies under multiplication,
+    and that every witness term of `cert.product` occurs in the fully
+    reduced product of the factors (so the product is nonzero).  The
+    expansion has up to 2^k terms; the bound rules never call it.
+    """
+    if len(cert.factors) != cert.k or not cert.product:
         return False
-    for f in cert.factors:
+    for f in set(cert.factors):
         if ring.normal_form(tensor_cup(f)):
             return False
     product: TensorElement = frozenset({(gf2.mono_one(ring.m),) * 2})
+    forms: dict = {}
     for f in cert.factors:
-        product = _reduce_tensor(ring, tensor_mul(product, f))
-    return product == cert.product and bool(product)
+        product = _reduce_tensor(ring, tensor_mul(product, f), forms)
+    return cert.product <= product
 
 
 # ---------------------------------------------------------------------------
@@ -225,37 +250,22 @@ def _extract_witness(T: TensorAlgebra, kernel: Sequence[Tuple[int, int]],
 
 
 # ---------------------------------------------------------------------------
-# projective-space table
+# projective spaces
+
+RP_CLOSED_FORM = "projective closed form (Farber-Tabachnikov-Yuzvinsky)"
 
 
-def _rp_power_lower_bound(n: int) -> int:
-    """Best k with a nonzero diagonal zero-divisor power in the truncated ring.
+def zcl_rp(n: int) -> IntervalValue:
+    """Zero-divisor-cup-length of the projective ring Z2[y]/(y^{n+1}).
 
-    The k-th power keeps a term x^{k-s} (x) x^s exactly when C(k, s) is odd
-    and both exponents stay at most n.
+    The cup kernel is generated by the one class y (x) 1 + 1 (x) y, whose
+    powers vanish exactly from 2^{floor(log2 n)+1} on, so the value is
+    2^{floor(log2 n)+1} - 1 (Farber-Tabachnikov-Yuzvinsky, IMRN 2003).
     """
-    best = 0
-    for k in range(1, 2 * n + 1):
-        lo = max(0, k - n)
-        hi = min(k, n)
-        if any(binom_odd(k, s) for s in range(lo, hi + 1)):
-            best = k
-    return best
-
-
-def zcl_rp(n: int, budget: int = DEFAULT_BUDGET) -> IntervalValue:
-    """Zero-divisor-cup-length interval for the rank-one truncated ring."""
     if n < 1:
         raise InputError("projective dimension must be at least 1")
-    if n + 1 <= budget:
-        return zcl_exact(projective_ring(n), budget)
-    lo = _rp_power_lower_bound(n)
-    lo_source = "diagonal zero-divisor power via odd binomials"
-    s = n.bit_length() - 1
-    if n == 1 << s and (1 << (s + 1)) - 1 > lo:
-        lo = (1 << (s + 1)) - 1
-        lo_source = "power-of-two projective lower bound"
-    return IntervalValue(lo, 2 * n, lo_source, "grading cap 2n")
+    k = (1 << n.bit_length()) - 1
+    return IntervalValue(k, k, RP_CLOSED_FORM, RP_CLOSED_FORM)
 
 
 def norm_cup_length(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
@@ -288,7 +298,7 @@ def zcl_interval(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         return IntervalValue(lo, hi, "declared sphere value", "grading cap")
     if ring.kind == "dold":
         base = zcl_interval(ring.base, budget)
-        lo = base.lo + zcl_rp(ring.p[0], budget).lo + ring.r - 1
+        lo = base.lo + zcl_rp(ring.p[0]).lo + ring.r - 1
         return IntervalValue(lo, hi, "twisted product sum", "grading cap")
     return IntervalValue(1 if ring.top >= 1 else 0, hi, "degree-one diagonal class",
                          "grading cap")

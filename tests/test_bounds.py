@@ -1,3 +1,6 @@
+import random
+from math import prod
+
 import pytest
 
 from smallcover import bounds
@@ -7,6 +10,7 @@ from smallcover.bounds import (
     cat_bounds,
     dold_bounds,
     eq_cat_bounds,
+    free_circle_blocks,
     manifold_ring,
     manifold_zcl,
     simplex_facet_hypotheses,
@@ -18,6 +22,7 @@ from smallcover.bounds import (
 )
 from smallcover.charfun import BottMatrix, parse_bits
 from smallcover.errors import CharacteristicError, InputError
+from smallcover.invariants import zcl_exact
 from smallcover.polytope import polygon, product_of_simplices
 
 from conftest import all_bott_matrices
@@ -175,6 +180,31 @@ def test_special_family_bounds():
     assert special_family_bounds((6,)) == []
     with pytest.raises(InputError):
         special_family_bounds(())
+
+
+def test_free_circle_blocks():
+    dims = (3, 5, 2, 1)
+    assert free_circle_blocks(dims, BottMatrix.make(dims)) == [1, 2]
+    # block 2's fibre bundles pair up (0, 1, 1, 0), but y_1 twists block 2
+    B = BottMatrix.make((3, 3), {(2, 1): (1, 1, 0)})
+    assert free_circle_blocks((3, 3), B) == [2]
+    # unpaired fibre bundles (0, 1, 0, 0)
+    B = BottMatrix.make((3, 3), {(2, 1): (1, 0, 0)})
+    assert free_circle_blocks((3, 3), B) == []
+
+
+def test_free_circle_guard_against_exact_search():
+    """The TC upper end stays above exact zcl on rings of dimension 32."""
+    example = ((1, 3, 3), BottMatrix.make((1, 3, 3), {(2, 1): (1, 0, 0),
+                                                      (3, 1): (1, 0, 0)}))
+    towers = [t for t in all_bott_matrices(3, 3) if prod(d + 1 for d in t[0]) == 32]
+    assert len(towers) == 672
+    for dims, B in [example] + random.Random(1729).sample(towers, 30):
+        M = bott_manifold(dims, B)
+        zcl = zcl_exact(manifold_ring(M), 32).lo
+        assert tc_bounds(M, 32).interval.hi >= zcl + 1, (dims, dict(B.beta))
+    tc = tc_bounds(bott_manifold(*example), 32).interval
+    assert (tc.lo, tc.hi, tc.hi_source) == (14, 15, "dimension cap")
 
 
 def test_bound_report_json_round_trip():

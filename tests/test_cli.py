@@ -245,14 +245,17 @@ def _twisted_tower(tmp_path, name, dims):
 
 
 def test_tower_commands_never_build_vertices(capsys, tmp_path, monkeypatch):
-    from smallcover import polytope
+    """Nor do they expand the tower certificate's product."""
+    from smallcover import invariants, polytope
 
-    def refuse(self):
-        raise AssertionError("product vertices built")
+    def refuse(*args):
+        raise AssertionError("product vertices built or certificate expanded")
 
     monkeypatch.setattr(polytope.ProductOfSimplices, "_build_vertices", refuse)
+    monkeypatch.setattr(invariants, "_reduce_tensor", refuse)
     path = _twisted_tower(tmp_path, "t38.json", (3,) * 8)
-    for argv in (["bounds", path, "--invariant", "all"], ["dold", path], ["zcl", path]):
+    for argv in (["bounds", path, "--invariant", "all"], ["dold", path], ["zcl", path],
+                 ["zcl", path, "--certificate-only"]):
         code, out = run(capsys, *argv, "--format", "json")
         assert code == 0, argv
         json.loads(out)

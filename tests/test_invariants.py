@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from smallcover.charfun import BottMatrix, parse_bits
@@ -11,6 +13,8 @@ from smallcover.cohomology import (
 )
 from smallcover.errors import BudgetExceeded, InputError
 from smallcover.invariants import (
+    LEADING_TERM_ARGUMENT,
+    RP_CLOSED_FORM,
     IntervalValue,
     certificate_length,
     cup_length,
@@ -89,17 +93,34 @@ def test_zcl_exact_at_least_certificate():
         assert zcl_exact(ring).lo >= cert.k
 
 
+def _seeded_twisted_towers(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(4, 5)
+        dims = tuple(rng.randint(1, 3) for _ in range(m))
+        beta = {}
+        for k in range(2, m + 1):
+            for j in range(1, k):
+                bits = tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
+                if any(bits):
+                    beta[(k, j)] = bits
+        yield dims, BottMatrix.make(dims, beta)
+
+
 def test_certificate_verifies():
-    for dims, beta in [
+    """The leading-term certificate passes the full-expansion oracle."""
+    towers = [(dims, BottMatrix.make(dims, beta)) for dims, beta in [
         ((2,), {}),
         ((1, 1), {(2, 1): (1,)}),
         ((2, 3), {(2, 1): (1, 0, 1)}),
         ((16, 8), {}),
-    ]:
-        B = BottMatrix.make(dims, beta)
+    ]]
+    towers += [t for m in (1, 2, 3) for t in all_bott_matrices(m, 3)]
+    towers += list(_seeded_twisted_towers(12, 6180))
+    for dims, B in towers:
         cert = zcl_certificate_bott(dims, B)
-        assert cert.k == certificate_length(dims)
-        assert verify_certificate(BottRing(dims, B), cert)
+        assert cert.k == certificate_length(dims) == len(cert.factors)
+        assert verify_certificate(BottRing(dims, B), cert), (dims, dict(B.beta))
 
 
 def test_certificate_rejects_tampering():
@@ -115,17 +136,31 @@ def test_certificate_rejects_tampering():
         1, (frozenset({((0,), (1,))}),), frozenset({((0,), (1,))})
     )
     assert not verify_certificate(ring, leaky)
+    # a witness term the expansion does not contain fails the oracle
+    y = ((1,), (1,))
+    forged = ZclCertificate(cert.k, cert.factors, frozenset({y}), cert.surviving_terms)
+    assert not verify_certificate(ring, forged)
+
+
+def test_leading_term_certificate_holds_the_split_term_only():
+    dims = (1, 2, 3, 4)
+    B = BottMatrix.make(dims, {(2, 1): (1, 1), (4, 2): (1, 0, 1, 1)})
+    cert = zcl_certificate_bott(dims, B)
+    # d = (1, 3, 3, 7): T* = y^(d-n) (x) y^n
+    assert cert.product == frozenset({((0, 1, 0, 3), dims)})
+    assert cert.surviving_terms == ("1(x)y1", "y2(x)y2^2", "1(x)y3^3", "y4^3(x)y4^4")
+    assert cert.argument == LEADING_TERM_ARGUMENT
+    with pytest.raises(InputError):
+        zcl_certificate_bott((1, 2), B)
 
 
 def test_zcl_rp_exact_and_structured():
-    assert zcl_rp(1).lo == 1
-    assert zcl_rp(2) == zcl_exact(projective_ring(2))
-    # beyond the budget: power-of-two dimension gives 2^{s+1} - 1
-    iv = zcl_rp(16, budget=4)
-    assert iv.lo == 31 and iv.hi == 32
-    # generic large n: odd-binomial window bound
-    iv = zcl_rp(20, budget=4)
-    assert iv.lo >= 20 and iv.hi == 40
+    # closed form, one source, equal to the exact search inside the budget
+    for n in range(1, 12):
+        iv = zcl_rp(n)
+        assert iv.exact and iv.lo_source == iv.hi_source == RP_CLOSED_FORM
+        assert iv.lo == zcl_exact(projective_ring(n)).lo, n
+    assert [zcl_rp(n).lo for n in (15, 16, 20, 31, 32)] == [15, 31, 31, 31, 63]
     with pytest.raises(InputError):
         zcl_rp(0)
 
