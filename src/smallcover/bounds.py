@@ -13,9 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charfun import BottMatrix, GF2Vector, from_bott, validate
+from .charfun import BottMatrix, GF2Vector, from_bott
 from .cohomology import BottRing, Ring, SmallCoverRing, SphereRing
-from .errors import BudgetExceeded, CharacteristicError, InputError
+from .errors import BudgetExceeded, InputError
 from .gf2 import rank_gf2
 from .invariants import (
     DEFAULT_BUDGET,
@@ -63,11 +63,12 @@ def bott_manifold(dims: Sequence[int], B: BottMatrix,
 def small_cover_manifold(P: SimplePolytope, vectors: Sequence[GF2Vector],
                          involution: Optional[GF2Vector] = None,
                          fixed_set_connected: bool = False) -> ManifoldDescription:
-    report = validate(P, vectors)
-    if not report.valid:
-        raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
-    return ManifoldDescription("small_cover", P.n, P, tuple(tuple(v) for v in vectors),
-                               None, None, involution, fixed_set_connected)
+    # building the ring validates the vectors, once; the description keeps it
+    ring = SmallCoverRing(P, vectors)
+    M = ManifoldDescription("small_cover", P.n, P, ring.vectors,
+                            None, None, involution, fixed_set_connected)
+    object.__setattr__(M, "_ring", ring)
+    return M
 
 
 def sphere_manifold(n: int, fixed_set_connected: bool = False) -> ManifoldDescription:

@@ -12,6 +12,7 @@ Sphere rings and the twisted product (Dold-type) rings are assembled on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -107,6 +108,9 @@ class GradedSpan:
             mask ^= rows[lead]
         return True
 
+    def rank(self, deg: int) -> int:
+        return len(self._pivots.get(deg, ()))
+
     def basis(self) -> List[Tuple[int, int]]:
         out = []
         for deg in sorted(self._pivots):
@@ -118,29 +122,59 @@ class GradedSpan:
         return not any(self._pivots.values())
 
 
-def span_product(alg: GradedAlgebra, V: Sequence[Tuple[int, int]],
-                 W: Sequence[Tuple[int, int]]) -> GradedSpan:
+# A step table (s, rows) is multiplication by one homogeneous class of degree
+# s > 0: rows[d][i] is the image of basis element i of degree d, for every d
+# with d + s <= top.
+StepTable = Tuple[int, Sequence[Sequence[int]]]
+
+
+def apply_step(rows: Sequence[int], mask: int) -> int:
+    """Image of a homogeneous mask: the XOR of the rows at its set bits."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def step_span(V: GradedSpan, steps: Sequence[StepTable],
+              cap: Optional[GradedSpan] = None) -> GradedSpan:
+    """Span of the products v*c over a basis v of V and the step classes c.
+
+    cap, when given, is a span known to contain the result: a degree takes
+    no more products once the result's rank there reaches cap's.
+    """
     out = GradedSpan()
-    for e1 in V:
-        for e2 in W:
-            d, m = alg.mult_elem(e1, e2)
-            if m:
-                out.insert(d, m)
+    for s, rows in steps:
+        for d, pivots in V._pivots.items():
+            if d >= len(rows):
+                continue
+            e = d + s
+            full = cap.rank(e) if cap is not None else -1
+            table = rows[d]
+            for v in pivots.values():
+                if out.rank(e) == full:
+                    break
+                image = apply_step(table, v)
+                if image:
+                    out.insert(e, image)
     return out
 
 
-def ideal_powers(alg: GradedAlgebra, gens: Sequence[Tuple[int, int]],
-                 ideal_gens: Sequence[Tuple[int, int]]) -> List[GradedSpan]:
+def ideal_powers(gens: Sequence[Tuple[int, int]],
+                 steps: Sequence[StepTable]) -> List[GradedSpan]:
     """Spans of the ideal powers [I^1, I^2, ...] down to the first zero.
 
-    gens span the ideal I as a vector space and ideal_gens generate it as an
-    ideal.  Each power is an ideal, so I^{k+1} = I^k * I is spanned by the
-    products of a basis of I^k with the ideal generators alone.  The ideal
-    generators must have positive degree, so the powers die at or before the
-    top degree and the loop terminates.
+    gens span the ideal I as a vector space and the step classes generate it
+    as an ideal.  Each power is an ideal, so I^{k+1} = I^k * I is spanned by
+    the products of a basis of I^k with the step classes alone, and
+    I^{k+1} is contained in I^k, so a degree stops taking products once it
+    has as many pivots as in I^k.  The step classes must have positive
+    degree, so the powers die at or before the top degree and the loop
+    terminates.
     """
-    ideal_gens = [g for g in ideal_gens if g[1]]
-    if any(d <= 0 for d, _ in ideal_gens):
+    if any(s <= 0 for s, _ in steps):
         raise InputError("ideal generators must have positive degree")
     powers = []
     V = GradedSpan()
@@ -148,7 +182,7 @@ def ideal_powers(alg: GradedAlgebra, gens: Sequence[Tuple[int, int]],
         V.insert(d, m)
     while not V.is_zero:
         powers.append(V)
-        V = span_product(alg, V.basis(), ideal_gens)
+        V = step_span(V, steps, cap=V)
     return powers
 
 
@@ -195,6 +229,7 @@ class TensorAlgebra(GradedAlgebra):
                         pairs[d].append((d1, i, d2, j))
         self.pairs = pairs
         self.index = index
+        self.left = A
         labels = [
             [label(A.labels[d1][i], B.labels[d2][j]) for (d1, i, d2, j) in pairs[d]]
             for d in range(top + 1)
@@ -234,6 +269,35 @@ class TensorAlgebra(GradedAlgebra):
             m &= ~(1 << i)
             acc ^= (1 << self.index[(d, i, 0, 0)]) ^ (1 << self.index[(0, 0, d, i)])
         return (d, acc)
+
+    def diagonal_step(self, g: Tuple[int, int]) -> StepTable:
+        """Step table of g (x) 1 + 1 (x) g in a tensor square A (x) A.
+
+        Built from A's own products by g, dim A of them: the pair a (x) b
+        maps to (a.g) (x) b + a (x) (b.g), with no product in the square.
+        """
+        s = g[0]
+        A, index = self.left, self.index
+        by_g = [[A.mult_elem((d, 1 << i), g)[1] for i in range(A.betti[d])]
+                for d in range(A.top + 1)]
+        rows: List[List[int]] = []
+        for d in range(self.top + 1 - s):
+            out = []
+            for d1, i1, d2, i2 in self.pairs[d]:
+                row = 0
+                m = by_g[d1][i1]
+                while m:
+                    low = m & -m
+                    row ^= 1 << index[(d1 + s, low.bit_length() - 1, d2, i2)]
+                    m ^= low
+                m = by_g[d2][i2]
+                while m:
+                    low = m & -m
+                    row ^= 1 << index[(d1, i1, d2 + s, low.bit_length() - 1)]
+                    m ^= low
+                out.append(row)
+            rows.append(out)
+        return s, rows
 
 
 def tensor_square(A: GradedAlgebra) -> TensorAlgebra:
@@ -348,29 +412,11 @@ class BottRing(Ring):
         return all(e <= d for e, d in zip(mon, self.dims))
 
     def normal_form(self, p: GF2Poly) -> GF2Poly:
-        """Unique representative on standard monomials.
-
-        Rewrites y_j^{n_j+1} by the lower-order tail of its relation; the
-        leading monomials are pairwise coprime, so the rewriting confluence
-        needs no S-polynomial completion and the loop terminates in the
-        monomial well-order.
-        """
+        """Unique representative on standard monomials."""
         for mon in p:
             if len(mon) != self.m:
                 raise InputError("polynomial arity disagrees with the ring")
-        cur = set(p)
-        while True:
-            nonstd = [mon for mon in cur if not self.is_standard(mon)]
-            if not nonstd:
-                return frozenset(cur)
-            mon = max(nonstd, key=grlex_key)
-            j = max(i + 1 for i in range(self.m) if mon[i] > self.dims[i])
-            rest = tuple(
-                e - (self.dims[j - 1] + 1) if i == j - 1 else e
-                for i, e in enumerate(mon)
-            )
-            cur.symmetric_difference_update({mon})
-            cur.symmetric_difference_update(poly_mul(self._tails[j - 1], frozenset({rest})))
+        return _bott_normal_form(p, self.dims, self._tails)
 
     def power(self, j: int, e: int) -> GF2Poly:
         """Reduced y_j^e."""
@@ -384,16 +430,8 @@ class BottRing(Ring):
     def standard_monomials(self) -> List[List[Monomial]]:
         if self._std is None:
             by_deg: List[List[Monomial]] = [[] for _ in range(self.top + 1)]
-
-            def rec(i: int, acc: List[int]):
-                if i == self.m:
-                    mon = tuple(acc)
-                    by_deg[mono_deg(mon)].append(mon)
-                    return
-                for e in range(self.dims[i] + 1):
-                    rec(i + 1, acc + [e])
-
-            rec(0, [])
+            for mon in product(*(range(d + 1) for d in self.dims)):
+                by_deg[mono_deg(mon)].append(mon)
             for lst in by_deg:
                 lst.sort(key=grlex_key)
             self._std = by_deg
@@ -404,17 +442,46 @@ class BottRing(Ring):
             std = self.standard_monomials()
             betti = [len(s) for s in std]
             labels = [[gf2.mono_render(m, self.names) for m in s] for s in std]
+            position = [{mon: i for i, mon in enumerate(s)} for s in std]
+            # the product holds the ring's data, not the ring, so a ring
+            # and its algebra form no reference cycle
+            dims, tails = self.dims, self._tails
 
             def mult(d1, i, d2, j):
-                prod = self.normal_form(frozenset({mono_mul(std[d1][i], std[d2][j])}))
-                target = std[d1 + d2]
+                prod = _bott_normal_form(frozenset({mono_mul(std[d1][i], std[d2][j])}),
+                                         dims, tails)
+                target = position[d1 + d2]
                 mask = 0
                 for mon in prod:
-                    mask |= 1 << target.index(mon)
+                    mask |= 1 << target[mon]
                 return mask
 
             self._alg = GradedAlgebra(betti, mult, labels)
         return self._alg
+
+
+def _bott_normal_form(p: GF2Poly, dims: Tuple[int, ...],
+                      tails: Sequence[GF2Poly]) -> GF2Poly:
+    """Unique representative of p on the standard monomials of a tower.
+
+    Rewrites y_j^{n_j+1} by the lower-order tail of its relation; the
+    leading monomials are pairwise coprime, so the rewriting confluence
+    needs no S-polynomial completion and the loop terminates in the
+    monomial well-order.
+    """
+    cur = set(p)
+    while True:
+        nonstd = [mon for mon in cur if any(e > d for e, d in zip(mon, dims))]
+        if not nonstd:
+            return frozenset(cur)
+        mon = max(nonstd, key=grlex_key)
+        j = max(i + 1 for i, (e, d) in enumerate(zip(mon, dims)) if e > d)
+        rest = tuple(
+            e - (dims[j - 1] + 1) if i == j - 1 else e
+            for i, e in enumerate(mon)
+        )
+        cur.symmetric_difference_update({mon})
+        cur.symmetric_difference_update(poly_mul(tails[j - 1], frozenset({rest})))
 
 
 def bott_ring(dims: Sequence[int], B: BottMatrix) -> BottRing:
@@ -560,19 +627,15 @@ class SmallCoverRing(Ring):
     def _monomials(self, d: int) -> List[Monomial]:
         """All monomials of degree d in grlex order, built once per degree."""
         if d not in self._monos:
-            out: List[Monomial] = []
-
-            def rec(i: int, left: int, acc: List[int]):
-                if i == self.nvars - 1:
-                    out.append(tuple(acc + [left]))
-                    return
-                for e in range(left + 1):
-                    rec(i + 1, left - e, acc + [e])
-
-            if self.nvars == 0:
+            k = self.nvars
+            if k == 0:
                 out = [()] if d == 0 else []
             else:
-                rec(0, d, [])
+                # stars and bars: k - 1 bars among d + k - 1 places
+                out = []
+                for bars in combinations(range(d + k - 1), k - 1):
+                    ends = bars + (d + k - 1,)
+                    out.append(tuple(b - a - 1 for a, b in zip((-1,) + bars, ends)))
                 out.sort(key=grlex_key)
             self._monos[d] = out
         return self._monos[d]
@@ -602,48 +665,51 @@ class SmallCoverRing(Ring):
             self._slices[d] = (mons, pivots, basis)
         return self._slices[d]
 
-    def _table(self, d: int) -> Dict[Monomial, int]:
-        """Normal form of every monomial of degree d, as a basis mask.
-
-        Each monomial reduces once against the slice's pivot rows.  A pivot
-        row is its lead monomial plus lower ones, so in ascending order a
-        pivot monomial's normal form is the XOR of the forms already found
-        for the rest of its row; a basis monomial is its own form.  The
-        normal form is linear, so this equals reducing any mask bit by bit.
-        """
-        if d not in self._tables:
-            mons, pivots, _ = self._slice(d)
-            forms: List[int] = []
-            rank = 0
-            for i in range(len(mons)):
-                row = pivots.get(i)
-                if row is None:
-                    forms.append(1 << rank)
-                    rank += 1
-                    continue
-                acc = 0
-                rest = row & ~(1 << i)
-                while rest:
-                    b = rest.bit_length() - 1
-                    rest &= ~(1 << b)
-                    acc ^= forms[b]
-                forms.append(acc)
-            self._tables[d] = dict(zip(mons, forms))
-        return self._tables[d]
-
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
             slices = [self._slice(d) for d in range(self.top + 1)]
             betti = [len(s[2]) for s in slices]
             labels = [[gf2.mono_render(m, self.names) for m in s[2]] for s in slices]
+            # the product holds the ring's slices and tables, not the ring,
+            # so a ring and its algebra form no reference cycle
+            tables = self._tables
 
             def mult(d1, i, d2, j):
-                u = slices[d1][2][i]
-                v = slices[d2][2][j]
-                return self._table(d1 + d2)[mono_mul(u, v)]
+                d = d1 + d2
+                if d not in tables:
+                    tables[d] = _normal_form_table(slices[d])
+                return tables[d][mono_mul(slices[d1][2][i], slices[d2][2][j])]
 
             self._alg = GradedAlgebra(betti, mult, labels)
         return self._alg
+
+
+def _normal_form_table(slice_) -> Dict[Monomial, int]:
+    """Normal form of every monomial of one degree slice, as a basis mask.
+
+    Each monomial reduces once against the slice's pivot rows.  A pivot
+    row is its lead monomial plus lower ones, so in ascending order a
+    pivot monomial's normal form is the XOR of the forms already found
+    for the rest of its row; a basis monomial is its own form.  The
+    normal form is linear, so this equals reducing any mask bit by bit.
+    """
+    mons, pivots, _ = slice_
+    forms: List[int] = []
+    rank = 0
+    for i in range(len(mons)):
+        row = pivots.get(i)
+        if row is None:
+            forms.append(1 << rank)
+            rank += 1
+            continue
+        acc = 0
+        rest = row & ~(1 << i)
+        while rest:
+            b = rest.bit_length() - 1
+            rest &= ~(1 << b)
+            acc ^= forms[b]
+        forms.append(acc)
+    return dict(zip(mons, forms))
 
 
 def small_cover_ring(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> Tuple[SmallCoverRing, GradedBasis]:

@@ -19,11 +19,14 @@ from .charfun import BottMatrix
 from .cohomology import (
     BottRing,
     GradedAlgebra,
+    GradedSpan,
     Ring,
+    StepTable,
     TensorAlgebra,
     algebra_generators,
     cup_kernel,
     ideal_powers,
+    step_span,
 )
 from .errors import BudgetExceeded, InputError
 from .gf2 import TensorElement, tensor_cup, tensor_mul
@@ -80,7 +83,12 @@ def cup_length_algebra(alg: GradedAlgebra) -> int:
         for d in range(1, alg.top + 1)
         for i in range(alg.betti[d])
     ]
-    return len(ideal_powers(alg, positive, algebra_generators(alg)))
+    steps = []
+    for dg, mg in algebra_generators(alg):
+        ig = mg.bit_length() - 1
+        steps.append((dg, [[alg.mult_basis(d, i, dg, ig) for i in range(alg.betti[d])]
+                           for d in range(alg.top + 1 - dg)]))
+    return len(ideal_powers(positive, steps))
 
 
 def cup_length(ring: Ring) -> int:
@@ -203,8 +211,9 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
 
     The kernel of the multiplication map is the ideal generated by the
     diagonal classes g (x) 1 + 1 (x) g of the algebra generators g, so each
-    kernel power is its predecessor times those few classes.  The ring keeps
-    the result; the budget is checked before it is reused.
+    kernel power is its predecessor times those few classes, applied through
+    their step tables.  The ring keeps the result; the budget is checked
+    before it is reused.
     """
     if ring.dim > budget:
         raise BudgetExceeded(
@@ -213,34 +222,45 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     if ring._zcl is None:
         alg = ring.algebra()
         T, kernel = cup_kernel(alg)
-        diagonals = [T.diagonal(g) for g in algebra_generators(alg)]
-        powers = ideal_powers(T, kernel, diagonals)
-        k = len(powers)
-        witness = _extract_witness(T, kernel, powers)
+        steps = [T.diagonal_step(g) for g in algebra_generators(alg)]
+        k = len(ideal_powers(kernel, steps))
+        witness = _extract_witness(T, kernel, steps, k)
         ring._zcl = IntervalValue(k, k, "exhaustive kernel power search",
                                   "exhaustive kernel power search", witness)
     return ring._zcl
 
 
+def _survives(e: Tuple[int, int], steps: Sequence[StepTable], r: int) -> bool:
+    """Whether e * I^r is nonzero, for the ideal I the step classes generate.
+
+    I^r is spanned by the t * z_1 ... z_r with t in T and z_i step classes,
+    and T is commutative, so e * I^r is nonzero exactly when some r-fold
+    product e * z_1 ... z_r is: r steps from span{e}.
+    """
+    span = GradedSpan()
+    span.insert(*e)
+    for _ in range(r):
+        span = step_span(span, steps)
+        if span.is_zero:
+            return False
+    return True
+
+
 def _extract_witness(T: TensorAlgebra, kernel: Sequence[Tuple[int, int]],
-                     powers: Sequence) -> Tuple[str, ...]:
-    """Greedy factor extraction: peel one kernel generator per power level."""
-    k = len(powers)
-    if k == 0:
-        return ()
+                     steps: Sequence[StepTable], k: int) -> Tuple[str, ...]:
+    """Greedy factor extraction: peel one kernel generator per power level.
+
+    A candidate product of level+1 factors is kept when it still has a
+    nonzero product with I^(k-level-1), the remaining levels.
+    """
     chosen: List[Tuple[int, int]] = []
     current: Optional[Tuple[int, int]] = None
     for level in range(k):
-        remaining = k - level - 1
         for g in kernel:
             if not g[1]:
                 continue
             cand = g if current is None else T.mult_elem(current, g)
-            if not cand[1]:
-                continue
-            if remaining == 0 or any(
-                T.mult_elem(cand, v)[1] for v in powers[remaining - 1].basis()
-            ):
+            if cand[1] and _survives(cand, steps, k - level - 1):
                 chosen.append(g)
                 current = cand
                 break

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from smallcover import bounds
+from smallcover import bounds, charfun, cohomology
 from smallcover.bounds import (
     BoundReport,
     bott_manifold,
@@ -43,6 +43,24 @@ def test_constructors_validate():
         small_cover_manifold(polygon(4), [parse_bits(s) for s in ["10", "01", "10", "10"]])
     with pytest.raises(InputError):
         sphere_manifold(0)
+
+
+def test_small_cover_validated_once(monkeypatch):
+    calls = []
+
+    def counting(validate):
+        def wrapped(P, vectors):
+            calls.append(P.family)
+            return validate(P, vectors)
+        return wrapped
+
+    for module in (charfun, cohomology):
+        monkeypatch.setattr(module, "validate", counting(module.validate))
+    vectors = [parse_bits(s) for s in ["10", "01", "10", "01", "11"]]
+    tc_bounds(small_cover_manifold(polygon(5), vectors))
+    assert len(calls) == 1
+    with pytest.raises(CharacteristicError, match=r"invalid assignment at vertices \(\("):
+        small_cover_manifold(polygon(4), [parse_bits(s) for s in ["10", "01", "10", "10"]])
 
 
 def test_cat_small_cover():

@@ -234,6 +234,16 @@ def test_verify_reports_skipped_draws(capsys, suite, draws):
     assert out == "duality: 4 cases, 4 draws skipped, pass\n"
 
 
+def test_verify_certificate_skips_long_certificates(capsys):
+    # the default sweep's certificates (length <= 9) are all expanded
+    code, out = run(capsys, "verify", "--suite", "certificate")
+    assert code == 0 and out == "certificate: 8 cases, pass\n"
+    # larger towers: certificates longer than the cap count as skipped draws
+    code, out = run(capsys, "verify", "--suite", "certificate", "--max-m", "5",
+                    "--max-n", "5", "--seed", "2")
+    assert code == 0 and out == "certificate: 6 cases, 2 draws skipped, pass\n"
+
+
 def _twisted_tower(tmp_path, name, dims):
     m = len(dims)
     return write(tmp_path, name, {

@@ -1,12 +1,15 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from smallcover import gf2
+from smallcover import gf2, invariants
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import (
     BottRing,
     GradedAlgebra,
+    GradedSpan,
     SmallCoverRing,
     algebra_generators,
     bott_ring,
@@ -242,32 +245,100 @@ def _prism(k):
     return P, [v + (0,) for v in _polygon_vectors(k)] + [(0, 0, 1), (0, 0, 1)]
 
 
-def _assert_same_powers(ring):
-    alg = ring.algebra()
-    T, kernel = cup_kernel(alg)
-    diagonals = [T.diagonal(g) for g in algebra_generators(alg)]
-    fast = ideal_powers(T, kernel, diagonals)
-    full = ideal_powers(T, kernel, kernel)
-    assert len(fast) == len(full)
-    for a, b in zip(fast, full):
-        assert all(b.contains(*v) for v in a.basis())
-        assert all(a.contains(*v) for v in b.basis())
+def _reference_powers(T, kernel):
+    """Kernel powers by full span products: every basis vector of I^k times
+    every kernel basis vector, multiplied bit by bit in the tensor square."""
+    powers = []
+    V = GradedSpan()
+    for d, m in kernel:
+        V.insert(d, m)
+    while not V.is_zero:
+        powers.append(V)
+        W = GradedSpan()
+        for v in V.basis():
+            for g in kernel:
+                d, m = T.mult_elem(v, g)
+                if m:
+                    W.insert(d, m)
+        V = W
+    return powers
 
 
-def test_generator_step_matches_full_kernel_step():
+def _step_rings():
+    """The 101 towers of dimension <= 12, polygons, prisms and a Dold ring."""
     count = 0
     for m in (1, 2, 3):
         for dims, B in all_bott_matrices(m, 3):
             ring = BottRing(dims, B)
             if ring.dim <= 12:
-                _assert_same_powers(ring)
+                yield ring
                 count += 1
     assert count == 101
     for k in (4, 5, 6, 7):
-        _assert_same_powers(SmallCoverRing(polygon(k), _polygon_vectors(k)))
+        yield SmallCoverRing(polygon(k), _polygon_vectors(k))
     for k in (3, 4):
-        _assert_same_powers(SmallCoverRing(*_prism(k)))
-    _assert_same_powers(dold_ring(projective_ring(2), [1]))
+        yield SmallCoverRing(*_prism(k))
+    yield dold_ring(projective_ring(2), [1])
+
+
+def _diagonal_steps(T, alg):
+    return [T.diagonal_step(g) for g in algebra_generators(alg)]
+
+
+def test_generator_step_matches_full_kernel_step():
+    for ring in _step_rings():
+        alg = ring.algebra()
+        T, kernel = cup_kernel(alg)
+        fast = ideal_powers(kernel, _diagonal_steps(T, alg))
+        full = _reference_powers(T, kernel)
+        assert len(fast) == len(full)
+        for a, b in zip(fast, full):
+            assert all(b.contains(*v) for v in a.basis())
+            assert all(a.contains(*v) for v in b.basis())
+
+
+def _reference_witness(T, kernel, powers):
+    """Greedy witness with the direct predicate: cand * v != 0 for some
+    basis vector v of the remaining power."""
+    k = len(powers)
+    chosen, current = [], None
+    for level in range(k):
+        remaining = k - level - 1
+        for g in kernel:
+            cand = g if current is None else T.mult_elem(current, g)
+            if not cand[1]:
+                continue
+            if remaining == 0 or any(
+                T.mult_elem(cand, v)[1] for v in powers[remaining - 1].basis()
+            ):
+                chosen.append(g)
+                current = cand
+                break
+    return tuple(T.render_elem(g) for g in chosen)
+
+
+def test_witness_predicate_matches_direct_products():
+    for ring in _step_rings():
+        alg = ring.algebra()
+        T, kernel = cup_kernel(alg)
+        steps = _diagonal_steps(T, alg)
+        powers = ideal_powers(kernel, steps)
+        witness = invariants._extract_witness(T, kernel, steps, len(powers))
+        assert len(witness) == len(powers)
+        assert witness == _reference_witness(T, kernel, powers)
+
+
+def test_diagonal_step_is_multiplication_by_the_diagonal():
+    for ring in (projective_ring(3), dold_ring(projective_ring(2), [1]),
+                 SmallCoverRing(*_prism(3))):
+        alg = ring.algebra()
+        T, _ = cup_kernel(alg)
+        for g in algebra_generators(alg):
+            s, rows = T.diagonal_step(g)
+            z = T.diagonal(g)
+            for d, table in enumerate(rows):
+                for i, row in enumerate(table):
+                    assert (d + s, row) == T.mult_elem((d, 1 << i), z)
 
 
 def test_diagonal_classes_lie_in_the_kernel():
@@ -276,13 +347,30 @@ def test_diagonal_classes_lie_in_the_kernel():
     z = T.diagonal((1, 1))
     assert z[0] == 1 and bin(z[1]).count("1") == 2
     assert T.render_elem(z) == "1(x)y1 + y1(x)1"
-    assert ideal_powers(T, kernel, kernel)[0].contains(*z)
+    assert _reference_powers(T, kernel)[0].contains(*z)
 
 
 def test_ideal_powers_need_positive_degree_generators():
-    alg = projective_ring(2).algebra()
     with pytest.raises(InputError):
-        ideal_powers(alg, [(1, 1)], [(0, 1)])
+        ideal_powers([(1, 1)], [(0, [[1]])])
+
+
+def test_rings_freed_by_reference_count():
+    # a ring and its algebra form no reference cycle: del frees the ring
+    # without the cycle collector
+    rings = [lambda: BottRing((1, 2), BottMatrix.make((1, 2), {(2, 1): (1, 0)})),
+             lambda: SmallCoverRing(polygon(5), _polygon_vectors(5))]
+    gc.disable()
+    try:
+        for make in rings:
+            ring = make()
+            ring.algebra().mult_basis(1, 0, 1, 0)
+            invariants.zcl_exact(ring)
+            ref = weakref.ref(ring)
+            del ring
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 # --- table-driven products ---------------------------------------------------

@@ -205,3 +205,14 @@ def test_zcl_exact_kept_on_the_ring():
     # the budget is still checked before the kept result is reused
     with pytest.raises(BudgetExceeded):
         zcl_exact(ring, budget=3)
+
+
+def test_zcl_exact_twisted_tower_at_budget_64():
+    # the (3,3,3) tower with every twisting block 111: dimension 64, zcl 17,
+    # well above the certificate's 9
+    dims = (3, 3, 3)
+    B = BottMatrix.make(dims, {(2, 1): (1, 1, 1), (3, 1): (1, 1, 1), (3, 2): (1, 1, 1)})
+    ring = BottRing(dims, B)
+    assert ring.dim == 64 and certificate_length(dims) == 9
+    iv = zcl_exact(ring, budget=64)
+    assert (iv.lo, iv.hi) == (17, 17) and len(iv.witness) == 17
