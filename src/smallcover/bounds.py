@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charfun import BottMatrix, GF2Vector, from_bott
-from .cohomology import BottRing, Ring, SmallCoverRing, SphereRing
+from .cohomology import BottRing, Ring, SmallCoverRing, SphereRing, dold_exponents
 from .errors import BudgetExceeded, InputError
 from .gf2 import rank_gf2
 from .invariants import (
@@ -328,6 +328,8 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
     tc = tc_bounds(M, budget)
     b.lower(tc.interval.lo, "ordinary complexity floor")
     b.lower(2, "more than one point")
+    # in characteristic 2 the norm elements x (x) y + y (x) x are the diagonal
+    # zero divisors, so the norm subring's cup-length is at least the zcl
     if M.kind == "sphere":
         b.lower(sphere_zcl_declared(n) + 2, "norm subring")
     else:
@@ -346,10 +348,15 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
 
 def dold_bounds(M: ManifoldDescription, p: Sequence[int],
                 budget: int = DEFAULT_BUDGET) -> Tuple[BoundReport, BoundReport, BoundReport]:
-    """(cat, TC, TC_S) reports for the twisted product over M."""
-    p = tuple(int(x) for x in p)
-    if not p or list(p) != sorted(p) or p[0] < 1:
-        raise InputError("exponent list must be ascending positive integers")
+    """(cat, TC, TC_S) reports for the twisted product over M.
+
+    The TC_S "norm subring" end is zcl + rp + 2 for one fibre factor and
+    zcl + rp + r for r >= 2, with zcl the base's lower end and rp that of
+    RP^{p_1}.  For r >= 2 it is one below what the norm rule of
+    `symm_tc_bounds` gives (zcl of the product + 2, with that zcl at least
+    zcl + rp + r - 1), and still sound.
+    """
+    p = dold_exponents(p)
     r = len(p)
     p1 = p[0]
     n = M.n

@@ -43,11 +43,9 @@ class ProblemSpec:
         if dold and not isinstance(dold, dict):
             raise InputError("dold section must be an object")
         p = dold.get("p") if dold else None
-        if p is not None:
-            p = [int(x) for x in p]
-            if p != sorted(p) or (p and p[0] < 1):
-                raise InputError("dold exponents must be ascending positive integers")
-        self.dold_p = tuple(p) if p else None
+        # an absent, null or empty exponent list means no Dold section
+        p = [] if p is None else list(p)
+        self.dold_p = cohomology.dold_exponents(p) if p else None
         flags = data.get("flags") or {}
         self.fixed_set_connected = bool(flags.get("fixed_set_connected", False))
         options = data.get("options") or {}
@@ -128,13 +126,6 @@ def _manifold(spec: ProblemSpec) -> bounds_mod.ManifoldDescription:
                                            spec.fixed_set_connected)
 
 
-def _ring(spec: ProblemSpec) -> cohomology.Ring:
-    _require_char(spec)
-    if spec.bmat is not None:
-        return cohomology.BottRing(spec.dims, spec.bmat)
-    return cohomology.SmallCoverRing(spec.P, spec.vectors)
-
-
 def _budget(spec: ProblemSpec, args) -> int:
     if getattr(args, "exact_budget", None) is not None:
         return args.exact_budget
@@ -185,7 +176,7 @@ def cmd_validate(args) -> int:
 
 def cmd_ring(args) -> int:
     spec = _load(args.problem)
-    ring = _ring(spec)
+    ring = bounds_mod.manifold_ring(_manifold(spec))
     fmt = _format(spec, args)
     gens = [f"{name} (deg {d})" for name, d in ring.generators]
     lines = ["generators: " + ", ".join(gens),
@@ -204,7 +195,7 @@ def cmd_ring(args) -> int:
 
 def cmd_betti(args) -> int:
     spec = _load(args.problem)
-    ring = _ring(spec)
+    ring = bounds_mod.manifold_ring(_manifold(spec))
     fmt = _format(spec, args)
     _emit(fmt, [" ".join(str(b) for b in ring.betti)], {"betti": list(ring.betti)})
     return 0
@@ -212,7 +203,7 @@ def cmd_betti(args) -> int:
 
 def cmd_cl(args) -> int:
     spec = _load(args.problem)
-    ring = _ring(spec)
+    ring = bounds_mod.manifold_ring(_manifold(spec))
     fmt = _format(spec, args)
     cl = invariants.cup_length(ring)
     _emit(fmt, [f"cup-length = {cl}"], {"cup_length": cl})
@@ -323,15 +314,12 @@ def cmd_dold(args) -> int:
 _SAMPLER_TRIES = 400
 
 
-def _suite_lemma(max_m: int, max_n: int, corrupt: bool):
+def _suite_lemma(max_m: int, max_n: int, _rng):
     count, fail = 0, None
     for m in range(1, max_m + 1):
         for dims, B in sampling.all_bott_matrices(m, max_n):
             count += 1
-            ok = cohomology.verify_top_monomial(dims, B)
-            if corrupt and count == 1:
-                ok = False  # fault injection hook for tests
-            if not ok and fail is None:
+            if not cohomology.verify_top_monomial(dims, B) and fail is None:
                 fail = f"dims={list(dims)} beta={dict(B.beta)}"
     return count, 0, fail
 
@@ -419,7 +407,7 @@ def _suite_binom(_max_m, _max_n, _rng):
 
 
 _SUITES = {
-    "lemma": None,  # handled separately (fault-injection flag)
+    "lemma": _suite_lemma,
     "betti": _suite_betti,
     "duality": _suite_duality,
     "certificate": _suite_certificate,
@@ -435,10 +423,7 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in _SUITES:
             raise InputError(f"unknown suite {name!r}")
-        if name == "lemma":
-            count, skipped, fail = _suite_lemma(args.max_m, args.max_n, args.inject_fault)
-        else:
-            count, skipped, fail = _SUITES[name](args.max_m, args.max_n, rng)
+        count, skipped, fail = _SUITES[name](args.max_m, args.max_n, rng)
         cases = f"{count} cases"
         if skipped:
             cases += f", {skipped} draw{'s' if skipped > 1 else ''} skipped"
@@ -488,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", dest="max_m", type=int, default=3)
     p.add_argument("--max-n", dest="max_n", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
@@ -387,7 +387,6 @@ class BottRing(Ring):
             lead = gf2.mono_var(self.m, j, self.dims[j - 1] + 1)
             self._tails.append(g ^ {lead})
         self.relations_text = tuple(gf2.poly_render(g, self.names) for g in self.gammas)
-        self._power_cache: Dict[Tuple[int, int], GF2Poly] = {}
         self._alg: Optional[GradedAlgebra] = None
         self._std: Optional[List[List[Monomial]]] = None
 
@@ -420,12 +419,7 @@ class BottRing(Ring):
 
     def power(self, j: int, e: int) -> GF2Poly:
         """Reduced y_j^e."""
-        key = (j, e)
-        if key not in self._power_cache:
-            self._power_cache[key] = self.normal_form(
-                frozenset({gf2.mono_var(self.m, j, e)})
-            )
-        return self._power_cache[key]
+        return self.normal_form(frozenset({gf2.mono_var(self.m, j, e)}))
 
     def standard_monomials(self) -> List[List[Monomial]]:
         if self._std is None:
@@ -495,33 +489,6 @@ def projective_ring(n: int) -> BottRing:
     if n == 0:
         return point_ring()
     return BottRing((n,), BottMatrix.make((n,)))
-
-
-def substitute_x(dims: Sequence[int], B: BottMatrix, i: int) -> GF2Poly:
-    """Degree-1 class of the i-th non-distinguished facet variable.
-
-    Indices 1..n run over the non-distinguished facets in block order; index
-    n+j names the distinguished facet of block j and maps to y_j.
-    """
-    dims = tuple(dims)
-    n, m = sum(dims), len(dims)
-    if not 1 <= i <= n + m:
-        raise InputError(f"index {i} out of range 1..{n + m}")
-    if i > n:
-        return frozenset({gf2.mono_var(m, i - n)})
-    j = 1
-    acc = 0
-    for d in dims:
-        if i <= acc + d:
-            k = i - acc
-            mons = {gf2.mono_var(m, j)}
-            for l in range(1, j):
-                if B.block(j, l)[k - 1]:
-                    mons ^= {gf2.mono_var(m, l)}
-            return frozenset(mons)
-        acc += d
-        j += 1
-    raise AssertionError
 
 
 def minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
@@ -759,13 +726,20 @@ def point_ring() -> PointRing:
 _RETRACTABLE_KINDS = {"bott", "small_cover", "sphere", "point"}
 
 
+def dold_exponents(p: Iterable) -> Tuple[int, ...]:
+    """The fibre exponents p_1 <= ... <= p_r of a twisted product, as ints;
+    InputError unless they are nonempty, ascending and positive."""
+    p = tuple(int(x) for x in p)
+    if not p or list(p) != sorted(p) or p[0] < 1:
+        raise InputError("dold exponents must be ascending positive integers")
+    return p
+
+
 class DoldRing(Ring):
     kind = "dold"
 
     def __init__(self, base: Ring, p: Sequence[int]):
-        p = tuple(int(x) for x in p)
-        if not p or list(p) != sorted(p) or p[0] < 1:
-            raise InputError("exponent list must be ascending positive integers")
+        p = dold_exponents(p)
         if base.kind not in _RETRACTABLE_KINDS:
             raise InputError(
                 f"unsupported base ring kind {base.kind!r}; the twisted product "

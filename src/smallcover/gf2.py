@@ -9,7 +9,6 @@ sets of ordered monomial pairs with the same XOR semantics.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
@@ -19,7 +18,6 @@ GF2Poly = frozenset  # of Monomial
 TensorElement = frozenset  # of (Monomial, Monomial)
 
 ZERO_POLY: GF2Poly = frozenset()
-ZERO_TENSOR: TensorElement = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -88,37 +86,6 @@ def row_reduce(rows: Iterable[Sequence[int]]):
     return reduced, pivot_cols
 
 
-def solve_gf2(rows: Iterable[Sequence[int]], rhs: Sequence[int]):
-    """Solve A x = b over GF(2); returns one solution mask or None."""
-    masks = _as_masks(rows)
-    # rhs at the low bit so the elimination never pivots on it
-    aug = [(m << 1) | (b & 1) for m, b in zip(masks, rhs)]
-    pivots: dict[int, int] = {}
-    for row in aug:
-        while row > 1:
-            lead = row.bit_length() - 1
-            if lead in pivots:
-                row ^= pivots[lead]
-            else:
-                pivots[lead] = row
-                break
-        else:
-            if row == 1:
-                return None  # inconsistent
-    x = 0
-    for lead in sorted(pivots):  # ascending: lower columns are already known
-        row = pivots[lead]
-        acc = row & 1
-        m = (row >> 1) & ~(1 << (lead - 1))
-        while m:
-            b = m.bit_length() - 1
-            acc ^= (x >> b) & 1
-            m &= ~(1 << b)
-        if acc:
-            x |= 1 << (lead - 1)
-    return x
-
-
 def kernel_combos(images: Sequence[int]) -> List[int]:
     """Span of the kernel of j -> images[j].
 
@@ -178,10 +145,6 @@ def poly(monomials: Iterable[Monomial]) -> GF2Poly:
     return frozenset(acc)
 
 
-def poly_add(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    return a ^ b
-
-
 def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
     acc: set = set()
     for u in a:
@@ -197,13 +160,6 @@ def poly_deg(p: GF2Poly) -> int:
 
 # ---------------------------------------------------------------------------
 # tensor-square elements
-
-
-def tensor(pairs: Iterable[Tuple[Monomial, Monomial]]) -> TensorElement:
-    acc: set = set()
-    for u, v in pairs:
-        acc.symmetric_difference_update({(tuple(u), tuple(v))})
-    return frozenset(acc)
 
 
 def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -235,7 +191,7 @@ def binom_odd(k: int, i: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical text rendering / parsing
+# canonical text rendering
 
 
 def default_names(arity: int, stem: str = "y") -> List[str]:
@@ -267,26 +223,3 @@ def tensor_render(t: TensorElement, names: Sequence[str]) -> str:
         f"{mono_render(u, names)}(x){mono_render(v, names)}" for u, v in terms
     )
 
-
-_FACTOR_RE = re.compile(r"^([A-Za-z]+\d*)(?:\^(\d+))?$")
-
-
-def poly_parse(text: str, names: Sequence[str]) -> GF2Poly:
-    """Parse the grammar emitted by poly_render."""
-    text = text.strip()
-    if text == "0":
-        return ZERO_POLY
-    index = {name: i for i, name in enumerate(names)}
-    arity = len(names)
-    monomials = []
-    for term in text.split("+"):
-        term = term.strip()
-        exps = [0] * arity
-        if term != "1":
-            for factor in term.split("*"):
-                m = _FACTOR_RE.match(factor.strip())
-                if not m or m.group(1) not in index:
-                    raise InputError(f"cannot parse factor {factor!r}")
-                exps[index[m.group(1)]] += int(m.group(2) or 1)
-        monomials.append(tuple(exps))
-    return poly(monomials)

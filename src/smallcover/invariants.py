@@ -288,20 +288,6 @@ def zcl_rp(n: int) -> IntervalValue:
     return IntervalValue(k, k, RP_CLOSED_FORM, RP_CLOSED_FORM)
 
 
-def norm_cup_length(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
-    """Cup-length of the norm subring.
-
-    In characteristic 2 the norm elements x (x) y + y (x) x coincide with the
-    diagonal zero divisors, so the value agrees with the zero-divisor
-    cup-length interval of the ring, relabeled.
-    """
-    if ring.kind == "point":
-        return IntervalValue(0, 0, "trivial ring", "trivial ring")
-    iv = zcl_interval(ring, budget)
-    return IntervalValue(iv.lo, iv.hi, f"norm subring: {iv.lo_source}",
-                         f"norm subring: {iv.hi_source}", iv.witness)
-
-
 def zcl_interval(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     """Best-available zero-divisor-cup-length interval for a ring."""
     try:
@@ -313,9 +299,8 @@ def zcl_interval(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         lo = certificate_length(ring.dims)
         return IntervalValue(lo, hi, "tensor power certificate", "grading cap")
     if ring.kind == "sphere":
-        # declared values for the sphere (1 odd, 2 even)
-        lo = 1 if ring.n % 2 else 2
-        return IntervalValue(lo, hi, "declared sphere value", "grading cap")
+        return IntervalValue(sphere_zcl_declared(ring.n), hi, "declared sphere value",
+                             "grading cap")
     if ring.kind == "dold":
         base = zcl_interval(ring.base, budget)
         lo = base.lo + zcl_rp(ring.p[0]).lo + ring.r - 1

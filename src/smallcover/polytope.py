@@ -19,6 +19,7 @@ from typing import FrozenSet, List, Sequence, Tuple
 from .errors import InputError
 
 # Largest product of simplices whose vertices are built: (3,)x8 has 65 536.
+# It also caps the edges of a polygon, which has as many vertices.
 MAX_PRODUCT_VERTICES = 65536
 
 
@@ -41,6 +42,10 @@ class SimplePolytope:
             for f in v:
                 if not 0 <= f < self.facet_count:
                     raise InputError(f"vertex {vi} uses unknown facet {f}")
+        # each facet lies on a vertex, so the vertices bound the facet table
+        if self.facet_count > self.n * len(self.vertices):
+            raise InputError(f"{self.facet_count} facets cannot all lie on "
+                             f"{len(self.vertices)} vertices of dimension {self.n}")
         incidence = _incidence(self.vertices, self.facet_count)
         if self.n > 0:
             for f, incident in enumerate(incidence):
@@ -154,6 +159,8 @@ def polygon(k: int) -> SimplePolytope:
     """Convex k-gon with edges 0..k-1 in cyclic order."""
     if k < 3:
         raise InputError("a polygon needs at least 3 edges")
+    if k > MAX_PRODUCT_VERTICES:
+        raise InputError(f"a polygon has at most {MAX_PRODUCT_VERTICES} edges, got {k}")
     vertices = tuple(frozenset({i, (i + 1) % k}) for i in range(k))
     return SimplePolytope(2, k, vertices, ("polygon", k))
 

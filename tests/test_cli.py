@@ -1,8 +1,10 @@
 import json
 import re
+import time
 
 import pytest
 
+from smallcover import cohomology
 from smallcover.bounds import BoundReport
 from smallcover.cli import main
 
@@ -150,9 +152,9 @@ def test_verify_suites(capsys):
     assert code == 0
 
 
-def test_verify_fault_injection(capsys):
-    code, out = run(capsys, "verify", "--suite", "lemma", "--max-m", "1",
-                    "--inject-fault")
+def test_verify_fault_injection(capsys, monkeypatch):
+    monkeypatch.setattr(cohomology, "verify_top_monomial", lambda dims, B: False)
+    code, out = run(capsys, "verify", "--suite", "lemma", "--max-m", "1")
     assert code == 1 and "FAIL" in out
 
 
@@ -287,6 +289,20 @@ def test_vertex_cap_exit_2(capsys, tmp_path):
         "characteristic": {"type": "facet_vectors", "vectors": ["1" * n] * 36},
     })
     assert_malformed(capsys, ["validate", path])
+
+
+@pytest.mark.parametrize("shape", [
+    {"type": "polygon", "edges": 300000},
+    {"type": "explicit", "n": 0, "facet_count": 3000000, "vertices": []},
+], ids=["polygon", "explicit"])
+def test_oversized_polytope_rejected_before_allocation(capsys, tmp_path, shape):
+    path = write(tmp_path, "huge.json", {
+        "polytope": shape,
+        "characteristic": {"type": "facet_vectors", "vectors": ["10", "01", "11"]},
+    })
+    start = time.perf_counter()
+    assert_malformed(capsys, ["validate", path])
+    assert time.perf_counter() - start < 0.5
 
 
 def _rp_facet_vectors(tmp_path, n):

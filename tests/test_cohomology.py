@@ -22,7 +22,6 @@ from smallcover.cohomology import (
     projective_ring,
     small_cover_ring,
     sphere_ring,
-    substitute_x,
     verify_top_monomial,
 )
 from smallcover.errors import CharacteristicError, InputError
@@ -84,20 +83,6 @@ def test_normal_form_kills_relations():
 def test_verify_top_monomial_sweep_small():
     for dims, B in all_bott_matrices(2, 2):
         assert verify_top_monomial(dims, B)
-
-
-def test_substitute_x():
-    # dims (1, 1), beta (1,): x1 -> y1 + ... depends on the beta column
-    dims = (1, 1)
-    B = BottMatrix.make(dims, {(2, 1): (1,)})
-    # non-distinguished facet of block 2 carries the beta twist from block 1
-    assert substitute_x(dims, B, 2) == frozenset({(1, 0), (0, 1)})
-    assert substitute_x(dims, B, 1) == frozenset({(1, 0)})
-    # distinguished facets map to the plain generators
-    assert substitute_x(dims, B, 3) == frozenset({(1, 0)})
-    assert substitute_x(dims, B, 4) == frozenset({(0, 1)})
-    with pytest.raises(InputError):
-        substitute_x(dims, B, 5)
 
 
 # --- linear-algebra presentation --------------------------------------------

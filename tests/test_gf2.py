@@ -45,25 +45,6 @@ def test_row_reduce_is_rref(rows):
                 assert not (other >> pivots[i]) & 1
 
 
-@given(bit_rows, st.lists(st.integers(0, 1), min_size=1, max_size=6))
-def test_solve_gf2_against_brute_force(rows, rhs):
-    rhs = (rhs * 6)[: len(rows)]
-    n = len(rows[0])
-    sols = [
-        x
-        for x in range(1 << n)
-        if all(
-            sum(rows[i][j] * ((x >> j) & 1) for j in range(n)) % 2 == rhs[i]
-            for i in range(len(rows))
-        )
-    ]
-    x = gf2.solve_gf2(rows, rhs)
-    if x is None:
-        assert not sols
-    else:
-        assert x in sols
-
-
 def test_kernel_combos_span_the_kernel():
     rng = random.Random(7)
     for _ in range(100):
@@ -99,11 +80,11 @@ def test_mask_round_trip():
 def test_poly_arithmetic():
     x = frozenset({gf2.mono_var(2, 1)})
     y = frozenset({gf2.mono_var(2, 2)})
-    s = gf2.poly_add(x, y)
+    s = x ^ y
     # (x + y)^2 = x^2 + y^2 in characteristic 2
     sq = gf2.poly_mul(s, s)
     assert sq == frozenset({(2, 0), (0, 2)})
-    assert gf2.poly_add(x, x) == gf2.ZERO_POLY
+    assert x ^ x == gf2.ZERO_POLY
     assert gf2.poly_deg(sq) == 2
     assert gf2.poly_deg(gf2.ZERO_POLY) == -1
 
@@ -117,18 +98,15 @@ def test_poly_mul_commutes_and_associates(data):
     assert gf2.poly_mul(a, b) == gf2.poly_mul(b, a)
     assert gf2.poly_mul(gf2.poly_mul(a, b), c) == gf2.poly_mul(a, gf2.poly_mul(b, c))
     # distributivity
-    assert gf2.poly_mul(a, gf2.poly_add(b, c)) == gf2.poly_add(
-        gf2.poly_mul(a, b), gf2.poly_mul(a, c)
-    )
+    assert gf2.poly_mul(a, b ^ c) == gf2.poly_mul(a, b) ^ gf2.poly_mul(a, c)
 
 
 def test_render_parse_round_trip():
     names = ["y1", "y2", "y3"]
     p = frozenset({(2, 0, 1), (0, 1, 0), (0, 0, 0)})
-    text = gf2.poly_render(p, names)
-    assert gf2.poly_parse(text, names) == p
+    # graded lex, highest term first, "1" for the unit monomial
+    assert gf2.poly_render(p, names) == "y1^2*y3 + y2 + 1"
     assert gf2.poly_render(gf2.ZERO_POLY, names) == "0"
-    assert gf2.poly_parse("0", names) == gf2.ZERO_POLY
     assert gf2.mono_render((2, 0, 1), names) == "y1^2*y3"
 
 
@@ -142,8 +120,8 @@ def test_grlex_order():
 def test_tensor_ops():
     one = gf2.mono_one(1)
     x = gf2.mono_var(1, 1)
-    a = gf2.tensor([(one, x), (x, one)])
+    a = frozenset({(one, x), (x, one)})
     assert gf2.tensor_cup(a) == gf2.ZERO_POLY  # x + x cancels
     sq = gf2.tensor_mul(a, a)
-    assert sq == gf2.tensor([(one, (2,)), ((2,), one)])  # cross terms cancel
+    assert sq == frozenset({(one, (2,)), ((2,), one)})  # cross terms cancel
     assert gf2.tensor_render(a, ["x"]) == "x(x)1 + 1(x)x"

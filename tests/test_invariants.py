@@ -19,7 +19,6 @@ from smallcover.invariants import (
     certificate_length,
     cup_length,
     cup_length_algebra,
-    norm_cup_length,
     power_exponent,
     sphere_zcl_declared,
     verify_certificate,
@@ -176,12 +175,6 @@ def test_zcl_interval_routes():
     assert zcl_interval(sphere_ring(7)).lo == 1
     assert sphere_zcl_declared(4) == 2
     assert sphere_zcl_declared(5) == 1
-
-
-def test_norm_cup_length_labels():
-    iv = norm_cup_length(projective_ring(2))
-    assert iv.lo == 3 and iv.lo_source.startswith("norm subring")
-    assert norm_cup_length(point_ring()).lo == 0
 
 
 def test_cup_length_algebra_matches_closed_forms():

@@ -219,6 +219,19 @@ def test_product_vertices_are_stored_once_built():
     assert vars(P)["vertices"] is first and P.vertices is first
 
 
+def test_polygon_and_explicit_size_checks():
+    cap = polytope.MAX_PRODUCT_VERTICES
+    assert polygon(cap).vertex_count == cap
+    with pytest.raises(InputError, match=f"at most {cap} edges"):
+        polygon(cap + 1)
+    # n facets meet at each vertex, so n * |vertices| bounds the facet count
+    assert explicit_polytope(2, 3, [[0, 1], [1, 2], [0, 2]]).facet_count == 3
+    with pytest.raises(InputError, match="7 facets cannot all lie on 3 vertices"):
+        explicit_polytope(2, 7, [[0, 1], [1, 2], [0, 2]])
+    with pytest.raises(InputError, match="facets cannot all lie"):
+        explicit_polytope(0, 1, [])
+
+
 def test_product_vertex_cap():
     assert polytope.MAX_PRODUCT_VERTICES == product_vertex_count((3,) * 8)
     big = product_of_simplices((3,) * 9)
