@@ -26,10 +26,10 @@ OUTPUTS = {
     "hexagon": ("bounds", "zcl"),
     "klein_bottle": ("bounds", "zcl", "ring", "betti", "cl"),
     "rp16_facets": ("bounds", "zcl"),
-    "tower_16_8": ("bounds", "certificate"),
+    "tower_16_8": ("bounds", "certificate", "ring", "betti"),
     "tower_17_9": ("bounds", "certificate"),
     "twisted_1_3": ("bounds", "certificate"),
-    "twisted_3x8": ("bounds", "certificate"),
+    "twisted_3x8": ("bounds", "certificate", "ring", "betti"),
 }
 
 
