@@ -1,25 +1,28 @@
 """Mod-2 cohomology rings.
 
-Two backends: a normal-form engine for the triangular (Bott) presentation
-Z2[y1..ym]/<Gamma_1..Gamma_m>, whose relations have pairwise-coprime leading
-monomials under graded lex with y1 < ... < ym and therefore reduce without
-completion; and a degree-by-degree linear-algebra backend for an arbitrary
-polytope/vector pair, which eliminates the linear relations first and then
-quotients by the non-face monomial ideal in the surviving variables.
+One engine for quotients Z2[v1..vk]/(relations) of degree-one variables
+(`QuotientRing`): each degree is row-reduced once and products are looked up
+in a normal-form table.  Two presentations feed it: the triangular (Bott)
+presentation Z2[y1..ym]/<Gamma_1..Gamma_m>, and an arbitrary polytope/vector
+pair with the linear relations eliminated and the non-face monomials as
+relations in the surviving variables.  The Bott relations have pairwise-
+coprime leading monomials under graded lex with y1 < ... < ym, so single
+polynomials also reduce by rewriting, without completion and without a slice.
 Sphere rings and the twisted product (Dold-type) rings are assembled on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
-from .gf2 import GF2Poly, Monomial, grlex_key, mono_deg, mono_mul, poly_mul
-from .polytope import SimplePolytope, block_offsets
+from .gf2 import GF2Poly, Monomial, grlex_key, mono_mul, poly_mul
+from .polytope import SimplePolytope, block_offsets, h_vector, product_of_simplices
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +368,117 @@ class Ring:
         return GradedBasis(alg.betti, alg.labels)
 
 
-class BottRing(Ring):
+class QuotientRing(Ring):
+    """Z2[v1..vk]/(relations) on degree-one variables, built degree by degree.
+
+    A presentation supplies the variable names, homogeneous relations and the
+    top degree.  Degree d's slice row-reduces the multiples of the relations
+    among all monomials of degree d; its basis is the monomials that lead no
+    pivot row, in grlex order, and products are read from one normal-form
+    table per degree.
+    """
+
+    def __init__(self, names: Sequence[str], relations: Sequence[GF2Poly], top: int):
+        self.names = names
+        self.nvars = len(names)
+        self.relations = tuple(relations)
+        self.top = top
+        self.generators = tuple((name, 1) for name in names)
+        self.relations_text = tuple(gf2.poly_render(g, names) for g in self.relations)
+        self._monos: Dict[int, List[Monomial]] = {}
+        self._slices: Dict[int, Tuple[List[Monomial], Dict[int, int], List[Monomial]]] = {}
+        self._tables: Dict[int, Dict[Monomial, int]] = {}
+        self._alg: Optional[GradedAlgebra] = None
+
+    def _monomials(self, d: int) -> List[Monomial]:
+        """All monomials of degree d in grlex order, built once per degree."""
+        if d not in self._monos:
+            k = self.nvars
+            if k == 0:
+                out = [()] if d == 0 else []
+            else:
+                # stars and bars: k - 1 bars among d + k - 1 places
+                out = []
+                for bars in combinations(range(d + k - 1), k - 1):
+                    ends = bars + (d + k - 1,)
+                    out.append(tuple(b - a - 1 for a, b in zip((-1,) + bars, ends)))
+                out.sort(key=grlex_key)
+            self._monos[d] = out
+        return self._monos[d]
+
+    def _slice(self, d: int):
+        """(monomials, pivot rows, basis monomials) of degree d."""
+        if d not in self._slices:
+            mons = self._monomials(d)
+            pos = {m: i for i, m in enumerate(mons)}
+            pivots: Dict[int, int] = {}
+            for g in self.relations:
+                gd = gf2.poly_deg(g)
+                if gd > d:
+                    continue
+                for u in self._monomials(d - gd):
+                    row = 0
+                    for mon in poly_mul(frozenset({u}), g):
+                        row ^= 1 << pos[mon]
+                    while row:
+                        lead = row.bit_length() - 1
+                        if lead in pivots:
+                            row ^= pivots[lead]
+                        else:
+                            pivots[lead] = row
+                            break
+            basis = [m for i, m in enumerate(mons) if i not in pivots]
+            self._slices[d] = (mons, pivots, basis)
+        return self._slices[d]
+
+    def algebra(self) -> GradedAlgebra:
+        if self._alg is None:
+            slices = [self._slice(d) for d in range(self.top + 1)]
+            betti = [len(s[2]) for s in slices]
+            labels = [[gf2.mono_render(m, self.names) for m in s[2]] for s in slices]
+            # the product holds the ring's slices and tables, not the ring,
+            # so a ring and its algebra form no reference cycle
+            tables = self._tables
+
+            def mult(d1, i, d2, j):
+                d = d1 + d2
+                if d not in tables:
+                    tables[d] = _normal_form_table(slices[d])
+                return tables[d][mono_mul(slices[d1][2][i], slices[d2][2][j])]
+
+            self._alg = GradedAlgebra(betti, mult, labels)
+        return self._alg
+
+
+def _normal_form_table(slice_) -> Dict[Monomial, int]:
+    """Normal form of every monomial of one degree slice, as a basis mask.
+
+    Each monomial reduces once against the slice's pivot rows.  A pivot
+    row is its lead monomial plus lower ones, so in ascending order a
+    pivot monomial's normal form is the XOR of the forms already found
+    for the rest of its row; a basis monomial is its own form.  The
+    normal form is linear, so this equals reducing any mask bit by bit.
+    """
+    mons, pivots, _ = slice_
+    forms: List[int] = []
+    rank = 0
+    for i in range(len(mons)):
+        row = pivots.get(i)
+        if row is None:
+            forms.append(1 << rank)
+            rank += 1
+            continue
+        acc = 0
+        rest = row & ~(1 << i)
+        while rest:
+            b = rest.bit_length() - 1
+            rest &= ~(1 << b)
+            acc ^= forms[b]
+        forms.append(acc)
+    return dict(zip(mons, forms))
+
+
+class BottRing(QuotientRing):
     kind = "bott"
     # tensor-power certificate, kept by bounds.tc_bounds
     _cert = None
@@ -377,25 +490,19 @@ class BottRing(Ring):
         self.dims = dims
         self.bmat = B
         self.m = len(dims)
-        self.top = sum(dims)
-        self.names = gf2.default_names(self.m, "y")
-        self.generators = tuple((name, 1) for name in self.names)
-        self.gammas = tuple(self._gamma(j) for j in range(1, self.m + 1))
+        super().__init__(gf2.default_names(self.m, "y"),
+                         [self._gamma(j) for j in range(1, self.m + 1)], sum(dims))
         # tail_j: Gamma_j with its leading monomial y_j^{n_j+1} removed
         self._tails = []
-        for j, g in enumerate(self.gammas, start=1):
+        for j, g in enumerate(self.relations, start=1):
             lead = gf2.mono_var(self.m, j, self.dims[j - 1] + 1)
             self._tails.append(g ^ {lead})
-        self.relations_text = tuple(gf2.poly_render(g, self.names) for g in self.gammas)
-        self._alg: Optional[GradedAlgebra] = None
-        self._std: Optional[List[List[Monomial]]] = None
 
-    @property
-    def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d + 1
-        return out
+    @cached_property
+    def betti(self) -> Tuple[int, ...]:
+        """The h-vector of the product of simplices, in closed form: the
+        basis is the box of monomials with y_j-degree at most n_j."""
+        return h_vector(product_of_simplices(self.dims)).h
 
     def _gamma(self, j: int) -> GF2Poly:
         acc = frozenset({gf2.mono_var(self.m, j)})
@@ -407,11 +514,9 @@ class BottRing(Ring):
             acc = poly_mul(acc, frozenset(factor))
         return acc
 
-    def is_standard(self, mon: Monomial) -> bool:
-        return all(e <= d for e, d in zip(mon, self.dims))
-
     def normal_form(self, p: GF2Poly) -> GF2Poly:
-        """Unique representative on standard monomials."""
+        """Unique representative on standard monomials, by rewriting: the
+        cost does not grow with the ring, which needs no slice."""
         for mon in p:
             if len(mon) != self.m:
                 raise InputError("polynomial arity disagrees with the ring")
@@ -420,38 +525,6 @@ class BottRing(Ring):
     def power(self, j: int, e: int) -> GF2Poly:
         """Reduced y_j^e."""
         return self.normal_form(frozenset({gf2.mono_var(self.m, j, e)}))
-
-    def standard_monomials(self) -> List[List[Monomial]]:
-        if self._std is None:
-            by_deg: List[List[Monomial]] = [[] for _ in range(self.top + 1)]
-            for mon in product(*(range(d + 1) for d in self.dims)):
-                by_deg[mono_deg(mon)].append(mon)
-            for lst in by_deg:
-                lst.sort(key=grlex_key)
-            self._std = by_deg
-        return self._std
-
-    def algebra(self) -> GradedAlgebra:
-        if self._alg is None:
-            std = self.standard_monomials()
-            betti = [len(s) for s in std]
-            labels = [[gf2.mono_render(m, self.names) for m in s] for s in std]
-            position = [{mon: i for i, mon in enumerate(s)} for s in std]
-            # the product holds the ring's data, not the ring, so a ring
-            # and its algebra form no reference cycle
-            dims, tails = self.dims, self._tails
-
-            def mult(d1, i, d2, j):
-                prod = _bott_normal_form(frozenset({mono_mul(std[d1][i], std[d2][j])}),
-                                         dims, tails)
-                target = position[d1 + d2]
-                mask = 0
-                for mon in prod:
-                    mask |= 1 << target[mon]
-                return mask
-
-            self._alg = GradedAlgebra(betti, mult, labels)
-        return self._alg
 
 
 def _bott_normal_form(p: GF2Poly, dims: Tuple[int, ...],
@@ -534,7 +607,7 @@ def minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-class SmallCoverRing(Ring):
+class SmallCoverRing(QuotientRing):
     kind = "small_cover"
 
     def __init__(self, P: SimplePolytope, vectors: Sequence[GF2Vector]):
@@ -545,7 +618,6 @@ class SmallCoverRing(Ring):
             )
         self.P = P
         self.vectors = tuple(tuple(v) for v in vectors)
-        self.top = P.n
         r = P.facet_count
         # eliminate the linear relations: row-reduce the coordinate matrix
         rows = [[vectors[f][i] for f in range(r)] for i in range(P.n)]
@@ -553,14 +625,12 @@ class SmallCoverRing(Ring):
         if len(pivot_cols) != P.n:
             raise CharacteristicError("facet vectors do not span the ambient space")
         free_cols = [c for c in range(r) if c not in set(pivot_cols)]
-        self.free_facets = free_cols
-        self.nvars = len(free_cols)
+        k = len(free_cols)
         free_index = {c: i for i, c in enumerate(free_cols)}
-        self.names = [f"z{i + 1}" for i in range(self.nvars)]
         # substitution: facet class as a linear polynomial in the free classes
         subs: List[GF2Poly] = [None] * r
         for c in free_cols:
-            subs[c] = frozenset({gf2.mono_var(self.nvars, free_index[c] + 1)})
+            subs[c] = frozenset({gf2.mono_var(k, free_index[c] + 1)})
         for row in reduced:
             lead = row.bit_length() - 1
             mons = set()
@@ -568,115 +638,21 @@ class SmallCoverRing(Ring):
             while rest:
                 b = rest.bit_length() - 1
                 rest &= ~(1 << b)
-                mons ^= {gf2.mono_var(self.nvars, free_index[b] + 1)}
+                mons ^= {gf2.mono_var(k, free_index[b] + 1)}
             subs[lead] = frozenset(mons)
-        self.facet_classes = subs
-        self.generators = tuple((name, 1) for name in self.names)
         # non-face monomials become polynomial relations in the free classes
         gens: List[GF2Poly] = []
         for S in minimal_non_faces(P):
-            g = frozenset({gf2.mono_one(self.nvars)})
+            g = frozenset({gf2.mono_one(k)})
             for f in S:
                 g = poly_mul(g, subs[f])
             if g:
                 gens.append(g)
-        self.ideal_gens = gens
-        self.relations_text = tuple(gf2.poly_render(g, self.names) for g in gens)
-        self._monos: Dict[int, List[Monomial]] = {}
-        self._slices: Dict[int, Tuple[List[Monomial], Dict[int, int], List[Monomial]]] = {}
-        self._tables: Dict[int, Dict[Monomial, int]] = {}
-        self._alg: Optional[GradedAlgebra] = None
+        super().__init__([f"z{i + 1}" for i in range(k)], gens, P.n)
 
     @property
     def dim(self) -> int:
         return self.P.vertex_count
-
-    def _monomials(self, d: int) -> List[Monomial]:
-        """All monomials of degree d in grlex order, built once per degree."""
-        if d not in self._monos:
-            k = self.nvars
-            if k == 0:
-                out = [()] if d == 0 else []
-            else:
-                # stars and bars: k - 1 bars among d + k - 1 places
-                out = []
-                for bars in combinations(range(d + k - 1), k - 1):
-                    ends = bars + (d + k - 1,)
-                    out.append(tuple(b - a - 1 for a, b in zip((-1,) + bars, ends)))
-                out.sort(key=grlex_key)
-            self._monos[d] = out
-        return self._monos[d]
-
-    def _slice(self, d: int):
-        """(monomials, pivot rows, basis monomials) of degree d."""
-        if d not in self._slices:
-            mons = self._monomials(d)
-            pos = {m: i for i, m in enumerate(mons)}
-            pivots: Dict[int, int] = {}
-            for g in self.ideal_gens:
-                gd = gf2.poly_deg(g)
-                if gd > d:
-                    continue
-                for u in self._monomials(d - gd):
-                    row = 0
-                    for mon in poly_mul(frozenset({u}), g):
-                        row ^= 1 << pos[mon]
-                    while row:
-                        lead = row.bit_length() - 1
-                        if lead in pivots:
-                            row ^= pivots[lead]
-                        else:
-                            pivots[lead] = row
-                            break
-            basis = [m for i, m in enumerate(mons) if i not in pivots]
-            self._slices[d] = (mons, pivots, basis)
-        return self._slices[d]
-
-    def algebra(self) -> GradedAlgebra:
-        if self._alg is None:
-            slices = [self._slice(d) for d in range(self.top + 1)]
-            betti = [len(s[2]) for s in slices]
-            labels = [[gf2.mono_render(m, self.names) for m in s[2]] for s in slices]
-            # the product holds the ring's slices and tables, not the ring,
-            # so a ring and its algebra form no reference cycle
-            tables = self._tables
-
-            def mult(d1, i, d2, j):
-                d = d1 + d2
-                if d not in tables:
-                    tables[d] = _normal_form_table(slices[d])
-                return tables[d][mono_mul(slices[d1][2][i], slices[d2][2][j])]
-
-            self._alg = GradedAlgebra(betti, mult, labels)
-        return self._alg
-
-
-def _normal_form_table(slice_) -> Dict[Monomial, int]:
-    """Normal form of every monomial of one degree slice, as a basis mask.
-
-    Each monomial reduces once against the slice's pivot rows.  A pivot
-    row is its lead monomial plus lower ones, so in ascending order a
-    pivot monomial's normal form is the XOR of the forms already found
-    for the rest of its row; a basis monomial is its own form.  The
-    normal form is linear, so this equals reducing any mask bit by bit.
-    """
-    mons, pivots, _ = slice_
-    forms: List[int] = []
-    rank = 0
-    for i in range(len(mons)):
-        row = pivots.get(i)
-        if row is None:
-            forms.append(1 << rank)
-            rank += 1
-            continue
-        acc = 0
-        rest = row & ~(1 << i)
-        while rest:
-            b = rest.bit_length() - 1
-            rest &= ~(1 << b)
-            acc ^= forms[b]
-        forms.append(acc)
-    return dict(zip(mons, forms))
 
 
 def small_cover_ring(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> Tuple[SmallCoverRing, GradedBasis]:

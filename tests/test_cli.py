@@ -246,6 +246,24 @@ def test_verify_certificate_skips_long_certificates(capsys):
     assert code == 0 and out == "certificate: 6 cases, 2 draws skipped, pass\n"
 
 
+def test_ring_and_betti_build_no_tower_algebra(capsys, monkeypatch):
+    """A tower's Betti numbers are the closed-form h-vector of its polytope."""
+    from pathlib import Path
+
+    from smallcover import bounds, cli
+
+    def refuse(self):
+        raise AssertionError("algebra built")
+
+    monkeypatch.setattr(cohomology.QuotientRing, "algebra", refuse)
+    path = str(Path(__file__).parent / "golden" / "twisted_3x8.problem.json")
+    for command in ("ring", "betti"):
+        code, out = run(capsys, command, path, "--format", "json")
+        assert code == 0 and len(json.loads(out)["betti"]) == 25
+    ring = bounds.manifold_ring(cli._manifold(cli._load(path)))
+    assert sum(ring.betti) == ring.dim == 4 ** 8 and ring._alg is None
+
+
 def _twisted_tower(tmp_path, name, dims):
     m = len(dims)
     return write(tmp_path, name, {

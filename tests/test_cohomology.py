@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import product
 
 import pytest
 
@@ -47,14 +48,52 @@ def test_projective_ring_structure():
     assert ring.power(1, 4) == frozenset()
 
 
+def _box(dims, d):
+    """Monomials of degree d with y_j-degree at most n_j, in grlex order."""
+    return sorted((mon for mon in product(*(range(n + 1) for n in dims)) if sum(mon) == d),
+                  key=gf2.grlex_key)
+
+
 def test_standard_monomial_count():
-    ring = BottRing((2, 3), BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)}))
-    std = ring.standard_monomials()
-    assert sum(len(s) for s in std) == 3 * 4
-    assert ring.dim == 12
-    for d, mons in enumerate(std):
-        for mon in mons:
-            assert sum(mon) == d and ring.is_standard(mon)
+    for dims, beta in [((2, 3), {(2, 1): (1, 0, 1)}), ((3, 1, 2), {(3, 1): (1, 1)}),
+                       ((1, 1, 1, 1), {})]:
+        ring = BottRing(dims, BottMatrix.make(dims, beta))
+        for d in range(ring.top + 1):
+            assert ring._slice(d)[2] == _box(dims, d)
+        count = 1
+        for n in dims:
+            count *= n + 1
+        assert ring.dim == count
+
+
+def _bott_sample():
+    rng = random.Random(7)
+    towers = [tower for m in (1, 2, 3) for tower in all_bott_matrices(m, 3)]
+    sample = rng.sample(towers, 48)
+    sample.append(((3, 3, 3), BottMatrix.make((3, 3, 3), {(2, 1): (1, 1, 1), (3, 1): (1, 1, 1),
+                                                          (3, 2): (1, 1, 1)})))
+    sample.append(((1,) * 5, BottMatrix.make((1,) * 5)))
+    sample.append(((1,) * 5, BottMatrix.make(
+        (1,) * 5, {(k, j): (1,) for k in range(2, 6) for j in range(1, k)})))
+    return sample
+
+
+def test_bott_table_products_match_normal_form():
+    sample = _bott_sample()
+    assert any(B.beta for _, B in sample) and any(not B.beta for _, B in sample)
+    for dims, B in sample:
+        ring = BottRing(dims, B)
+        alg = ring.algebra()
+        assert alg.betti == ring.betti
+        boxes = [_box(dims, d) for d in range(ring.top + 1)]
+        for d1 in range(ring.top + 1):
+            for d2 in range(ring.top + 1 - d1):
+                pos = {mon: k for k, mon in enumerate(boxes[d1 + d2])}
+                for i, u in enumerate(boxes[d1]):
+                    for j, v in enumerate(boxes[d2]):
+                        nf = ring.normal_form(frozenset({gf2.mono_mul(u, v)}))
+                        mask = sum(1 << pos[mon] for mon in nf)
+                        assert alg.mult_basis(d1, i, d2, j) == mask, (dims, B.beta, u, v)
 
 
 def test_normal_form_idempotent_and_multiplicative(rng):
@@ -76,7 +115,7 @@ def test_normal_form_idempotent_and_multiplicative(rng):
 
 def test_normal_form_kills_relations():
     ring = BottRing((1, 2), BottMatrix.make((1, 2), {(2, 1): (1, 0)}))
-    for g in ring.gammas:
+    for g in ring.relations:
         assert ring.normal_form(g) == frozenset()
 
 
