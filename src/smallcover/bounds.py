@@ -280,10 +280,10 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
                     f"invertible neighbour matrix embeds the {n}-projective ring")
     b.upper(2 * n + 1, "dimension cap")
     if M.kind == "bott":
-        k = len(free_circle_blocks(M.dims, M.bmat))
-        if k:
-            b.upper(2 * n - k + 1, "free circle actions",
-                    f"{k} odd blocks of dimension > 1")
+        blocks = free_circle_blocks(M.dims, M.bmat)
+        if blocks:
+            b.upper(2 * n - len(blocks) + 1, "free circle actions",
+                    "free circle on blocks " + ", ".join(map(str, blocks)))
     return b.report()
 
 
