@@ -13,7 +13,7 @@ import json
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds as bounds_mod
 from . import charfun, cohomology, gf2, invariants, polytope, sampling
@@ -44,17 +44,32 @@ class ProblemSpec:
             raise InputError("dold section must be an object")
         p = dold.get("p") if dold else None
         # an absent, null or empty exponent list means no Dold section
-        p = [] if p is None else list(p)
+        p = [] if p is None else _array(p, "dold p")
         self.dold_p = cohomology.dold_exponents(p) if p else None
         flags = data.get("flags") or {}
         self.fixed_set_connected = bool(flags.get("fixed_set_connected", False))
         options = data.get("options") or {}
         self.exact_budget = options.get("exact_budget")
         if self.exact_budget is not None:
-            self.exact_budget = int(self.exact_budget)
+            self.exact_budget = _int(self.exact_budget, "exact_budget")
         self.format = options.get("format")
         if self.format not in (None, "table", "json"):
             raise InputError(f"unknown output format {self.format!r}")
+
+
+def _int(x, field: str) -> int:
+    """x, which must be a JSON integer: booleans, numbers with a fraction
+    part and strings are refused, not coerced."""
+    if type(x) is not int:
+        raise InputError(f"{field} must be an integer, not {type(x).__name__}")
+    return x
+
+
+def _array(xs, field: str, item: Callable = _int) -> List:
+    """xs, which must be a JSON array; item checks each entry."""
+    if not isinstance(xs, list):
+        raise InputError(f"{field} must be an array, not {type(xs).__name__}")
+    return [item(x, field) for x in xs]
 
 
 def _parse_polytope(obj) -> polytope.SimplePolytope:
@@ -62,13 +77,13 @@ def _parse_polytope(obj) -> polytope.SimplePolytope:
         raise InputError("polytope section must be an object with a type")
     kind = obj["type"]
     if kind == "product_of_simplices":
-        return polytope.product_of_simplices([int(d) for d in obj["dims"]])
+        return polytope.product_of_simplices(_array(obj["dims"], "dims"))
     if kind == "polygon":
-        return polytope.polygon(int(obj["edges"]))
+        return polytope.polygon(_int(obj["edges"], "edges"))
     if kind == "explicit":
         return polytope.explicit_polytope(
-            int(obj["n"]), int(obj["facet_count"]),
-            [[int(f) for f in v] for v in obj["vertices"]],
+            _int(obj["n"], "n"), _int(obj["facet_count"], "facet_count"),
+            _array(obj["vertices"], "vertices", _array),
         )
     raise InputError(f"unknown polytope type {kind!r}")
 
@@ -82,7 +97,7 @@ def _parse_characteristic(P, obj):
         vectors = tuple(charfun.parse_bits(s) for s in obj["vectors"])
         return vectors, None, None
     if kind == "bott_matrix":
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = tuple(_array(obj["dims"], "characteristic dims"))
         if P.family[0] != "product_of_simplices" or P.family[1] != dims:
             raise InputError("bott_matrix dims disagree with the polytope")
         beta = {}

@@ -193,6 +193,45 @@ def test_bad_budget_option_exit_2(capsys, tmp_path):
     assert_malformed(capsys, ["zcl", path])
 
 
+_INT_BASES = {
+    "tower": {"polytope": {"type": "product_of_simplices", "dims": [2]},
+              "characteristic": {"type": "bott_matrix", "dims": [2], "beta": {}},
+              "dold": {"p": [1, 2]}, "options": {"exact_budget": 12}},
+    "polygon": {"polytope": {"type": "polygon", "edges": 4},
+                "characteristic": {"type": "facet_vectors",
+                                   "vectors": ["10", "01", "10", "11"]}},
+    "explicit": {"polytope": {"type": "explicit", "n": 2, "facet_count": 3,
+                              "vertices": [[0, 1], [1, 2], [0, 2]]},
+                 "characteristic": {"type": "facet_vectors", "vectors": ["10", "01", "11"]}},
+}
+
+
+@pytest.mark.parametrize("base, section, key, value", [
+    ("tower", "polytope", "dims", "2"),
+    ("tower", "polytope", "dims", [True, 1]),
+    ("tower", "characteristic", "dims", [2.7]),
+    ("tower", "characteristic", "dims", "2"),
+    ("tower", "dold", "p", "12"),
+    ("tower", "dold", "p", [1.0, 2]),
+    ("tower", "options", "exact_budget", "12"),
+    ("tower", "options", "exact_budget", 12.5),
+    ("polygon", "polytope", "edges", 4.9),
+    ("polygon", "polytope", "edges", "4"),
+    ("explicit", "polytope", "n", 2.0),
+    ("explicit", "polytope", "facet_count", "3"),
+    ("explicit", "polytope", "vertices", "012"),
+    ("explicit", "polytope", "vertices", [[0, 1], [1, 2], [0, 2.5]]),
+])
+def test_integer_fields_must_be_json_integers(capsys, tmp_path, base, section, key, value):
+    doc = json.loads(json.dumps(_INT_BASES[base]))
+    assert main(["dold", write(tmp_path, "base.json", doc), "--dold", "1"]) == 0
+    capsys.readouterr()
+    doc[section][key] = value
+    problem = write(tmp_path, "ints.json", doc)
+    for command in ("ring", "dold"):
+        assert_malformed(capsys, [command, problem])
+
+
 def test_bad_budget_env_exit_2(capsys, klein, monkeypatch):
     monkeypatch.setenv("SMALLCOVER_EXACT_BUDGET", "abc")
     assert_malformed(capsys, ["zcl", klein])
