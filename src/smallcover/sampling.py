@@ -18,10 +18,12 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
                           tries: int) -> Optional[Tuple[GF2Vector, ...]]:
     """Random valid facet vectors for P, or None after `tries` draws."""
     n = P.n
-    nonzero = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 1 << n)]
     first = sorted(P.vertices[0])
     for _ in range(tries):
-        vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
+        # a nonzero vector is the bits of one draw from 1 .. 2^n - 1, so no
+        # list of all 2^n - 1 of them is built
+        vectors = [tuple((v >> i) & 1 for i in range(n))
+                   for v in (rng.randrange(1, 1 << n) for _ in range(P.facet_count))]
         # make the first vertex a basis to help the success rate
         for i, f in enumerate(first):
             vectors[f] = tuple(1 if c == i else 0 for c in range(n))

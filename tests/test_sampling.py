@@ -1,0 +1,39 @@
+import random
+
+from smallcover import sampling
+from smallcover.charfun import validate
+from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
+
+
+def _list_sampler(P, rng, tries):
+    """The sampler as it was: one choice from the list of all nonzero vectors."""
+    n = P.n
+    nonzero = [tuple((v >> i) & 1 for i in range(n)) for v in range(1, 1 << n)]
+    first = sorted(P.vertices[0])
+    for _ in range(tries):
+        vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
+        for i, f in enumerate(first):
+            vectors[f] = tuple(1 if c == i else 0 for c in range(n))
+        if validate(P, vectors).valid:
+            return tuple(vectors)
+    return None
+
+
+def _prism(k):
+    return explicit_polytope(3, k + 2, [(i, (i + 1) % k, cap)
+                                        for i in range(k) for cap in (k, k + 1)])
+
+
+def test_random_characteristic_draws_as_the_list_sampler():
+    shapes = [polygon(k) for k in range(3, 9)] + [_prism(k) for k in range(3, 7)]
+    shapes += [product_of_simplices(dims) for dims in [(1, 1), (2, 3), (1, 1, 1), (3, 4)]]
+    found = 0
+    for P in shapes:
+        for seed in range(4):
+            for tries in (1, 400):
+                rng, reference = random.Random(seed), random.Random(seed)
+                got = sampling.random_characteristic(P, rng, tries)
+                assert got == _list_sampler(P, reference, tries), (P.family, seed)
+                assert rng.getstate() == reference.getstate()
+                found += got is not None
+    assert found > len(shapes)
