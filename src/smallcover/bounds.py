@@ -376,37 +376,29 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
     cat.upper(dim_d + 1, "dimension cap")
 
     tc = _Builder("TC")
-    if M.kind == "sphere":
-        zcl_base_lo = sphere_zcl_declared(n)
-        zcl_src = "declared sphere value"
-    else:
-        zb = manifold_zcl(M, budget)
-        zcl_base_lo = zb.lo
-        zcl_src = zb.lo_source
+    zb = manifold_zcl(M, budget)
     rp = zcl_rp(p1)
-    tc.lower(zcl_base_lo + rp.lo + r, "tensor zero-divisor sum",
-             f"base bound {zcl_base_lo} ({zcl_src}) plus fibre bound {rp.lo}")
+    tc.lower(zb.lo + rp.lo + r, "tensor zero-divisor sum",
+             f"base bound {zb.lo} ({zb.lo_source}) plus fibre bound {rp.lo}")
     tc.lower(cl_base + p1 + r, "category floor")
+    # one fibre factor over a polytope base with an invertible neighbour matrix
+    det_ok = (r == 1 and M.kind != "sphere"
+              and simplex_facet_hypotheses(M.P, M.vectors)[1])
     if M.kind == "sphere":
         tc.upper(2 * (cat_tau + p1 + r) - 1, "invariant cover cap")
     else:
         tc.upper(2 * (n + p1 + r) + 1, "dimension-type cap")
-        if r == 1:
-            _, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
-            if det_ok:
-                tc.upper(2 * (n + p1) + 1, "single-factor projective cap",
-                         "invertible neighbour matrix, one fibre factor")
+        if det_ok:
+            tc.upper(2 * (n + p1) + 1, "single-factor projective cap",
+                     "invertible neighbour matrix, one fibre factor")
     tc.upper(2 * dim_d + 1, "dimension cap")
 
     tcs = _Builder("TC_S")
     tcs.lower(2, "more than one point")
-    tcs.lower(zcl_base_lo + rp.lo + 2 if r == 1 else zcl_base_lo + rp.lo + r,
-              "norm subring")
+    tcs.lower(zb.lo + rp.lo + 2 if r == 1 else zb.lo + rp.lo + r, "norm subring")
     tcs.upper(2 * dim_d + 1, "dimension cap")
-    if M.kind in ("bott", "small_cover") and r == 1:
-        _, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
-        if det_ok:
-            tcs.upper(2 * (n + p1) + 1, "single-factor projective cap")
+    if det_ok:
+        tcs.upper(2 * (n + p1) + 1, "single-factor projective cap")
 
     return cat.report(flags), tc.report(flags), tcs.report(flags)
 
