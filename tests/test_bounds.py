@@ -173,21 +173,19 @@ def test_dold_known_intervals():
         assert tcs.interval.lo >= tc.interval.lo - 1
 
 
-def test_dold_over_sphere_reads_the_declared_zcl():
-    # rp = zcl(RP^2) = 3; the sphere's declared zcl is 1 (odd) or 2 (even)
-    for n, zcl in [(3, 1), (4, 2)]:
-        _, tc, tcs = dold_bounds(sphere_manifold(n), [2])
-        assert ("lo", "tensor zero-divisor sum",
-                f"base bound {zcl} (declared sphere value) plus fibre bound 3") in tc.certificates
-        assert tcs.interval.lo == zcl + 3 + 2
-
-
 def test_dold_over_sphere():
     cat, tc, tcs = dold_bounds(sphere_manifold(3), [2])
     # cl(D) = 1 + 2 + 1 - 1 = 3, so cat >= 4; invariant cover cap applies
     assert cat.interval.lo == 4
     assert cat.interval.hi == 2 + 2 + 1 - 1
     assert tc.interval.hi == 2 * (2 + 2 + 1) - 1
+    # the base's zcl is the sphere's declared value (1 odd, 2 even), read
+    # through manifold_zcl; rp = zcl(RP^2) = 3
+    for n, zcl in [(3, 1), (4, 2)]:
+        _, tc, tcs = dold_bounds(sphere_manifold(n), [2])
+        assert ("lo", "tensor zero-divisor sum",
+                f"base bound {zcl} (declared sphere value) plus fibre bound 3") in tc.certificates
+        assert tcs.interval.lo == zcl + 3 + 2
 
 
 def test_dold_validation():
