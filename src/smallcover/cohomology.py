@@ -515,8 +515,8 @@ class BottRing(QuotientRing):
         return acc
 
     def normal_form(self, p: GF2Poly) -> GF2Poly:
-        """Unique representative on standard monomials, by rewriting: the
-        cost does not grow with the ring, which needs no slice."""
+        """Unique representative on standard monomials, by rewriting.  It
+        builds no degree slice, so it also serves towers too large for one."""
         for mon in p:
             if len(mon) != self.m:
                 raise InputError("polynomial arity disagrees with the ring")
