@@ -24,7 +24,6 @@ from .cohomology import (
     point_ring,
     poincare_pairing,
     projective_ring,
-    small_cover_ring,
     sphere_ring,
     verify_top_monomial,
 )

@@ -142,7 +142,7 @@ def _manifold(spec: ProblemSpec) -> bounds_mod.ManifoldDescription:
 
 
 def _budget(spec: ProblemSpec, args) -> int:
-    if getattr(args, "exact_budget", None) is not None:
+    if args.exact_budget is not None:
         return args.exact_budget
     if spec.exact_budget is not None:
         return spec.exact_budget
@@ -387,13 +387,7 @@ def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
     for _ in range(8):
         m = rng.randint(1, max_m)
         dims = tuple(rng.randint(1, max_n) for _ in range(m))
-        beta = {}
-        for k in range(2, m + 1):
-            for j in range(1, k):
-                chunk = tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
-                if any(chunk):
-                    beta[(k, j)] = chunk
-        B = charfun.BottMatrix.make(dims, beta)
+        B = sampling.random_bott_matrix(dims, rng)
         if invariants.certificate_length(dims) > _CERTIFICATE_MAX_LENGTH:
             skipped += 1
             continue
@@ -403,7 +397,7 @@ def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
         ok = (cert.k == invariants.certificate_length(dims)
               and invariants.verify_certificate(ring, cert))
         if not ok and fail is None:
-            fail = f"dims={list(dims)} beta={beta}"
+            fail = f"dims={list(dims)} beta={dict(B.beta)}"
     return count, skipped, fail
 
 
@@ -461,27 +455,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, problem=True):
-        if problem:
-            p.add_argument("problem", help="JSON problem file")
+    def common(p, exact_budget=False):
+        p.add_argument("problem", help="JSON problem file")
         p.add_argument("--format", choices=["table", "json"], default=None)
-        p.add_argument("--exact-budget", dest="exact_budget", type=int, default=None)
+        if exact_budget:
+            p.add_argument("--exact-budget", dest="exact_budget", type=int, default=None)
 
     common(sub.add_parser("validate", help="check the facet vector assignment"))
     common(sub.add_parser("ring", help="generators, relations and betti numbers"))
     common(sub.add_parser("betti", help="graded dimensions only"))
     common(sub.add_parser("cl", help="cup-length"))
     p = sub.add_parser("zcl", help="zero-divisor-cup-length interval")
-    common(p)
+    common(p, exact_budget=True)
     p.add_argument("--certificate-only", action="store_true")
     p = sub.add_parser("bounds", help="interval bounds with certificate trails")
-    common(p)
+    common(p, exact_budget=True)
     p.add_argument("--invariant", choices=["cat", "tc", "tcs", "cateq", "all"],
                    default="all")
     p.add_argument("--assume-fixed-set-connected", action="store_true")
     p.add_argument("--involution", default=None, metavar="BITS")
     p = sub.add_parser("dold", help="bounds for the twisted sphere product")
-    common(p)
+    common(p, exact_budget=True)
     p.add_argument("--dold", default=None, metavar="P1,P2,...")
     p = sub.add_parser("verify", help="run the built-in verification sweeps")
     p.add_argument("--suite", choices=sorted(_SUITES), default=None)

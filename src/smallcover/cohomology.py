@@ -8,13 +8,16 @@ pair with the linear relations eliminated and the non-face monomials as
 relations in the surviving variables.  The Bott relations have pairwise-
 coprime leading monomials under graded lex with y1 < ... < ym, so single
 polynomials also reduce by rewriting, without completion and without a slice.
-Sphere rings and the twisted product (Dold-type) rings are assembled on top.
+Every other algebra is a `TensorAlgebra` product of such quotients and
+square-zero classes: a sphere is one square-zero class, and a twisted product
+(Dold-type) ring is a truncated polynomial ring, square-zero classes and the
+base.  Betti numbers of products are read in closed form, building nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,7 +25,7 @@ from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
 from .gf2 import GF2Poly, Monomial, grlex_key, mono_mul, poly_mul
-from .polytope import SimplePolytope, block_offsets, h_vector, product_of_simplices
+from .polytope import SimplePolytope, block_offsets
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +335,28 @@ def _product_label(la: str, lb: str) -> str:
     return f"{la}*{lb}"
 
 
+def square_zero(name: str, n: int) -> GradedAlgebra:
+    """Z2[x]/(x^2) with x in degree n >= 1.  A product inside the top degree
+    has a unit factor, so it is the one basis element of its degree."""
+    return GradedAlgebra([1] + [0] * (n - 1) + [1], lambda d1, i, d2, j: 1,
+                         [["1"]] + [[] for _ in range(n - 1)] + [[name]])
+
+
+def _poincare_product(polys: Iterable[Sequence[int]]) -> Tuple[int, ...]:
+    """Coefficients of a product of polynomials, lowest degree first: the
+    Betti numbers of a tensor product from those of its factors."""
+    out = [1]
+    for p in polys:
+        acc = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                acc[i + j] += a * b
+        out = acc
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # ring presentations
-
-
-@dataclass(frozen=True)
-class GradedBasis:
-    betti: Tuple[int, ...]
-    labels: Tuple[Tuple[str, ...], ...]
 
 
 class Ring:
@@ -362,10 +379,6 @@ class Ring:
     @property
     def dim(self) -> int:
         return sum(self.betti)
-
-    def basis(self) -> GradedBasis:
-        alg = self.algebra()
-        return GradedBasis(alg.betti, alg.labels)
 
 
 class QuotientRing(Ring):
@@ -500,9 +513,9 @@ class BottRing(QuotientRing):
 
     @cached_property
     def betti(self) -> Tuple[int, ...]:
-        """The h-vector of the product of simplices, in closed form: the
-        basis is the box of monomials with y_j-degree at most n_j."""
-        return h_vector(product_of_simplices(self.dims)).h
+        """The basis is the box of monomials with y_j-degree at most n_j, so
+        the Betti numbers are the coefficients of prod (1 + t + ... + t^{n_j})."""
+        return _poincare_product((1,) * (n + 1) for n in self.dims)
 
     def _gamma(self, j: int) -> GF2Poly:
         acc = frozenset({gf2.mono_var(self.m, j)})
@@ -655,11 +668,6 @@ class SmallCoverRing(QuotientRing):
         return self.P.vertex_count
 
 
-def small_cover_ring(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> Tuple[SmallCoverRing, GradedBasis]:
-    ring = SmallCoverRing(P, vectors)
-    return ring, ring.basis()
-
-
 class SphereRing(Ring):
     kind = "sphere"
 
@@ -670,9 +678,7 @@ class SphereRing(Ring):
         self.top = n
         self.generators = (("s", n),)
         self.relations_text = ("s^2",)
-        betti = [1] + [0] * (n - 1) + [1]
-        labels = [["1"]] + [[] for _ in range(n - 1)] + [["s"]]
-        self._alg = GradedAlgebra(betti, lambda d1, i, d2, j: 1, labels)
+        self._alg = square_zero("s", n)
 
     def algebra(self) -> GradedAlgebra:
         return self._alg
@@ -682,17 +688,11 @@ def sphere_ring(n: int) -> SphereRing:
     return SphereRing(n)
 
 
-class PointRing(Ring):
+class PointRing(QuotientRing):
     kind = "point"
 
     def __init__(self):
-        self.top = 0
-        self.generators = ()
-        self.relations_text = ()
-        self._alg = GradedAlgebra([1], lambda d1, i, d2, j: 1, [["1"]])
-
-    def algebra(self) -> GradedAlgebra:
-        return self._alg
+        super().__init__([], [], 0)
 
 
 def point_ring() -> PointRing:
@@ -727,61 +727,29 @@ class DoldRing(Ring):
         self.top = base.top + sum(p)
         names = ["a"] + [f"a{i + 2}" for i in range(self.r - 1)]
         # the truncated generator lives in degree 1; the square-zero ones in p_i
-        self.generators = tuple(
-            [(names[0], 1)] + [(names[i + 1], p[i + 1]) for i in range(self.r - 1)]
-        ) + base.generators
-        self.relations_text = (f"a^{p[0] + 1}",) + tuple(
-            f"{names[i + 1]}^2" for i in range(self.r - 1)
-        ) + base.relations_text
+        self.generators = tuple(zip(names, (1,) + p[1:])) + base.generators
+        self.relations_text = ((f"a^{p[0] + 1}",) + tuple(f"{a}^2" for a in names[1:])
+                               + base.relations_text)
         self._alg: Optional[GradedAlgebra] = None
         self._names = names
 
-    def _fibre_algebra(self) -> GradedAlgebra:
-        p, r, names = self.p, self.r, self._names
-        # basis: a^e * product of square-zero generators, graded by weight
-        elems: List[Tuple[int, Tuple[int, ...]]] = []
-        for e in range(p[0] + 1):
-            for bits in range(1 << (r - 1)):
-                exps = (e,) + tuple((bits >> i) & 1 for i in range(r - 1))
-                deg = e + sum(((bits >> i) & 1) * p[i + 1] for i in range(r - 1))
-                elems.append((deg, exps))
-        top = max(d for d, _ in elems)
-        by_deg: List[List[Tuple[int, ...]]] = [[] for _ in range(top + 1)]
-        for d, exps in elems:
-            by_deg[d].append(exps)
-        for lst in by_deg:
-            lst.sort()
-        index = {exps: (d, i) for d, lst in enumerate(by_deg) for i, exps in enumerate(lst)}
-
-        def label(exps):
-            parts = []
-            if exps[0] == 1:
-                parts.append(names[0])
-            elif exps[0] > 1:
-                parts.append(f"{names[0]}^{exps[0]}")
-            for i, e in enumerate(exps[1:]):
-                if e:
-                    parts.append(names[i + 1])
-            return "*".join(parts) if parts else "1"
-
-        labels = [[label(exps) for exps in lst] for lst in by_deg]
-
-        def mult(d1, i, d2, j):
-            u = by_deg[d1][i]
-            v = by_deg[d2][j]
-            w = tuple(a + b for a, b in zip(u, v))
-            if w[0] > p[0] or any(e > 1 for e in w[1:]):
-                return 0
-            d, k = index[w]
-            assert d == d1 + d2
-            return 1 << k
-
-        return GradedAlgebra([len(l) for l in by_deg], mult, labels)
+    @cached_property
+    def betti(self) -> Tuple[int, ...]:
+        """The base's Betti numbers times (1 + ... + t^{p_1}) prod (1 + t^{p_i})."""
+        return _poincare_product([self.base.betti, (1,) * (self.p[0] + 1)] + [
+            (1,) + (0,) * (n - 1) + (1,) for n in self.p[1:]])
 
     def algebra(self) -> GradedAlgebra:
+        """Z2[a]/(a^{p_1+1}) (x) Z2[a_i]/(a_i^2) ... (x) the base's algebra."""
         if self._alg is None:
-            self._alg = TensorAlgebra(self._fibre_algebra(), self.base.algebra(),
-                                      _product_label)
+            p, names = self.p, self._names
+            factors = [QuotientRing(names[:1], [frozenset({(p[0] + 1,)})], p[0]).algebra()]
+            factors += [square_zero(name, n) for name, n in zip(names[1:], p[1:])]
+            # nested from the right, so each degree lists its basis products
+            # a^e * a2^b2 * ... * ar^br in ascending (e, b2, ..., br)
+            fibre = reduce(lambda right, left: TensorAlgebra(left, right, _product_label),
+                           reversed(factors))
+            self._alg = TensorAlgebra(fibre, self.base.algebra(), _product_label)
         return self._alg
 
 

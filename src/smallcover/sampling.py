@@ -1,4 +1,4 @@
-"""Random facet vectors and the enumeration of small Bott towers.
+"""Random facet vectors and twistings, and the enumeration of small Bott towers.
 
 Shared by the CLI's verification sweeps and the test suite; each caller
 passes its own try count, so its random stream stays its own.
@@ -30,6 +30,14 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
         if validate(P, vectors).valid:
             return tuple(vectors)
     return None
+
+
+def random_bott_matrix(dims: Tuple[int, ...], rng: random.Random) -> BottMatrix:
+    """A random twisting of the blocks dims: for k ascending and j < k
+    ascending, one rng.randint(0, 1) per entry of the block beta(k, j)."""
+    beta = {(k, j): tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
+            for k in range(2, len(dims) + 1) for j in range(1, k)}
+    return BottMatrix.make(dims, beta)
 
 
 def all_bott_matrices(m: int, max_n: int) -> Iterator[Tuple[Tuple[int, ...], BottMatrix]]:

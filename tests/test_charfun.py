@@ -11,6 +11,7 @@ from smallcover.charfun import (
 )
 from smallcover.errors import CharacteristicError, InputError, ReductionFailed
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
+from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic
 
@@ -75,13 +76,7 @@ def test_from_bott_always_valid(rng):
     for _ in range(20):
         m = rng.randint(1, 3)
         dims = tuple(rng.randint(1, 3) for _ in range(m))
-        beta = {}
-        for k in range(2, m + 1):
-            for j in range(1, k):
-                chunk = tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
-                if any(chunk):
-                    beta[(k, j)] = chunk
-        B = BottMatrix.make(dims, beta)
+        B = random_bott_matrix(dims, rng)
         P = product_of_simplices(dims)
         assert validate(P, from_bott(dims, B)).valid
 

@@ -145,6 +145,22 @@ def test_exact_budget_env(capsys, klein, monkeypatch):
     assert data["lo_source"] != "exhaustive kernel power search"
 
 
+def test_exact_budget_flag(capsys, klein):
+    code, out = run(capsys, "zcl", klein, "--format", "json")
+    assert json.loads(out)["lo_source"] == "exhaustive kernel power search"
+    code, out = run(capsys, "zcl", klein, "--format", "json", "--exact-budget", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["lo"] <= 3 <= data["hi"]
+    assert data["lo_source"] != "exhaustive kernel power search"
+
+
+def test_exact_budget_flag_only_where_read(capsys, klein):
+    # ring, betti, cl and validate never search, so they take no budget
+    assert main(["ring", klein, "--exact-budget", "5"]) == 64
+    capsys.readouterr()
+
+
 def test_verify_suites(capsys):
     code, out = run(capsys, "verify", "--suite", "lemma", "--max-m", "2")
     assert code == 0 and "lemma" in out and "pass" in out

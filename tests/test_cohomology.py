@@ -21,12 +21,12 @@ from smallcover.cohomology import (
     point_ring,
     poincare_pairing,
     projective_ring,
-    small_cover_ring,
     sphere_ring,
     verify_top_monomial,
 )
-from smallcover.errors import CharacteristicError, InputError
+from smallcover.errors import BudgetExceeded, CharacteristicError, InputError
 from smallcover.polytope import explicit_polytope, h_vector, polygon, product_of_simplices
+from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic, random_product_dims
 
@@ -130,9 +130,9 @@ def test_verify_top_monomial_sweep_small():
 def test_klein_bottle_ring():
     P = polygon(4)
     vectors = [parse_bits(s) for s in ["10", "01", "10", "11"]]
-    ring, basis = small_cover_ring(P, vectors)
+    ring = SmallCoverRing(P, vectors)
     assert ring.betti == (1, 2, 1)
-    assert basis.betti == (1, 2, 1)
+    assert ring.algebra().betti == (1, 2, 1)
     assert poincare_pairing(ring).nondegenerate
 
 
@@ -220,6 +220,81 @@ def test_dold_ring_over_sphere():
     assert ring.top == 6
     assert sum(ring.betti) == 2 * 2 * 2
     assert poincare_pairing(ring).nondegenerate
+
+
+def _dold_bases():
+    """RP^1..RP^3, S^1..S^3, a twisted (1,1) tower, the Klein bottle, a point."""
+    yield from (projective_ring(n) for n in (1, 2, 3))
+    yield from (sphere_ring(n) for n in (1, 2, 3))
+    yield BottRing((1, 1), BottMatrix.make((1, 1), {(2, 1): (1,)}))
+    yield SmallCoverRing(polygon(4), [parse_bits(s) for s in ["10", "01", "10", "11"]])
+    yield point_ring()
+
+
+_DOLD_EXPONENTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (2, 3), (1, 1, 1),
+                   (1, 2, 3), (1, 2, 2)]
+
+
+def _split_dold_label(label, r):
+    """(a-exponent, a2..ar exponents, base label) of a basis label such as
+    a^2*a3*y1; the fibre factors are the ones named a, a^e or a<i>."""
+    exps = [0] * r
+    base = []
+    for part in label.split("*"):
+        if part == "a":
+            exps[0] = 1
+        elif part.startswith("a^"):
+            exps[0] = int(part[2:])
+        elif part.startswith("a") and part[1:].isdigit():
+            exps[int(part[1:]) - 1] = 1
+        elif part != "1":
+            base.append(part)
+    return tuple(exps), "*".join(base) or "1"
+
+
+def test_dold_products_follow_exponent_arithmetic():
+    """a^e * a^f = a^{e+f} up to a^{p_1}, a_i^2 = 0, and the base multiplies
+    as itself: every basis product of 90 Dold rings."""
+    checked = 0
+    for p in _DOLD_EXPONENTS:
+        for base in _dold_bases():
+            ring = dold_ring(base, p)
+            alg, balg = ring.algebra(), base.algebra()
+            assert alg.betti == ring.betti
+            base_pos = {l: (d, i) for d, ls in enumerate(balg.labels) for i, l in enumerate(ls)}
+            pos, elems = {}, {}
+            for d, labels in enumerate(alg.labels):
+                for i, label in enumerate(labels):
+                    exps, blabel = _split_dold_label(label, len(p))
+                    key = (exps, base_pos[blabel])
+                    assert key not in pos, label
+                    pos[key] = (d, i)
+                    elems[(d, i)] = key
+            assert len(pos) == ring.dim == (p[0] + 1) * 2 ** (len(p) - 1) * base.dim
+            for (d1, i), (u, (bd1, bi)) in elems.items():
+                for (d2, j), (v, (bd2, bj)) in elems.items():
+                    w = tuple(e + f for e, f in zip(u, v))
+                    expected = 0
+                    if w[0] <= p[0] and all(e <= 1 for e in w[1:]):
+                        bmask = balg.mult_basis(bd1, bi, bd2, bj)
+                        for k in range(bmask.bit_length()):
+                            if (bmask >> k) & 1:
+                                d, idx = pos[(w, (bd1 + bd2, k))]
+                                assert d == d1 + d2
+                                expected |= 1 << idx
+                    assert alg.mult_basis(d1, i, d2, j) == expected, (
+                        p, alg.labels[d1][i], alg.labels[d2][j])
+                    checked += 1
+    assert checked == 24050
+
+
+def test_dold_budget_check_builds_nothing():
+    base = BottRing((3,) * 5, BottMatrix.make((3,) * 5))
+    ring = dold_ring(base, [1, 2])
+    with pytest.raises(BudgetExceeded):
+        invariants.zcl_exact(ring, 12)
+    assert ring.dim == 4096
+    assert ring._alg is None and base._alg is None
 
 
 def test_dold_ring_validation():
@@ -402,10 +477,7 @@ def test_rings_freed_by_reference_count():
 
 def _scrambled_bott_vectors(rng, dims):
     """from_bott vectors of a random tower under a random basis change."""
-    m = len(dims)
-    beta = {(k, j): tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
-            for k in range(2, m + 1) for j in range(1, k)}
-    vectors = from_bott(dims, BottMatrix.make(dims, beta))
+    vectors = from_bott(dims, random_bott_matrix(dims, rng))
     n = sum(dims)
     while True:
         C = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]

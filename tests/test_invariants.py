@@ -28,6 +28,7 @@ from smallcover.invariants import (
     zcl_rp,
 )
 from smallcover.polytope import polygon
+from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices
 
@@ -97,13 +98,7 @@ def _seeded_twisted_towers(count, seed):
     for _ in range(count):
         m = rng.randint(4, 5)
         dims = tuple(rng.randint(1, 3) for _ in range(m))
-        beta = {}
-        for k in range(2, m + 1):
-            for j in range(1, k):
-                bits = tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
-                if any(bits):
-                    beta[(k, j)] = bits
-        yield dims, BottMatrix.make(dims, beta)
+        yield dims, random_bott_matrix(dims, rng)
 
 
 def test_certificate_verifies():

@@ -1,7 +1,7 @@
 import random
 
 from smallcover import sampling
-from smallcover.charfun import validate
+from smallcover.charfun import BottMatrix, validate
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 
 
@@ -37,3 +37,30 @@ def test_random_characteristic_draws_as_the_list_sampler():
                 assert rng.getstate() == reference.getstate()
                 found += got is not None
     assert found > len(shapes)
+
+
+def _inline_bott_matrix(dims, rng):
+    """The twisting draw as the CLI and the tests wrote it out."""
+    m = len(dims)
+    beta = {}
+    for k in range(2, m + 1):
+        for j in range(1, k):
+            chunk = tuple(rng.randint(0, 1) for _ in range(dims[k - 1]))
+            if any(chunk):
+                beta[(k, j)] = chunk
+    return BottMatrix.make(dims, beta), beta
+
+
+def test_random_bott_matrix_draws_as_the_inline_loop():
+    twisted = 0
+    for seed in range(40):
+        shape = random.Random(seed)
+        dims = tuple(shape.randint(1, 4) for _ in range(shape.randint(1, 5)))
+        rng, reference = random.Random(seed), random.Random(seed)
+        B = sampling.random_bott_matrix(dims, rng)
+        expected, beta = _inline_bott_matrix(dims, reference)
+        assert B == expected, (seed, dims)
+        assert repr(dict(B.beta)) == repr(beta)
+        assert rng.getstate() == reference.getstate()
+        twisted += bool(B.beta)
+    assert twisted > 20
