@@ -22,6 +22,7 @@ from .invariants import (
     IntervalValue,
     certificate_length,
     cup_length,
+    sphere_zcl,
     sphere_zcl_declared,
     zcl_certificate_bott,
     zcl_exact,
@@ -206,9 +207,8 @@ def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     (`zcl_interval`) merged with the facet projective rules.  Each side
     names the candidate that set it."""
     hi = 2 * M.n
-    if M.kind == "sphere":  # spheres use the declared values only
-        candidates = [IntervalValue(sphere_zcl_declared(M.n), hi,
-                                    "declared sphere value", "grading cap")]
+    if M.kind == "sphere":  # spheres use the declared mod-2 value only
+        candidates = [sphere_zcl(M.n)]
     else:
         candidates = [zcl_interval(manifold_ring(M), budget)]
     if M.kind in ("bott", "small_cover") and M.n > 1:
@@ -249,7 +249,8 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
     cat = cat_bounds(M)
     if M.kind == "sphere":
         lo = sphere_zcl_declared(n) + 1
-        b.lower(lo, "declared sphere zero-divisor bound")
+        b.lower(lo, "rational sphere zero-divisor bound",
+                "zero-divisor-cup-length over Q plus one")
         b.upper(2 * cat.interval.hi - 1, "category sandwich")
         b.upper(2 * n + 1, "dimension cap")
         return b.report()
@@ -330,12 +331,9 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
     b.lower(2, "more than one point")
     # in characteristic 2 the norm elements x (x) y + y (x) x are the diagonal
     # zero divisors, so the norm subring's cup-length is at least the zcl
-    if M.kind == "sphere":
-        b.lower(sphere_zcl_declared(n) + 2, "norm subring")
-    else:
-        zcl = manifold_zcl(M, budget)
-        b.lower(zcl.lo + 2, "norm subring",
-                f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
+    zcl = manifold_zcl(M, budget)
+    b.lower(zcl.lo + 2, "norm subring",
+            f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
     b.upper(2 * n + 1, "dimension cap")
     if M.kind in ("bott", "small_cover") and n > 1:
         _, det_ok = simplex_facet_hypotheses(M.P, M.vectors)

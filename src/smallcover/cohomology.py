@@ -25,7 +25,7 @@ from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
 from .gf2 import GF2Poly, Monomial, grlex_key, mono_mul, poly_mul
-from .polytope import SimplePolytope, block_offsets
+from .polytope import SimplePolytope, block_offsets, h_vector
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +662,11 @@ class SmallCoverRing(QuotientRing):
             if g:
                 gens.append(g)
         super().__init__([f"z{i + 1}" for i in range(k)], gens, P.n)
+
+    @cached_property
+    def betti(self) -> Tuple[int, ...]:
+        """The h-vector of P (Davis-Januszkiewicz), building no slice."""
+        return h_vector(self.P).h
 
     @property
     def dim(self) -> int:

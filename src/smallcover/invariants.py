@@ -1,33 +1,30 @@
 """Cup-length and zero-divisor-cup-length machinery.
 
-The exact search works on the kernel of the multiplication map inside the
-tensor square: the longest nonzero product of kernel elements equals the
-nilpotency length of the kernel ideal, computed by iterated subspace
-products (a product of inhomogeneous zero divisors is nonzero only if some
-product of their homogeneous components is, and homogeneous components of
-kernel elements stay in the kernel).
+The exact search works in the tensor square: the kernel of the
+multiplication map is the ideal generated by the diagonal classes
+g (x) 1 + 1 (x) g of the algebra generators g, so its k-th power is
+generated by the k-fold monomials in those classes, and the
+zero-divisor-cup-length is the longest nonzero such monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix
 from .cohomology import (
     BottRing,
     GradedAlgebra,
-    GradedSpan,
     Ring,
-    StepTable,
-    TensorAlgebra,
     algebra_generators,
-    cup_kernel,
-    ideal_powers,
-    step_span,
+    apply_step,
+    tensor_square,
 )
+# unused here; perfbench/tracer.py rebinds these names on this module
+from .cohomology import cup_kernel, ideal_powers  # noqa: F401
 from .errors import BudgetExceeded, InputError
 from .gf2 import TensorElement, tensor_cup, tensor_mul
 
@@ -72,23 +69,48 @@ class ZclCertificate:
 # cup-length
 
 
+def _longest_product(start: Sequence[Tuple[int, int]],
+                     steps: Sequence[tuple]) -> Tuple[int, Tuple[int, ...]]:
+    """(k, a): the length and exponents of the longest nonzero monomial in
+    the classes `start`, steps[j] being the `StepTable` of start[j].
+
+    Level by level over the nonzero monomials only (a multiple of a zero
+    monomial is zero).  A monomial whose last factor is class j takes only
+    the classes j' >= j, so each multiset is visited once; a is the first
+    monomial of the last nonzero level.
+    """
+    m = len(start)
+    level = [(j, d, mask, tuple(int(i == j) for i in range(m)))
+             for j, (d, mask) in enumerate(start) if mask]
+    k, best = 0, (0,) * m
+    while level:
+        k, best = k + 1, level[0][3]
+        nxt = []
+        for j, d, mask, a in level:
+            for i in range(j, m):
+                s, rows = steps[i]
+                if d < len(rows):
+                    image = apply_step(rows[d], mask)
+                    if image:
+                        nxt.append((i, d + s, image, a[:i] + (a[i] + 1,) + a[i + 1:]))
+        level = nxt
+    return k, best
+
+
 def cup_length_algebra(alg: GradedAlgebra) -> int:
     """Longest nonzero product of positive-degree elements, by exhaustion.
 
-    Exact: the positive-degree part is an ideal generated by the algebra
-    generators, and its k-th power is nonzero iff some k-fold product is.
+    Exact: the positive-degree part is the ideal generated by the algebra
+    generators, so its k-th power is spanned by multiples of the k-fold
+    monomials in them, and it is nonzero iff one of those monomials is.
     """
-    positive = [
-        (d, 1 << i)
-        for d in range(1, alg.top + 1)
-        for i in range(alg.betti[d])
-    ]
+    gens = algebra_generators(alg)
     steps = []
-    for dg, mg in algebra_generators(alg):
+    for dg, mg in gens:
         ig = mg.bit_length() - 1
         steps.append((dg, [[alg.mult_basis(d, i, dg, ig) for i in range(alg.betti[d])]
                            for d in range(alg.top + 1 - dg)]))
-    return len(ideal_powers(positive, steps))
+    return _longest_product(gens, steps)[0]
 
 
 def cup_length(ring: Ring) -> int:
@@ -209,11 +231,13 @@ def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
 def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     """Exact zero-divisor-cup-length of a ring of total dimension <= budget.
 
-    The kernel of the multiplication map is the ideal generated by the
-    diagonal classes g (x) 1 + 1 (x) g of the algebra generators g, so each
-    kernel power is its predecessor times those few classes, applied through
-    their step tables.  The ring keeps the result; the budget is checked
-    before it is reused.
+    The kernel of the multiplication map is the ideal I generated by the
+    diagonal classes z_g = g (x) 1 + 1 (x) g of the algebra generators g, so
+    I^k is generated by the monomials prod z_g^(a_g) with sum a_g = k, and
+    I^k is zero exactly when they all are.  The value is the length of the
+    longest nonzero monomial, and the witness is that monomial, each factor
+    z_g repeated a_g times; multiplying it out re-checks it.  The ring keeps
+    the result; the budget is checked before it is reused.
     """
     if ring.dim > budget:
         raise BudgetExceeded(
@@ -221,52 +245,15 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         )
     if ring._zcl is None:
         alg = ring.algebra()
-        T, kernel = cup_kernel(alg)
-        steps = [T.diagonal_step(g) for g in algebra_generators(alg)]
-        k = len(ideal_powers(kernel, steps))
-        witness = _extract_witness(T, kernel, steps, k)
+        T = tensor_square(alg)
+        gens = algebra_generators(alg)
+        diagonals = [T.diagonal(g) for g in gens]
+        k, exponents = _longest_product(diagonals, [T.diagonal_step(g) for g in gens])
+        witness = tuple(T.render_elem(z) for z, e in zip(diagonals, exponents)
+                        for _ in range(e))
         ring._zcl = IntervalValue(k, k, "exhaustive kernel power search",
                                   "exhaustive kernel power search", witness)
     return ring._zcl
-
-
-def _survives(e: Tuple[int, int], steps: Sequence[StepTable], r: int) -> bool:
-    """Whether e * I^r is nonzero, for the ideal I the step classes generate.
-
-    I^r is spanned by the t * z_1 ... z_r with t in T and z_i step classes,
-    and T is commutative, so e * I^r is nonzero exactly when some r-fold
-    product e * z_1 ... z_r is: r steps from span{e}.
-    """
-    span = GradedSpan()
-    span.insert(*e)
-    for _ in range(r):
-        span = step_span(span, steps)
-        if span.is_zero:
-            return False
-    return True
-
-
-def _extract_witness(T: TensorAlgebra, kernel: Sequence[Tuple[int, int]],
-                     steps: Sequence[StepTable], k: int) -> Tuple[str, ...]:
-    """Greedy factor extraction: peel one kernel generator per power level.
-
-    A candidate product of level+1 factors is kept when it still has a
-    nonzero product with I^(k-level-1), the remaining levels.
-    """
-    chosen: List[Tuple[int, int]] = []
-    current: Optional[Tuple[int, int]] = None
-    for level in range(k):
-        for g in kernel:
-            if not g[1]:
-                continue
-            cand = g if current is None else T.mult_elem(current, g)
-            if cand[1] and _survives(cand, steps, k - level - 1):
-                chosen.append(g)
-                current = cand
-                break
-        else:
-            raise AssertionError("witness extraction failed")
-    return tuple(T.render_elem(g) for g in chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +286,7 @@ def zcl_interval(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         lo = certificate_length(ring.dims)
         return IntervalValue(lo, hi, "tensor power certificate", "grading cap")
     if ring.kind == "sphere":
-        return IntervalValue(sphere_zcl_declared(ring.n), hi, "declared sphere value",
-                             "grading cap")
+        return sphere_zcl(ring.n)
     if ring.kind == "dold":
         base = zcl_interval(ring.base, budget)
         lo = base.lo + zcl_rp(ring.p[0]).lo + ring.r - 1
@@ -309,8 +295,16 @@ def zcl_interval(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
                          "grading cap")
 
 
+def sphere_zcl(n: int) -> IntervalValue:
+    """Mod-2 zero-divisor interval of the n-sphere: (1 (x) s + s (x) 1)^2 = 0
+    in every degree, so the lower end is 1 for every n."""
+    return IntervalValue(1, 2 * n, "mod-2 sphere value", "grading cap")
+
+
 def sphere_zcl_declared(n: int) -> int:
-    """Declared zero-divisor-cup-length of the n-sphere (1 odd, 2 even)."""
+    """Rational zero-divisor-cup-length of the n-sphere (1 odd, 2 even):
+    over Q, (1 (x) s - s (x) 1)^2 = -2 s (x) s.  Never add it to a mod-2
+    bound; that is `sphere_zcl`."""
     if n < 1:
         raise InputError("sphere dimension must be at least 1")
     return 1 if n % 2 else 2

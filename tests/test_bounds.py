@@ -21,11 +21,13 @@ from smallcover.bounds import (
     tc_bounds,
 )
 from smallcover.charfun import BottMatrix, parse_bits
+from smallcover.cohomology import dold_ring, point_ring
 from smallcover.errors import CharacteristicError, InputError
-from smallcover.invariants import zcl_exact
+from smallcover.invariants import cup_length, cup_length_algebra, zcl_exact, zcl_interval
 from smallcover.polytope import polygon, product_of_simplices
 
 from conftest import all_bott_matrices
+from test_cohomology import _step_rings
 
 
 def klein_manifold(**kw):
@@ -179,13 +181,62 @@ def test_dold_over_sphere():
     assert cat.interval.lo == 4
     assert cat.interval.hi == 2 + 2 + 1 - 1
     assert tc.interval.hi == 2 * (2 + 2 + 1) - 1
-    # the base's zcl is the sphere's declared value (1 odd, 2 even), read
+    # the base's zcl is the sphere's mod-2 value, 1 in every dimension, read
     # through manifold_zcl; rp = zcl(RP^2) = 3
-    for n, zcl in [(3, 1), (4, 2)]:
+    for n in (3, 4):
         _, tc, tcs = dold_bounds(sphere_manifold(n), [2])
         assert ("lo", "tensor zero-divisor sum",
-                f"base bound {zcl} (declared sphere value) plus fibre bound 3") in tc.certificates
-        assert tcs.interval.lo == zcl + 3 + 2
+                "base bound 1 (mod-2 sphere value) plus fibre bound 3") in tc.certificates
+        assert tcs.interval.lo == 1 + 3 + 2
+
+
+def _dold_bases():
+    """(name, base manifold or None for the point, base ring) of the sweep."""
+    bases = [(f"RP{n}", rp_manifold(n)) for n in (1, 2, 3)]
+    bases += [(f"S{n}", sphere_manifold(n)) for n in (1, 2, 3, 4)]
+    bases += [(f"twisted {dims}", bott_manifold(dims, BottMatrix.make(dims, {(2, 1): bits})))
+              for dims, bits in [((1, 1), (1,)), ((1, 2), (1, 1))]]
+    out = [(name, M, manifold_ring(M)) for name, M in bases]
+    return out + [("point", None, point_ring())]
+
+
+DOLD_EXPONENTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 3)]
+
+
+def test_rules_against_exact_search():
+    """Every rule-based end against the exact zcl, with the exact search
+    itself switched off in the rules (budget 0): a zero-divisor TC end is
+    at most zcl + 1, a TC_S end at most zcl + 2, and the ring's own
+    fallback interval contains the exact value."""
+    checked = 0
+    for ring in _step_rings():
+        exact = zcl_exact(ring, 64).lo
+        assert zcl_interval(ring, 0).lo <= exact <= zcl_interval(ring, 0).hi
+        assert cup_length(ring) == cup_length_algebra(ring.algebra())
+        if ring.kind == "dold":
+            continue
+        if ring.kind == "bott":
+            M = bott_manifold(ring.dims, ring.bmat)
+        else:
+            M = small_cover_manifold(ring.P, ring.vectors)
+        assert tc_bounds(M, 0).interval.lo <= exact + 1, ring.relations_text
+        assert symm_tc_bounds(M, 0).interval.lo <= exact + 2, ring.relations_text
+        checked += 1
+    assert checked == 107
+    dold = 0
+    for name, M, base in _dold_bases():
+        for p in DOLD_EXPONENTS:
+            ring = dold_ring(base, p)
+            assert ring.dim <= 64
+            exact = zcl_exact(ring, 64).lo
+            assert zcl_interval(ring, 0).lo <= exact <= zcl_interval(ring, 0).hi, (name, p)
+            assert cup_length(ring) == cup_length_algebra(ring.algebra()), (name, p)
+            if M is not None:
+                _, tc, tcs = dold_bounds(M, p, 0)
+                assert tc.interval.lo <= exact + 1, (name, p)
+                assert tcs.interval.lo <= exact + 2, (name, p)
+            dold += 1
+    assert dold == 80
 
 
 def test_dold_validation():
