@@ -8,7 +8,6 @@ from .bounds import (
     dold_bounds,
     eq_cat_bounds,
     small_cover_manifold,
-    special_family_bounds,
     sphere_manifold,
     symm_tc_bounds,
     tc_bounds,

@@ -20,13 +20,11 @@ from .gf2 import rank_gf2
 from .invariants import (
     DEFAULT_BUDGET,
     IntervalValue,
-    certificate_length,
     cup_length,
     sphere_zcl,
     sphere_zcl_declared,
     zcl_certificate_bott,
     zcl_exact,
-    zcl_interval,
     zcl_rp,
 )
 from .polytope import (
@@ -202,28 +200,51 @@ def free_circle_blocks(dims: Sequence[int], B: BottMatrix) -> List[int]:
     return out
 
 
-def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
-    """Zero-divisor interval for the manifold: the ring's own interval
-    (`zcl_interval`) merged with the facet projective rules.  Each side
-    names the candidate that set it."""
-    hi = 2 * M.n
-    if M.kind == "sphere":  # spheres use the declared mod-2 value only
-        candidates = [sphere_zcl(M.n)]
-    else:
-        candidates = [zcl_interval(manifold_ring(M), budget)]
-    if M.kind in ("bott", "small_cover") and M.n > 1:
+def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
+    """The zero-divisor lower ends of a polytope manifold, as
+    (value, rule, detail, witness) in trail order.  `tc_bounds` and
+    `manifold_zcl` both read this list."""
+    n = M.n
+    ring = manifold_ring(M)
+    rules = []
+    if M.kind == "bott":
+        if ring._cert is None:
+            ring._cert = zcl_certificate_bott(M.dims, M.bmat)
+        cert = ring._cert
+        rules.append((cert.k, "tensor power certificate",
+                      f"{cert.k} diagonal zero divisors with nonzero product, "
+                      f"surviving terms {', '.join(cert.surviving_terms)}", ()))
+    try:
+        ex = zcl_exact(ring, budget)
+        rules.append((ex.lo, "exact kernel search", "complete search within budget",
+                      ex.witness))
+    except BudgetExceeded:
+        pass
+    if n > 1:
         has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
         if has_simplex:
-            rp = zcl_rp(M.n - 1)
-            candidates.append(IntervalValue(rp.lo, hi,
-                                            "facet projective restriction", "grading cap"))
+            rules.append((zcl_rp(n - 1).lo, "facet projective restriction",
+                          f"simplex facet restricts onto the ({n - 1})-projective ring",
+                          ()))
         if det_ok:
-            rp = zcl_rp(M.n)
-            candidates.append(IntervalValue(rp.lo, hi,
-                                            "connected-sum projective subring", "grading cap"))
-    lower = max(candidates, key=lambda c: c.lo)
-    upper = min(candidates, key=lambda c: c.hi)
-    return IntervalValue(lower.lo, upper.hi, lower.lo_source, upper.hi_source, lower.witness)
+            rules.append((zcl_rp(n).lo, "connected-sum projective subring",
+                          f"invertible neighbour matrix embeds the {n}-projective ring",
+                          ()))
+    return rules
+
+
+def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
+    """Zero-divisor interval for the manifold: the exact search within the
+    budget, otherwise the first largest of the degree-one class (small
+    covers) and the `_zcl_rules` ends, under the grading cap 2n."""
+    if M.kind == "sphere":  # spheres use the declared mod-2 value only
+        return sphere_zcl(M.n)
+    ring = manifold_ring(M)
+    if ring.dim <= budget:  # an exact value ends the merge
+        return zcl_exact(ring, budget)
+    rules = [(1, "degree-one diagonal class", "", ())] if M.kind == "small_cover" else []
+    value, rule, _, witness = max(rules + _zcl_rules(M, budget), key=lambda r: r[0])
+    return IntervalValue(value, 2 * M.n, rule, "grading cap", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -255,30 +276,8 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
         b.upper(2 * n + 1, "dimension cap")
         return b.report()
     b.lower(cat.interval.lo, "category floor", "TC is at least cat")
-    ring = manifold_ring(M)
-    if M.kind == "bott":
-        if ring._cert is None:
-            ring._cert = zcl_certificate_bott(M.dims, M.bmat)
-        cert = ring._cert
-        b.lower(cert.k + 1, "tensor power certificate",
-                f"{cert.k} diagonal zero divisors with nonzero product, "
-                f"surviving terms {', '.join(cert.surviving_terms)}")
-    try:
-        ex = zcl_exact(ring, budget)
-        b.lower(ex.lo + 1, "exact kernel search", "complete search within budget",
-                witness=ex.witness)
-    except BudgetExceeded:
-        pass
-    if n > 1:
-        has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
-        if has_simplex:
-            rp = zcl_rp(n - 1)
-            b.lower(rp.lo + 1, "facet projective restriction",
-                    f"simplex facet restricts onto the ({n - 1})-projective ring")
-        if det_ok:
-            rp = zcl_rp(n)
-            b.lower(rp.lo + 1, "connected-sum projective subring",
-                    f"invertible neighbour matrix embeds the {n}-projective ring")
+    for value, rule, detail, witness in _zcl_rules(M, budget):
+        b.lower(value + 1, rule, detail, witness)
     b.upper(2 * n + 1, "dimension cap")
     if M.kind == "bott":
         blocks = free_circle_blocks(M.dims, M.bmat)
@@ -399,45 +398,3 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
         tcs.upper(2 * (n + p1) + 1, "single-factor projective cap")
 
     return cat.report(flags), tc.report(flags), tcs.report(flags)
-
-
-@dataclass(frozen=True)
-class FamilyResult:
-    rule: str
-    interval: IntervalValue
-
-
-def special_family_bounds(dims: Sequence[int]) -> List[FamilyResult]:
-    """Closed-form corollaries whose hypotheses the block dimensions satisfy.
-
-    The upper ends set by "free circle actions" hold for untwisted towers
-    only: a twisted tower keeps that rule only on the blocks that
-    `free_circle_blocks` accepts, which needs the Bott matrix.
-    """
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise InputError("dims must be a nonempty list of positive integers")
-    n = sum(dims)
-    m = len(dims)
-    out: List[FamilyResult] = []
-    general_lo = certificate_length(dims) + 1
-    if all(d & (d - 1) == 0 for d in dims):
-        out.append(FamilyResult(
-            "power-of-two blocks",
-            IntervalValue(2 * n - m + 1, 2 * n + 1,
-                          "tensor power certificate", "dimension cap"),
-        ))
-    k = sum(1 for d in dims if d > 1 and d % 2 == 1)
-    if all(d > 1 for d in dims) and k:
-        out.append(FamilyResult(
-            "odd blocks with free circle actions",
-            IntervalValue(general_lo, 2 * n - k + 1,
-                          "tensor power certificate", "free circle actions"),
-        ))
-    if all(d >= 3 and ((d - 1) & (d - 2)) == 0 for d in dims):
-        out.append(FamilyResult(
-            "power-of-two-plus-one blocks",
-            IntervalValue(2 * n - 3 * m + 1, 2 * n - m + 1,
-                          "tensor power certificate", "free circle actions"),
-        ))
-    return out

@@ -8,7 +8,6 @@ codes: 0 success, 1 invalid facet assignment, 2 malformed input, 64 usage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -36,9 +35,7 @@ class ProblemSpec:
         if self.char is not None:
             self.vectors, self.dims, self.bmat = _parse_characteristic(self.P, self.char)
         inv = data.get("involution")
-        self.involution = charfun.parse_bits(inv) if inv is not None else None
-        if self.involution is not None and len(self.involution) != self.P.n:
-            raise InputError("involution bit length differs from the dimension")
+        self.involution = _involution(inv, self.P.n) if inv is not None else None
         dold = data.get("dold") or {}
         if dold and not isinstance(dold, dict):
             raise InputError("dold section must be an object")
@@ -55,6 +52,13 @@ class ProblemSpec:
         self.format = options.get("format")
         if self.format not in (None, "table", "json"):
             raise InputError(f"unknown output format {self.format!r}")
+
+
+def _involution(bits, n: int) -> charfun.GF2Vector:
+    g = charfun.parse_bits(bits)
+    if len(g) != n:
+        raise InputError("involution bit length differs from the dimension")
+    return g
 
 
 def _int(x, field: str) -> int:
@@ -270,13 +274,12 @@ def _report_lines(rep: bounds_mod.BoundReport) -> List[str]:
 
 def cmd_bounds(args) -> int:
     spec = _load(args.problem)
+    # the flags override the document, through the same check, before the
+    # description (and its ring) is built once
+    if args.involution:
+        spec.involution = _involution(args.involution, spec.P.n)
+    spec.fixed_set_connected = spec.fixed_set_connected or args.assume_fixed_set_connected
     M = _manifold(spec)
-    if args.assume_fixed_set_connected or args.involution:
-        inv = charfun.parse_bits(args.involution) if args.involution else M.involution
-        M = dataclasses.replace(
-            M, involution=inv,
-            fixed_set_connected=M.fixed_set_connected or args.assume_fixed_set_connected,
-        )
     fmt = _format(spec, args)
     budget = _budget(spec, args)
     which = args.invariant

@@ -15,7 +15,6 @@ from smallcover.bounds import (
     manifold_zcl,
     simplex_facet_hypotheses,
     small_cover_manifold,
-    special_family_bounds,
     sphere_manifold,
     symm_tc_bounds,
     tc_bounds,
@@ -208,7 +207,7 @@ def test_rules_against_exact_search():
     itself switched off in the rules (budget 0): a zero-divisor TC end is
     at most zcl + 1, a TC_S end at most zcl + 2, and the ring's own
     fallback interval contains the exact value."""
-    checked = 0
+    checked = pinned = 0
     for ring in _step_rings():
         exact = zcl_exact(ring, 64).lo
         assert zcl_interval(ring, 0).lo <= exact <= zcl_interval(ring, 0).hi
@@ -221,8 +220,14 @@ def test_rules_against_exact_search():
             M = small_cover_manifold(ring.P, ring.vectors)
         assert tc_bounds(M, 0).interval.lo <= exact + 1, ring.relations_text
         assert symm_tc_bounds(M, 0).interval.lo <= exact + 2, ring.relations_text
+        # TC and zcl read one rule list: TC lo is the category floor or zcl + 1
+        cat_lo = cat_bounds(M).interval.lo
+        for b in (0, 12, 64):
+            assert tc_bounds(M, b).interval.lo == max(cat_lo, manifold_zcl(M, b).lo + 1), (
+                ring.relations_text, b)
+            pinned += 1
         checked += 1
-    assert checked == 107
+    assert checked == 107 and pinned == 321
     dold = 0
     for name, M, base in _dold_bases():
         for p in DOLD_EXPONENTS:
@@ -244,18 +249,6 @@ def test_dold_validation():
         dold_bounds(rp_manifold(2), [])
     with pytest.raises(InputError):
         dold_bounds(rp_manifold(2), [3, 1])
-
-
-def test_special_family_bounds():
-    out = {r.rule: r.interval for r in special_family_bounds((2, 2, 2))}
-    assert out["power-of-two blocks"].lo == 2 * 6 - 3 + 1
-    out = {r.rule: r.interval for r in special_family_bounds((3, 5))}
-    assert out["power-of-two-plus-one blocks"].lo == 2 * 8 - 3 * 2 + 1
-    assert out["power-of-two-plus-one blocks"].hi == 2 * 8 - 2 + 1
-    assert out["odd blocks with free circle actions"].hi == 2 * 8 - 2 + 1
-    assert special_family_bounds((6,)) == []
-    with pytest.raises(InputError):
-        special_family_bounds(())
 
 
 def test_free_circle_blocks():
@@ -347,3 +340,12 @@ def test_manifold_zcl_names_the_side_that_set_each_end():
     capped = manifold_zcl(bott_manifold((2,), B), 1)
     assert (capped.lo, capped.hi) == (3, 4)
     assert capped.hi_source == "grading cap"
+    # over budget the first largest rule sets the lower end: on the 14-gon the
+    # degree-one class ties with the facet rule, on the 15-gon the neighbour
+    # matrix of the (1,1) edge is invertible
+    alternating = [parse_bits(s) for s in ["10", "01"] * 7]
+    tie = manifold_zcl(small_cover_manifold(polygon(14), alternating), 12)
+    assert (tie.lo, tie.hi, tie.lo_source) == (1, 4, "degree-one diagonal class")
+    odd = small_cover_manifold(polygon(15), alternating + [parse_bits("11")])
+    iv = manifold_zcl(odd, 12)
+    assert (iv.lo, iv.hi, iv.lo_source) == (3, 4, "connected-sum projective subring")

@@ -124,6 +124,34 @@ def test_bounds_involution_flag(capsys, tmp_path):
     assert code == 0 and "cat_eq ∈ [4,4]" in out
 
 
+def test_bounds_involution_flag_checks_the_length(capsys, klein):
+    assert main(["bounds", klein, "--involution", "1"]) == 2
+    assert "involution bit length differs" in capsys.readouterr().err
+
+
+def test_bounds_flags_validate_once(capsys, tmp_path, monkeypatch):
+    from smallcover import charfun
+
+    calls = []
+    validate = charfun.validate
+
+    def counted(P, vectors):
+        calls.append(P.family)
+        return validate(P, vectors)
+
+    monkeypatch.setattr(charfun, "validate", counted)
+    monkeypatch.setattr(cohomology, "validate", counted)
+    path = write(tmp_path, "noinv.json", {
+        "polytope": {"type": "polygon", "edges": 5},
+        "characteristic": {"type": "facet_vectors",
+                           "vectors": ["10", "01", "10", "01", "11"]},
+    })
+    for flags in (["--involution", "10"], ["--assume-fixed-set-connected"]):
+        calls.clear()
+        code, _ = run(capsys, "bounds", path, *flags)
+        assert code == 0 and len(calls) == 1, flags
+
+
 def test_dold_command(capsys, tmp_path):
     path = write(tmp_path, "dold.json", {
         "polytope": {"type": "product_of_simplices", "dims": [2]},
