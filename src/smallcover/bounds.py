@@ -151,6 +151,9 @@ class _Builder:
     def report(self, flags: Sequence[str] = ()) -> BoundReport:
         if self.lo is None or self.hi is None:
             raise InputError("incomplete bound computation")
+        if self.lo > self.hi:
+            raise InputError(f"{self.invariant}: lower end {self.lo} ({self.lo_cert}) "
+                             f"exceeds upper end {self.hi} ({self.hi_cert})")
         return BoundReport(
             self.invariant,
             IntervalValue(self.lo, self.hi, self.lo_cert, self.hi_cert, self.witness),
@@ -347,11 +350,9 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
                 budget: int = DEFAULT_BUDGET) -> Tuple[BoundReport, BoundReport, BoundReport]:
     """(cat, TC, TC_S) reports for the twisted product over M.
 
-    The TC_S "norm subring" end is zcl + rp + 2 for one fibre factor and
-    zcl + rp + r for r >= 2, with zcl the base's lower end and rp that of
-    RP^{p_1}.  For r >= 2 it is one below what the norm rule of
-    `symm_tc_bounds` gives (zcl of the product + 2, with that zcl at least
-    zcl + rp + r - 1), and still sound.
+    The product's zero-divisor sum is zcl + rp + (r - 1), with zcl the
+    base's lower end and rp that of RP^{p_1}.  TC takes it plus 1, and the
+    TC_S "norm subring" end plus 2, the norm rule of `symm_tc_bounds`.
     """
     p = dold_exponents(p)
     r = len(p)
@@ -375,7 +376,8 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
     tc = _Builder("TC")
     zb = manifold_zcl(M, budget)
     rp = zcl_rp(p1)
-    tc.lower(zb.lo + rp.lo + r, "tensor zero-divisor sum",
+    zsum = zb.lo + rp.lo + r - 1
+    tc.lower(zsum + 1, "tensor zero-divisor sum",
              f"base bound {zb.lo} ({zb.lo_source}) plus fibre bound {rp.lo}")
     tc.lower(cl_base + p1 + r, "category floor")
     # one fibre factor over a polytope base with an invertible neighbour matrix
@@ -392,7 +394,7 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
 
     tcs = _Builder("TC_S")
     tcs.lower(2, "more than one point")
-    tcs.lower(zb.lo + rp.lo + 2 if r == 1 else zb.lo + rp.lo + r, "norm subring")
+    tcs.lower(zsum + 2, "norm subring")
     tcs.upper(2 * dim_d + 1, "dimension cap")
     if det_ok:
         tcs.upper(2 * (n + p1) + 1, "single-factor projective cap")

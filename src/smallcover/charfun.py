@@ -19,8 +19,9 @@ GF2Vector = Tuple[int, ...]
 
 
 def parse_bits(s: str) -> GF2Vector:
-    """Bitstring "10" -> (1, 0); leftmost character is coordinate 1."""
-    if not s or any(c not in "01" for c in s):
+    """Bitstring "10" -> (1, 0); leftmost character is coordinate 1.  Only a
+    str is a bitstring: a JSON array of "0"/"1" strings is refused."""
+    if not isinstance(s, str) or not s or any(c not in "01" for c in s):
         raise InputError(f"bad bitstring {s!r}")
     return tuple(int(c) for c in s)
 

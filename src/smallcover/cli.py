@@ -1,15 +1,16 @@
 """Command-line front end.
 
-One JSON problem document per invocation; commands dispatch into the library
-and render either a plain table or the JSON form of the same report.  Exit
-codes: 0 success, 1 invalid facet assignment, 2 malformed input, 64 usage.
+One JSON problem document per invocation.  `main` parses the arguments with
+one parser built at import, loads the document, runs the subcommand's
+handler and prints its result once, as a plain table or as the JSON form of
+the same report.  Exit codes: 0 success, 1 invalid facet assignment,
+2 malformed input, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
@@ -150,53 +151,32 @@ def _budget(spec: ProblemSpec, args) -> int:
         return args.exact_budget
     if spec.exact_budget is not None:
         return spec.exact_budget
-    env = os.environ.get("SMALLCOVER_EXACT_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"SMALLCOVER_EXACT_BUDGET is not an integer: {env!r}")
     return invariants.DEFAULT_BUDGET
 
 
-def _format(spec: ProblemSpec, args) -> str:
-    return getattr(args, "format", None) or spec.format or "table"
-
-
-def _emit(fmt: str, table_lines: List[str], payload: Dict) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in table_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each document command maps (spec, args) to
+# (exit code, table lines, JSON payload)
+
+_Result = Tuple[int, List[str], Dict]
 
 
-def cmd_validate(args) -> int:
-    spec = _load(args.problem)
+def cmd_validate(spec: ProblemSpec, args) -> _Result:
     _require_char(spec)
     report = charfun.validate(spec.P, spec.vectors)
-    fmt = _format(spec, args)
     payload = {"valid": report.valid,
                "bad_vertices": [list(v) for v in report.bad_vertices]}
     if report.valid:
-        _emit(fmt, ["valid"], payload)
-        return 0
+        return 0, ["valid"], payload
     lines = ["invalid"] + [
         "  vertex on facets " + " ".join(str(f) for f in v)
         for v in report.bad_vertices
     ]
-    _emit(fmt, lines, payload)
-    return 1
+    return 1, lines, payload
 
 
-def cmd_ring(args) -> int:
-    spec = _load(args.problem)
+def cmd_ring(spec: ProblemSpec, args) -> _Result:
     ring = bounds_mod.manifold_ring(_manifold(spec))
-    fmt = _format(spec, args)
     gens = [f"{name} (deg {d})" for name, d in ring.generators]
     lines = ["generators: " + ", ".join(gens),
              "relations:"]
@@ -208,32 +188,21 @@ def cmd_ring(args) -> int:
         "relations": list(ring.relations_text),
         "betti": list(ring.betti),
     }
-    _emit(fmt, lines, payload)
-    return 0
+    return 0, lines, payload
 
 
-def cmd_betti(args) -> int:
-    spec = _load(args.problem)
+def cmd_betti(spec: ProblemSpec, args) -> _Result:
     ring = bounds_mod.manifold_ring(_manifold(spec))
-    fmt = _format(spec, args)
-    _emit(fmt, [" ".join(str(b) for b in ring.betti)], {"betti": list(ring.betti)})
-    return 0
+    return 0, [" ".join(str(b) for b in ring.betti)], {"betti": list(ring.betti)}
 
 
-def cmd_cl(args) -> int:
-    spec = _load(args.problem)
-    ring = bounds_mod.manifold_ring(_manifold(spec))
-    fmt = _format(spec, args)
-    cl = invariants.cup_length(ring)
-    _emit(fmt, [f"cup-length = {cl}"], {"cup_length": cl})
-    return 0
+def cmd_cl(spec: ProblemSpec, args) -> _Result:
+    cl = invariants.cup_length(bounds_mod.manifold_ring(_manifold(spec)))
+    return 0, [f"cup-length = {cl}"], {"cup_length": cl}
 
 
-def cmd_zcl(args) -> int:
-    spec = _load(args.problem)
+def cmd_zcl(spec: ProblemSpec, args) -> _Result:
     M = _manifold(spec)
-    fmt = _format(spec, args)
-    budget = _budget(spec, args)
     if args.certificate_only:
         if spec.bmat is None:
             raise InputError("--certificate-only needs a bott_matrix characteristic")
@@ -243,9 +212,8 @@ def cmd_zcl(args) -> int:
                  f"argument: {cert.argument}"]
         payload = {"certificate_length": cert.k,
                    "surviving_terms": list(cert.surviving_terms)}
-        _emit(fmt, lines, payload)
-        return 0
-    iv = bounds_mod.manifold_zcl(M, budget)
+        return 0, lines, payload
+    iv = bounds_mod.manifold_zcl(M, _budget(spec, args))
     lines = [f"zcl in [{iv.lo}, {iv.hi}]",
              f"  lower: {iv.lo_source}",
              f"  upper: {iv.hi_source}"]
@@ -254,33 +222,32 @@ def cmd_zcl(args) -> int:
         lines += [f"    {w}" for w in iv.witness]
     payload = {"lo": iv.lo, "hi": iv.hi, "lo_source": iv.lo_source,
                "hi_source": iv.hi_source, "witness": list(iv.witness)}
-    _emit(fmt, lines, payload)
-    return 0
+    return 0, lines, payload
 
 
-_INVARIANT_LABEL = {"cat": "cat", "TC": "TC", "TC_S": "TCs", "cat_eq": "cat_eq"}
+# the table names every invariant by its report name, except TC_S
+_INVARIANT_LABEL = {"TC_S": "TCs"}
 
 
-def _report_lines(rep: bounds_mod.BoundReport) -> List[str]:
-    name = _INVARIANT_LABEL.get(rep.invariant, rep.invariant)
-    iv = rep.interval
-    lines = [f"{name} ∈ [{iv.lo},{iv.hi}]",
-             f"  lower: {iv.lo_source}",
-             f"  upper: {iv.hi_source}"]
-    for flag in rep.assumed_flags:
-        lines.append(f"  assuming: {flag}")
+def _report_lines(reports: List[bounds_mod.BoundReport]) -> List[str]:
+    lines: List[str] = []
+    for rep in reports:
+        iv = rep.interval
+        name = _INVARIANT_LABEL.get(rep.invariant, rep.invariant)
+        lines += [f"{name} ∈ [{iv.lo},{iv.hi}]",
+                  f"  lower: {iv.lo_source}",
+                  f"  upper: {iv.hi_source}"]
+        lines += [f"  assuming: {flag}" for flag in rep.assumed_flags]
     return lines
 
 
-def cmd_bounds(args) -> int:
-    spec = _load(args.problem)
+def cmd_bounds(spec: ProblemSpec, args) -> _Result:
     # the flags override the document, through the same check, before the
     # description (and its ring) is built once
     if args.involution:
         spec.involution = _involution(args.involution, spec.P.n)
     spec.fixed_set_connected = spec.fixed_set_connected or args.assume_fixed_set_connected
     M = _manifold(spec)
-    fmt = _format(spec, args)
     budget = _budget(spec, args)
     which = args.invariant
     reports: List[bounds_mod.BoundReport] = []
@@ -295,16 +262,10 @@ def cmd_bounds(args) -> int:
             reports.append(bounds_mod.eq_cat_bounds(M))
         elif which == "cateq":
             raise InputError("cateq needs an involution bitstring")
-    lines: List[str] = []
-    for rep in reports:
-        lines += _report_lines(rep)
-    payload = {"reports": [rep.to_json() for rep in reports]}
-    _emit(fmt, lines, payload)
-    return 0
+    return 0, _report_lines(reports), {"reports": [rep.to_json() for rep in reports]}
 
 
-def cmd_dold(args) -> int:
-    spec = _load(args.problem)
+def cmd_dold(spec: ProblemSpec, args) -> _Result:
     M = _manifold(spec)
     p = spec.dold_p
     if args.dold:
@@ -314,15 +275,9 @@ def cmd_dold(args) -> int:
             raise InputError(f"--dold needs comma-separated integers, got {args.dold!r}")
     if not p:
         raise InputError("dold needs an exponent list (--dold or the dold section)")
-    fmt = _format(spec, args)
-    budget = _budget(spec, args)
-    cat, tc, tcs = bounds_mod.dold_bounds(M, p, budget)
-    lines: List[str] = []
-    for rep in (cat, tc, tcs):
-        lines += _report_lines(rep)
-    payload = {"p": list(p), "reports": [rep.to_json() for rep in (cat, tc, tcs)]}
-    _emit(fmt, lines, payload)
-    return 0
+    reports = bounds_mod.dold_bounds(M, p, _budget(spec, args))
+    payload = {"p": list(p), "reports": [rep.to_json() for rep in reports]}
+    return 0, _report_lines(reports), payload
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +383,10 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    names = [args.suite] if args.suite else ["lemma", "betti", "duality",
-                                             "certificate", "binom"]
+    """Runs the sweeps and prints one line per suite; reads no document."""
     rng = random.Random(args.seed)
     failed = False
-    for name in names:
-        if name not in _SUITES:
-            raise InputError(f"unknown suite {name!r}")
+    for name in [args.suite] if args.suite else _SUITES:
         count, skipped, fail = _SUITES[name](args.max_m, args.max_n, rng)
         cases = f"{count} cases"
         if skipped:
@@ -456,31 +408,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="smallcover",
         description="cohomology rings and category/complexity bounds for small covers",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, exact_budget=False):
+    def document(name, run, help, exact_budget=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("problem", help="JSON problem file")
         p.add_argument("--format", choices=["table", "json"], default=None)
         if exact_budget:
             p.add_argument("--exact-budget", dest="exact_budget", type=int, default=None)
+        return p
 
-    common(sub.add_parser("validate", help="check the facet vector assignment"))
-    common(sub.add_parser("ring", help="generators, relations and betti numbers"))
-    common(sub.add_parser("betti", help="graded dimensions only"))
-    common(sub.add_parser("cl", help="cup-length"))
-    p = sub.add_parser("zcl", help="zero-divisor-cup-length interval")
-    common(p, exact_budget=True)
+    document("validate", cmd_validate, "check the facet vector assignment")
+    document("ring", cmd_ring, "generators, relations and betti numbers")
+    document("betti", cmd_betti, "graded dimensions only")
+    document("cl", cmd_cl, "cup-length")
+    p = document("zcl", cmd_zcl, "zero-divisor-cup-length interval", exact_budget=True)
     p.add_argument("--certificate-only", action="store_true")
-    p = sub.add_parser("bounds", help="interval bounds with certificate trails")
-    common(p, exact_budget=True)
+    p = document("bounds", cmd_bounds, "interval bounds with certificate trails",
+                 exact_budget=True)
     p.add_argument("--invariant", choices=["cat", "tc", "tcs", "cateq", "all"],
                    default="all")
     p.add_argument("--assume-fixed-set-connected", action="store_true")
     p.add_argument("--involution", default=None, metavar="BITS")
-    p = sub.add_parser("dold", help="bounds for the twisted sphere product")
-    common(p, exact_budget=True)
+    p = document("dold", cmd_dold, "bounds for the twisted sphere product",
+                 exact_budget=True)
     p.add_argument("--dold", default=None, metavar="P1,P2,...")
     p = sub.add_parser("verify", help="run the built-in verification sweeps")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=sorted(_SUITES), default=None)
     p.add_argument("--max-m", dest="max_m", type=int, default=3)
     p.add_argument("--max-n", dest="max_n", type=int, default=3)
@@ -488,40 +443,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "validate": cmd_validate,
-    "ring": cmd_ring,
-    "betti": cmd_betti,
-    "cl": cmd_cl,
-    "zcl": cmd_zcl,
-    "bounds": cmd_bounds,
-    "dold": cmd_dold,
-    "verify": cmd_verify,
-}
+# argparse keeps no state between parse_args calls, so one parser serves all
+_PARSER = build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] not in _DISPATCH and not argv[0].startswith("-"):
-        print(f"unknown command {argv[0]!r}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return EX_USAGE
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EX_USAGE
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "verify":
+            return args.run(args)
+        spec = _load(args.problem)
+        code, lines, payload = args.run(spec, args)
     except CharacteristicError as exc:
         print(f"invalid characteristic: {exc}", file=sys.stderr)
         return 1
     except (InputError, ReductionFailed, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if (args.format or spec.format) == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -174,6 +174,29 @@ def test_dold_known_intervals():
         assert tcs.interval.lo >= tc.interval.lo - 1
 
 
+def test_dold_norm_end_over_rp2():
+    """TC_S "norm subring" is the product's zero-divisor sum plus 2 for any
+    number of fibre factors, one above the TC "tensor zero-divisor sum"."""
+    for p, expected in [((1, 2), 7), ((2, 2), 9), ((1, 1, 1), 8)]:
+        _, tc, tcs = dold_bounds(rp_manifold(2), p)
+        assert tcs.interval.lo == expected, p
+        assert tcs.interval.lo_source == "norm subring"
+        assert tc.interval.lo == expected - 1
+        assert tc.interval.lo_source == "tensor zero-divisor sum"
+
+
+def test_contradictory_rules_name_both_rules():
+    b = bounds._Builder("TC")
+    b.lower(14, "exact kernel search")
+    b.lower(8, "category floor")
+    b.upper(13, "free circle actions")
+    b.upper(20, "dimension cap")
+    with pytest.raises(InputError) as exc:
+        b.report()
+    assert str(exc.value) == ("TC: lower end 14 (exact kernel search) exceeds "
+                              "upper end 13 (free circle actions)")
+
+
 def test_dold_over_sphere():
     cat, tc, tcs = dold_bounds(sphere_manifold(3), [2])
     # cl(D) = 1 + 2 + 1 - 1 = 3, so cat >= 4; invariant cover cap applies

@@ -1,12 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from smallcover import cohomology
+from smallcover import cli, cohomology
 from smallcover.bounds import BoundReport
 from smallcover.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, name, data):
@@ -66,6 +72,56 @@ def test_malformed_exit_2(capsys, tmp_path):
 def test_unknown_command_exit_64(capsys, klein):
     assert main(["frobnicate", klein]) == 64
     assert main([]) == 64
+
+
+def test_main_builds_no_parser(capsys, klein, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["betti", klein], ["zcl", klein], ["frobnicate", klein]):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bounds", ["--involution", "10", "--assume-fixed-set-connected"]),
+    ("zcl", ["--exact-budget", "1"]),
+    ("dold", ["--dold", "2,3"]),
+], ids=["bounds", "zcl", "dold"])
+def test_flags_do_not_leak_into_the_next_call(capsys, tmp_path, command, flags):
+    path = write(tmp_path, "klein_dold.json", {
+        "polytope": {"type": "polygon", "edges": 4},
+        "characteristic": {"type": "facet_vectors",
+                           "vectors": ["10", "01", "10", "11"]},
+        "dold": {"p": [1]},
+    })
+    plain = run(capsys, command, path, "--format", "json")
+    flagged = run(capsys, command, path, "--format", "json", *flags)
+    assert flagged[0] == 0 and flagged != plain
+    assert run(capsys, command, path, "--format", "json") == plain
+
+
+def _entry_point(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "smallcover.cli", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_entry_point_in_a_fresh_interpreter(klein):
+    done = _entry_point("betti", klein)
+    assert (done.returncode, done.stdout) == (0, "1 2 1\n"), done.stderr
+    assert _entry_point("frobnicate", klein).returncode == 64
+    assert _entry_point().returncode == 64
+    done = _entry_point("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: smallcover")
 
 
 def test_betti_table(capsys, klein):
@@ -162,15 +218,6 @@ def test_dold_command(capsys, tmp_path):
     assert code == 0 and "TC ∈ [7,9]" in out
     code, out = run(capsys, "dold", path, "--dold", "2,3")
     assert code == 0
-
-
-def test_exact_budget_env(capsys, klein, monkeypatch):
-    monkeypatch.setenv("SMALLCOVER_EXACT_BUDGET", "1")
-    code, out = run(capsys, "zcl", klein, "--format", "json")
-    data = json.loads(out)
-    # budget 1 rules out the exact search; the generic route stays sound
-    assert data["lo"] <= 3 <= data["hi"]
-    assert data["lo_source"] != "exhaustive kernel power search"
 
 
 def test_exact_budget_flag(capsys, klein):
@@ -276,9 +323,17 @@ def test_integer_fields_must_be_json_integers(capsys, tmp_path, base, section, k
         assert_malformed(capsys, [command, problem])
 
 
-def test_bad_budget_env_exit_2(capsys, klein, monkeypatch):
-    monkeypatch.setenv("SMALLCOVER_EXACT_BUDGET", "abc")
-    assert_malformed(capsys, ["zcl", klein])
+@pytest.mark.parametrize("doc", [
+    {"polytope": {"type": "polygon", "edges": 4},
+     "characteristic": {"type": "facet_vectors", "vectors": [["1", "0"], "01", "10", "11"]}},
+    {"polytope": {"type": "polygon", "edges": 4},
+     "characteristic": {"type": "facet_vectors", "vectors": ["10", "01", "10", "11"]},
+     "involution": ["1", "0"]},
+    {"polytope": {"type": "product_of_simplices", "dims": [1, 1]},
+     "characteristic": {"type": "bott_matrix", "dims": [1, 1], "beta": {"2,1": ["1"]}}},
+], ids=["vectors", "involution", "beta"])
+def test_bitstrings_must_be_strings(capsys, tmp_path, doc):
+    assert_malformed(capsys, ["betti", write(tmp_path, "bits.json", doc)])
 
 
 def test_bad_dold_flag_exit_2(capsys, klein):
