@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .charfun import BottMatrix, GF2Vector, from_bott
@@ -47,6 +48,11 @@ class ManifoldDescription:
     fixed_set_connected: bool = False
     # the cohomology ring, built once by manifold_ring
     _ring: Optional[Ring] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _facet_hypotheses(self) -> Tuple[bool, bool]:
+        """`simplex_facet_hypotheses` of (P, vectors), checked once."""
+        return simplex_facet_hypotheses(self.P, self.vectors)
 
 
 def bott_manifold(dims: Sequence[int], B: BottMatrix,
@@ -224,7 +230,7 @@ def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
     except BudgetExceeded:
         pass
     if n > 1:
-        has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
+        has_simplex, det_ok = M._facet_hypotheses
         if has_simplex:
             rules.append((zcl_rp(n - 1).lo, "facet projective restriction",
                           f"simplex facet restricts onto the ({n - 1})-projective ring",
@@ -338,7 +344,7 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
             f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
     b.upper(2 * n + 1, "dimension cap")
     if M.kind in ("bott", "small_cover") and n > 1:
-        _, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
+        _, det_ok = M._facet_hypotheses
         s = n.bit_length() - 1
         if det_ok and n == (1 << s):
             b.lower(2 * n + 1, "projective exactness",
@@ -382,7 +388,7 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
     tc.lower(cl_base + p1 + r, "category floor")
     # one fibre factor over a polytope base with an invertible neighbour matrix
     det_ok = (r == 1 and M.kind != "sphere"
-              and simplex_facet_hypotheses(M.P, M.vectors)[1])
+              and M._facet_hypotheses[1])
     if M.kind == "sphere":
         tc.upper(2 * (cat_tau + p1 + r) - 1, "invariant cover cap")
     else:

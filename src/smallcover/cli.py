@@ -45,7 +45,9 @@ class ProblemSpec:
         p = [] if p is None else _array(p, "dold p")
         self.dold_p = cohomology.dold_exponents(p) if p else None
         flags = data.get("flags") or {}
-        self.fixed_set_connected = bool(flags.get("fixed_set_connected", False))
+        self.fixed_set_connected = flags.get("fixed_set_connected", False)
+        if not isinstance(self.fixed_set_connected, bool):
+            raise InputError("fixed_set_connected must be true or false")
         options = data.get("options") or {}
         self.exact_budget = options.get("exact_budget")
         if self.exact_budget is not None:

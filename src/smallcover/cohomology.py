@@ -37,18 +37,19 @@ class GradedAlgebra:
 
     Basis elements are addressed as (degree, index); homogeneous elements are
     (degree, bitmask) pairs.  Products of basis elements are supplied by a
-    callable and memoised.
+    callable and memoised.  The builder also supplies label(d, i), the name
+    of a basis element, and gens, basis elements (d, 1 << i) that generate
+    the algebra, sorted by degree, then index.
     """
 
     def __init__(self, betti: Sequence[int], mult: Callable[[int, int, int, int], int],
-                 labels: Optional[Sequence[Sequence[str]]] = None):
+                 label: Callable[[int, int], str], gens: Sequence[Tuple[int, int]]):
         self.betti = tuple(betti)
         self.top = len(self.betti) - 1
         self._mult = mult
         self._cache: Dict[Tuple[int, int, int, int], int] = {}
-        if labels is None:
-            labels = [[f"b{d}_{i}" for i in range(b)] for d, b in enumerate(self.betti)]
-        self.labels = tuple(tuple(l) for l in labels)
+        self.label = label
+        self.gens = tuple(gens)
 
     @property
     def dim(self) -> int:
@@ -84,7 +85,7 @@ class GradedAlgebra:
         d, m = e
         if not m:
             return "0"
-        parts = [self.labels[d][i] for i in range(self.betti[d]) if (m >> i) & 1]
+        parts = [self.label(d, i) for i in range(self.betti[d]) if (m >> i) & 1]
         return " + ".join(parts)
 
 
@@ -192,37 +193,16 @@ def ideal_powers(gens: Sequence[Tuple[int, int]],
     return powers
 
 
-def algebra_generators(alg: GradedAlgebra) -> List[Tuple[int, int]]:
-    """Homogeneous generators of a connected algebra, as basis elements.
-
-    In each positive degree d, the basis elements that extend the span of the
-    products A_i * A_{d-i} (0 < i < d), taken greedily in basis order: a
-    complement of the decomposables, so they generate A as an algebra.
-    """
-    if not alg.betti or alg.betti[0] != 1:
-        raise InputError("algebra is not connected")
-    gens: List[Tuple[int, int]] = []
-    for d in range(1, alg.top + 1):
-        span = GradedSpan()
-        for i in range(1, d // 2 + 1):
-            for a in range(alg.betti[i]):
-                for b in range(alg.betti[d - i]):
-                    span.insert(d, alg.mult_basis(i, a, d - i, b))
-        for k in range(alg.betti[d]):
-            if span.insert(d, 1 << k):
-                gens.append((d, 1 << k))
-    return gens
-
-
 class TensorAlgebra(GradedAlgebra):
     """Graded tensor product A (x) B; no Koszul signs in characteristic 2.
 
     Basis element i of degree d is the pair pairs[d][i] = (d1, i1, d2, i2):
     basis element (d1, i1) of A times basis element (d2, i2) of B.  index
-    maps a pair back to its position in its degree.
+    maps a pair back to its position in its degree.  join names a pair from
+    the names of its two factors.
     """
 
-    def __init__(self, A: GradedAlgebra, B: GradedAlgebra, label: Callable[[str, str], str]):
+    def __init__(self, A: GradedAlgebra, B: GradedAlgebra, join: Callable[[str, str], str]):
         top = A.top + B.top
         pairs: List[List[Tuple[int, int, int, int]]] = [[] for _ in range(top + 1)]
         index: Dict[Tuple[int, int, int, int], int] = {}
@@ -236,10 +216,14 @@ class TensorAlgebra(GradedAlgebra):
         self.pairs = pairs
         self.index = index
         self.left = A
-        labels = [
-            [label(A.labels[d1][i], B.labels[d2][j]) for (d1, i, d2, j) in pairs[d]]
-            for d in range(top + 1)
-        ]
+
+        def label(d: int, i: int) -> str:
+            d1, i1, d2, i2 = pairs[d][i]
+            return join(A.label(d1, i1), B.label(d2, i2))
+
+        # g (x) 1 and 1 (x) h for the generators g of A and h of B
+        gens = sorted([(d, 1 << index[(d, m.bit_length() - 1, 0, 0)]) for d, m in A.gens]
+                      + [(d, 1 << index[(0, 0, d, m.bit_length() - 1)]) for d, m in B.gens])
 
         def mult(da: int, ia: int, db: int, jb: int) -> int:
             a1, i1, a2, j1 = pairs[da][ia]
@@ -263,7 +247,7 @@ class TensorAlgebra(GradedAlgebra):
                     acc ^= 1 << index[(dl, li, dr, rj)]
             return acc
 
-        super().__init__([len(p) for p in pairs], mult, labels)
+        super().__init__([len(p) for p in pairs], mult, label, gens)
 
     def diagonal(self, g: Tuple[int, int]) -> Tuple[int, int]:
         """g (x) 1 + 1 (x) g for a homogeneous g of positive degree, in a
@@ -339,7 +323,7 @@ def square_zero(name: str, n: int) -> GradedAlgebra:
     """Z2[x]/(x^2) with x in degree n >= 1.  A product inside the top degree
     has a unit factor, so it is the one basis element of its degree."""
     return GradedAlgebra([1] + [0] * (n - 1) + [1], lambda d1, i, d2, j: 1,
-                         [["1"]] + [[] for _ in range(n - 1)] + [[name]])
+                         lambda d, i: name if d else "1", [(n, 1)])
 
 
 def _poincare_product(polys: Iterable[Sequence[int]]) -> Tuple[int, ...]:
@@ -448,10 +432,9 @@ class QuotientRing(Ring):
         if self._alg is None:
             slices = [self._slice(d) for d in range(self.top + 1)]
             betti = [len(s[2]) for s in slices]
-            labels = [[gf2.mono_render(m, self.names) for m in s[2]] for s in slices]
-            # the product holds the ring's slices and tables, not the ring,
-            # so a ring and its algebra form no reference cycle
-            tables = self._tables
+            # the product and the labels hold the ring's slices, tables and
+            # names, not the ring, so a ring and its algebra form no cycle
+            tables, names = self._tables, self.names
 
             def mult(d1, i, d2, j):
                 d = d1 + d2
@@ -459,7 +442,10 @@ class QuotientRing(Ring):
                     tables[d] = _normal_form_table(slices[d])
                 return tables[d][mono_mul(slices[d1][2][i], slices[d2][2][j])]
 
-            self._alg = GradedAlgebra(betti, mult, labels)
+            # generated in degree one, as the polynomial ring is
+            gens = [(1, 1 << i) for i in range(betti[1])] if self.top else []
+            self._alg = GradedAlgebra(betti, mult,
+                                      lambda d, i: gf2.mono_render(slices[d][2][i], names), gens)
         return self._alg
 
 
@@ -493,7 +479,7 @@ def _normal_form_table(slice_) -> Dict[Monomial, int]:
 
 class BottRing(QuotientRing):
     kind = "bott"
-    # tensor-power certificate, kept by bounds.tc_bounds
+    # tensor-power certificate, kept by bounds._zcl_rules
     _cert = None
 
     def __init__(self, dims: Sequence[int], B: BottMatrix):
@@ -586,6 +572,8 @@ def minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
         return [tuple(range(offs[j], offs[j] + dims[j] + 1)) for j in range(len(dims))]
     if kind == "polygon":
         k = P.family[1]
+        if k == 3:  # a triangle: its three edges meet in no vertex
+            return [(0, 1, 2)]
         return [
             (i, j)
             for i in range(k)

@@ -19,7 +19,6 @@ from .cohomology import (
     BottRing,
     GradedAlgebra,
     Ring,
-    algebra_generators,
     apply_step,
     tensor_square,
 )
@@ -104,13 +103,12 @@ def cup_length_algebra(alg: GradedAlgebra) -> int:
     generators, so its k-th power is spanned by multiples of the k-fold
     monomials in them, and it is nonzero iff one of those monomials is.
     """
-    gens = algebra_generators(alg)
     steps = []
-    for dg, mg in gens:
+    for dg, mg in alg.gens:
         ig = mg.bit_length() - 1
         steps.append((dg, [[alg.mult_basis(d, i, dg, ig) for i in range(alg.betti[d])]
                            for d in range(alg.top + 1 - dg)]))
-    return _longest_product(gens, steps)[0]
+    return _longest_product(alg.gens, steps)[0]
 
 
 def cup_length(ring: Ring) -> int:
@@ -246,9 +244,8 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     if ring._zcl is None:
         alg = ring.algebra()
         T = tensor_square(alg)
-        gens = algebra_generators(alg)
-        diagonals = [T.diagonal(g) for g in gens]
-        k, exponents = _longest_product(diagonals, [T.diagonal_step(g) for g in gens])
+        diagonals = [T.diagonal(g) for g in alg.gens]
+        k, exponents = _longest_product(diagonals, [T.diagonal_step(g) for g in alg.gens])
         witness = tuple(T.render_elem(z) for z, e in zip(diagonals, exponents)
                         for _ in range(e))
         ring._zcl = IntervalValue(k, k, "exhaustive kernel power search",

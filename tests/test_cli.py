@@ -336,6 +336,18 @@ def test_bitstrings_must_be_strings(capsys, tmp_path, doc):
     assert_malformed(capsys, ["betti", write(tmp_path, "bits.json", doc)])
 
 
+@pytest.mark.parametrize("value", ["false", 0, 1])
+def test_fixed_set_flag_must_be_a_json_boolean(capsys, tmp_path, value):
+    doc = {"polytope": {"type": "polygon", "edges": 4},
+           "characteristic": {"type": "facet_vectors", "vectors": ["10", "01", "10", "11"]},
+           "involution": "10", "flags": {"fixed_set_connected": False}}
+    code, out = run(capsys, "bounds", write(tmp_path, "flag.json", doc), "--invariant", "cateq")
+    assert code == 0 and "cat_eq ∈ [4,4]" in out
+    doc["flags"]["fixed_set_connected"] = value
+    assert_malformed(capsys, ["bounds", write(tmp_path, "flag.json", doc),
+                              "--invariant", "cateq"])
+
+
 def test_bad_dold_flag_exit_2(capsys, klein):
     assert_malformed(capsys, ["dold", klein, "--dold", "2,x"])
 
@@ -359,6 +371,31 @@ def test_bounds_builds_the_polytope_once(capsys, tmp_path, monkeypatch):
     })
     code, _ = run(capsys, "bounds", path, "--involution", "10000")
     assert code == 0 and len(calls) == 1
+
+
+def test_facet_hypotheses_checked_once_per_manifold(capsys, tmp_path, monkeypatch):
+    from smallcover import bounds
+
+    calls = []
+    check = bounds.simplex_facet_hypotheses
+
+    def counted(P, vectors):
+        calls.append(P.family)
+        return check(P, vectors)
+
+    monkeypatch.setattr(bounds, "simplex_facet_hypotheses", counted)
+    path = write(tmp_path, "tower.json", {
+        "polytope": {"type": "product_of_simplices", "dims": [3, 2]},
+        "characteristic": {"type": "bott_matrix", "dims": [3, 2],
+                           "beta": {"2,1": "11"}},
+    })
+    # the ring has dimension 12: the exact search runs at budget 12, not at 4
+    for budget in ("12", "4"):
+        for argv in (["bounds", path, "--invariant", "all", "--involution", "10000"],
+                     ["dold", path, "--dold", "1"]):
+            calls.clear()
+            code, _ = run(capsys, *argv, "--exact-budget", budget)
+            assert code == 0 and len(calls) == 1, (argv, budget)
 
 
 @pytest.mark.parametrize("suite, draws", [("betti", 16), ("duality", 8)])

@@ -10,10 +10,8 @@ from smallcover import gf2, invariants
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import (
     BottRing,
-    GradedAlgebra,
     GradedSpan,
     SmallCoverRing,
-    algebra_generators,
     bott_ring,
     cup_kernel,
     dold_ring,
@@ -154,12 +152,10 @@ def test_minimal_non_faces_polygon():
 
 
 def test_minimal_non_faces_explicit_agrees():
-    from smallcover.polytope import explicit_polytope
-
-    for dims in [(1, 1), (1, 2), (2, 2)]:
-        P = product_of_simplices(dims)
+    for P in ([product_of_simplices(dims) for dims in [(1, 1), (1, 2), (2, 2)]]
+              + [polygon(k) for k in range(3, 9)]):
         Q = explicit_polytope(P.n, P.facet_count, [sorted(v) for v in P.vertices])
-        assert sorted(minimal_non_faces(P)) == minimal_non_faces(Q)
+        assert sorted(minimal_non_faces(P)) == minimal_non_faces(Q), P.family
 
 
 def test_betti_equals_h_vector_products(rng):
@@ -262,10 +258,12 @@ def test_dold_products_follow_exponent_arithmetic():
             ring = dold_ring(base, p)
             alg, balg = ring.algebra(), base.algebra()
             assert alg.betti == ring.betti
-            base_pos = {l: (d, i) for d, ls in enumerate(balg.labels) for i, l in enumerate(ls)}
+            base_pos = {balg.label(d, i): (d, i)
+                        for d in range(balg.top + 1) for i in range(balg.betti[d])}
             pos, elems = {}, {}
-            for d, labels in enumerate(alg.labels):
-                for i, label in enumerate(labels):
+            for d in range(alg.top + 1):
+                for i in range(alg.betti[d]):
+                    label = alg.label(d, i)
                     exps, blabel = _split_dold_label(label, len(p))
                     key = (exps, base_pos[blabel])
                     assert key not in pos, label
@@ -284,7 +282,7 @@ def test_dold_products_follow_exponent_arithmetic():
                                 assert d == d1 + d2
                                 expected |= 1 << idx
                     assert alg.mult_basis(d1, i, d2, j) == expected, (
-                        p, alg.labels[d1][i], alg.labels[d2][j])
+                        p, alg.label(d1, i), alg.label(d2, j))
                     checked += 1
     assert checked == 24050
 
@@ -319,7 +317,7 @@ def test_poincare_pairing_needs_top_class():
 
 def test_algebra_generators_degrees():
     def degrees(ring):
-        return [d for d, _ in algebra_generators(ring.algebra())]
+        return [d for d, _ in ring.algebra().gens]
 
     assert degrees(point_ring()) == []
     assert degrees(sphere_ring(3)) == [3]
@@ -330,8 +328,34 @@ def test_algebra_generators_degrees():
     assert degrees(dold_ring(projective_ring(2), [2])) == [1, 1]
     assert degrees(dold_ring(sphere_ring(3), [1, 2])) == [1, 2, 3]
     assert degrees(dold_ring(projective_ring(1), [2, 2])) == [1, 1, 2]
-    with pytest.raises(InputError):
-        algebra_generators(GradedAlgebra([2, 1], lambda d1, i, d2, j: 0))
+
+
+def _reference_generators(alg):
+    """Generators by search: in each positive degree d, the basis elements
+    that extend the span of the products A_i * A_{d-i} (0 < i < d), taken
+    greedily in basis order, a complement of the decomposables."""
+    gens = []
+    for d in range(1, alg.top + 1):
+        span = GradedSpan()
+        for i in range(1, d // 2 + 1):
+            for a in range(alg.betti[i]):
+                for b in range(alg.betti[d - i]):
+                    span.insert(d, alg.mult_basis(i, a, d - i, b))
+        for k in range(alg.betti[d]):
+            if span.insert(d, 1 << k):
+                gens.append((d, 1 << k))
+    return gens
+
+
+def test_declared_generators_match_the_decomposables_search():
+    from test_bounds import DOLD_EXPONENTS, _dold_bases
+
+    rings = list(_step_rings())
+    rings += [dold_ring(base, p) for _, _, base in _dold_bases() for p in DOLD_EXPONENTS]
+    assert len(rings) == 188
+    for ring in rings:
+        alg = ring.algebra()
+        assert list(alg.gens) == _reference_generators(alg), ring.kind
 
 
 def _polygon_vectors(k):
@@ -382,7 +406,7 @@ def _step_rings():
 
 
 def _diagonal_steps(T, alg):
-    return [T.diagonal_step(g) for g in algebra_generators(alg)]
+    return [T.diagonal_step(g) for g in alg.gens]
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +437,7 @@ def test_monomial_search_matches_full_kernel_reference():
         # the witness factors are diagonal classes, rendered; each lies in
         # the kernel and their product is nonzero
         diagonals = {T.render_elem(z): z
-                     for z in (T.diagonal(g) for g in algebra_generators(alg))}
+                     for z in (T.diagonal(g) for g in alg.gens)}
         product = (0, 1)
         for factor in iv.witness:
             z = diagonals[factor]
@@ -429,7 +453,7 @@ def test_diagonal_step_is_multiplication_by_the_diagonal():
                  SmallCoverRing(*_prism(3))):
         alg = ring.algebra()
         T, _ = cup_kernel(alg)
-        for g in algebra_generators(alg):
+        for g in alg.gens:
             s, rows = T.diagonal_step(g)
             z = T.diagonal(g)
             for d, table in enumerate(rows):
