@@ -18,12 +18,8 @@ from .cohomology import (
     DoldRing,
     SmallCoverRing,
     SphereRing,
-    bott_ring,
-    dold_ring,
-    point_ring,
     poincare_pairing,
     projective_ring,
-    sphere_ring,
     verify_top_monomial,
 )
 from .errors import BudgetExceeded, CharacteristicError, InputError, ReductionFailed

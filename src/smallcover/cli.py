@@ -37,18 +37,15 @@ class ProblemSpec:
             self.vectors, self.dims, self.bmat = _parse_characteristic(self.P, self.char)
         inv = data.get("involution")
         self.involution = _involution(inv, self.P.n) if inv is not None else None
-        dold = data.get("dold") or {}
-        if dold and not isinstance(dold, dict):
-            raise InputError("dold section must be an object")
-        p = dold.get("p") if dold else None
+        p = _object(data.get("dold"), "dold").get("p")
         # an absent, null or empty exponent list means no Dold section
         p = [] if p is None else _array(p, "dold p")
         self.dold_p = cohomology.dold_exponents(p) if p else None
-        flags = data.get("flags") or {}
+        flags = _object(data.get("flags"), "flags")
         self.fixed_set_connected = flags.get("fixed_set_connected", False)
         if not isinstance(self.fixed_set_connected, bool):
             raise InputError("fixed_set_connected must be true or false")
-        options = data.get("options") or {}
+        options = _object(data.get("options"), "options")
         self.exact_budget = options.get("exact_budget")
         if self.exact_budget is not None:
             self.exact_budget = _int(self.exact_budget, "exact_budget")
@@ -69,6 +66,15 @@ def _int(x, field: str) -> int:
     part and strings are refused, not coerced."""
     if type(x) is not int:
         raise InputError(f"{field} must be an integer, not {type(x).__name__}")
+    return x
+
+
+def _object(x, field: str) -> Dict:
+    """x, which must be a JSON object; an absent or null one reads as empty."""
+    if x is None:
+        return {}
+    if not isinstance(x, dict):
+        raise InputError(f"{field} section must be an object, not {type(x).__name__}")
     return x
 
 
@@ -101,15 +107,17 @@ def _parse_characteristic(P, obj):
         raise InputError("characteristic section must be an object with a type")
     kind = obj["type"]
     if kind == "facet_vectors":
-        vectors = tuple(charfun.parse_bits(s) for s in obj["vectors"])
-        return vectors, None, None
+        vectors = _array(obj["vectors"], "vectors", lambda s, _: charfun.parse_bits(s))
+        return tuple(vectors), None, None
     if kind == "bott_matrix":
         dims = tuple(_array(obj["dims"], "characteristic dims"))
         if P.family[0] != "product_of_simplices" or P.family[1] != dims:
             raise InputError("bott_matrix dims disagree with the polytope")
         beta = {}
-        for key, bits in (obj.get("beta") or {}).items():
+        for key, bits in _object(obj.get("beta"), "beta").items():
             k, j = (int(x) for x in key.split(","))
+            if (k, j) in beta:
+                raise InputError(f"beta block {k},{j} is given twice")
             beta[(k, j)] = charfun.parse_bits(bits)
         B = charfun.BottMatrix.make(dims, beta)
         return tuple(charfun.from_bott(dims, B)), dims, B
@@ -405,6 +413,17 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
+def _positive(text: str) -> int:
+    """An option value that must be a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smallcover",
@@ -439,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the built-in verification sweeps")
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=sorted(_SUITES), default=None)
-    p.add_argument("--max-m", dest="max_m", type=int, default=3)
-    p.add_argument("--max-n", dest="max_n", type=int, default=3)
+    p.add_argument("--max-m", dest="max_m", type=_positive, default=3)
+    p.add_argument("--max-n", dest="max_n", type=_positive, default=3)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

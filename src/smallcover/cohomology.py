@@ -17,7 +17,7 @@ base.  Betti numbers of products are read in closed form, building nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -25,7 +25,7 @@ from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
 from .gf2 import GF2Poly, Monomial, grlex_key, mono_mul, poly_mul
-from .polytope import SimplePolytope, block_offsets, h_vector
+from .polytope import SimplePolytope, _poly_product, block_offsets, h_vector
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +37,9 @@ class GradedAlgebra:
 
     Basis elements are addressed as (degree, index); homogeneous elements are
     (degree, bitmask) pairs.  Products of basis elements are supplied by a
-    callable and memoised.  The builder also supplies label(d, i), the name
-    of a basis element, and gens, basis elements (d, 1 << i) that generate
-    the algebra, sorted by degree, then index.
+    callable, which caches what it needs itself.  The builder also supplies
+    label(d, i), the name of a basis element, and gens, basis elements
+    (d, 1 << i) that generate the algebra, sorted by degree, then index.
     """
 
     def __init__(self, betti: Sequence[int], mult: Callable[[int, int, int, int], int],
@@ -47,7 +47,6 @@ class GradedAlgebra:
         self.betti = tuple(betti)
         self.top = len(self.betti) - 1
         self._mult = mult
-        self._cache: Dict[Tuple[int, int, int, int], int] = {}
         self.label = label
         self.gens = tuple(gens)
 
@@ -58,10 +57,7 @@ class GradedAlgebra:
     def mult_basis(self, d1: int, i: int, d2: int, j: int) -> int:
         if d1 + d2 > self.top:
             return 0
-        key = (d1, i, d2, j)
-        if key not in self._cache:
-            self._cache[key] = self._mult(d1, i, d2, j)
-        return self._cache[key]
+        return self._mult(d1, i, d2, j)
 
     def mult_elem(self, e1: Tuple[int, int], e2: Tuple[int, int]) -> Tuple[int, int]:
         d1, m1 = e1
@@ -199,7 +195,8 @@ class TensorAlgebra(GradedAlgebra):
     Basis element i of degree d is the pair pairs[d][i] = (d1, i1, d2, i2):
     basis element (d1, i1) of A times basis element (d2, i2) of B.  index
     maps a pair back to its position in its degree.  join names a pair from
-    the names of its two factors.
+    the names of its two factors.  Its product is the one built from other
+    products, so it is the one product that is memoised.
     """
 
     def __init__(self, A: GradedAlgebra, B: GradedAlgebra, join: Callable[[str, str], str]):
@@ -225,6 +222,7 @@ class TensorAlgebra(GradedAlgebra):
         gens = sorted([(d, 1 << index[(d, m.bit_length() - 1, 0, 0)]) for d, m in A.gens]
                       + [(d, 1 << index[(0, 0, d, m.bit_length() - 1)]) for d, m in B.gens])
 
+        @lru_cache(maxsize=None)
         def mult(da: int, ia: int, db: int, jb: int) -> int:
             a1, i1, a2, j1 = pairs[da][ia]
             b1, i2, b2, j2 = pairs[db][jb]
@@ -326,19 +324,6 @@ def square_zero(name: str, n: int) -> GradedAlgebra:
                          lambda d, i: name if d else "1", [(n, 1)])
 
 
-def _poincare_product(polys: Iterable[Sequence[int]]) -> Tuple[int, ...]:
-    """Coefficients of a product of polynomials, lowest degree first: the
-    Betti numbers of a tensor product from those of its factors."""
-    out = [1]
-    for p in polys:
-        acc = [0] * (len(out) + len(p) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(p):
-                acc[i + j] += a * b
-        out = acc
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # ring presentations
 
@@ -371,8 +356,8 @@ class QuotientRing(Ring):
     A presentation supplies the variable names, homogeneous relations and the
     top degree.  Degree d's slice row-reduces the multiples of the relations
     among all monomials of degree d; its basis is the monomials that lead no
-    pivot row, in grlex order, and products are read from one normal-form
-    table per degree.
+    pivot row, in grlex order, and its normal-form table gives the product
+    of two basis monomials that lands in degree d.
     """
 
     def __init__(self, names: Sequence[str], relations: Sequence[GF2Poly], top: int):
@@ -383,8 +368,7 @@ class QuotientRing(Ring):
         self.generators = tuple((name, 1) for name in names)
         self.relations_text = tuple(gf2.poly_render(g, names) for g in self.relations)
         self._monos: Dict[int, List[Monomial]] = {}
-        self._slices: Dict[int, Tuple[List[Monomial], Dict[int, int], List[Monomial]]] = {}
-        self._tables: Dict[int, Dict[Monomial, int]] = {}
+        self._slices: Dict[int, tuple] = {}
         self._alg: Optional[GradedAlgebra] = None
 
     def _monomials(self, d: int) -> List[Monomial]:
@@ -404,7 +388,7 @@ class QuotientRing(Ring):
         return self._monos[d]
 
     def _slice(self, d: int):
-        """(monomials, pivot rows, basis monomials) of degree d."""
+        """(monomials, pivot rows, basis monomials, normal-form table) of degree d."""
         if d not in self._slices:
             mons = self._monomials(d)
             pos = {m: i for i, m in enumerate(mons)}
@@ -414,9 +398,10 @@ class QuotientRing(Ring):
                 if gd > d:
                     continue
                 for u in self._monomials(d - gd):
+                    # multiplying by u is injective, so no two terms cancel
                     row = 0
-                    for mon in poly_mul(frozenset({u}), g):
-                        row ^= 1 << pos[mon]
+                    for mon in g:
+                        row ^= 1 << pos[mono_mul(u, mon)]
                     while row:
                         lead = row.bit_length() - 1
                         if lead in pivots:
@@ -425,22 +410,19 @@ class QuotientRing(Ring):
                             pivots[lead] = row
                             break
             basis = [m for i, m in enumerate(mons) if i not in pivots]
-            self._slices[d] = (mons, pivots, basis)
+            self._slices[d] = (mons, pivots, basis, _normal_form_table(mons, pivots))
         return self._slices[d]
 
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
             slices = [self._slice(d) for d in range(self.top + 1)]
             betti = [len(s[2]) for s in slices]
-            # the product and the labels hold the ring's slices, tables and
-            # names, not the ring, so a ring and its algebra form no cycle
-            tables, names = self._tables, self.names
+            # the product and the labels hold the ring's slices and names,
+            # not the ring, so a ring and its algebra form no cycle
+            names = self.names
 
             def mult(d1, i, d2, j):
-                d = d1 + d2
-                if d not in tables:
-                    tables[d] = _normal_form_table(slices[d])
-                return tables[d][mono_mul(slices[d1][2][i], slices[d2][2][j])]
+                return slices[d1 + d2][3][mono_mul(slices[d1][2][i], slices[d2][2][j])]
 
             # generated in degree one, as the polynomial ring is
             gens = [(1, 1 << i) for i in range(betti[1])] if self.top else []
@@ -449,7 +431,7 @@ class QuotientRing(Ring):
         return self._alg
 
 
-def _normal_form_table(slice_) -> Dict[Monomial, int]:
+def _normal_form_table(mons: Sequence[Monomial], pivots: Dict[int, int]) -> Dict[Monomial, int]:
     """Normal form of every monomial of one degree slice, as a basis mask.
 
     Each monomial reduces once against the slice's pivot rows.  A pivot
@@ -458,7 +440,6 @@ def _normal_form_table(slice_) -> Dict[Monomial, int]:
     for the rest of its row; a basis monomial is its own form.  The
     normal form is linear, so this equals reducing any mask bit by bit.
     """
-    mons, pivots, _ = slice_
     forms: List[int] = []
     rank = 0
     for i in range(len(mons)):
@@ -501,7 +482,7 @@ class BottRing(QuotientRing):
     def betti(self) -> Tuple[int, ...]:
         """The basis is the box of monomials with y_j-degree at most n_j, so
         the Betti numbers are the coefficients of prod (1 + t + ... + t^{n_j})."""
-        return _poincare_product((1,) * (n + 1) for n in self.dims)
+        return _poly_product((1,) * (n + 1) for n in self.dims)
 
     def _gamma(self, j: int) -> GF2Poly:
         acc = frozenset({gf2.mono_var(self.m, j)})
@@ -550,16 +531,12 @@ def _bott_normal_form(p: GF2Poly, dims: Tuple[int, ...],
         cur.symmetric_difference_update(poly_mul(tails[j - 1], frozenset({rest})))
 
 
-def bott_ring(dims: Sequence[int], B: BottMatrix) -> BottRing:
-    return BottRing(dims, B)
-
-
 def projective_ring(n: int) -> BottRing:
     """The ring Z2[y]/(y^{n+1})."""
     if n < 0:
         raise InputError("projective dimension must be non-negative")
     if n == 0:
-        return point_ring()
+        return PointRing()
     return BottRing((n,), BottMatrix.make((n,)))
 
 
@@ -677,19 +654,11 @@ class SphereRing(Ring):
         return self._alg
 
 
-def sphere_ring(n: int) -> SphereRing:
-    return SphereRing(n)
-
-
 class PointRing(QuotientRing):
     kind = "point"
 
     def __init__(self):
         super().__init__([], [], 0)
-
-
-def point_ring() -> PointRing:
-    return PointRing()
 
 
 _RETRACTABLE_KINDS = {"bott", "small_cover", "sphere", "point"}
@@ -729,7 +698,7 @@ class DoldRing(Ring):
     @cached_property
     def betti(self) -> Tuple[int, ...]:
         """The base's Betti numbers times (1 + ... + t^{p_1}) prod (1 + t^{p_i})."""
-        return _poincare_product([self.base.betti, (1,) * (self.p[0] + 1)] + [
+        return _poly_product([self.base.betti, (1,) * (self.p[0] + 1)] + [
             (1,) + (0,) * (n - 1) + (1,) for n in self.p[1:]])
 
     def algebra(self) -> GradedAlgebra:
@@ -744,10 +713,6 @@ class DoldRing(Ring):
                            reversed(factors))
             self._alg = TensorAlgebra(fibre, self.base.algebra(), _product_label)
         return self._alg
-
-
-def dold_ring(base: Ring, p: Sequence[int]) -> DoldRing:
-    return DoldRing(base, p)
 
 
 # ---------------------------------------------------------------------------

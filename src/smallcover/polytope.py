@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
-from typing import FrozenSet, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
 
@@ -223,20 +223,27 @@ class HVector:
             raise InputError("h-vector fails the palindromic identity")
 
 
+def _poly_product(polys: Iterable[Sequence[int]]) -> Tuple[int, ...]:
+    """Coefficients of a product of integer polynomials, lowest degree
+    first: face counts of a product of polytopes, or Betti numbers of a
+    tensor product, from those of its factors."""
+    out = [1]
+    for p in polys:
+        acc = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                acc[i + j] += a * b
+        out = acc
+    return tuple(out)
+
+
 def f_vector(P: SimplePolytope) -> FVector:
     kind = P.family[0]
     if kind == "product_of_simplices":
         dims = P.family[1]
         # face-count polynomial of a simplex block: sum_d C(n_j+1, d+1) t^d
-        coeffs = [1]
-        for d in dims:
-            block = [comb(d + 1, k + 1) for k in range(d + 1)]
-            new = [0] * (len(coeffs) + len(block) - 1)
-            for i, a in enumerate(coeffs):
-                for j, b in enumerate(block):
-                    new[i + j] += a * b
-            coeffs = new
-        return FVector(tuple(coeffs[: P.n]))  # drop the whole-polytope term
+        coeffs = _poly_product([comb(d + 1, k + 1) for k in range(d + 1)] for d in dims)
+        return FVector(coeffs[: P.n])  # drop the whole-polytope term
     if kind == "polygon":
         k = P.family[1]
         return FVector((k, k))

@@ -24,7 +24,6 @@ from smallcover.charfun import BottMatrix, from_bott, parse_bits, validate
 from smallcover.cohomology import (
     BottRing,
     SmallCoverRing,
-    bott_ring,
     poincare_pairing,
     projective_ring,
     verify_top_monomial,
@@ -105,7 +104,7 @@ def test_criterion_4_two_presentations_agree():
         for m in (1, 2, 3):
             for dims, B in all_bott_matrices(m, 3):
                 P = product_of_simplices(dims)
-                r1 = bott_ring(dims, B)
+                r1 = BottRing(dims, B)
                 r2 = SmallCoverRing(P, from_bott(dims, B))
                 assert tuple(r1.betti) == r2.algebra().betti, (dims, dict(B.beta))
 

@@ -20,7 +20,7 @@ from smallcover.bounds import (
     tc_bounds,
 )
 from smallcover.charfun import BottMatrix, parse_bits
-from smallcover.cohomology import dold_ring, point_ring
+from smallcover.cohomology import DoldRing, PointRing
 from smallcover.errors import CharacteristicError, InputError
 from smallcover.invariants import cup_length, cup_length_algebra, zcl_exact, zcl_interval
 from smallcover.polytope import polygon, product_of_simplices
@@ -219,7 +219,7 @@ def _dold_bases():
     bases += [(f"twisted {dims}", bott_manifold(dims, BottMatrix.make(dims, {(2, 1): bits})))
               for dims, bits in [((1, 1), (1,)), ((1, 2), (1, 1))]]
     out = [(name, M, manifold_ring(M)) for name, M in bases]
-    return out + [("point", None, point_ring())]
+    return out + [("point", None, PointRing())]
 
 
 DOLD_EXPONENTS = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 3)]
@@ -254,7 +254,7 @@ def test_rules_against_exact_search():
     dold = 0
     for name, M, base in _dold_bases():
         for p in DOLD_EXPONENTS:
-            ring = dold_ring(base, p)
+            ring = DoldRing(base, p)
             assert ring.dim <= 64
             exact = zcl_exact(ring, 64).lo
             assert zcl_interval(ring, 0).lo <= exact <= zcl_interval(ring, 0).hi, (name, p)

@@ -348,6 +348,61 @@ def test_fixed_set_flag_must_be_a_json_boolean(capsys, tmp_path, value):
                               "--invariant", "cateq"])
 
 
+_KLEIN = {"polytope": {"type": "polygon", "edges": 4},
+          "characteristic": {"type": "facet_vectors", "vectors": ["10", "01", "10", "11"]},
+          "involution": "10"}
+_TWISTED_11 = {"polytope": {"type": "product_of_simplices", "dims": [1, 1]},
+               "characteristic": {"type": "bott_matrix", "dims": [1, 1], "beta": {"2,1": "1"}}}
+_INTERVAL = {"polytope": {"type": "product_of_simplices", "dims": [1]},
+             "characteristic": {"type": "facet_vectors", "vectors": ["1", "1"]}}
+
+
+@pytest.mark.parametrize("base, path, value, message", [
+    (_KLEIN, ["flags"], 0, "flags section must be an object"),
+    (_KLEIN, ["flags"], False, "flags section must be an object"),
+    (_KLEIN, ["flags"], [], "flags section must be an object"),
+    (_KLEIN, ["flags"], [True], "flags section must be an object"),
+    (_KLEIN, ["options"], [], "options section must be an object"),
+    (_KLEIN, ["dold"], [], "dold section must be an object"),
+    (_TWISTED_11, ["characteristic", "beta"], 0, "beta section must be an object"),
+    (_TWISTED_11, ["characteristic", "beta"], [], "beta section must be an object"),
+    (_TWISTED_11, ["characteristic", "beta"], {"2,1": "1", "2, 1": "0"},
+     "beta block 2,1 is given twice"),
+    (_INTERVAL, ["characteristic", "vectors"], "11", "vectors must be an array"),
+], ids=["flags-0", "flags-false", "flags-empty-array", "flags-array", "options-array",
+        "dold-array", "beta-0", "beta-array", "beta-repeated", "vectors-string"])
+def test_sections_and_arrays_are_checked(capsys, tmp_path, base, path, value, message):
+    doc = json.loads(json.dumps(base))
+    assert main(["bounds", write(tmp_path, "base.json", doc)]) == 0
+    capsys.readouterr()
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    assert main(["bounds", write(tmp_path, "bad.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_absent_or_null_sections_read_as_empty(capsys, tmp_path):
+    expected = run(capsys, "bounds", write(tmp_path, "base.json", _KLEIN))
+    for extra in [{"flags": None}, {"options": None}, {"dold": None}, {"dold": {}},
+                  {"dold": {"p": None}}, {"dold": {"p": []}}]:
+        assert run(capsys, "bounds", write(tmp_path, "doc.json", {**_KLEIN, **extra})) == expected
+    tower = json.loads(json.dumps(_TWISTED_11))
+    tower["characteristic"]["beta"] = {}
+    expected = run(capsys, "bounds", write(tmp_path, "base.json", tower))
+    tower["characteristic"]["beta"] = None
+    assert run(capsys, "bounds", write(tmp_path, "doc.json", tower)) == expected
+
+
+def test_verify_sizes_must_be_positive(capsys):
+    for argv in (["--max-m", "0"], ["--max-n", "0"], ["--suite", "betti", "--max-m", "-1"]):
+        assert main(["verify", *argv]) == cli.EX_USAGE
+        assert "must be a positive integer" in capsys.readouterr().err
+    code, out = run(capsys, "verify", "--suite", "lemma", "--max-m", "1")
+    assert code == 0 and out == "lemma: 3 cases, pass\n"
+
+
 def test_bad_dold_flag_exit_2(capsys, klein):
     assert_malformed(capsys, ["dold", klein, "--dold", "2,x"])
 

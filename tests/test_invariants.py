@@ -5,11 +5,11 @@ import pytest
 from smallcover.charfun import BottMatrix, parse_bits
 from smallcover.cohomology import (
     BottRing,
+    DoldRing,
+    PointRing,
     SmallCoverRing,
-    dold_ring,
-    point_ring,
+    SphereRing,
     projective_ring,
-    sphere_ring,
 )
 from smallcover.errors import BudgetExceeded, InputError
 from smallcover.invariants import (
@@ -45,9 +45,9 @@ def test_interval_value_validation():
 
 def test_cup_length_closed_forms():
     assert cup_length(projective_ring(4)) == 4
-    assert cup_length(sphere_ring(5)) == 1
-    assert cup_length(point_ring()) == 0
-    assert cup_length(dold_ring(projective_ring(2), [2])) == 4
+    assert cup_length(SphereRing(5)) == 1
+    assert cup_length(PointRing()) == 0
+    assert cup_length(DoldRing(projective_ring(2), [2])) == 4
     P = polygon(4)
     ring = SmallCoverRing(P, [parse_bits(s) for s in ["10", "01", "10", "11"]])
     assert cup_length(ring) == 2
@@ -166,8 +166,8 @@ def test_zcl_interval_routes():
     iv = zcl_interval(BottRing((16, 8), BottMatrix.make((16, 8))))
     assert iv.lo == 46 and iv.hi == 48
     # spheres: declared values
-    assert zcl_interval(sphere_ring(3)).lo == 1
-    assert zcl_interval(sphere_ring(7)).lo == 1
+    assert zcl_interval(SphereRing(3)).lo == 1
+    assert zcl_interval(SphereRing(7)).lo == 1
     assert sphere_zcl_declared(4) == 2
     assert sphere_zcl_declared(5) == 1
 
@@ -175,10 +175,10 @@ def test_zcl_interval_routes():
 def test_cup_length_algebra_matches_closed_forms():
     rings = [
         projective_ring(4),
-        sphere_ring(3),
-        point_ring(),
-        dold_ring(projective_ring(2), [2]),
-        dold_ring(sphere_ring(3), [1, 2]),
+        SphereRing(3),
+        PointRing(),
+        DoldRing(projective_ring(2), [2]),
+        DoldRing(SphereRing(3), [1, 2]),
         BottRing((2, 3), BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)})),
         SmallCoverRing(polygon(5), [parse_bits(s) for s in ["10", "01", "10", "01", "11"]]),
     ]
