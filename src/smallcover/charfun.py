@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import gf2
 from .errors import CharacteristicError, InputError, ReductionFailed
@@ -37,7 +37,18 @@ class ValidationReport:
 
 
 def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationReport:
-    """Check that every vertex matrix of facet vectors is invertible."""
+    """Check that every vertex matrix of facet vectors is invertible.
+
+    The vertices are walked in lexicographic order of their sorted facet
+    tuples, so each shares a prefix with the one before it.  The rows of
+    that prefix stay reduced, in a dict keyed by lead bit with the leads
+    in push order, so going back to a prefix pops the rows pushed since,
+    and only the vertex's other facets are reduced.  A dependent prefix
+    makes every vertex under it bad with no further work.  The bad
+    vertices come out in walk order, which is sorted order.  The walk is
+    built once per polytope (`P._vertex_walk`): per vertex, the length of
+    the prefix it shares with the one before it, then its other facets.
+    """
     if len(vectors) != P.facet_count:
         raise CharacteristicError(
             f"expected {P.facet_count} vectors, got {len(vectors)}"
@@ -45,12 +56,42 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     for v in vectors:
         if len(v) != P.n:
             raise CharacteristicError("vector length differs from the dimension")
-    masks = [gf2.mask_of(v) for v in vectors]
-    bad = []
-    for v in P.vertices:
-        if len(gf2.row_reduce_masks([masks[f] for f in v])) != P.n:
-            bad.append(tuple(sorted(v)))
-    return ValidationReport(not bad, tuple(sorted(bad)))
+    bad = tuple(_dependent_vertices(P, [gf2.mask_of(v) for v in vectors]))
+    return ValidationReport(not bad, bad)
+
+
+def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """The vertices whose facet vectors (bit masks) are dependent, as sorted
+    facet tuples in ascending order, by the walk of validate."""
+    n, walk = P.n, P._vertex_walk
+    pivots: Dict[int, int] = {}
+    leads: List[int] = []
+    facets = [0] * n  # the current vertex
+    dead = n + 1  # length of the shortest dependent prefix; n + 1 if none
+    i, end = 0, len(walk)
+    while i < end:
+        p = walk[i]
+        i += 1 + n - p
+        facets[p:] = walk[i - n + p:i]
+        if p < dead:
+            while len(leads) > p:
+                del pivots[leads.pop()]
+            dead = n + 1
+            for t in range(p, n):
+                row = masks[facets[t]]
+                while row:
+                    lead = row.bit_length() - 1
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        break
+                    row ^= pivot
+                if not row:
+                    dead = t + 1
+                    break
+                pivots[lead] = row
+                leads.append(lead)
+        if dead <= n:
+            yield tuple(facets)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 One engine for quotients Z2[v1..vk]/(relations) of degree-one variables
 (`QuotientRing`): each degree is row-reduced once and products are looked up
-in a normal-form table.  Two presentations feed it: the triangular (Bott)
-presentation Z2[y1..ym]/<Gamma_1..Gamma_m>, and an arbitrary polytope/vector
-pair with the linear relations eliminated and the non-face monomials as
-relations in the surviving variables.  The Bott relations have pairwise-
+in a normal-form table.  A monomial there is one int whose fields are its
+exponents, so a product of monomials is an integer sum, with no carry.  Two
+presentations feed it: the triangular (Bott) presentation
+Z2[y1..ym]/<Gamma_1..Gamma_m>, and an arbitrary polytope/vector pair with
+the linear relations eliminated and the non-face monomials as relations in
+the surviving variables.  The Bott relations have pairwise-
 coprime leading monomials under graded lex with y1 < ... < ym, so single
 polynomials also reduce by rewriting, without completion and without a slice.
 Every other algebra is a `TensorAlgebra` product of such quotients and
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -358,6 +359,14 @@ class QuotientRing(Ring):
     among all monomials of degree d; its basis is the monomials that lead no
     pivot row, in grlex order, and its normal-form table gives the product
     of two basis monomials that lands in degree d.
+
+    A monomial is packed into one int of k fields, each of width
+    w = max(1, top.bit_length()); the exponent of variable i sits at bit
+    i*w, so the last variable takes the highest field and, within one
+    degree, int order is grlex order.  An exponent in a slice is at most
+    its degree d <= top < 2^w, so the sum of two monomials whose degrees
+    add up to at most top never carries from one field into the next: it
+    is their product.  Labels unpack a monomial when they are asked for.
     """
 
     def __init__(self, names: Sequence[str], relations: Sequence[GF2Poly], top: int):
@@ -367,41 +376,47 @@ class QuotientRing(Ring):
         self.top = top
         self.generators = tuple((name, 1) for name in names)
         self.relations_text = tuple(gf2.poly_render(g, names) for g in self.relations)
-        self._monos: Dict[int, List[Monomial]] = {}
+        self._width = max(1, top.bit_length())
         self._slices: Dict[int, tuple] = {}
         self._alg: Optional[GradedAlgebra] = None
 
-    def _monomials(self, d: int) -> List[Monomial]:
-        """All monomials of degree d in grlex order, built once per degree."""
-        if d not in self._monos:
-            k = self.nvars
-            if k == 0:
-                out = [()] if d == 0 else []
-            else:
-                # stars and bars: k - 1 bars among d + k - 1 places
-                out = []
-                for bars in combinations(range(d + k - 1), k - 1):
-                    ends = bars + (d + k - 1,)
-                    out.append(tuple(b - a - 1 for a, b in zip((-1,) + bars, ends)))
-                out.sort(key=grlex_key)
-            self._monos[d] = out
-        return self._monos[d]
+    @cached_property
+    def _packed(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """(degree, packed terms) of each relation that reaches a slice."""
+        w, top = self._width, self.top
+        return tuple((gf2.poly_deg(g), tuple(_pack(mon, w) for mon in g))
+                     for g in self.relations if 0 <= gf2.poly_deg(g) <= top)
+
+    @cached_property
+    def _monomials(self) -> List[List[int]]:
+        """_monomials[d]: all packed monomials of degree d <= top, ascending
+        (in grlex order)."""
+        k, w, top = self.nvars, self._width, self.top
+        if k == 0:
+            return [[0]] + [[] for _ in range(top)]
+        # levels[e]: the monomials of degree e in the variables so far
+        levels = [[e] for e in range(top + 1)]
+        for shift in range(w, k * w, w):
+            # ascending in the new, highest field, then in the rest
+            levels = [[m + (a << shift) for a in range(e + 1) for m in levels[e - a]]
+                      for e in range(top + 1)]
+        return levels
 
     def _slice(self, d: int):
-        """(monomials, pivot rows, basis monomials, normal-form table) of degree d."""
+        """(monomials, pivot rows, basis monomials, normal-form table) of
+        degree d, monomials packed."""
         if d not in self._slices:
-            mons = self._monomials(d)
+            mons = self._monomials[d]
             pos = {m: i for i, m in enumerate(mons)}
             pivots: Dict[int, int] = {}
-            for g in self.relations:
-                gd = gf2.poly_deg(g)
+            for gd, terms in self._packed:
                 if gd > d:
                     continue
-                for u in self._monomials(d - gd):
+                for u in self._monomials[d - gd]:
                     # multiplying by u is injective, so no two terms cancel
                     row = 0
-                    for mon in g:
-                        row ^= 1 << pos[mono_mul(u, mon)]
+                    for mon in terms:
+                        row ^= 1 << pos[u + mon]
                     while row:
                         lead = row.bit_length() - 1
                         if lead in pivots:
@@ -419,19 +434,32 @@ class QuotientRing(Ring):
             betti = [len(s[2]) for s in slices]
             # the product and the labels hold the ring's slices and names,
             # not the ring, so a ring and its algebra form no cycle
-            names = self.names
+            names, k, w = self.names, self.nvars, self._width
 
             def mult(d1, i, d2, j):
-                return slices[d1 + d2][3][mono_mul(slices[d1][2][i], slices[d2][2][j])]
+                return slices[d1 + d2][3][slices[d1][2][i] + slices[d2][2][j]]
+
+            def label(d, i):
+                return gf2.mono_render(_unpack(slices[d][2][i], k, w), names)
 
             # generated in degree one, as the polynomial ring is
             gens = [(1, 1 << i) for i in range(betti[1])] if self.top else []
-            self._alg = GradedAlgebra(betti, mult,
-                                      lambda d, i: gf2.mono_render(slices[d][2][i], names), gens)
+            self._alg = GradedAlgebra(betti, mult, label, gens)
         return self._alg
 
 
-def _normal_form_table(mons: Sequence[Monomial], pivots: Dict[int, int]) -> Dict[Monomial, int]:
+def _pack(mon: Monomial, w: int) -> int:
+    """A monomial as one int, exponent i in the field at bit i*w."""
+    return sum(e << (i * w) for i, e in enumerate(mon))
+
+
+def _unpack(packed: int, k: int, w: int) -> Monomial:
+    """The exponents of a packed monomial in k variables."""
+    field = (1 << w) - 1
+    return tuple((packed >> (i * w)) & field for i in range(k))
+
+
+def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int, int]:
     """Normal form of every monomial of one degree slice, as a basis mask.
 
     Each monomial reduces once against the slice's pivot rows.  A pivot
@@ -602,7 +630,8 @@ class SmallCoverRing(QuotientRing):
         reduced, pivot_cols = gf2.row_reduce(rows)
         if len(pivot_cols) != P.n:
             raise CharacteristicError("facet vectors do not span the ambient space")
-        free_cols = [c for c in range(r) if c not in set(pivot_cols)]
+        pivot_set = set(pivot_cols)
+        free_cols = [c for c in range(r) if c not in pivot_set]
         k = len(free_cols)
         free_index = {c: i for i, c in enumerate(free_cols)}
         # substitution: facet class as a linear polynomial in the free classes

@@ -10,7 +10,8 @@ import random
 from itertools import product
 from typing import Iterator, Optional, Tuple
 
-from .charfun import BottMatrix, GF2Vector, validate
+from .charfun import BottMatrix, GF2Vector, _dependent_vertices
+from .gf2 import bits_of
 from .polytope import SimplePolytope
 
 
@@ -21,14 +22,14 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
     first = sorted(P.vertices[0])
     for _ in range(tries):
         # a nonzero vector is the bits of one draw from 1 .. 2^n - 1, so no
-        # list of all 2^n - 1 of them is built
-        vectors = [tuple((v >> i) & 1 for i in range(n))
-                   for v in (rng.randrange(1, 1 << n) for _ in range(P.facet_count))]
+        # list of all 2^n - 1 of them is built; it is kept as that mask
+        masks = [rng.randrange(1, 1 << n) for _ in range(P.facet_count)]
         # make the first vertex a basis to help the success rate
         for i, f in enumerate(first):
-            vectors[f] = tuple(1 if c == i else 0 for c in range(n))
-        if validate(P, vectors).valid:
-            return tuple(vectors)
+            masks[f] = 1 << i
+        # valid unless the walk finds a first dependent vertex
+        if next(_dependent_vertices(P, masks), None) is None:
+            return tuple(bits_of(m, n) for m in masks)
     return None
 
 

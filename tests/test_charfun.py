@@ -150,3 +150,78 @@ def test_packed_validate_matches_rank_reference(rng):
             accepted += report.valid
             rejected += not report.valid
     assert accepted >= len(shapes) and rejected > 100
+
+
+def _per_vertex_validate(P, vectors):
+    """validate as it was: each vertex row-reduced on its own."""
+    masks = [gf2.mask_of(v) for v in vectors]
+    bad = []
+    for v in P.vertices:
+        if len(gf2.row_reduce_masks([masks[f] for f in v])) != P.n:
+            bad.append(tuple(sorted(v)))
+    return charfun.ValidationReport(not bad, tuple(sorted(bad)))
+
+
+def _unit(i, n):
+    return tuple(int(c == i) for c in range(n))
+
+
+def test_vertex_walk_matches_per_vertex_reference(rng):
+    cases = []
+
+    def draws(P, valid):
+        """Eight draws with one vertex a basis, then a valid assignment."""
+        nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]
+        for _ in range(8):
+            vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
+            for i, f in enumerate(sorted(P.vertices[0])):
+                vectors[f] = _unit(i, P.n)
+            cases.append((P, vectors))
+        assert valid is not None, P.family
+        cases.append((P, list(valid)))
+
+    def tower(dims):
+        return from_bott(dims, random_bott_matrix(dims, rng))
+
+    for dims in [(1, 1), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (1,) * 6, (3, 3, 3)]:
+        draws(product_of_simplices(dims), tower(dims))
+    for k in (3, 4, 5, 8, 12):
+        draws(polygon(k), random_characteristic(polygon(k), rng))
+    # prisms with their vertices, and the facets of each, in shuffled order
+    for k in (3, 4, 6, 8):
+        vertices = [[i, (i + 1) % k, cap] for i in range(k) for cap in (k, k + 1)]
+        rng.shuffle(vertices)
+        for v in vertices:
+            rng.shuffle(v)
+        P = explicit_polytope(3, k + 2, vertices)
+        draws(P, random_characteristic(P, rng))
+    # the simplex with the RP facet vectors, and with one of them repeated
+    n = 46
+    rp = [_unit(i, n) for i in range(n)] + [(1,) * n]
+    cases.append((product_of_simplices((n,)), rp))
+    cases.append((product_of_simplices((n,)), rp[:-1] + [rp[5]]))
+    # n = 0: one vertex on no facet, and no vertex at all
+    cases.append((explicit_polytope(0, 0, [()]), []))
+    cases.append((explicit_polytope(0, 0, []), []))
+    # a dependent prefix shared by many vertices: every vertex of
+    # (3, 3, 3, 3) that starts with facets 0, 1 (half of them), or of
+    # (2, 2, 2) that starts with facets 0, 1, 3
+    P = product_of_simplices((3, 3, 3, 3))
+    for _ in range(4):
+        vectors = tower((3, 3, 3, 3))
+        vectors[1] = vectors[0]
+        cases.append((P, list(vectors)))
+        vectors[rng.randrange(2, P.facet_count)] = vectors[2]
+        cases.append((P, vectors))
+    vectors = tower((2, 2, 2))
+    vectors[3] = tuple(a ^ b for a, b in zip(vectors[0], vectors[1]))
+    cases.append((product_of_simplices((2, 2, 2)), vectors))
+
+    shared = 0
+    for P, vectors in cases:
+        report = validate(P, vectors)
+        assert report == _per_vertex_validate(P, vectors), (P.family, vectors)
+        shared += len(report.bad_vertices) >= 32
+    assert shared >= 8
+    assert validate(explicit_polytope(0, 0, [()]), []).valid
+    assert not validate(product_of_simplices((n,)), rp[:-1] + [rp[5]]).valid

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from smallcover import gf2, invariants
+from smallcover import cohomology, gf2, invariants
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import (
     BottRing,
@@ -52,12 +52,17 @@ def _box(dims, d):
                   key=gf2.grlex_key)
 
 
+def _unpacked(ring, packed):
+    """A slice monomial of the ring as its exponent tuple."""
+    return cohomology._unpack(packed, ring.nvars, ring._width)
+
+
 def test_standard_monomial_count():
     for dims, beta in [((2, 3), {(2, 1): (1, 0, 1)}), ((3, 1, 2), {(3, 1): (1, 1)}),
                        ((1, 1, 1, 1), {})]:
         ring = BottRing(dims, BottMatrix.make(dims, beta))
         for d in range(ring.top + 1):
-            assert ring._slice(d)[2] == _box(dims, d)
+            assert [_unpacked(ring, m) for m in ring._slice(d)[2]] == _box(dims, d)
         count = 1
         for n in dims:
             count *= n + 1
@@ -507,15 +512,18 @@ def _scrambled_bott_vectors(rng, dims):
 
 
 def _reference_products(ring):
-    """Every basis product by the bit-by-bit reduction of its monomial."""
+    """Every basis product by the bit-by-bit reduction of its monomial, the
+    slice monomials unpacked and multiplied as exponent tuples."""
     out = {}
     for d1 in range(ring.top + 1):
         for d2 in range(ring.top + 1 - d1):
             mons, pivots, basis, _ = ring._slice(d1 + d2)
+            mons = [_unpacked(ring, mon) for mon in mons]
+            basis = [_unpacked(ring, mon) for mon in basis]
             pos = {mon: k for k, mon in enumerate(mons)}
             bpos = {mon: k for k, mon in enumerate(basis)}
-            for i, u in enumerate(ring._slice(d1)[2]):
-                for j, v in enumerate(ring._slice(d2)[2]):
+            for i, u in enumerate(_unpacked(ring, m) for m in ring._slice(d1)[2]):
+                for j, v in enumerate(_unpacked(ring, m) for m in ring._slice(d2)[2]):
                     mask = 1 << pos[gf2.mono_mul(u, v)]
                     reducible = True
                     while reducible:
