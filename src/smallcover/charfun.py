@@ -63,7 +63,12 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
 def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """The vertices whose facet vectors (bit masks) are dependent, as sorted
     facet tuples in ascending order, by the walk of validate."""
-    n, walk = P.n, P._vertex_walk
+    walk = getattr(P, "_vertex_walk", None)
+    if walk is None:
+        # built on the first walk and kept on the polytope
+        walk = _vertex_walk(P.vertices)
+        object.__setattr__(P, "_vertex_walk", walk)
+    n = P.n
     pivots: Dict[int, int] = {}
     leads: List[int] = []
     facets = [0] * n  # the current vertex
@@ -92,6 +97,24 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tup
                 leads.append(lead)
         if dead <= n:
             yield tuple(facets)
+
+
+def _vertex_walk(vertices) -> Tuple[int, ...]:
+    """The vertices in lexicographic order of their sorted facet tuples, as
+    one flat tuple: per vertex, the length p of the prefix it shares with
+    the vertex before it, then its facets after that prefix."""
+    out: List[int] = []
+    prev: Tuple[int, ...] = ()
+    for v in sorted(tuple(sorted(v)) for v in vertices):
+        p = 0
+        for a, b in zip(prev, v):
+            if a != b:
+                break
+            p += 1
+        out.append(p)
+        out.extend(v[p:])
+        prev = v
+    return tuple(out)
 
 
 @dataclass(frozen=True)

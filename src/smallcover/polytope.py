@@ -53,14 +53,6 @@ class SimplePolytope:
                     raise InputError(f"facet {f} lies on no vertex")
         object.__setattr__(self, "_facet_vertices", incidence)
 
-    def __getattr__(self, name):
-        # the vertex walk of charfun.validate, built on first access, then stored
-        if name != "_vertex_walk":
-            raise AttributeError(name)
-        value = _vertex_walk(self.vertices)
-        object.__setattr__(self, name, value)
-        return value
-
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
@@ -72,24 +64,6 @@ class SimplePolytope:
 
     def facets_disjoint(self, f: int, g: int) -> bool:
         return not set(self.facet_vertex_indices(f)) & set(self.facet_vertex_indices(g))
-
-
-def _vertex_walk(vertices) -> Tuple[int, ...]:
-    """The vertices in lexicographic order of their sorted facet tuples, as
-    one flat tuple: per vertex, the length p of the prefix it shares with
-    the vertex before it, then its facets after that prefix."""
-    out: List[int] = []
-    prev: Tuple[int, ...] = ()
-    for v in sorted(tuple(sorted(v)) for v in vertices):
-        p = 0
-        for a, b in zip(prev, v):
-            if a != b:
-                break
-            p += 1
-        out.append(p)
-        out.extend(v[p:])
-        prev = v
-    return tuple(out)
 
 
 def _incidence(vertices, facet_count: int) -> Tuple[Tuple[int, ...], ...]:
@@ -122,7 +96,7 @@ class ProductOfSimplices(SimplePolytope):
         elif name == "_facet_vertices":
             value = _incidence(self.vertices, self.facet_count)
         else:
-            return super().__getattr__(name)
+            raise AttributeError(name)
         object.__setattr__(self, name, value)
         return value
 
