@@ -49,6 +49,8 @@ class ProblemSpec:
         self.exact_budget = options.get("exact_budget")
         if self.exact_budget is not None:
             self.exact_budget = _int(self.exact_budget, "exact_budget")
+            if self.exact_budget < 0:
+                raise InputError("exact_budget must be a non-negative integer")
         self.format = options.get("format")
         if self.format not in (None, "table", "json"):
             raise InputError(f"unknown output format {self.format!r}")
@@ -413,15 +415,21 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
-def _positive(text: str) -> int:
-    """An option value that must be a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _at_least(low: int, what: str) -> Callable[[str], int]:
+    """An option type: an integer that must be at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _at_least(1, "positive")
+_non_negative = _at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="JSON problem file")
         p.add_argument("--format", choices=["table", "json"], default=None)
         if exact_budget:
-            p.add_argument("--exact-budget", dest="exact_budget", type=int, default=None)
+            p.add_argument("--exact-budget", dest="exact_budget", type=_non_negative,
+                           default=None)
         return p
 
     document("validate", cmd_validate, "check the facet vector assignment")

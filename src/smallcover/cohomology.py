@@ -78,13 +78,6 @@ class GradedAlgebra:
                 acc ^= self.mult_basis(d1, i, d2, j)
         return (d, acc)
 
-    def render_elem(self, e: Tuple[int, int]) -> str:
-        d, m = e
-        if not m:
-            return "0"
-        parts = [self.label(d, i) for i in range(self.betti[d]) if (m >> i) & 1]
-        return " + ".join(parts)
-
 
 class GradedSpan:
     """Row-reduced span of homogeneous elements, bucketed by degree."""
@@ -213,7 +206,6 @@ class TensorAlgebra(GradedAlgebra):
                         pairs[d].append((d1, i, d2, j))
         self.pairs = pairs
         self.index = index
-        self.left = A
 
         def label(d: int, i: int) -> str:
             d1, i1, d2, i2 = pairs[d][i]
@@ -247,46 +239,6 @@ class TensorAlgebra(GradedAlgebra):
             return acc
 
         super().__init__([len(p) for p in pairs], mult, label, gens)
-
-    def diagonal(self, g: Tuple[int, int]) -> Tuple[int, int]:
-        """g (x) 1 + 1 (x) g for a homogeneous g of positive degree, in a
-        tensor square with the unit as basis element (0, 0)."""
-        d, m = g
-        acc = 0
-        while m:
-            i = m.bit_length() - 1
-            m &= ~(1 << i)
-            acc ^= (1 << self.index[(d, i, 0, 0)]) ^ (1 << self.index[(0, 0, d, i)])
-        return (d, acc)
-
-    def diagonal_step(self, g: Tuple[int, int]) -> StepTable:
-        """Step table of g (x) 1 + 1 (x) g in a tensor square A (x) A.
-
-        Built from A's own products by g, dim A of them: the pair a (x) b
-        maps to (a.g) (x) b + a (x) (b.g), with no product in the square.
-        """
-        s = g[0]
-        A, index = self.left, self.index
-        by_g = [[A.mult_elem((d, 1 << i), g)[1] for i in range(A.betti[d])]
-                for d in range(A.top + 1)]
-        rows: List[List[int]] = []
-        for d in range(self.top + 1 - s):
-            out = []
-            for d1, i1, d2, i2 in self.pairs[d]:
-                row = 0
-                m = by_g[d1][i1]
-                while m:
-                    low = m & -m
-                    row ^= 1 << index[(d1 + s, low.bit_length() - 1, d2, i2)]
-                    m ^= low
-                m = by_g[d2][i2]
-                while m:
-                    low = m & -m
-                    row ^= 1 << index[(d1, i1, d2 + s, low.bit_length() - 1)]
-                    m ^= low
-                out.append(row)
-            rows.append(out)
-        return s, rows
 
 
 def tensor_square(A: GradedAlgebra) -> TensorAlgebra:
@@ -375,10 +327,15 @@ class QuotientRing(Ring):
         self.relations = tuple(relations)
         self.top = top
         self.generators = tuple((name, 1) for name in names)
-        self.relations_text = tuple(gf2.poly_render(g, names) for g in self.relations)
         self._width = max(1, top.bit_length())
         self._slices: Dict[int, tuple] = {}
         self._alg: Optional[GradedAlgebra] = None
+
+    @cached_property
+    def relations_text(self) -> Tuple[str, ...]:
+        """The relations as text, rendered on first use: only the `ring`
+        command prints them."""
+        return tuple(gf2.poly_render(g, self.names) for g in self.relations)
 
     @cached_property
     def _packed(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
@@ -719,10 +676,14 @@ class DoldRing(Ring):
         names = ["a"] + [f"a{i + 2}" for i in range(self.r - 1)]
         # the truncated generator lives in degree 1; the square-zero ones in p_i
         self.generators = tuple(zip(names, (1,) + p[1:])) + base.generators
-        self.relations_text = ((f"a^{p[0] + 1}",) + tuple(f"{a}^2" for a in names[1:])
-                               + base.relations_text)
         self._alg: Optional[GradedAlgebra] = None
         self._names = names
+
+    @cached_property
+    def relations_text(self) -> Tuple[str, ...]:
+        names = self._names
+        return ((f"a^{self.p[0] + 1}",) + tuple(f"{a}^2" for a in names[1:])
+                + self.base.relations_text)
 
     @cached_property
     def betti(self) -> Tuple[int, ...]:

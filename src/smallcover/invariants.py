@@ -4,12 +4,17 @@ The exact search works in the tensor square: the kernel of the
 multiplication map is the ideal generated by the diagonal classes
 g (x) 1 + 1 (x) g of the algebra generators g, so its k-th power is
 generated by the k-fold monomials in those classes, and the
-zero-divisor-cup-length is the longest nonzero such monomial.
+zero-divisor-cup-length is the longest nonzero such monomial.  It builds
+no tensor-square object: a basis pair's position is computed from the
+Betti numbers, multiplication by a diagonal class is built one degree at a
+time from the algebra's own products, when the search first needs that
+degree, and each witness factor is rendered once from its generator's label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import ceil, log2
 from typing import List, Sequence, Tuple
 
@@ -19,8 +24,6 @@ from .cohomology import (
     BottRing,
     GradedAlgebra,
     Ring,
-    apply_step,
-    tensor_square,
 )
 # unused here; perfbench/tracer.py rebinds these names on this module
 from .cohomology import cup_kernel, ideal_powers  # noqa: F401
@@ -68,15 +71,18 @@ class ZclCertificate:
 # cup-length
 
 
-def _longest_product(start: Sequence[Tuple[int, int]],
-                     steps: Sequence[tuple]) -> Tuple[int, Tuple[int, ...]]:
+def _longest_product(start: Sequence[Tuple[int, int]], steps: Sequence[tuple],
+                     top: int) -> Tuple[int, Tuple[int, ...]]:
     """(k, a): the length and exponents of the longest nonzero monomial in
-    the classes `start`, steps[j] being the `StepTable` of start[j].
+    the classes `start`, in an algebra of top degree `top`.  steps[j] is
+    (s, rows) for start[j] of degree s: rows(d) lists the images of degree
+    d's basis elements under start[j], for d + s <= top.
 
     Level by level over the nonzero monomials only (a multiple of a zero
     monomial is zero).  A monomial whose last factor is class j takes only
     the classes j' >= j, so each multiset is visited once; a is the first
-    monomial of the last nonzero level.
+    monomial of the last nonzero level.  A monomial's set bits are read once
+    and each step XORs the rows at them.
     """
     m = len(start)
     level = [(j, d, mask, tuple(int(i == j) for i in range(m)))
@@ -86,10 +92,17 @@ def _longest_product(start: Sequence[Tuple[int, int]],
         k, best = k + 1, level[0][3]
         nxt = []
         for j, d, mask, a in level:
+            bits, rest = [], mask
+            while rest:
+                low = rest & -rest
+                bits.append(low.bit_length() - 1)
+                rest ^= low
             for i in range(j, m):
                 s, rows = steps[i]
-                if d < len(rows):
-                    image = apply_step(rows[d], mask)
+                if d + s <= top:
+                    table, image = rows(d), 0
+                    for b in bits:
+                        image ^= table[b]
                     if image:
                         nxt.append((i, d + s, image, a[:i] + (a[i] + 1,) + a[i + 1:]))
         level = nxt
@@ -103,12 +116,11 @@ def cup_length_algebra(alg: GradedAlgebra) -> int:
     generators, so its k-th power is spanned by multiples of the k-fold
     monomials in them, and it is nonzero iff one of those monomials is.
     """
-    steps = []
-    for dg, mg in alg.gens:
-        ig = mg.bit_length() - 1
-        steps.append((dg, [[alg.mult_basis(d, i, dg, ig) for i in range(alg.betti[d])]
-                           for d in range(alg.top + 1 - dg)]))
-    return _longest_product(alg.gens, steps)[0]
+    def step(s: int, ig: int) -> tuple:
+        return s, cache(lambda d: [alg.mult_basis(d, i, s, ig) for i in range(alg.betti[d])])
+
+    steps = [step(s, m.bit_length() - 1) for s, m in alg.gens]
+    return _longest_product(alg.gens, steps, alg.top)[0]
 
 
 def cup_length(ring: Ring) -> int:
@@ -226,6 +238,50 @@ def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
 # exact search
 
 
+def _diagonal_steps(alg: GradedAlgebra) -> Tuple[list, list]:
+    """(start, steps) of the diagonal classes z_g = g (x) 1 + 1 (x) g of the
+    generators g of A, in A (x) A, for `_longest_product`.
+
+    Degree d of A (x) A lists the pairs (d1, i, d - d1, j) of basis elements
+    by d1, then i, then j, so a pair sits at base[d][d1] + i*b(d - d1) + j,
+    b being A's Betti numbers.  z_g maps a (x) b to (a.g) (x) b + a (x) (b.g),
+    so its rows come from the dim A products of A by g, and a degree's rows
+    are built the first time the search steps from that degree.
+    """
+    top = alg.top
+    b = alg.betti + (0,) * top  # zero above the top, up to 2 top
+    base = []
+    for d in range(2 * top + 1):
+        offsets = [0]
+        for d1 in range(d):
+            offsets.append(offsets[-1] + b[d1] * b[d - d1])
+        base.append(offsets)
+
+    def step(s: int, ig: int) -> tuple:
+        by_g = [[alg.mult_basis(d, i, s, ig) for i in range(b[d])] for d in range(top + 1)]
+
+        def rows(d: int) -> List[int]:
+            out = []
+            for d1 in range(max(0, d - top), min(d, top) + 1):
+                d2 = d - d1
+                left, right, n2, n2s = base[d + s][d1 + s], base[d + s][d1], b[d2], b[d2 + s]
+                for i, ag in enumerate(by_g[d1]):
+                    # (a.g) (x) b: a.g's bits spread at stride b(d2)
+                    spread = 0
+                    while ag:
+                        low = ag & -ag
+                        spread |= 1 << ((low.bit_length() - 1) * n2 + left)
+                        ag ^= low
+                    at = right + i * n2s
+                    out += [(spread << j) ^ (bg << at) for j, bg in enumerate(by_g[d2])]
+            return out
+
+        return s, cache(rows)
+
+    start = [(s, m << base[s][s] | m) for s, m in alg.gens]
+    return start, [step(s, m.bit_length() - 1) for s, m in alg.gens]
+
+
 def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     """Exact zero-divisor-cup-length of a ring of total dimension <= budget.
 
@@ -243,11 +299,12 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         )
     if ring._zcl is None:
         alg = ring.algebra()
-        T = tensor_square(alg)
-        diagonals = [T.diagonal(g) for g in alg.gens]
-        k, exponents = _longest_product(diagonals, [T.diagonal_step(g) for g in alg.gens])
-        witness = tuple(T.render_elem(z) for z, e in zip(diagonals, exponents)
-                        for _ in range(e))
+        k, exponents = _longest_product(*_diagonal_steps(alg), 2 * alg.top)
+        witness: Tuple[str, ...] = ()
+        for (d, m), e in zip(alg.gens, exponents):
+            if e:
+                one, g = alg.label(0, 0), alg.label(d, m.bit_length() - 1)
+                witness += (f"{one}(x){g} + {g}(x){one}",) * e
         ring._zcl = IntervalValue(k, k, "exhaustive kernel power search",
                                   "exhaustive kernel power search", witness)
     return ring._zcl

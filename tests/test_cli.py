@@ -230,6 +230,21 @@ def test_exact_budget_flag(capsys, klein):
     assert data["lo_source"] != "exhaustive kernel power search"
 
 
+def test_exact_budget_must_be_non_negative(capsys, tmp_path, klein):
+    for budget in ("-3", "-1", "x"):
+        assert main(["zcl", klein, "--exact-budget", budget]) == cli.EX_USAGE
+        assert "must be a non-negative integer" in capsys.readouterr().err
+    code, out = run(capsys, "zcl", klein, "--exact-budget", "0")
+    assert code == 0 and "exhaustive" not in out
+    doc = json.loads(Path(klein).read_text())
+    doc["options"] = {"exact_budget": -3}
+    problem = write(tmp_path, "negative.json", doc)
+    assert_malformed(capsys, ["zcl", problem])
+    doc["options"] = {"exact_budget": 0}
+    code, out = run(capsys, "zcl", write(tmp_path, "zero.json", doc))
+    assert code == 0 and "exhaustive" not in out
+
+
 def test_exact_budget_flag_only_where_read(capsys, klein):
     # ring, betti, cl and validate never search, so they take no budget
     assert main(["ring", klein, "--exact-budget", "5"]) == 64
