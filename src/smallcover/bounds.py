@@ -336,12 +336,14 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
     n = M.n
     tc = tc_bounds(M, budget)
     b.lower(tc.interval.lo, "ordinary complexity floor")
-    b.lower(2, "more than one point")
-    # in characteristic 2 the norm elements x (x) y + y (x) x are the diagonal
-    # zero divisors, so the norm subring's cup-length is at least the zcl
-    zcl = manifold_zcl(M, budget)
-    b.lower(zcl.lo + 2, "norm subring",
-            f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
+    if n >= 1:  # a point has TC_S 1
+        b.lower(2, "more than one point")
+        # in characteristic 2 the norm elements x (x) y + y (x) x are the
+        # diagonal zero divisors, so the norm subring's cup-length is at
+        # least the zcl
+        zcl = manifold_zcl(M, budget)
+        b.lower(zcl.lo + 2, "norm subring",
+                f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
     b.upper(2 * n + 1, "dimension cap")
     if M.kind in ("bott", "small_cover") and n > 1:
         _, det_ok = M._facet_hypotheses

@@ -13,7 +13,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import gf2
 from .errors import CharacteristicError, InputError, ReductionFailed
-from .polytope import SimplePolytope, block_offsets, product_of_simplices
+from .polytope import SimplePolytope, block_offsets, kept, product_of_simplices
 
 GF2Vector = Tuple[int, ...]
 
@@ -63,11 +63,7 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
 def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """The vertices whose facet vectors (bit masks) are dependent, as sorted
     facet tuples in ascending order, by the walk of validate."""
-    walk = getattr(P, "_vertex_walk", None)
-    if walk is None:
-        # built on the first walk and kept on the polytope
-        walk = _vertex_walk(P.vertices)
-        object.__setattr__(P, "_vertex_walk", walk)
+    walk = kept(P, "_vertex_walk", lambda P: _vertex_walk(P.vertices))
     n = P.n
     pivots: Dict[int, int] = {}
     leads: List[int] = []

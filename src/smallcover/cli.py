@@ -117,7 +117,10 @@ def _parse_characteristic(P, obj):
             raise InputError("bott_matrix dims disagree with the polytope")
         beta = {}
         for key, bits in _object(obj.get("beta"), "beta").items():
-            k, j = (int(x) for x in key.split(","))
+            try:
+                k, j = (int(x) for x in key.split(","))
+            except ValueError:
+                raise InputError(f"beta key {key!r} is not two integers k,j") from None
             if (k, j) in beta:
                 raise InputError(f"beta block {k},{j} is given twice")
             beta[(k, j)] = charfun.parse_bits(bits)

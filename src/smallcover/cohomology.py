@@ -3,13 +3,14 @@
 One engine for quotients Z2[v1..vk]/(relations) of degree-one variables
 (`QuotientRing`): each degree is row-reduced once and products are looked up
 in a normal-form table.  A monomial there is one int whose fields are its
-exponents, so a product of monomials is an integer sum, with no carry.  Two
-presentations feed it: the triangular (Bott) presentation
-Z2[y1..ym]/<Gamma_1..Gamma_m>, and an arbitrary polytope/vector pair with
-the linear relations eliminated and the non-face monomials as relations in
-the surviving variables.  The Bott relations have pairwise-
-coprime leading monomials under graded lex with y1 < ... < ym, so single
-polynomials also reduce by rewriting, without completion and without a slice.
+exponents, so a product of monomials is an integer sum, with no carry.  Each
+presentation builds its relations in that packed form, on first use, through
+one hook: the triangular (Bott) presentation Z2[y1..ym]/<Gamma_1..Gamma_m>,
+and an arbitrary polytope/vector pair with the linear relations eliminated
+and the non-face monomials as relations in the surviving variables.  The
+Bott relations have pairwise-coprime leading monomials under graded lex with
+y1 < ... < ym, so single polynomials also reduce by rewriting, with the
+relations unpacked, without completion and without a slice.
 Every other algebra is a `TensorAlgebra` product of such quotients and
 square-zero classes: a sphere is one square-zero class, and a twisted product
 (Dold-type) ring is a truncated polynomial ring, square-zero classes and the
@@ -25,8 +26,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
-from .gf2 import GF2Poly, Monomial, grlex_key, mono_mul, poly_mul
-from .polytope import SimplePolytope, _poly_product, block_offsets, h_vector
+from .gf2 import GF2Poly, Monomial, grlex_key, poly_mul
+from .polytope import SimplePolytope, _poly_product, h_vector, minimal_non_faces
 
 
 # ---------------------------------------------------------------------------
@@ -59,24 +60,6 @@ class GradedAlgebra:
         if d1 + d2 > self.top:
             return 0
         return self._mult(d1, i, d2, j)
-
-    def mult_elem(self, e1: Tuple[int, int], e2: Tuple[int, int]) -> Tuple[int, int]:
-        d1, m1 = e1
-        d2, m2 = e2
-        d = d1 + d2
-        if d > self.top or not m1 or not m2:
-            return (d, 0)
-        acc = 0
-        mm1 = m1
-        while mm1:
-            i = mm1.bit_length() - 1
-            mm1 &= ~(1 << i)
-            mm2 = m2
-            while mm2:
-                j = mm2.bit_length() - 1
-                mm2 &= ~(1 << j)
-                acc ^= self.mult_basis(d1, i, d2, j)
-        return (d, acc)
 
 
 class GradedSpan:
@@ -306,43 +289,52 @@ class Ring:
 class QuotientRing(Ring):
     """Z2[v1..vk]/(relations) on degree-one variables, built degree by degree.
 
-    A presentation supplies the variable names, homogeneous relations and the
-    top degree.  Degree d's slice row-reduces the multiples of the relations
-    among all monomials of degree d; its basis is the monomials that lead no
-    pivot row, in grlex order, and its normal-form table gives the product
-    of two basis monomials that lands in degree d.
+    A presentation supplies the variable names, the top degree and, through
+    one hook, `_relations`, its relations packed; the first slice, text or
+    normal form builds them.  Degree d's slice row-reduces the multiples of
+    the relations among all monomials of degree d; its basis is the
+    monomials that lead no pivot row, in grlex order, and its normal-form
+    table gives the product of two basis monomials that lands in degree d.
 
     A monomial is packed into one int of k fields, each of width
-    w = max(1, top.bit_length()); the exponent of variable i sits at bit
+    w = (top + 1).bit_length(); the exponent of variable i sits at bit
     i*w, so the last variable takes the highest field and, within one
-    degree, int order is grlex order.  An exponent in a slice is at most
-    its degree d <= top < 2^w, so the sum of two monomials whose degrees
-    add up to at most top never carries from one field into the next: it
-    is their product.  Labels unpack a monomial when they are asked for.
+    degree, int order is grlex order.  An exponent is at most top + 1 <
+    2^w, the largest degree of a relation, and in a slice at most its
+    degree d <= top, so the sum of two monomials whose degrees add up to at
+    most top never carries from one field into the next: it is their
+    product.  Labels unpack a monomial when they are asked for.
     """
 
-    def __init__(self, names: Sequence[str], relations: Sequence[GF2Poly], top: int):
+    def __init__(self, names: Sequence[str], top: int):
         self.names = names
         self.nvars = len(names)
-        self.relations = tuple(relations)
         self.top = top
         self.generators = tuple((name, 1) for name in names)
-        self._width = max(1, top.bit_length())
+        self._width = (top + 1).bit_length()
         self._slices: Dict[int, tuple] = {}
         self._alg: Optional[GradedAlgebra] = None
+
+    def _relations(self) -> Iterable[Tuple[int, Tuple[int, ...]]]:
+        """(degree, packed terms) of each nonzero relation, of degree at
+        most top + 1: each presentation's one hook.  Here none, a point."""
+        return ()
+
+    @cached_property
+    def _packed(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        return tuple(self._relations())
+
+    @cached_property
+    def relations(self) -> Tuple[GF2Poly, ...]:
+        """The relations as sets of exponent tuples, unpacked on first use."""
+        k, w = self.nvars, self._width
+        return tuple(frozenset(_unpack(t, k, w) for t in terms) for _, terms in self._packed)
 
     @cached_property
     def relations_text(self) -> Tuple[str, ...]:
         """The relations as text, rendered on first use: only the `ring`
         command prints them."""
         return tuple(gf2.poly_render(g, self.names) for g in self.relations)
-
-    @cached_property
-    def _packed(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-        """(degree, packed terms) of each relation that reaches a slice."""
-        w, top = self._width, self.top
-        return tuple((gf2.poly_deg(g), tuple(_pack(mon, w) for mon in g))
-                     for g in self.relations if 0 <= gf2.poly_deg(g) <= top)
 
     @cached_property
     def _monomials(self) -> List[List[int]]:
@@ -405,9 +397,17 @@ class QuotientRing(Ring):
         return self._alg
 
 
-def _pack(mon: Monomial, w: int) -> int:
-    """A monomial as one int, exponent i in the field at bit i*w."""
-    return sum(e << (i * w) for i, e in enumerate(mon))
+def _product(factors: Iterable[Sequence[int]]) -> Tuple[int, ...]:
+    """Packed terms of a product of polynomials given by their packed
+    terms: the sums of one term from each factor, cancelled in pairs."""
+    acc = {0}
+    for factor in factors:
+        nxt: set = set()
+        for u in acc:
+            for v in factor:
+                nxt ^= {u + v}
+        acc = nxt
+    return tuple(sorted(acc))
 
 
 def _unpack(packed: int, k: int, w: int) -> Monomial:
@@ -455,13 +455,7 @@ class BottRing(QuotientRing):
         self.dims = dims
         self.bmat = B
         self.m = len(dims)
-        super().__init__(gf2.default_names(self.m, "y"),
-                         [self._gamma(j) for j in range(1, self.m + 1)], sum(dims))
-        # tail_j: Gamma_j with its leading monomial y_j^{n_j+1} removed
-        self._tails = []
-        for j, g in enumerate(self.relations, start=1):
-            lead = gf2.mono_var(self.m, j, self.dims[j - 1] + 1)
-            self._tails.append(g ^ {lead})
+        super().__init__(gf2.default_names(self.m, "y"), sum(dims))
 
     @cached_property
     def betti(self) -> Tuple[int, ...]:
@@ -469,15 +463,20 @@ class BottRing(QuotientRing):
         the Betti numbers are the coefficients of prod (1 + t + ... + t^{n_j})."""
         return _poly_product((1,) * (n + 1) for n in self.dims)
 
-    def _gamma(self, j: int) -> GF2Poly:
-        acc = frozenset({gf2.mono_var(self.m, j)})
-        for k in range(1, self.dims[j - 1] + 1):
-            factor = {gf2.mono_var(self.m, j)}
-            for l in range(1, j):
-                if self.bmat.block(j, l)[k - 1]:
-                    factor = set(factor) ^ {gf2.mono_var(self.m, l)}
-            acc = poly_mul(acc, frozenset(factor))
-        return acc
+    def _relations(self):
+        """Gamma_j = y_j prod_{k <= n_j} (y_j + sum_{l < j} beta(j, l)[k] y_l)."""
+        w = self._width
+        for j, n in enumerate(self.dims):
+            y = [1 << (i * w) for i in range(j + 1)]
+            blocks = [self.bmat.block(j + 1, l + 1) for l in range(j)]
+            factors = [[y[j]] + [y[l] for l in range(j) if blocks[l][k]] for k in range(n)]
+            yield n + 1, _product([[y[j]]] + factors)
+
+    @cached_property
+    def _tails(self) -> Tuple[GF2Poly, ...]:
+        """Gamma_j with its leading monomial y_j^{n_j+1} removed."""
+        return tuple(g ^ {gf2.mono_var(self.m, j, n + 1)}
+                     for j, (g, n) in enumerate(zip(self.relations, self.dims), start=1))
 
     def normal_form(self, p: GF2Poly) -> GF2Poly:
         """Unique representative on standard monomials, by rewriting.  It
@@ -525,51 +524,6 @@ def projective_ring(n: int) -> BottRing:
     return BottRing((n,), BottMatrix.make((n,)))
 
 
-def minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
-    """Minimal facet sets with empty intersection."""
-    kind = P.family[0]
-    if kind == "product_of_simplices":
-        dims = P.family[1]
-        offs = block_offsets(dims)
-        return [tuple(range(offs[j], offs[j] + dims[j] + 1)) for j in range(len(dims))]
-    if kind == "polygon":
-        k = P.family[1]
-        if k == 3:  # a triangle: its three edges meet in no vertex
-            return [(0, 1, 2)]
-        return [
-            (i, j)
-            for i in range(k)
-            for j in range(i + 1, k)
-            if j - i != 1 and not (i == 0 and j == k - 1)
-        ]
-    # explicit: grow candidate sets whose proper subsets are all faces
-    vertex_sets = [frozenset(v) for v in P.vertices]
-
-    def is_face(S: frozenset) -> bool:
-        return any(S <= v for v in vertex_sets)
-
-    out: List[Tuple[int, ...]] = []
-    faces_prev = {frozenset({f}) for f in range(P.facet_count) if is_face(frozenset({f}))}
-    for size in range(2, P.n + 2):
-        faces_now = set()
-        cands = set()
-        for S in faces_prev:
-            for f in range(P.facet_count):
-                if f not in S:
-                    cands.add(S | {f})
-        for S in cands:
-            if any(S - {f} not in faces_prev for f in S):
-                continue
-            if is_face(S):
-                faces_now.add(S)
-            else:
-                out.append(tuple(sorted(S)))
-        faces_prev = faces_now
-        if not faces_prev:
-            break
-    return sorted(out)
-
-
 class SmallCoverRing(QuotientRing):
     kind = "small_cover"
 
@@ -584,35 +538,25 @@ class SmallCoverRing(QuotientRing):
         r = P.facet_count
         # eliminate the linear relations: row-reduce the coordinate matrix
         rows = [[vectors[f][i] for f in range(r)] for i in range(P.n)]
-        reduced, pivot_cols = gf2.row_reduce(rows)
+        self._reduced, pivot_cols = gf2.row_reduce(rows)
         if len(pivot_cols) != P.n:
             raise CharacteristicError("facet vectors do not span the ambient space")
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(r) if c not in pivot_set]
-        k = len(free_cols)
-        free_index = {c: i for i, c in enumerate(free_cols)}
-        # substitution: facet class as a linear polynomial in the free classes
-        subs: List[GF2Poly] = [None] * r
-        for c in free_cols:
-            subs[c] = frozenset({gf2.mono_var(k, free_index[c] + 1)})
-        for row in reduced:
-            lead = row.bit_length() - 1
-            mons = set()
-            rest = row & ~(1 << lead)
-            while rest:
-                b = rest.bit_length() - 1
-                rest &= ~(1 << b)
-                mons ^= {gf2.mono_var(k, free_index[b] + 1)}
-            subs[lead] = frozenset(mons)
-        # non-face monomials become polynomial relations in the free classes
-        gens: List[GF2Poly] = []
-        for S in minimal_non_faces(P):
-            g = frozenset({gf2.mono_one(k)})
-            for f in S:
-                g = poly_mul(g, subs[f])
-            if g:
-                gens.append(g)
-        super().__init__([f"z{i + 1}" for i in range(k)], gens, P.n)
+        super().__init__([f"z{i + 1}" for i in range(r - P.n)], P.n)
+
+    def _relations(self):
+        """The non-face monomials, each facet class a linear form in the free
+        classes z_i, those of the facets that lead no reduced row."""
+        w, rows = self._width, self._reduced
+        leads = {row.bit_length() - 1 for row in rows}
+        free = [f for f in range(self.P.facet_count) if f not in leads]
+        subs = {f: (1 << (i * w),) for i, f in enumerate(free)}
+        for row in rows:
+            # a fully reduced row has no other lead bit
+            subs[row.bit_length() - 1] = tuple(subs[f][0] for f in free if row >> f & 1)
+        for S in minimal_non_faces(self.P):
+            terms = _product(subs[f] for f in S)
+            if terms:
+                yield len(S), terms
 
     @cached_property
     def betti(self) -> Tuple[int, ...]:
@@ -644,7 +588,20 @@ class PointRing(QuotientRing):
     kind = "point"
 
     def __init__(self):
-        super().__init__([], [], 0)
+        super().__init__([], 0)
+
+
+class TruncatedRing(QuotientRing):
+    """Z2[x]/(x^{n+1}) on one class x of degree one, named `name`."""
+
+    kind = "truncated"
+
+    def __init__(self, name: str, n: int):
+        super().__init__([name], n)
+
+    def _relations(self):
+        # in one variable the monomial x^e packs to the int e
+        return ((self.top + 1, (self.top + 1,)),)
 
 
 _RETRACTABLE_KINDS = {"bott", "small_cover", "sphere", "point"}
@@ -695,7 +652,7 @@ class DoldRing(Ring):
         """Z2[a]/(a^{p_1+1}) (x) Z2[a_i]/(a_i^2) ... (x) the base's algebra."""
         if self._alg is None:
             p, names = self.p, self._names
-            factors = [QuotientRing(names[:1], [frozenset({(p[0] + 1,)})], p[0]).algebra()]
+            factors = [TruncatedRing(names[0], p[0]).algebra()]
             factors += [square_zero(name, n) for name, n in zip(names[1:], p[1:])]
             # nested from the right, so each degree lists its basis products
             # a^e * a2^b2 * ... * ar^br in ascending (e, b2, ..., br)
@@ -743,7 +700,4 @@ def verify_top_monomial(dims: Sequence[int], B: BottMatrix) -> bool:
     for j, d in enumerate(ring.dims, start=1):
         if not ring.power(j, d):
             return False
-    full = gf2.mono_one(ring.m)
-    for j, d in enumerate(ring.dims, start=1):
-        full = mono_mul(full, gf2.mono_var(ring.m, j, d))
-    return bool(ring.normal_form(frozenset({full})))
+    return bool(ring.normal_form(frozenset({ring.dims})))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
 
@@ -72,6 +72,14 @@ def _incidence(vertices, facet_count: int) -> Tuple[Tuple[int, ...], ...]:
         for f in v:
             seen[f].append(vi)
     return tuple(tuple(s) for s in seen)
+
+
+def kept(P: SimplePolytope, name: str, build: Callable):
+    """build(P), found on first use and kept on P as `name`.  It is not a
+    field, so equality and hashing do not see it."""
+    if name not in P.__dict__:
+        object.__setattr__(P, name, build(P))
+    return P.__dict__[name]
 
 
 class ProductOfSimplices(SimplePolytope):
@@ -258,7 +266,12 @@ def f_vector(P: SimplePolytope) -> FVector:
 
 
 def h_vector(P: SimplePolytope) -> HVector:
-    """h-vector via sum_i f_{i-1} (t-1)^{n-i} = sum_i h_i t^{n-i}."""
+    """h-vector via sum_i f_{i-1} (t-1)^{n-i} = sum_i h_i t^{n-i}, found
+    once per polytope and kept on it."""
+    return kept(P, "_h_vector", _h_vector)
+
+
+def _h_vector(P: SimplePolytope) -> HVector:
     n = P.n
     if n == 0:
         return HVector((1,))
@@ -275,6 +288,38 @@ def h_vector(P: SimplePolytope) -> HVector:
     if sum(h) != P.vertex_count:
         raise InputError("h-vector entries do not sum to the vertex count")
     return hv
+
+
+def minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
+    """Minimal facet sets with empty intersection, found once per polytope
+    and kept on it."""
+    return list(kept(P, "_minimal_non_faces", _minimal_non_faces))
+
+
+def _minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
+    kind = P.family[0]
+    if kind == "product_of_simplices":
+        dims = P.family[1]
+        offs = block_offsets(dims)
+        return [tuple(range(offs[j], offs[j] + dims[j] + 1)) for j in range(len(dims))]
+    if kind == "polygon":
+        k = P.family[1]
+        if k == 3:  # a triangle: its three edges meet in no vertex
+            return [(0, 1, 2)]
+        # edges i < j are disjoint unless adjacent: j = i + 1, or 0 and k - 1
+        return [(i, j) for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)]
+    # explicit: grow the faces by size from the facets, each of which lies on
+    # a vertex; a set whose every maximal subset is a face is a face or a
+    # minimal non-face
+    vertex_sets = [frozenset(v) for v in P.vertices]
+    faces = {frozenset({f}) for f in range(P.facet_count)}
+    out: List[Tuple[int, ...]] = []
+    for _ in range(P.n):
+        cands = {S | {f} for S in faces for f in range(P.facet_count) if f not in S}
+        cands = {S for S in cands if all(S - {f} in faces for f in S)}
+        faces = {S for S in cands if any(S <= v for v in vertex_sets)}
+        out += (tuple(sorted(S)) for S in cands - faces)
+    return sorted(out)
 
 
 def _block(P: SimplePolytope, f: int) -> Tuple[int, int]:

@@ -338,6 +338,23 @@ def test_manifold_ring_built_once():
     assert M == rp_manifold(3) and "_ring" not in repr(M)
 
 
+def test_rules_above_the_budget_build_no_relations():
+    # the certificate, the closed-form cup-length and the budget check read
+    # no relation, so the ring packs none
+    twisted = {(k, j): (1, 0, 1) for k in range(2, 6) for j in range(1, k)}
+    tower = bott_manifold((3,) * 5, BottMatrix.make((3,) * 5, twisted))
+    cover = small_cover_manifold(polygon(16), [parse_bits(s) for s in ["10", "01"] * 8])
+    for M in (tower, cover):
+        tc_bounds(M)
+        symm_tc_bounds(M)
+        manifold_zcl(M, 12)
+        dold_bounds(M, [1, 2])
+        ring = manifold_ring(M)
+        assert {"_packed", "relations", "relations_text", "_tails"}.isdisjoint(vars(ring))
+        assert ring._slices == {} and ring._alg is None
+    assert manifold_ring(cover).relations_text[:2] == ("z1*z3", "z1*z4")
+
+
 def test_certificate_built_once_per_tower(monkeypatch):
     calls = []
     build = bounds.zcl_certificate_bott

@@ -208,6 +208,18 @@ def test_bounds_flags_validate_once(capsys, tmp_path, monkeypatch):
         assert code == 0 and len(calls) == 1, flags
 
 
+def test_bounds_on_a_point(capsys, tmp_path):
+    # a 0-dimensional small cover: one vertex on no facet
+    point = write(tmp_path, "point.json", {
+        "polytope": {"type": "explicit", "n": 0, "facet_count": 0, "vertices": [[]]},
+        "characteristic": {"type": "facet_vectors", "vectors": []}})
+    code, out = run(capsys, "bounds", point)
+    assert code == 0
+    assert "cat ∈ [1,1]" in out and "TC ∈ [1,1]" in out and "TCs ∈ [1,1]" in out
+    code, out = run(capsys, "bounds", point, "--invariant", "tcs")
+    assert code == 0 and out.startswith("TCs ∈ [1,1]\n")
+
+
 def test_dold_command(capsys, tmp_path):
     path = write(tmp_path, "dold.json", {
         "polytope": {"type": "product_of_simplices", "dims": [2]},
@@ -383,9 +395,14 @@ _INTERVAL = {"polytope": {"type": "product_of_simplices", "dims": [1]},
     (_TWISTED_11, ["characteristic", "beta"], [], "beta section must be an object"),
     (_TWISTED_11, ["characteristic", "beta"], {"2,1": "1", "2, 1": "0"},
      "beta block 2,1 is given twice"),
+    (_TWISTED_11, ["characteristic", "beta"], {"2,1,3": "1"},
+     "beta key '2,1,3' is not two integers k,j"),
+    (_TWISTED_11, ["characteristic", "beta"], {"2,x": "1"},
+     "beta key '2,x' is not two integers k,j"),
     (_INTERVAL, ["characteristic", "vectors"], "11", "vectors must be an array"),
 ], ids=["flags-0", "flags-false", "flags-empty-array", "flags-array", "options-array",
-        "dold-array", "beta-0", "beta-array", "beta-repeated", "vectors-string"])
+        "dold-array", "beta-0", "beta-array", "beta-repeated", "beta-key-three",
+        "beta-key-text", "vectors-string"])
 def test_sections_and_arrays_are_checked(capsys, tmp_path, base, path, value, message):
     doc = json.loads(json.dumps(base))
     assert main(["bounds", write(tmp_path, "base.json", doc)]) == 0

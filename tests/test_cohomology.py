@@ -31,6 +31,26 @@ from smallcover.sampling import random_bott_matrix
 from conftest import all_bott_matrices, random_characteristic, random_product_dims
 
 
+def _mult_elem(alg, e1, e2):
+    """Product of two homogeneous (degree, mask) elements of alg, bit by bit."""
+    (d1, m1), (d2, m2) = e1, e2
+    if d1 + d2 > alg.top:
+        return (d1 + d2, 0)
+    acc = 0
+    for i in _bits(m1):
+        for j in _bits(m2):
+            acc ^= alg.mult_basis(d1, i, d2, j)
+    return (d1 + d2, acc)
+
+
+def _bits(mask):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # --- triangular presentation -------------------------------------------------
 
 
@@ -147,9 +167,131 @@ def test_klein_bottle_ring():
 
 
 def test_small_cover_rejects_invalid():
+    # relations are built on first use, but the vectors are checked at once
     P = polygon(4)
-    with pytest.raises(CharacteristicError):
+    with pytest.raises(CharacteristicError, match="invalid assignment"):
         SmallCoverRing(P, [parse_bits(s) for s in ["10", "01", "10", "10"]])
+    P, vectors = _prism(4)
+    vectors[P.facet_count - 1] = vectors[0]
+    with pytest.raises(CharacteristicError, match="invalid assignment"):
+        SmallCoverRing(P, vectors)
+    with pytest.raises(CharacteristicError, match="expected 4 vectors"):
+        SmallCoverRing(product_of_simplices((1, 1)), [(1, 0), (0, 1), (1, 1)])
+
+
+# --- packed relations against the tuple-built reference ----------------------
+
+
+def _reference_gammas(dims, B):
+    """Gamma_j = y_j prod_k (y_j + sum_l beta(j, l)[k] y_l) by tuple
+    arithmetic, as the rings built them before they packed them."""
+    m = len(dims)
+    out = []
+    for j in range(1, m + 1):
+        acc = frozenset({gf2.mono_var(m, j)})
+        for k in range(1, dims[j - 1] + 1):
+            factor = {gf2.mono_var(m, j)}
+            for l in range(1, j):
+                if B.block(j, l)[k - 1]:
+                    factor ^= {gf2.mono_var(m, l)}
+            acc = gf2.poly_mul(acc, frozenset(factor))
+        out.append(acc)
+    return tuple(out)
+
+
+def _reference_non_face_relations(P, vectors):
+    """The nonzero minimal-non-face products, each facet class substituted
+    by tuple arithmetic as a linear polynomial in the free classes."""
+    r = P.facet_count
+    reduced, pivot_cols = gf2.row_reduce([[vectors[f][i] for f in range(r)]
+                                          for i in range(P.n)])
+    free = [c for c in range(r) if c not in pivot_cols]
+    k = len(free)
+    subs = {c: frozenset({gf2.mono_var(k, i + 1)}) for i, c in enumerate(free)}
+    for row in reduced:
+        lead = row.bit_length() - 1
+        subs[lead] = frozenset(gf2.mono_var(k, i + 1)
+                               for i, c in enumerate(free) if (row >> c) & 1)
+    out = []
+    for S in minimal_non_faces(P):
+        g = frozenset({gf2.mono_one(k)})
+        for f in S:
+            g = gf2.poly_mul(g, subs[f])
+        if g:
+            out.append(g)
+    return tuple(out)
+
+
+def _reference_relations(ring):
+    if ring.kind == "bott":
+        return _reference_gammas(ring.dims, ring.bmat)
+    return _reference_non_face_relations(ring.P, ring.vectors)
+
+
+def _shuffled_prism(rng, k):
+    """The prism over the k-gon with its facets relabelled and its vertices
+    listed in a random order, and valid vectors for it."""
+    P, vectors = _prism(k)
+    perm = list(range(P.facet_count))
+    rng.shuffle(perm)
+    vertices = [sorted(perm[f] for f in v) for v in P.vertices]
+    rng.shuffle(vertices)
+    moved = [None] * P.facet_count
+    for f, v in enumerate(vectors):
+        moved[perm[f]] = v
+    return explicit_polytope(3, P.facet_count, vertices), moved
+
+
+def test_packed_relations_unpack_to_the_tuple_reference(rng):
+    rings = list(_step_rings())
+    # the one Dold ring: its fibre's relation and its base's
+    dold = rings.pop()
+    assert dold.relations_text == ("a^2", "y1^3")
+    rings.append(dold.base)
+    assert len(rings) == 108
+    for k in range(3, 13):
+        rings.append(SmallCoverRing(polygon(k), random_characteristic(polygon(k), rng)))
+    for k in (3, 4, 5, 6, 8):
+        rings.append(SmallCoverRing(*_shuffled_prism(rng, k)))
+    for dims in [(1, 1), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (3, 3, 3), (1,) * 5]:
+        rings.append(SmallCoverRing(product_of_simplices(dims),
+                                    _scrambled_bott_vectors(rng, dims)))
+    for n in range(1, 9):  # the RP^n facet documents: e_1, ..., e_n, 1...1
+        rp = [tuple(int(c == i) for c in range(n)) for i in range(n)] + [(1,) * n]
+        rings.append(SmallCoverRing(product_of_simplices((n,)), rp))
+    for ring in rings:
+        expected = _reference_relations(ring)
+        assert ring.relations == expected, ring.relations_text
+        assert [d for d, _ in ring._packed] == [gf2.poly_deg(g) for g in expected]
+        assert all(d <= ring.top + 1 for d, _ in ring._packed)
+    # relations of degree top + 1 render: the triangle and RP^5 by facets
+    triangle = SmallCoverRing(polygon(3), [(1, 0), (0, 1), (1, 1)])
+    assert triangle.relations_text == ("z1^3",)
+    assert [d for d, _ in triangle._packed] == [3]
+    assert rings[-4].relations_text == ("z1^6",)
+
+
+def test_truncated_fibre_and_point_relations():
+    fibre = cohomology.TruncatedRing("a", 2)
+    assert fibre.relations == (frozenset({(3,)}),) and fibre.relations_text == ("a^3",)
+    alg = fibre.algebra()
+    assert alg.betti == (1, 1, 1) and alg.mult_basis(1, 0, 1, 0) == 1
+    assert [alg.label(d, 0) for d in range(3)] == ["1", "a", "a^2"]
+    assert DoldRing(projective_ring(3), [2, 3]).relations_text == ("a^3", "a2^2", "y1^4")
+    assert PointRing().relations == () and PointRing().relations_text == ()
+
+
+def test_relations_built_on_first_use():
+    ring = BottRing((2, 1), BottMatrix.make((2, 1), {(2, 1): (1,)}))
+    assert {"_packed", "relations", "relations_text", "_tails"}.isdisjoint(vars(ring))
+    assert ring.betti == (1, 2, 2, 1) and ring.dim == 6
+    assert "_packed" not in vars(ring)
+    assert ring.power(1, 3) == frozenset()  # rewriting reads the tails
+    assert "_tails" in vars(ring) and "relations_text" not in vars(ring)
+    ring = SmallCoverRing(polygon(5), _polygon_vectors(5))
+    assert ring.betti == (1, 3, 1) and "_packed" not in vars(ring)
+    ring.algebra()
+    assert "_packed" in vars(ring) and "relations" not in vars(ring)
 
 
 def test_minimal_non_faces_product():
@@ -206,7 +348,7 @@ def test_sphere_ring():
     ring = SphereRing(3)
     assert ring.betti == (1, 0, 0, 1)
     alg = ring.algebra()
-    assert alg.mult_elem((3, 1), (3, 1)) == (6, 0)  # s^2 = 0
+    assert _mult_elem(alg, (3, 1), (3, 1)) == (6, 0)  # s^2 = 0
     with pytest.raises(InputError):
         SphereRing(0)
 
@@ -392,7 +534,7 @@ def _reference_powers(T, kernel):
         W = GradedSpan()
         for v in V.basis():
             for g in kernel:
-                d, m = T.mult_elem(v, g)
+                d, m = _mult_elem(T, v, g)
                 if m:
                     W.insert(d, m)
         V = W
@@ -432,7 +574,7 @@ def _diagonal_step(T, A, g):
     """Step table of g (x) 1 + 1 (x) g in the tensor square T = A (x) A, by
     the pair index: the pair a (x) b maps to (a.g) (x) b + a (x) (b.g)."""
     s = g[0]
-    by_g = [[A.mult_elem((d, 1 << i), g)[1] for i in range(A.betti[d])]
+    by_g = [[_mult_elem(A, (d, 1 << i), g)[1] for i in range(A.betti[d])]
             for d in range(A.top + 1)]
     rows = []
     for d in range(T.top + 1 - s):
@@ -524,7 +666,7 @@ def test_monomial_search_matches_full_kernel_reference():
         for factor in iv.witness:
             z = diagonals[factor]
             assert full[0].contains(*z)
-            product = T.mult_elem(product, z)
+            product = _mult_elem(T, product, z)
         assert product[1]
     iv = invariants.zcl_exact(PointRing())
     assert (iv.lo, iv.witness) == (0, ())
@@ -540,7 +682,7 @@ def test_diagonal_step_is_multiplication_by_the_diagonal():
             z = _diagonal(T, g)
             for d, table in enumerate(rows):
                 for i, row in enumerate(table):
-                    assert (d + s, row) == T.mult_elem((d, 1 << i), z)
+                    assert (d + s, row) == _mult_elem(T, (d, 1 << i), z)
 
 
 def test_diagonal_classes_lie_in_the_kernel():

@@ -213,6 +213,39 @@ def test_product_equality_ignores_built_vertices():
         "bott", 6, built, tuple(charfun.from_bott((2, 1, 3), B)), (2, 1, 3), B)
 
 
+def test_polytope_data_found_once_per_object(monkeypatch):
+    from smallcover.cohomology import SmallCoverRing
+
+    calls = []
+    for name in ("_h_vector", "_minimal_non_faces"):
+        def counted(P, name=name, build=getattr(polytope, name)):
+            calls.append(name)
+            return build(P)
+        monkeypatch.setattr(polytope, name, counted)
+    prism = [sorted((i, (i + 1) % 4, cap)) for i in range(4) for cap in (4, 5)]
+    cases = [
+        (lambda: explicit_polytope(3, 6, prism),
+         [(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)]),
+        (lambda: polygon(6), [(1, 0), (0, 1)] * 3),
+        (lambda: product_of_simplices((1, 2)),
+         charfun.from_bott((1, 2), charfun.BottMatrix.make((1, 2)))),
+    ]
+    for make, vectors in cases:
+        P, twin = make(), make()
+        before = (repr(P), hash(P))
+        calls.clear()
+        for _ in range(2):
+            ring = SmallCoverRing(P, vectors)
+            assert ring.betti == ring.algebra().betti == h_vector(P).h
+        assert sorted(calls) == ["_h_vector", "_minimal_non_faces"], P.family
+        # kept data is not part of the polytope's value
+        assert (repr(P), hash(P)) == before and P == twin and hash(twin) == before[1]
+        assert "_h_vector" not in vars(twin)
+    # every call returns a list of its own
+    P = polygon(5)
+    assert polytope.minimal_non_faces(P) is not polytope.minimal_non_faces(P)
+
+
 def test_product_vertices_are_stored_once_built():
     P = product_of_simplices([3, 3])
     first = P.vertices
