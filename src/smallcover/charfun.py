@@ -2,13 +2,16 @@
 
 Validation checks invertibility of the vertex matrices; for a simple
 polytope that subsumes the conditions on all lower faces.  The multiplicative
-sign convention is carried additively (a -1 entry is bit 1).
+sign convention is carried additively (a -1 entry is bit 1).  On a product
+of simplices, a Bott matrix gives facet vectors in the block layout
+(`from_bott`), and `reduce_to_bott` takes a valid assignment back to such a
+matrix in polynomial time: one basis change, then the blocks peeled from
+the end into a triangular order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import gf2
@@ -192,95 +195,79 @@ class BottReduction:
     basis_change: Tuple[GF2Vector, ...]  # rows of C; new vector = C . old
 
 
-def _mat_vec(rows: Sequence[GF2Vector], v: GF2Vector) -> GF2Vector:
-    return tuple(sum(r[i] * v[i] for i in range(len(v))) & 1 for r in rows)
-
-
-def _invert(rows: Sequence[GF2Vector]) -> List[GF2Vector]:
-    n = len(rows)
-    # matrix in the high bits (where the reduction pivots), identity low
-    aug = [(gf2.mask_of(rows[i]) << n) | (1 << i) for i in range(n)]
-    red, pivots = gf2.row_reduce([gf2.bits_of(a, 2 * n) for a in aug])
-    if pivots != list(range(n, 2 * n)):
-        raise InputError("matrix is singular")
-    inv = [None] * n
-    for row in red:
-        lead = row.bit_length() - 1 - n
-        inv[lead] = gf2.bits_of(row & ((1 << n) - 1), n)
-    return inv
-
-
 def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottReduction:
     """Bring a valid assignment on a product of simplices to triangular form.
 
-    Searches block orders and, within each block, the choice of which facet
-    plays the alpha role; the remaining facets pin the basis change uniquely
-    (they form a vertex, hence a basis).  Raises ReductionFailed with a
-    diagnostic when no choice is triangular.
+    The last facet of each block plays the alpha role.  The other facets
+    meet in a vertex, so their vectors are a basis, and C takes them to
+    e_1..e_n in the block layout.  In those coordinates each alpha vector
+    is all ones on its own block: the vertex that swaps one of the block's
+    other facets for alpha needs that coordinate.  Say j precedes k when
+    alpha_j is nonzero on block k.  The form is triangular in a block order
+    exactly when that order puts every j before the blocks it precedes, so
+    the blocks are peeled from the end: the remaining block whose alpha
+    vanishes on every other remaining block goes last, the highest such
+    index first, which keeps a from_bott layout in its own order.
+
+    Any alpha choice gives the same answer.  Making block j's facet with
+    vector e_p its alpha is the shear x -> x + x_p w, w = alpha_j + e_p:
+    block j's alpha keeps its image, and another alpha_l changes only when
+    it has bit p (l precedes j), and then only on block j and on the blocks
+    j precedes.  So the change adds only pairs l, k with l before j before
+    k, and an acyclic relation stays acyclic; the swap undoes itself, so
+    the converse holds too.  Hence ReductionFailed, raised when the peel
+    finds no block, means that no block order and alpha choice is
+    triangular.
     """
     dims = tuple(dims)
-    P = product_of_simplices(dims)
-    report = validate(P, vectors)
+    report = validate(product_of_simplices(dims), vectors)
     if not report.valid:
         raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
-    m = len(dims)
-    n = sum(dims)
+    m, n = len(dims), sum(dims)
+    masks = [gf2.mask_of(v) for v in vectors]
     offsets = block_offsets(dims)
-    blocks = [list(range(offsets[j], offsets[j] + dims[j] + 1)) for j in range(m)]
+    alphas = [off + d for off, d in zip(offsets, dims)]
+    starts = [sum(dims[:j]) for j in range(m)]  # first coordinate of each block
+    segments = [((1 << d) - 1) << s for d, s in zip(dims, starts)]
 
-    for order in permutations(range(m)):
-        perm_dims = tuple(dims[b] for b in order)
-        # try the last facet of each block first: the standard layout round-trips
-        for alpha_choice in product(*[range(dims[b], -1, -1) for b in order]):
-            # columns of C^{-1}: the non-alpha vectors must become e_1..e_n
-            basis_vecs: List[GF2Vector] = []
-            alpha_facets = [None] * m
-            for t, b in enumerate(order):
-                alpha_local = alpha_choice[t]
-                alpha_facets[b] = blocks[b][alpha_local]
-                basis_vecs.extend(
-                    vectors[f] for i, f in enumerate(blocks[b]) if i != alpha_local
-                )
-            # C maps basis_vecs[i] to e_{i+1}: C = (columns basis_vecs)^{-1}
-            cols = [[basis_vecs[j][i] for j in range(n)] for i in range(n)]
-            C = _invert([tuple(c) for c in cols])
-            # check triangularity of the alpha columns
-            beta: Dict[Tuple[int, int], GF2Vector] = {}
-            ok = True
-            # coordinate offsets (block widths, not facet counts)
-            starts = [0] * m
-            for k in range(1, m):
-                starts[k] = starts[k - 1] + perm_dims[k - 1]
-            for t, b in enumerate(order):
-                img = _mat_vec(C, vectors[alpha_facets[b]])
-                for k in range(m):
-                    seg = img[starts[k] : starts[k] + perm_dims[k]]
-                    if k < t and any(seg):
-                        ok = False
-                        break
-                    if k == t and any(x != 1 for x in seg):
-                        ok = False
-                        break
-                    if k > t and any(seg):
-                        beta[(k + 1, t + 1)] = seg
-                if not ok:
-                    break
-            if not ok:
-                continue
-            B = BottMatrix.make(perm_dims, beta)
-            # postcondition: transformed, reordered vectors match the layout
-            rebuilt = from_bott(perm_dims, B)
-            transformed = []
-            for t, b in enumerate(order):
-                alpha_local = alpha_choice[t]
-                for i, f in enumerate(blocks[b]):
-                    if i != alpha_local:
-                        transformed.append(_mat_vec(C, vectors[f]))
-                transformed.append(_mat_vec(C, vectors[blocks[b][alpha_local]]))
-            assert transformed == rebuilt
-            return BottReduction(
-                B, tuple(o + 1 for o in order), tuple(alpha_facets), tuple(C)
-            )
-    raise ReductionFailed(
-        f"no block order and alpha choice is triangular for dims {dims}"
-    )
+    # the basis row-reduced, each row with the bits of the basis vectors it sums
+    pivots: Dict[int, Tuple[int, int]] = {}
+    basis = (mask for f, mask in enumerate(masks) if f not in alphas)
+    for i, row in enumerate(basis):
+        tag = 1 << i
+        while row.bit_length() - 1 in pivots:
+            reduced, used = pivots[row.bit_length() - 1]
+            row, tag = row ^ reduced, tag ^ used
+        pivots[row.bit_length() - 1] = (row, tag)
+
+    def coordinates(v: int) -> int:
+        tag = 0
+        while v:
+            reduced, used = pivots[v.bit_length() - 1]
+            v, tag = v ^ reduced, tag ^ used
+        return tag
+
+    images = [coordinates(masks[a]) for a in alphas]
+    left, order = list(range(m)), []
+    while left:
+        span = sum(segments[k] for k in left)
+        last = next((j for j in reversed(left) if not images[j] & (span ^ segments[j])), None)
+        if last is None:
+            raise ReductionFailed(f"no block order is triangular for dims {dims}")
+        left.remove(last)
+        order.insert(0, last)
+
+    perm_dims = tuple(dims[j] for j in order)
+    beta = {(s + 1, t + 1): gf2.bits_of(images[j] >> starts[k], dims[k])
+            for t, j in enumerate(order) for s, k in enumerate(order) if s > t}
+    B = BottMatrix.make(perm_dims, beta)
+    # C: the rows of the coordinate map, blocks in the new order
+    columns = [coordinates(1 << c) for c in range(n)]
+    C = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
+         for j in order for r in range(starts[j], starts[j] + dims[j])]
+    # postcondition: the transformed, reordered vectors are the layout
+    laid = [tuple((row & masks[f]).bit_count() & 1 for row in C)
+            for j in order for f in range(offsets[j], alphas[j] + 1)]
+    assert laid == from_bott(perm_dims, B)
+    return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
+                         tuple(gf2.bits_of(row, n) for row in C))

@@ -4,13 +4,15 @@ One JSON problem document per invocation.  `main` parses the arguments with
 one parser built at import, loads the document, runs the subcommand's
 handler and prints its result once, as a plain table or as the JSON form of
 the same report.  Exit codes: 0 success, 1 invalid facet assignment,
-2 malformed input, 64 usage.
+2 malformed input, 64 usage.  A reader that closes the pipe early cuts the
+output short, quietly, and the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
@@ -397,21 +399,18 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    """Runs the sweeps and prints one line per suite; reads no document."""
+def cmd_verify(args) -> Tuple[int, List[str]]:
+    """Runs the sweeps, one output line per suite; reads no document."""
     rng = random.Random(args.seed)
-    failed = False
+    lines, failed = [], False
     for name in [args.suite] if args.suite else _SUITES:
         count, skipped, fail = _SUITES[name](args.max_m, args.max_n, rng)
         cases = f"{count} cases"
         if skipped:
             cases += f", {skipped} draw{'s' if skipped > 1 else ''} skipped"
-        if fail is None:
-            print(f"{name}: {cases}, pass")
-        else:
-            print(f"{name}: {cases}, FAIL ({fail})")
-            failed = True
-    return 1 if failed else 0
+        lines.append(f"{name}: {cases}, " + ("pass" if fail is None else f"FAIL ({fail})"))
+        failed |= fail is not None
+    return int(failed), lines
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +486,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
         if args.command == "verify":
-            return args.run(args)
-        spec = _load(args.problem)
-        code, lines, payload = args.run(spec, args)
+            code, lines = args.run(args)
+        else:
+            spec = _load(args.problem)
+            code, lines, payload = args.run(spec, args)
+            if (args.format or spec.format) == "json":
+                lines = [json.dumps(payload, indent=2, sort_keys=True)]
     except CharacteristicError as exc:
         print(f"invalid characteristic: {exc}", file=sys.stderr)
         return 1
     except (InputError, ReductionFailed, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if (args.format or spec.format) == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+    try:
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the rest, and the flush at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -36,16 +36,21 @@ class SimplePolytope:
     def __post_init__(self):
         if self.n < 0 or self.facet_count < 0:
             raise InputError("negative dimension or facet count")
+        first = {}  # vertex -> the index it first appears at
         for vi, v in enumerate(self.vertices):
             if len(v) != self.n:
                 raise InputError(f"vertex {vi} does not lie on exactly {self.n} facets")
             for f in v:
                 if not 0 <= f < self.facet_count:
                     raise InputError(f"vertex {vi} uses unknown facet {f}")
+            if first.setdefault(v, vi) != vi:
+                raise InputError(f"vertex {vi} repeats vertex {first[v]}")
         # each facet lies on a vertex, so the vertices bound the facet table
         if self.facet_count > self.n * len(self.vertices):
             raise InputError(f"{self.facet_count} facets cannot all lie on "
                              f"{len(self.vertices)} vertices of dimension {self.n}")
+        if not self.vertices:
+            raise InputError("a polytope needs at least one vertex")
         incidence = _incidence(self.vertices, self.facet_count)
         if self.n > 0:
             for f, incident in enumerate(incidence):

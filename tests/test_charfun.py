@@ -1,3 +1,6 @@
+import time
+from itertools import permutations, product
+
 import pytest
 
 from smallcover import charfun, gf2
@@ -10,7 +13,7 @@ from smallcover.charfun import (
     validate,
 )
 from smallcover.errors import CharacteristicError, InputError, ReductionFailed
-from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
+from smallcover.polytope import block_offsets, explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic
@@ -121,6 +124,149 @@ def test_reduce_rejects_invalid():
         reduce_to_bott(dims, bad)
 
 
+def _mat_vec(rows, v):
+    return tuple(sum(r[i] * v[i] for i in range(len(v))) & 1 for r in rows)
+
+
+def _invert(rows):
+    n = len(rows)
+    # matrix in the high bits (where the reduction pivots), identity low
+    aug = [(gf2.mask_of(rows[i]) << n) | (1 << i) for i in range(n)]
+    red, pivots = gf2.row_reduce([gf2.bits_of(a, 2 * n) for a in aug])
+    assert pivots == list(range(n, 2 * n)), "matrix is singular"
+    inv = [None] * n
+    for row in red:
+        inv[row.bit_length() - 1 - n] = gf2.bits_of(row & ((1 << n) - 1), n)
+    return inv
+
+
+def _exhaustive_reduce(dims, vectors):
+    """reduce_to_bott as a search: every block order and, per block, every
+    facet as alpha (the last facet first), each with its own inverse."""
+    dims = tuple(dims)
+    report = validate(product_of_simplices(dims), vectors)
+    if not report.valid:
+        raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
+    m, n = len(dims), sum(dims)
+    offsets = block_offsets(dims)
+    blocks = [list(range(offsets[j], offsets[j] + dims[j] + 1)) for j in range(m)]
+    for order in permutations(range(m)):
+        perm_dims = tuple(dims[b] for b in order)
+        starts = [sum(perm_dims[:k]) for k in range(m)]
+        for alpha_choice in product(*[range(dims[b], -1, -1) for b in order]):
+            alpha_facets = [None] * m
+            basis = []
+            for t, b in enumerate(order):
+                alpha_facets[b] = blocks[b][alpha_choice[t]]
+                basis += [vectors[f] for f in blocks[b] if f != alpha_facets[b]]
+            # C maps basis[i] to e_{i+1}: C = (columns basis)^{-1}
+            C = _invert([tuple(v[i] for v in basis) for i in range(n)])
+            beta, ok = {}, True
+            for t, b in enumerate(order):
+                img = _mat_vec(C, vectors[alpha_facets[b]])
+                for k in range(m):
+                    seg = img[starts[k]:starts[k] + perm_dims[k]]
+                    if (k < t and any(seg)) or (k == t and not all(seg)):
+                        ok = False
+                    elif k > t:
+                        beta[(k + 1, t + 1)] = seg
+            if ok:
+                B = BottMatrix.make(perm_dims, beta)
+                return charfun.BottReduction(B, tuple(b + 1 for b in order),
+                                             tuple(alpha_facets), tuple(C))
+    raise ReductionFailed(f"no block order and alpha choice is triangular for dims {dims}")
+
+
+def _check_reduction(dims, vectors, red):
+    """C . vectors, block by block in the reported order with alpha last,
+    is the from_bott layout of the reported matrix."""
+    offsets = block_offsets(dims)
+    assert sorted(red.block_order) == list(range(1, len(dims) + 1))
+    assert red.matrix.dims == tuple(dims[b - 1] for b in red.block_order)
+    laid = []
+    for b in red.block_order:
+        block = list(range(offsets[b - 1], offsets[b - 1] + dims[b - 1] + 1))
+        alpha = red.alpha_facets[b - 1]
+        assert alpha in block
+        laid += [_mat_vec(red.basis_change, vectors[f])
+                 for f in [g for g in block if g != alpha] + [alpha]]
+    assert laid == from_bott(red.matrix.dims, red.matrix)
+
+
+def _scramble(dims, B, rng):
+    """from_bott(dims, B) after a random basis change, with the blocks in
+    a random order and the facets of each block shuffled."""
+    n = sum(dims)
+    while True:
+        G = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n)]
+        if gf2.rank_gf2(G) == n:
+            break
+    vectors = [_mat_vec(G, v) for v in from_bott(dims, B)]
+    offsets = block_offsets(dims)
+    blocks = [vectors[off:off + d + 1] for off, d in zip(offsets, dims)]
+    order = list(range(len(dims)))
+    rng.shuffle(order)
+    out = []
+    for j in order:
+        rng.shuffle(blocks[j])
+        out += blocks[j]
+    return tuple(dims[j] for j in order), out
+
+
+def test_peel_matches_exhaustive_search_on_scrambled_towers(rng):
+    towers = 0
+    for m in (1, 2, 3):
+        for dims, B in all_bott_matrices(m, 2):
+            scrambled_dims, vectors = _scramble(dims, B, rng)
+            for reduce in (reduce_to_bott, _exhaustive_reduce):
+                _check_reduction(scrambled_dims, vectors, reduce(scrambled_dims, vectors))
+            towers += 1
+    assert towers == 254
+    # random assignments: both refuse the invalid ones and reduce the valid ones
+    valid = 0
+    for _ in range(200):
+        dims = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
+        n = sum(dims)
+        vectors = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n + len(dims))]
+        drawn = random_characteristic(product_of_simplices(dims), rng)
+        if drawn is not None and rng.random() < 0.5:
+            vectors = list(drawn)
+        outcomes = []
+        for reduce in (reduce_to_bott, _exhaustive_reduce):
+            try:
+                _check_reduction(dims, vectors, reduce(dims, vectors))
+                outcomes.append(True)
+            except CharacteristicError:
+                outcomes.append(False)
+        assert outcomes[0] == outcomes[1], (dims, vectors)
+        valid += outcomes[0]
+    assert 50 < valid < 200
+
+
+def test_peel_reduces_seeded_towers(rng):
+    for _ in range(300):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        B = random_bott_matrix(dims, rng)
+        scrambled_dims, vectors = _scramble(dims, B, rng)
+        _check_reduction(scrambled_dims, vectors, reduce_to_bott(scrambled_dims, vectors))
+        # unscrambled, the tower comes back as it is
+        red = reduce_to_bott(dims, from_bott(dims, B))
+        assert red.matrix == B and red.block_order == tuple(range(1, len(dims) + 1))
+
+
+def test_peel_reduces_large_scrambled_products(rng):
+    # the search would face up to 6! block orders times 4^6 alpha choices
+    for m in (5, 6):
+        dims = (3,) * m
+        scrambled_dims, vectors = _scramble(dims, random_bott_matrix(dims, rng), rng)
+        start = time.perf_counter()
+        red = reduce_to_bott(scrambled_dims, vectors)
+        seconds = time.perf_counter() - start
+        _check_reduction(scrambled_dims, vectors, red)
+        if m == 5:
+            assert seconds < 0.5  # the search took 18-41 s
+
+
 def _reference_validate(P, vectors):
     bad = tuple(sorted(tuple(sorted(v)) for v in P.vertices
                        if gf2.rank_gf2([vectors[f] for f in sorted(v)]) != P.n))
@@ -200,9 +346,10 @@ def test_vertex_walk_matches_per_vertex_reference(rng):
     rp = [_unit(i, n) for i in range(n)] + [(1,) * n]
     cases.append((product_of_simplices((n,)), rp))
     cases.append((product_of_simplices((n,)), rp[:-1] + [rp[5]]))
-    # n = 0: one vertex on no facet, and no vertex at all
+    # n = 0: one vertex on no facet; a polytope with no vertex is refused
     cases.append((explicit_polytope(0, 0, [()]), []))
-    cases.append((explicit_polytope(0, 0, []), []))
+    with pytest.raises(InputError):
+        explicit_polytope(0, 0, [])
     # a dependent prefix shared by many vertices: every vertex of
     # (3, 3, 3, 3) that starts with facets 0, 1 (half of them), or of
     # (2, 2, 2) that starts with facets 0, 1, 3

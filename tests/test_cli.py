@@ -107,12 +107,31 @@ def test_flags_do_not_leak_into_the_next_call(capsys, tmp_path, command, flags):
     assert run(capsys, command, path, "--format", "json") == plain
 
 
-def _entry_point(*argv):
-    env = dict(os.environ)
+def _entry_env(**extra):
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _entry_point(*argv):
     return subprocess.run([sys.executable, "-m", "smallcover.cli", *argv], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_entry_env(), capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["ring", "zcl"])
+def test_closed_pipe_is_quiet(command):
+    problem = str(ROOT / "tests" / "golden" / "twisted_3x8.problem.json")
+    argv = [sys.executable, "-m", "smallcover.cli", command, problem, "--format", "json"]
+    # the pipe closed after the first read, and closed before any write
+    for reads in (1, 0):
+        child = subprocess.Popen(argv, cwd=ROOT, env=_entry_env(PYTHONUNBUFFERED="1"),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        first = child.stdout.readline() if reads else None
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 0 and err == "", err
+        assert first in (None, "{\n")
 
 
 def test_entry_point_in_a_fresh_interpreter(klein):
@@ -291,6 +310,23 @@ def assert_malformed(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({"n": 2, "facet_count": 0, "vertices": []}, "at least one vertex"),
+    ({"n": 0, "facet_count": 0, "vertices": []}, "at least one vertex"),
+    ({"n": 2, "facet_count": 4, "vertices": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 1]]},
+     "vertex 4 repeats vertex 0"),
+], ids=["no-vertex", "no-vertex-point", "repeated-vertex"])
+def test_malformed_explicit_polytope_exit_2(capsys, tmp_path, shape, message):
+    vectors = ["10", "01", "10", "11"][:shape["facet_count"]]
+    path = write(tmp_path, "shape.json", {
+        "polytope": {"type": "explicit", **shape},
+        "characteristic": {"type": "facet_vectors", "vectors": vectors},
+    })
+    for command in ("ring", "bounds"):
+        assert message in assert_malformed(capsys, [command, path])
 
 
 def test_missing_dims_exit_2(capsys, tmp_path):

@@ -54,6 +54,14 @@ def test_explicit_validation():
         explicit_polytope(2, 4, [[0, 5]])  # unknown facet
     with pytest.raises(InputError):
         explicit_polytope(2, 4, [[0, 1], [1, 2]])  # facet 3 on no vertex
+    with pytest.raises(InputError, match="at least one vertex"):
+        explicit_polytope(2, 0, [])
+    with pytest.raises(InputError, match="at least one vertex"):
+        explicit_polytope(0, 0, [])
+    with pytest.raises(InputError, match="vertex 4 repeats vertex 1"):
+        explicit_polytope(2, 4, [[0, 1], [1, 2], [2, 3], [3, 0], [2, 1]])
+    # the point: one vertex on no facet
+    assert explicit_polytope(0, 0, [[]]).vertex_count == 1
 
 
 def test_f_vector_known_values():
