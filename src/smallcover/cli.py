@@ -274,11 +274,11 @@ def cmd_bounds(spec: ProblemSpec, args) -> _Result:
         reports.append(bounds_mod.tc_bounds(M, budget))
     if which in ("tcs", "all"):
         reports.append(bounds_mod.symm_tc_bounds(M, budget))
-    if which in ("cateq", "all"):
-        if M.involution is not None and any(M.involution):
-            reports.append(bounds_mod.eq_cat_bounds(M))
-        elif which == "cateq":
-            raise InputError("cateq needs an involution bitstring")
+    if which == "cateq" and M.involution is None:
+        raise InputError("cateq needs an involution bitstring")
+    # eq_cat_bounds refuses a zero involution itself
+    if which == "cateq" or (which == "all" and any(M.involution or ())):
+        reports.append(bounds_mod.eq_cat_bounds(M))
     return 0, _report_lines(reports), {"reports": [rep.to_json() for rep in reports]}
 
 

@@ -9,8 +9,9 @@ one hook: the triangular (Bott) presentation Z2[y1..ym]/<Gamma_1..Gamma_m>,
 and an arbitrary polytope/vector pair with the linear relations eliminated
 and the non-face monomials as relations in the surviving variables.  The
 Bott relations have pairwise-coprime leading monomials under graded lex with
-y1 < ... < ym, so single polynomials also reduce by rewriting, with the
-relations unpacked, without completion and without a slice.
+y1 < ... < ym, so single polynomials also reduce by rewriting, on the same
+packed ints, without completion and without a slice; exponent tuples appear
+only as the input and output of `BottRing.normal_form` and `power`.
 Every other algebra is a `TensorAlgebra` product of such quotients and
 square-zero classes: a sphere is one square-zero class, and a twisted product
 (Dold-type) ring is a truncated polynomial ring, square-zero classes and the
@@ -21,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from operator import lshift
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
-from .gf2 import GF2Poly, Monomial, grlex_key, poly_mul
 from .polytope import SimplePolytope, _poly_product, h_vector, minimal_non_faces
 
 
@@ -325,16 +327,14 @@ class QuotientRing(Ring):
         return tuple(self._relations())
 
     @cached_property
-    def relations(self) -> Tuple[GF2Poly, ...]:
-        """The relations as sets of exponent tuples, unpacked on first use."""
-        k, w = self.nvars, self._width
-        return tuple(frozenset(_unpack(t, k, w) for t in terms) for _, terms in self._packed)
-
-    @cached_property
     def relations_text(self) -> Tuple[str, ...]:
         """The relations as text, rendered on first use: only the `ring`
-        command prints them."""
-        return tuple(gf2.poly_render(g, self.names) for g in self.relations)
+        command prints them.  A relation is homogeneous, so its terms in
+        descending int order are in descending grlex order."""
+        k, w, names = self.nvars, self._width, self.names
+        return tuple(" + ".join(gf2.mono_render(_unpack(t, k, w), names)
+                                for t in sorted(terms, reverse=True))
+                     for _, terms in self._packed)
 
     @cached_property
     def _monomials(self) -> List[List[int]]:
@@ -410,10 +410,10 @@ def _product(factors: Iterable[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(sorted(acc))
 
 
-def _unpack(packed: int, k: int, w: int) -> Monomial:
+def _unpack(packed: int, k: int, w: int) -> Tuple[int, ...]:
     """The exponents of a packed monomial in k variables."""
     field = (1 << w) - 1
-    return tuple((packed >> (i * w)) & field for i in range(k))
+    return tuple([(packed >> s) & field for s in range(0, k * w, w)])
 
 
 def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int, int]:
@@ -473,46 +473,79 @@ class BottRing(QuotientRing):
             yield n + 1, _product([[y[j]]] + factors)
 
     @cached_property
-    def _tails(self) -> Tuple[GF2Poly, ...]:
-        """Gamma_j with its leading monomial y_j^{n_j+1} removed."""
-        return tuple(g ^ {gf2.mono_var(self.m, j, n + 1)}
-                     for j, (g, n) in enumerate(zip(self.relations, self.dims), start=1))
+    def _tails(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+        """For j from m down to 1: the shift of y_j's field, n_j, and
+        Gamma_j without its leading monomial y_j^{n_j+1}, packed."""
+        w = self._width
+        tails = [(j * w, n, tuple(t for t in terms if t != (n + 1) << (j * w)))
+                 for j, ((_, terms), n) in enumerate(zip(self._packed, self.dims))]
+        return tuple(reversed(tails))
 
-    def normal_form(self, p: GF2Poly) -> GF2Poly:
+    def _pack(self, mon: Sequence[int]) -> int:
+        """An exponent tuple as one int.  The fields hold the exponents of
+        a monomial of degree at most top + 1; a higher one may carry."""
+        if len(mon) != self.m or min(mon, default=0) < 0:
+            raise InputError(f"{tuple(mon)} is not a monomial in {self.m} variables")
+        return sum(map(lshift, mon, range(0, self.m * self._width, self._width)))
+
+    def normal_form(self, p: Iterable[Sequence[int]]) -> FrozenSet[Tuple[int, ...]]:
         """Unique representative on standard monomials, by rewriting.  It
-        builds no degree slice, so it also serves towers too large for one."""
+        builds no degree slice, so it also serves towers too large for one.
+
+        p is a set of exponent tuples, and so is the result.  Rewriting
+        keeps the degree, and every standard monomial has degree at most
+        top = sum n_j, so a monomial of higher degree reduces to zero
+        (H^d = 0 above the top degree) and is dropped before the rest is
+        packed; those pack without carry and are rewritten as ints.
+        """
+        packed: set = set()
         for mon in p:
-            if len(mon) != self.m:
-                raise InputError("polynomial arity disagrees with the ring")
-        return _bott_normal_form(p, self.dims, self._tails)
+            t = self._pack(mon)
+            if sum(mon) <= self.top:
+                packed ^= {t}
+        k, w = self.m, self._width
+        return frozenset(_unpack(t, k, w) for t in self._reduce(packed))
 
-    def power(self, j: int, e: int) -> GF2Poly:
+    def _reduce(self, terms: Iterable[int]) -> set:
+        """Normal form of a sum of distinct packed monomials of degree at
+        most top, packed.
+
+        Monomials leave a max-heap largest first.  A standard one is final;
+        in any other, y_j^{n_j+1}, for the highest j it exceeds, becomes the
+        tail of Gamma_j.  The leading monomials are pairwise coprime, so the
+        rewriting needs no S-polynomial completion.  A tail term is a
+        smaller int of the same degree (lower in grlex), so no field
+        carries, and a monomial once taken never comes back.  Whatever the
+        ints hold above the m fields rides along unchanged.
+        """
+        field, tails = (1 << self._width) - 1, self._tails
+        cur = set(terms)
+        heap = [-t for t in cur]
+        heapify(heap)
+        out = set()
+        while heap:
+            t = -heappop(heap)
+            if t not in cur:  # cancelled, or pushed twice
+                continue
+            cur.remove(t)
+            for shift, n, tail in tails:
+                if (t >> shift) & field > n:
+                    rest = t - ((n + 1) << shift)
+                    for u in tail:
+                        u += rest
+                        if u in cur:
+                            cur.remove(u)
+                        else:
+                            cur.add(u)
+                            heappush(heap, -u)
+                    break
+            else:
+                out.add(t)
+        return out
+
+    def power(self, j: int, e: int) -> FrozenSet[Tuple[int, ...]]:
         """Reduced y_j^e."""
-        return self.normal_form(frozenset({gf2.mono_var(self.m, j, e)}))
-
-
-def _bott_normal_form(p: GF2Poly, dims: Tuple[int, ...],
-                      tails: Sequence[GF2Poly]) -> GF2Poly:
-    """Unique representative of p on the standard monomials of a tower.
-
-    Rewrites y_j^{n_j+1} by the lower-order tail of its relation; the
-    leading monomials are pairwise coprime, so the rewriting confluence
-    needs no S-polynomial completion and the loop terminates in the
-    monomial well-order.
-    """
-    cur = set(p)
-    while True:
-        nonstd = [mon for mon in cur if any(e > d for e, d in zip(mon, dims))]
-        if not nonstd:
-            return frozenset(cur)
-        mon = max(nonstd, key=grlex_key)
-        j = max(i + 1 for i, (e, d) in enumerate(zip(mon, dims)) if e > d)
-        rest = tuple(
-            e - (dims[j - 1] + 1) if i == j - 1 else e
-            for i, e in enumerate(mon)
-        )
-        cur.symmetric_difference_update({mon})
-        cur.symmetric_difference_update(poly_mul(tails[j - 1], frozenset({rest})))
+        return self.normal_form({tuple(e if i == j - 1 else 0 for i in range(self.m))})
 
 
 def projective_ring(n: int) -> BottRing:
@@ -697,7 +730,5 @@ def poincare_pairing(ring: Ring) -> PairingReport:
 def verify_top_monomial(dims: Sequence[int], B: BottMatrix) -> bool:
     """Each y_j^{n_j} and the full product y_1^{n_1}..y_m^{n_m} are nonzero."""
     ring = BottRing(dims, B)
-    for j, d in enumerate(ring.dims, start=1):
-        if not ring.power(j, d):
-            return False
-    return bool(ring.normal_form(frozenset({ring.dims})))
+    powers = [n << (j * ring._width) for j, n in enumerate(ring.dims)]
+    return all(ring._reduce({t}) for t in powers + [sum(powers)])

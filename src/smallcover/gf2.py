@@ -1,10 +1,9 @@
 """Exact GF(2) kernels.
 
-Bit-vector linear algebra (rank, row reduction, kernel combinations) and
-multivariate polynomial arithmetic with implicit coefficient 1: a polynomial
-is a finite set of monomials and addition is symmetric difference, so
-cancellation in characteristic 2 is automatic.  Tensor-square elements are
-sets of ordered monomial pairs with the same XOR semantics.
+Bit-vector linear algebra (rank, row reduction, kernel combinations) on int
+masks, the parity of binomial coefficients, and the text of a monomial.
+Polynomial arithmetic lives with the rings (`cohomology`), on monomials
+packed into ints.
 """
 
 from __future__ import annotations
@@ -12,12 +11,6 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import InputError
-
-Monomial = Tuple[int, ...]
-GF2Poly = frozenset  # of Monomial
-TensorElement = frozenset  # of (Monomial, Monomial)
-
-ZERO_POLY: GF2Poly = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -110,76 +103,6 @@ def kernel_combos(images: Sequence[int]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# monomials and polynomials
-
-
-def mono_deg(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise InputError("monomial arity mismatch")
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def grlex_key(m: Monomial):
-    """Graded lex with variable 1 smallest (the last variable dominates)."""
-    return (sum(m), tuple(reversed(m)))
-
-
-def mono_one(arity: int) -> Monomial:
-    return (0,) * arity
-
-
-def mono_var(arity: int, i: int, e: int = 1) -> Monomial:
-    """Monomial var_i^e with 1-based variable index i."""
-    return tuple(e if k == i - 1 else 0 for k in range(arity))
-
-
-def poly(monomials: Iterable[Monomial]) -> GF2Poly:
-    """Build a polynomial, XOR-cancelling duplicate monomials."""
-    acc: set = set()
-    for m in monomials:
-        acc.symmetric_difference_update({tuple(m)})
-    return frozenset(acc)
-
-
-def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    acc: set = set()
-    for u in a:
-        for v in b:
-            acc.symmetric_difference_update({mono_mul(u, v)})
-    return frozenset(acc)
-
-
-def poly_deg(p: GF2Poly) -> int:
-    """Degree of p; -1 for the zero polynomial."""
-    return max((mono_deg(m) for m in p), default=-1)
-
-
-# ---------------------------------------------------------------------------
-# tensor-square elements
-
-
-def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
-    """(u x v)(u' x v') = uu' x vv'; no sign bookkeeping in char 2."""
-    acc: set = set()
-    for u, v in s:
-        for x, y in t:
-            acc.symmetric_difference_update({(mono_mul(u, x), mono_mul(v, y))})
-    return frozenset(acc)
-
-
-def tensor_cup(s: TensorElement) -> GF2Poly:
-    """Image under the multiplication map u x v -> uv."""
-    acc: set = set()
-    for u, v in s:
-        acc.symmetric_difference_update({mono_mul(u, v)})
-    return frozenset(acc)
-
-
-# ---------------------------------------------------------------------------
 # binomial parity
 
 
@@ -198,7 +121,7 @@ def default_names(arity: int, stem: str = "y") -> List[str]:
     return [f"{stem}{i + 1}" for i in range(arity)]
 
 
-def mono_render(m: Monomial, names: Sequence[str]) -> str:
+def mono_render(m: Sequence[int], names: Sequence[str]) -> str:
     parts = []
     for e, name in zip(m, names):
         if e == 1:
@@ -206,20 +129,3 @@ def mono_render(m: Monomial, names: Sequence[str]) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def poly_render(p: GF2Poly, names: Sequence[str]) -> str:
-    if not p:
-        return "0"
-    terms = sorted(p, key=grlex_key, reverse=True)
-    return " + ".join(mono_render(m, names) for m in terms)
-
-
-def tensor_render(t: TensorElement, names: Sequence[str]) -> str:
-    if not t:
-        return "0"
-    terms = sorted(t, key=lambda uv: (grlex_key(uv[0]), grlex_key(uv[1])), reverse=True)
-    return " + ".join(
-        f"{mono_render(u, names)}(x){mono_render(v, names)}" for u, v in terms
-    )
-

@@ -28,7 +28,6 @@ from .cohomology import (
 # unused here; perfbench/tracer.py rebinds these names on this module
 from .cohomology import cup_kernel, ideal_powers  # noqa: F401
 from .errors import BudgetExceeded, InputError
-from .gf2 import TensorElement, tensor_cup, tensor_mul
 
 DEFAULT_BUDGET = 12
 
@@ -56,13 +55,14 @@ class IntervalValue:
 class ZclCertificate:
     """k zero divisors whose product is nonzero.
 
-    `product` holds witness terms of the reduced product, not the product
-    itself: for a tower certificate it is the single split term T*.
-    `argument` names why the witness terms survive.
+    Each factor and `product` is a frozenset of terms u (x) v, each a pair
+    of exponent tuples.  `product` holds witness terms of the reduced
+    product, not the product itself: for a tower certificate it is the
+    single split term T*.  `argument` names why the witness terms survive.
     """
     k: int
-    factors: Tuple[TensorElement, ...]
-    product: TensorElement
+    factors: Tuple[frozenset, ...]
+    product: frozenset
     surviving_terms: Tuple[str, ...] = ()
     argument: str = ""
 
@@ -185,33 +185,20 @@ def zcl_certificate_bott(dims: Sequence[int], B: BottMatrix) -> ZclCertificate:
         raise InputError("matrix dims disagree with the ring dims")
     m = len(dims)
     names = gf2.default_names(m, "y")
-    one = gf2.mono_one(m)
-    factors: List[TensorElement] = []
+    one = (0,) * m
+    factors: List[frozenset] = []
     left: List[int] = []
     surviving = []
-    for j, nj in enumerate(dims, start=1):
+    for j, nj in enumerate(dims):
         dj = (1 << power_exponent(nj)) - 1
-        y_j = gf2.mono_var(m, j)
+        y_j = tuple(int(i == j) for i in range(m))
         factors.extend([frozenset({(one, y_j), (y_j, one)})] * dj)
         left.append(dj - nj)
-        split = (gf2.mono_var(m, j, dj - nj), gf2.mono_var(m, j, nj))
-        surviving.append(gf2.tensor_render(frozenset({split}), names))
-    witness: TensorElement = frozenset({(tuple(left), dims)})
+        surviving.append("(x)".join(gf2.mono_render((e,), names[j:j + 1])
+                                    for e in (dj - nj, nj)))
+    witness = frozenset({(tuple(left), dims)})
     return ZclCertificate(certificate_length(dims), tuple(factors), witness,
                           tuple(surviving), LEADING_TERM_ARGUMENT)
-
-
-def _reduce_tensor(ring: BottRing, t: TensorElement, forms: dict) -> TensorElement:
-    """Normal form on both tensor legs; `forms` memoises each monomial's."""
-    acc: set = set()
-    for u, v in t:
-        for mon in (u, v):
-            if mon not in forms:
-                forms[mon] = ring.normal_form(frozenset({mon}))
-        for x in forms[u]:
-            for y in forms[v]:
-                acc.symmetric_difference_update({(x, y)})
-    return frozenset(acc)
 
 
 def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
@@ -221,17 +208,53 @@ def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
     and that every witness term of `cert.product` occurs in the fully
     reduced product of the factors (so the product is nonzero).  The
     expansion has up to 2^k terms; the bound rules never call it.
+
+    A tensor leg is one int: the ring's packed monomial plus its degree in a
+    field above the exponents, so a sum of legs is their product and adds
+    their degrees.  A sum is kept only when its degree is at most top; any
+    other is zero (H^d = 0 above top).  The exponents of a monomial of
+    degree at most top fit their fields, so nothing kept has carried; a
+    forged leg of higher degree may carry, but only up into the degree
+    field, which then reads higher still.  Each distinct factor is packed
+    once, and each leg reduced once.
     """
     if len(cert.factors) != cert.k or not cert.product:
         return False
-    for f in set(cert.factors):
-        if ring.normal_form(tensor_cup(f)):
+    top, shift = ring.top, ring.m * ring._width
+
+    def leg(mon) -> int:
+        return ring._pack(mon) + (sum(mon) << shift)
+
+    factors = {f: [(leg(u), leg(v)) for u, v in f] for f in set(cert.factors)}
+    for legs in factors.values():
+        cup: set = set()
+        for u, v in legs:
+            if (u + v) >> shift <= top:
+                cup ^= {u + v}
+        if ring._reduce(cup):
             return False
-    product: TensorElement = frozenset({(gf2.mono_one(ring.m),) * 2})
+    product = {(0, 0)}  # 1 (x) 1
     forms: dict = {}
     for f in cert.factors:
-        product = _reduce_tensor(ring, tensor_mul(product, f), forms)
-    return cert.product <= product
+        terms: set = set()
+        for x, y in product:
+            for u, v in factors[f]:
+                a, b = x + u, y + v
+                if a >> shift <= top and b >> shift <= top:
+                    terms ^= {(a, b)}
+        product = set()
+        for a, b in terms:
+            for t in (a, b):
+                if t not in forms:
+                    forms[t] = ring._reduce((t,))
+            for x in forms[a]:
+                for y in forms[b]:
+                    product ^= {(x, y)}
+    try:
+        witness = {(leg(u), leg(v)) for u, v in cert.product}
+    except InputError:  # not a term of this ring's tensor square
+        return False
+    return witness <= product
 
 
 # ---------------------------------------------------------------------------

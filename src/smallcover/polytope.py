@@ -11,6 +11,7 @@ them, up to MAX_PRODUCT_VERTICES.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
@@ -21,6 +22,9 @@ from .errors import InputError
 # Largest product of simplices whose vertices are built: (3,)x8 has 65 536.
 # It also caps the edges of a polygon, which has as many vertices.
 MAX_PRODUCT_VERTICES = 65536
+# Largest dimension of a product of simplices: its tower's n + 1 facet
+# vectors of n entries each are laid out even when no vertex is built.
+MAX_PRODUCT_DIMENSION = 1024
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,12 @@ class SimplePolytope:
             for f, incident in enumerate(incidence):
                 if not incident:
                     raise InputError(f"facet {f} lies on no vertex")
+        # the n - 1 facets of a vertex but one meet in an edge: two vertices
+        edges = Counter(v - {f} for v in self.vertices for f in v)
+        for edge, count in edges.items():
+            if count != 2:
+                raise InputError(f"an edge lies on 2 vertices, but facets "
+                                 f"{sorted(edge)} meet in {count}")
         object.__setattr__(self, "_facet_vertices", incidence)
 
     @property
@@ -99,6 +109,9 @@ class ProductOfSimplices(SimplePolytope):
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise InputError("dims must be a nonempty list of positive integers")
+        if sum(dims) > MAX_PRODUCT_DIMENSION:
+            raise InputError(f"a product of simplices has dimension at most "
+                             f"{MAX_PRODUCT_DIMENSION}, got n = {sum(dims)}")
         object.__setattr__(self, "n", sum(dims))
         object.__setattr__(self, "facet_count", sum(dims) + len(dims))
         object.__setattr__(self, "family", ("product_of_simplices", dims))

@@ -350,7 +350,7 @@ def test_rules_above_the_budget_build_no_relations():
         manifold_zcl(M, 12)
         dold_bounds(M, [1, 2])
         ring = manifold_ring(M)
-        assert {"_packed", "relations", "relations_text", "_tails"}.isdisjoint(vars(ring))
+        assert {"_packed", "relations_text", "_tails"}.isdisjoint(vars(ring))
         assert ring._slices == {} and ring._alg is None
     assert manifold_ring(cover).relations_text[:2] == ("z1*z3", "z1*z4")
 

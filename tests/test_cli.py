@@ -188,6 +188,14 @@ def test_bounds_cateq_needs_involution(capsys, tower):
     assert main(["bounds", tower, "--invariant", "cateq"]) == 2
 
 
+def test_bounds_cateq_names_a_zero_involution(capsys, klein, tower):
+    assert main(["bounds", klein, "--invariant", "cateq", "--involution", "00"]) == 2
+    assert capsys.readouterr().err == "error: a nonzero involution vector is required\n"
+    # with no involution at all, the flag is what is missing
+    assert main(["bounds", tower, "--invariant", "cateq"]) == 2
+    assert "cateq needs an involution bitstring" in capsys.readouterr().err
+
+
 def test_bounds_involution_flag(capsys, tmp_path):
     path = write(tmp_path, "noinv.json", {
         "polytope": {"type": "polygon", "edges": 4},
@@ -318,14 +326,16 @@ def assert_malformed(capsys, argv):
     ({"n": 0, "facet_count": 0, "vertices": []}, "at least one vertex"),
     ({"n": 2, "facet_count": 4, "vertices": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 1]]},
      "vertex 4 repeats vertex 0"),
-], ids=["no-vertex", "no-vertex-point", "repeated-vertex"])
+    ({"n": 2, "facet_count": 4, "vertices": [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]},
+     "facets [0] meet in 3"),
+], ids=["no-vertex", "no-vertex-point", "repeated-vertex", "not-simple"])
 def test_malformed_explicit_polytope_exit_2(capsys, tmp_path, shape, message):
     vectors = ["10", "01", "10", "11"][:shape["facet_count"]]
     path = write(tmp_path, "shape.json", {
         "polytope": {"type": "explicit", **shape},
         "characteristic": {"type": "facet_vectors", "vectors": vectors},
     })
-    for command in ("ring", "bounds"):
+    for command in ("validate", "ring", "bounds"):
         assert message in assert_malformed(capsys, [command, path])
 
 
@@ -580,7 +590,7 @@ def test_tower_commands_never_build_vertices(capsys, tmp_path, monkeypatch):
         raise AssertionError("product vertices built or certificate expanded")
 
     monkeypatch.setattr(polytope.ProductOfSimplices, "_build_vertices", refuse)
-    monkeypatch.setattr(invariants, "_reduce_tensor", refuse)
+    monkeypatch.setattr(invariants, "verify_certificate", refuse)
     path = _twisted_tower(tmp_path, "t38.json", (3,) * 8)
     for argv in (["bounds", path, "--invariant", "all"], ["dold", path], ["zcl", path],
                  ["zcl", path, "--certificate-only"]):
@@ -610,7 +620,8 @@ def test_vertex_cap_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("shape", [
     {"type": "polygon", "edges": 300000},
     {"type": "explicit", "n": 0, "facet_count": 3000000, "vertices": []},
-], ids=["polygon", "explicit"])
+    {"type": "product_of_simplices", "dims": [20000]},
+], ids=["polygon", "explicit", "product-dimension"])
 def test_oversized_polytope_rejected_before_allocation(capsys, tmp_path, shape):
     path = write(tmp_path, "huge.json", {
         "polytope": shape,

@@ -29,6 +29,7 @@ from smallcover.polytope import explicit_polytope, h_vector, polygon, product_of
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic, random_product_dims
+import tuple_reference as ref
 
 
 def _mult_elem(alg, e1, e2):
@@ -76,7 +77,7 @@ def test_projective_ring_structure():
 def _box(dims, d):
     """Monomials of degree d with y_j-degree at most n_j, in grlex order."""
     return sorted((mon for mon in product(*(range(n + 1) for n in dims)) if sum(mon) == d),
-                  key=gf2.grlex_key)
+                  key=ref.grlex_key)
 
 
 def _unpacked(ring, packed):
@@ -121,7 +122,7 @@ def test_bott_table_products_match_normal_form():
                 pos = {mon: k for k, mon in enumerate(boxes[d1 + d2])}
                 for i, u in enumerate(boxes[d1]):
                     for j, v in enumerate(boxes[d2]):
-                        nf = ring.normal_form(frozenset({gf2.mono_mul(u, v)}))
+                        nf = ring.normal_form(frozenset({ref.mono_mul(u, v)}))
                         mask = sum(1 << pos[mon] for mon in nf)
                         assert alg.mult_basis(d1, i, d2, j) == mask, (dims, B.beta, u, v)
 
@@ -130,7 +131,7 @@ def test_normal_form_idempotent_and_multiplicative(rng):
     ring = BottRing((2, 2), BottMatrix.make((2, 2), {(2, 1): (1, 1)}))
 
     def random_poly():
-        return gf2.poly(
+        return ref.poly(
             tuple(rng.randint(0, 4) for _ in range(2)) for _ in range(rng.randint(0, 5))
         )
 
@@ -138,15 +139,30 @@ def test_normal_form_idempotent_and_multiplicative(rng):
         p, q = random_poly(), random_poly()
         np_, nq = ring.normal_form(p), ring.normal_form(q)
         assert ring.normal_form(np_) == np_
-        lhs = ring.normal_form(gf2.poly_mul(p, q))
-        rhs = ring.normal_form(gf2.poly_mul(np_, nq))
+        lhs = ring.normal_form(ref.poly_mul(p, q))
+        rhs = ring.normal_form(ref.poly_mul(np_, nq))
         assert lhs == rhs
 
 
 def test_normal_form_kills_relations():
     ring = BottRing((1, 2), BottMatrix.make((1, 2), {(2, 1): (1, 0)}))
-    for g in ring.relations:
+    for g in ref.unpacked_relations(ring):
         assert ring.normal_form(g) == frozenset()
+
+
+def test_packed_normal_form_matches_tuple_rewriting():
+    """On every tower with m <= 3, n_j <= 3, a random polynomial reduces as
+    the tuple rewriting reduces it, its monomials above top included."""
+    rng = random.Random(5)
+    above = 0
+    for m in (1, 2, 3):
+        for dims, B in all_bott_matrices(m, 3):
+            ring = BottRing(dims, B)
+            p = ref.poly(tuple(rng.randint(0, n + 2) for n in dims)
+                         for _ in range(rng.randint(1, 4)))
+            above += sum(sum(mon) > ring.top for mon in p)
+            assert ring.normal_form(p) == ref.bott_normal_form(p, dims, B), (dims, B.beta, p)
+    assert above > 1000
 
 
 def test_verify_top_monomial_sweep_small():
@@ -182,23 +198,6 @@ def test_small_cover_rejects_invalid():
 # --- packed relations against the tuple-built reference ----------------------
 
 
-def _reference_gammas(dims, B):
-    """Gamma_j = y_j prod_k (y_j + sum_l beta(j, l)[k] y_l) by tuple
-    arithmetic, as the rings built them before they packed them."""
-    m = len(dims)
-    out = []
-    for j in range(1, m + 1):
-        acc = frozenset({gf2.mono_var(m, j)})
-        for k in range(1, dims[j - 1] + 1):
-            factor = {gf2.mono_var(m, j)}
-            for l in range(1, j):
-                if B.block(j, l)[k - 1]:
-                    factor ^= {gf2.mono_var(m, l)}
-            acc = gf2.poly_mul(acc, frozenset(factor))
-        out.append(acc)
-    return tuple(out)
-
-
 def _reference_non_face_relations(P, vectors):
     """The nonzero minimal-non-face products, each facet class substituted
     by tuple arithmetic as a linear polynomial in the free classes."""
@@ -207,16 +206,16 @@ def _reference_non_face_relations(P, vectors):
                                           for i in range(P.n)])
     free = [c for c in range(r) if c not in pivot_cols]
     k = len(free)
-    subs = {c: frozenset({gf2.mono_var(k, i + 1)}) for i, c in enumerate(free)}
+    subs = {c: frozenset({ref.mono_var(k, i + 1)}) for i, c in enumerate(free)}
     for row in reduced:
         lead = row.bit_length() - 1
-        subs[lead] = frozenset(gf2.mono_var(k, i + 1)
+        subs[lead] = frozenset(ref.mono_var(k, i + 1)
                                for i, c in enumerate(free) if (row >> c) & 1)
     out = []
     for S in minimal_non_faces(P):
-        g = frozenset({gf2.mono_one(k)})
+        g = frozenset({ref.mono_one(k)})
         for f in S:
-            g = gf2.poly_mul(g, subs[f])
+            g = ref.poly_mul(g, subs[f])
         if g:
             out.append(g)
     return tuple(out)
@@ -224,7 +223,7 @@ def _reference_non_face_relations(P, vectors):
 
 def _reference_relations(ring):
     if ring.kind == "bott":
-        return _reference_gammas(ring.dims, ring.bmat)
+        return ref.gammas(ring.dims, ring.bmat)
     return _reference_non_face_relations(ring.P, ring.vectors)
 
 
@@ -261,8 +260,9 @@ def test_packed_relations_unpack_to_the_tuple_reference(rng):
         rings.append(SmallCoverRing(product_of_simplices((n,)), rp))
     for ring in rings:
         expected = _reference_relations(ring)
-        assert ring.relations == expected, ring.relations_text
-        assert [d for d, _ in ring._packed] == [gf2.poly_deg(g) for g in expected]
+        assert ref.unpacked_relations(ring) == expected, ring.relations_text
+        assert ring.relations_text == tuple(ref.poly_render(g, ring.names) for g in expected)
+        assert [d for d, _ in ring._packed] == [ref.poly_deg(g) for g in expected]
         assert all(d <= ring.top + 1 for d, _ in ring._packed)
     # relations of degree top + 1 render: the triangle and RP^5 by facets
     triangle = SmallCoverRing(polygon(3), [(1, 0), (0, 1), (1, 1)])
@@ -273,17 +273,18 @@ def test_packed_relations_unpack_to_the_tuple_reference(rng):
 
 def test_truncated_fibre_and_point_relations():
     fibre = cohomology.TruncatedRing("a", 2)
-    assert fibre.relations == (frozenset({(3,)}),) and fibre.relations_text == ("a^3",)
+    assert ref.unpacked_relations(fibre) == (frozenset({(3,)}),)
+    assert fibre.relations_text == ("a^3",)
     alg = fibre.algebra()
     assert alg.betti == (1, 1, 1) and alg.mult_basis(1, 0, 1, 0) == 1
     assert [alg.label(d, 0) for d in range(3)] == ["1", "a", "a^2"]
     assert DoldRing(projective_ring(3), [2, 3]).relations_text == ("a^3", "a2^2", "y1^4")
-    assert PointRing().relations == () and PointRing().relations_text == ()
+    assert PointRing()._packed == () and PointRing().relations_text == ()
 
 
 def test_relations_built_on_first_use():
     ring = BottRing((2, 1), BottMatrix.make((2, 1), {(2, 1): (1,)}))
-    assert {"_packed", "relations", "relations_text", "_tails"}.isdisjoint(vars(ring))
+    assert {"_packed", "relations_text", "_tails"}.isdisjoint(vars(ring))
     assert ring.betti == (1, 2, 2, 1) and ring.dim == 6
     assert "_packed" not in vars(ring)
     assert ring.power(1, 3) == frozenset()  # rewriting reads the tails
@@ -291,7 +292,7 @@ def test_relations_built_on_first_use():
     ring = SmallCoverRing(polygon(5), _polygon_vectors(5))
     assert ring.betti == (1, 3, 1) and "_packed" not in vars(ring)
     ring.algebra()
-    assert "_packed" in vars(ring) and "relations" not in vars(ring)
+    assert "_packed" in vars(ring) and "relations_text" not in vars(ring)
 
 
 def test_minimal_non_faces_product():
@@ -786,7 +787,7 @@ def _reference_products(ring):
             bpos = {mon: k for k, mon in enumerate(basis)}
             for i, u in enumerate(_unpacked(ring, m) for m in ring._slice(d1)[2]):
                 for j, v in enumerate(_unpacked(ring, m) for m in ring._slice(d2)[2]):
-                    mask = 1 << pos[gf2.mono_mul(u, v)]
+                    mask = 1 << pos[ref.mono_mul(u, v)]
                     reducible = True
                     while reducible:
                         reducible = False

@@ -16,6 +16,7 @@ from smallcover.invariants import (
     LEADING_TERM_ARGUMENT,
     RP_CLOSED_FORM,
     IntervalValue,
+    ZclCertificate,
     certificate_length,
     cup_length,
     cup_length_algebra,
@@ -31,6 +32,7 @@ from smallcover.polytope import polygon
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices
+import tuple_reference as ref
 
 
 def test_interval_value_validation():
@@ -115,14 +117,17 @@ def test_certificate_verifies():
         cert = zcl_certificate_bott(dims, B)
         assert cert.k == certificate_length(dims) == len(cert.factors)
         assert verify_certificate(BottRing(dims, B), cert), (dims, dict(B.beta))
+        # each split term y_j^(d_j-n_j) (x) y_j^n_j, rendered as tuples render
+        m, names = len(dims), [f"y{j}" for j in range(1, len(dims) + 1)]
+        splits = [frozenset({(ref.mono_var(m, j, (1 << power_exponent(n)) - 1 - n),
+                              ref.mono_var(m, j, n))}) for j, n in enumerate(dims, start=1)]
+        assert cert.surviving_terms == tuple(ref.tensor_render(t, names) for t in splits)
 
 
 def test_certificate_rejects_tampering():
     B = BottMatrix.make((2,))
     cert = zcl_certificate_bott((2,), B)
     ring = BottRing((2,), B)
-    from smallcover.invariants import ZclCertificate
-
     bad = ZclCertificate(cert.k + 1, cert.factors, cert.product, cert.surviving_terms)
     assert not verify_certificate(ring, bad)
     # a factor outside the cup kernel fails the membership check
@@ -134,6 +139,62 @@ def test_certificate_rejects_tampering():
     y = ((1,), (1,))
     forged = ZclCertificate(cert.k, cert.factors, frozenset({y}), cert.surviving_terms)
     assert not verify_certificate(ring, forged)
+
+
+def test_certificate_legs_above_top_do_not_carry():
+    # in a (1, 1) tower, top = 2 and a field is 2 bits wide, so y1^4 would
+    # carry into y2's field; it has degree 4 > top and is zero instead
+    dims = (1, 1)
+    B = BottMatrix.make(dims, {(2, 1): (1,)})
+    ring = BottRing(dims, B)
+    one, y2, y1_4 = (0, 0), (0, 1), (4, 0)
+    witness = frozenset({(one, y2)})
+    honest = ZclCertificate(1, (frozenset({(one, y2), (y2, one)}),), witness)
+    forged = ZclCertificate(1, (frozenset({(one, y1_4), (y1_4, one)}),), witness)
+    assert verify_certificate(ring, honest) and ref.verify_certificate(dims, B, honest)
+    assert not verify_certificate(ring, forged)
+    assert not ref.verify_certificate(dims, B, forged)
+    assert ring.normal_form({y1_4}) == frozenset()
+    # in RP^2 the cup product y^2 y^2 = y^4 has degree 4 > top and is zero,
+    # though its exponent overflows its 2-bit field
+    B = BottMatrix.make((2,))
+    square = frozenset({((2,), (2,))})
+    top_class = ZclCertificate(1, (square,), square)
+    assert verify_certificate(BottRing((2,), B), top_class)
+    assert ref.verify_certificate((2,), B, top_class)
+
+
+def _forged_factor(rng, dims):
+    """Random terms u (x) v, mostly in symmetric pairs (which the cup
+    product kills); a quarter of the legs have exponents up to top + 2."""
+    top = sum(dims)
+
+    def leg():
+        if rng.random() < 0.25:
+            return tuple(rng.randint(0, top + 2) for _ in dims)
+        return tuple(rng.randint(0, n) for n in dims)
+
+    terms: set = set()
+    for _ in range(rng.randint(1, 3)):
+        u, v = leg(), leg()
+        terms ^= {(u, v), (v, u)} if rng.random() < 0.8 else {(u, v)}
+    return frozenset(terms)
+
+
+def test_oracle_matches_the_tuple_reference_on_forged_certificates():
+    rng = random.Random(1618)
+    verdicts = []
+    for dims, B in [t for m in (1, 2) for t in all_bott_matrices(m, 2)]:
+        ring = BottRing(dims, B)
+        for _ in range(8):
+            factors = tuple(_forged_factor(rng, dims) for _ in range(rng.randint(1, 3)))
+            terms = sorted(ref.certificate_product(dims, B, factors))
+            terms.append((tuple(rng.randint(0, n) for n in dims), dims))
+            witness = frozenset(rng.sample(terms, rng.randint(1, min(2, len(terms)))))
+            cert = ZclCertificate(len(factors), factors, witness)
+            verdicts.append(ref.verify_certificate(dims, B, cert))
+            assert verify_certificate(ring, cert) == verdicts[-1], (dims, dict(B.beta), cert)
+    assert len(verdicts) // 8 <= sum(verdicts) <= len(verdicts) // 2, sum(verdicts)
 
 
 def test_leading_term_certificate_holds_the_split_term_only():

@@ -3,6 +3,7 @@ import pytest
 from smallcover import bounds, charfun, polytope
 from smallcover.errors import InputError
 from smallcover.polytope import (
+    MAX_PRODUCT_DIMENSION,
     HVector,
     explicit_polytope,
     f_vector,
@@ -60,8 +61,23 @@ def test_explicit_validation():
         explicit_polytope(0, 0, [])
     with pytest.raises(InputError, match="vertex 4 repeats vertex 1"):
         explicit_polytope(2, 4, [[0, 1], [1, 2], [2, 3], [3, 0], [2, 1]])
+    # the square with a fifth vertex on two opposite edges
+    with pytest.raises(InputError, match=r"facets \[0\] meet in 3"):
+        explicit_polytope(2, 4, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]])
+    # a path, not a polygon: its end edges lie on one vertex each
+    with pytest.raises(InputError, match=r"facets \[0\] meet in 1"):
+        explicit_polytope(2, 4, [[0, 1], [1, 2], [2, 3]])
+    with pytest.raises(InputError, match=r"facets \[\] meet in 1"):
+        explicit_polytope(1, 1, [[0]])
     # the point: one vertex on no facet
     assert explicit_polytope(0, 0, [[]]).vertex_count == 1
+    assert explicit_polytope(1, 2, [[0], [1]]).vertex_count == 2
+
+
+def test_product_dimension_cap():
+    assert product_of_simplices([MAX_PRODUCT_DIMENSION]).n == MAX_PRODUCT_DIMENSION
+    with pytest.raises(InputError, match=f"got n = {MAX_PRODUCT_DIMENSION + 1}"):
+        product_of_simplices([MAX_PRODUCT_DIMENSION // 2, MAX_PRODUCT_DIMENSION // 2 + 1])
 
 
 def test_f_vector_known_values():

@@ -1,0 +1,194 @@
+"""Exponent-tuple polynomial arithmetic over GF(2), the tests' reference.
+
+The package does all monomial arithmetic on packed ints.  This module keeps
+the plain form it is checked against: a monomial is a tuple of exponents, a
+polynomial a frozenset of monomials (coefficient 1, addition is symmetric
+difference), and a tensor-square element a frozenset of ordered monomial
+pairs.  On top of it sit the rewriting normal form of a real Bott tower and
+the full-expansion certificate oracle, as the package had them before it
+packed them.
+"""
+
+from typing import Iterable, Sequence, Tuple
+
+from smallcover.errors import InputError
+from smallcover.gf2 import mono_render
+
+Monomial = Tuple[int, ...]
+GF2Poly = frozenset  # of Monomial
+TensorElement = frozenset  # of (Monomial, Monomial)
+
+ZERO_POLY: GF2Poly = frozenset()
+
+
+# ---------------------------------------------------------------------------
+# monomials and polynomials
+
+
+def mono_deg(m: Monomial) -> int:
+    return sum(m)
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if len(a) != len(b):
+        raise InputError("monomial arity mismatch")
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def grlex_key(m: Monomial):
+    """Graded lex with variable 1 smallest (the last variable dominates)."""
+    return (sum(m), tuple(reversed(m)))
+
+
+def mono_one(arity: int) -> Monomial:
+    return (0,) * arity
+
+
+def mono_var(arity: int, i: int, e: int = 1) -> Monomial:
+    """Monomial var_i^e with 1-based variable index i."""
+    return tuple(e if k == i - 1 else 0 for k in range(arity))
+
+
+def poly(monomials: Iterable[Monomial]) -> GF2Poly:
+    """Build a polynomial, XOR-cancelling duplicate monomials."""
+    acc: set = set()
+    for m in monomials:
+        acc.symmetric_difference_update({tuple(m)})
+    return frozenset(acc)
+
+
+def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
+    acc: set = set()
+    for u in a:
+        for v in b:
+            acc.symmetric_difference_update({mono_mul(u, v)})
+    return frozenset(acc)
+
+
+def poly_deg(p: GF2Poly) -> int:
+    """Degree of p; -1 for the zero polynomial."""
+    return max((mono_deg(m) for m in p), default=-1)
+
+
+def poly_render(p: GF2Poly, names: Sequence[str]) -> str:
+    if not p:
+        return "0"
+    terms = sorted(p, key=grlex_key, reverse=True)
+    return " + ".join(mono_render(m, names) for m in terms)
+
+
+# ---------------------------------------------------------------------------
+# tensor-square elements
+
+
+def tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
+    """(u x v)(u' x v') = uu' x vv'; no sign bookkeeping in char 2."""
+    acc: set = set()
+    for u, v in s:
+        for x, y in t:
+            acc.symmetric_difference_update({(mono_mul(u, x), mono_mul(v, y))})
+    return frozenset(acc)
+
+
+def tensor_cup(s: TensorElement) -> GF2Poly:
+    """Image under the multiplication map u x v -> uv."""
+    acc: set = set()
+    for u, v in s:
+        acc.symmetric_difference_update({mono_mul(u, v)})
+    return frozenset(acc)
+
+
+def tensor_render(t: TensorElement, names: Sequence[str]) -> str:
+    if not t:
+        return "0"
+    terms = sorted(t, key=lambda uv: (grlex_key(uv[0]), grlex_key(uv[1])), reverse=True)
+    return " + ".join(
+        f"{mono_render(u, names)}(x){mono_render(v, names)}" for u, v in terms
+    )
+
+
+# ---------------------------------------------------------------------------
+# the rings' relations as tuples
+
+
+def unpacked_relations(ring) -> Tuple[GF2Poly, ...]:
+    """A quotient ring's packed relations, each as a set of exponent tuples."""
+    field = (1 << ring._width) - 1
+    return tuple(frozenset(tuple((t >> (i * ring._width)) & field for i in range(ring.nvars))
+                           for t in terms) for _, terms in ring._packed)
+
+
+def gammas(dims, B) -> Tuple[GF2Poly, ...]:
+    """Gamma_j = y_j prod_k (y_j + sum_l beta(j, l)[k] y_l) of a tower."""
+    m = len(dims)
+    out = []
+    for j in range(1, m + 1):
+        acc = frozenset({mono_var(m, j)})
+        for k in range(1, dims[j - 1] + 1):
+            factor = {mono_var(m, j)}
+            for l in range(1, j):
+                if B.block(j, l)[k - 1]:
+                    factor ^= {mono_var(m, l)}
+            acc = poly_mul(acc, frozenset(factor))
+        out.append(acc)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the tower normal form and the certificate oracle
+
+
+def bott_normal_form(p: GF2Poly, dims, B) -> GF2Poly:
+    """Unique representative of p on the standard monomials of a tower.
+
+    Rewrites y_j^{n_j+1} by the lower-order tail of its relation, the
+    grlex-largest reducible monomial first; the leading monomials are
+    pairwise coprime, so the rewriting needs no S-polynomial completion.
+    """
+    m = len(dims)
+    tails = [g ^ {mono_var(m, j, n + 1)}
+             for j, (g, n) in enumerate(zip(gammas(dims, B), dims), start=1)]
+    cur = set(p)
+    while True:
+        nonstd = [mon for mon in cur if any(e > d for e, d in zip(mon, dims))]
+        if not nonstd:
+            return frozenset(cur)
+        mon = max(nonstd, key=grlex_key)
+        j = max(i + 1 for i, (e, d) in enumerate(zip(mon, dims)) if e > d)
+        rest = tuple(
+            e - (dims[j - 1] + 1) if i == j - 1 else e
+            for i, e in enumerate(mon)
+        )
+        cur.symmetric_difference_update({mon})
+        cur.symmetric_difference_update(poly_mul(tails[j - 1], frozenset({rest})))
+
+
+def certificate_product(dims, B, factors) -> TensorElement:
+    """The product of the factors, both legs reduced after each one."""
+    forms: dict = {}
+
+    def reduce_tensor(t: TensorElement) -> TensorElement:
+        acc: set = set()
+        for u, v in t:
+            for mon in (u, v):
+                if mon not in forms:
+                    forms[mon] = bott_normal_form(frozenset({mon}), dims, B)
+            for x in forms[u]:
+                for y in forms[v]:
+                    acc.symmetric_difference_update({(x, y)})
+        return frozenset(acc)
+
+    product: TensorElement = frozenset({(mono_one(len(dims)),) * 2})
+    for f in factors:
+        product = reduce_tensor(tensor_mul(product, f))
+    return product
+
+
+def verify_certificate(dims, B, cert) -> bool:
+    """The certificate oracle by the full expansion on exponent tuples."""
+    if len(cert.factors) != cert.k or not cert.product:
+        return False
+    for f in set(cert.factors):
+        if bott_normal_form(tensor_cup(f), dims, B):
+            return False
+    return cert.product <= certificate_product(dims, B, cert.factors)
