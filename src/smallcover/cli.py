@@ -298,58 +298,44 @@ def cmd_dold(spec: ProblemSpec, args) -> _Result:
 
 
 # ---------------------------------------------------------------------------
-# verification sweeps
+# verification sweeps: each suite yields one outcome per case, "" when it
+# passes, its failure text when it fails, and None for a random draw it skips
 
 # draws per random facet assignment before a sweep skips the polytope
 _SAMPLER_TRIES = 400
 
 
 def _suite_lemma(max_m: int, max_n: int, _rng):
-    count, fail = 0, None
     for m in range(1, max_m + 1):
         for dims, B in sampling.all_bott_matrices(m, max_n):
-            count += 1
-            if not cohomology.verify_top_monomial(dims, B) and fail is None:
-                fail = f"dims={list(dims)} beta={dict(B.beta)}"
-    return count, 0, fail
+            ok = cohomology.verify_top_monomial(dims, B)
+            yield "" if ok else f"dims={list(dims)} beta={dict(B.beta)}"
 
 
 def _suite_betti(max_m: int, max_n: int, rng: random.Random):
-    count, skipped, fail = 0, 0, None
-    cases = []
-    for _ in range(10):
-        m = rng.randint(1, max_m)
-        dims = tuple(rng.randint(1, max_n) for _ in range(m))
-        cases.append(polytope.product_of_simplices(dims))
+    cases = [polytope.product_of_simplices(sampling.random_dims(rng, max_m, max_n))
+             for _ in range(10)]
     cases += [polytope.polygon(k) for k in range(3, 9)]
     for P in cases:
         lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
         if lam is None:
-            skipped += 1
+            yield None
             continue
-        count += 1
         ring = cohomology.SmallCoverRing(P, lam)
         h, betti = polytope.h_vector(P).h, ring.algebra().betti
-        if betti != h and fail is None:
-            fail = f"{P.family}: betti {betti} != h {h}"
-    return count, skipped, fail
+        yield "" if betti == h else f"{P.family}: betti {betti} != h {h}"
 
 
 def _suite_duality(max_m: int, max_n: int, rng: random.Random):
-    count, skipped, fail = 0, 0, None
     for _ in range(8):
-        m = rng.randint(1, max_m)
-        dims = tuple(rng.randint(1, max_n) for _ in range(m))
+        dims = sampling.random_dims(rng, max_m, max_n)
         P = polytope.product_of_simplices(dims)
         lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
         if lam is None:
-            skipped += 1
+            yield None
             continue
-        count += 1
         rep = cohomology.poincare_pairing(cohomology.SmallCoverRing(P, lam))
-        if not rep.nondegenerate and fail is None:
-            fail = f"dims={list(dims)}: degenerate pairing {rep.by_degree}"
-    return count, skipped, fail
+        yield "" if rep.nondegenerate else f"dims={list(dims)}: degenerate pairing {rep.by_degree}"
 
 
 # longest certificate the certificate suite expands: the oracle multiplies
@@ -358,36 +344,24 @@ _CERTIFICATE_MAX_LENGTH = 20
 
 
 def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
-    count, skipped, fail = 0, 0, None
     for _ in range(8):
-        m = rng.randint(1, max_m)
-        dims = tuple(rng.randint(1, max_n) for _ in range(m))
+        dims = sampling.random_dims(rng, max_m, max_n)
         B = sampling.random_bott_matrix(dims, rng)
-        if invariants.certificate_length(dims) > _CERTIFICATE_MAX_LENGTH:
-            skipped += 1
+        k = invariants.certificate_length(dims)
+        if k > _CERTIFICATE_MAX_LENGTH:
+            yield None
             continue
-        count += 1
         cert = invariants.zcl_certificate_bott(dims, B)
-        ring = cohomology.BottRing(dims, B)
-        ok = (cert.k == invariants.certificate_length(dims)
-              and invariants.verify_certificate(ring, cert))
-        if not ok and fail is None:
-            fail = f"dims={list(dims)} beta={dict(B.beta)}"
-    return count, skipped, fail
+        ok = cert.k == k and invariants.verify_certificate(cohomology.BottRing(dims, B), cert)
+        yield "" if ok else f"dims={list(dims)} beta={dict(B.beta)}"
 
 
 def _suite_binom(_max_m, _max_n, _rng):
-    count, fail = 0, None
-    pascal = [[1]]
-    for k in range(1, 65):
-        prev = pascal[-1]
-        pascal.append([1] + [(prev[i - 1] + prev[i]) % 2 for i in range(1, k)] + [1])
+    row = [1]  # Pascal's row k mod 2
     for k in range(65):
         for i in range(k + 1):
-            count += 1
-            if gf2.binom_odd(k, i) != bool(pascal[k][i]) and fail is None:
-                fail = f"C({k},{i})"
-    return count, 0, fail
+            yield "" if gf2.binom_odd(k, i) == bool(row[i]) else f"C({k},{i})"
+        row = [a ^ b for a, b in zip([0] + row, row + [0])]
 
 
 _SUITES = {
@@ -404,12 +378,19 @@ def cmd_verify(args) -> Tuple[int, List[str]]:
     rng = random.Random(args.seed)
     lines, failed = [], False
     for name in [args.suite] if args.suite else _SUITES:
-        count, skipped, fail = _SUITES[name](args.max_m, args.max_n, rng)
+        count = skipped = 0
+        fail = ""  # the first failure's text
+        for outcome in _SUITES[name](args.max_m, args.max_n, rng):
+            if outcome is None:
+                skipped += 1
+            else:
+                count += 1
+                fail = fail or outcome
         cases = f"{count} cases"
         if skipped:
             cases += f", {skipped} draw{'s' if skipped > 1 else ''} skipped"
-        lines.append(f"{name}: {cases}, " + ("pass" if fail is None else f"FAIL ({fail})"))
-        failed |= fail is not None
+        lines.append(f"{name}: {cases}, " + (f"FAIL ({fail})" if fail else "pass"))
+        failed |= bool(fail)
     return int(failed), lines
 
 

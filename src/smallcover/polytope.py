@@ -22,6 +22,10 @@ from .errors import InputError
 # Largest product of simplices whose vertices are built: (3,)x8 has 65 536.
 # It also caps the edges of a polygon, which has as many vertices.
 MAX_PRODUCT_VERTICES = 65536
+# Largest relation count of a polygon's ring, one per pair of disjoint
+# edges: the 1 025-gon's k(k-3)/2 = 523 775 are listed, the 1 026-gon's are
+# not.  `ring` on the 1 025-gon peaks near 0.7 GB.
+MAX_POLYGON_RELATIONS = 1 << 19
 # Largest dimension of a product of simplices: its tower's n + 1 facet
 # vectors of n entries each are laid out even when no vertex is built.
 MAX_PRODUCT_DIMENSION = 1024
@@ -324,6 +328,10 @@ def _minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
         k = P.family[1]
         if k == 3:  # a triangle: its three edges meet in no vertex
             return [(0, 1, 2)]
+        count = k * (k - 3) // 2
+        if count > MAX_POLYGON_RELATIONS:
+            raise InputError(f"a {k}-gon's ring has {count} relations; at most "
+                             f"{MAX_POLYGON_RELATIONS} can be listed")
         # edges i < j are disjoint unless adjacent: j = i + 1, or 0 and k - 1
         return [(i, j) for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)]
     # explicit: grow the faces by size from the facets, each of which lies on

@@ -1,7 +1,9 @@
-"""Random facet vectors and twistings, and the enumeration of small Bott towers.
+"""Random product shapes, facet vectors and twistings, and the enumeration
+of small Bott towers.
 
-Shared by the CLI's verification sweeps and the test suite; each caller
-passes its own try count, so its random stream stays its own.
+Shared by the CLI's verification sweeps and the test suite.  Each draw
+takes the caller's `random.Random`, and the sampler the caller's try
+count, so each caller's random stream stays its own.
 """
 
 from __future__ import annotations
@@ -13,6 +15,13 @@ from typing import Iterator, Optional, Tuple
 from .charfun import BottMatrix, GF2Vector, _dependent_vertices
 from .gf2 import bits_of
 from .polytope import SimplePolytope
+
+
+def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
+    """Random block dimensions of a product of simplices: one
+    rng.randint(1, max_m) for the block count, then one rng.randint(1, max_n)
+    per block."""
+    return tuple(rng.randint(1, max_n) for _ in range(rng.randint(1, max_m)))
 
 
 def random_characteristic(P: SimplePolytope, rng: random.Random,

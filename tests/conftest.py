@@ -13,8 +13,7 @@ def random_characteristic(P, rng):
 
 def random_product_dims(rng, max_vertices=256, max_m=6):
     while True:
-        m = rng.randint(1, max_m)
-        dims = tuple(rng.randint(1, 4) for _ in range(m))
+        dims = sampling.random_dims(rng, max_m, 4)
         count = 1
         for d in dims:
             count *= d + 1

@@ -303,6 +303,77 @@ def test_verify_fault_injection(capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+_VERIFY_DEFAULT = ["lemma: 3573 cases, pass",
+                   "betti: 15 cases, 1 draw skipped, pass",
+                   "duality: 6 cases, 2 draws skipped, pass",
+                   "certificate: 8 cases, pass",
+                   "binom: 2145 cases, pass"]
+
+
+@pytest.mark.parametrize("argv, lines", [
+    ([], _VERIFY_DEFAULT),
+    (["--seed", "7"], _VERIFY_DEFAULT[:2] + ["duality: 5 cases, 3 draws skipped, pass"]
+     + _VERIFY_DEFAULT[3:]),
+    (["--max-m", "2", "--max-n", "2", "--seed", "3"],
+     ["lemma: 14 cases, pass", "betti: 16 cases, pass", "duality: 8 cases, pass",
+      "certificate: 8 cases, pass", "binom: 2145 cases, pass"]),
+], ids=["default", "seed-7", "small-seed-3"])
+def test_verify_output_is_pinned(capsys, argv, lines):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0 and out.splitlines() == lines
+
+
+def _flip_binom(monkeypatch):
+    binom = cli.gf2.binom_odd
+    monkeypatch.setattr(cli.gf2, "binom_odd",
+                        lambda k, i: binom(k, i) != ((k, i) in {(5, 2), (7, 3)}))
+
+
+def _longer_polygon_h(monkeypatch):
+    # every polygon, the last six betti cases, disagrees with its h-vector
+    h_vector = cli.polytope.h_vector
+
+    class Longer:
+        def __init__(self, P):
+            self.h = h_vector(P).h + (1,) * (P.family[0] == "polygon")
+
+    monkeypatch.setattr(cli.polytope, "h_vector", Longer)
+
+
+def _degenerate_from_dimension_4(monkeypatch):
+    pairing = cohomology.poincare_pairing
+
+    def degenerate(ring):
+        rep = pairing(ring)
+        return cohomology.PairingReport(rep.nondegenerate and ring.P.n < 4, rep.by_degree)
+
+    monkeypatch.setattr(cohomology, "poincare_pairing", degenerate)
+
+
+@pytest.mark.parametrize("suite, seed, fault, line", [
+    ("binom", "0", _flip_binom, "binom: 2145 cases, FAIL (C(5,2))"),
+    ("betti", "0", _longer_polygon_h,
+     "betti: 15 cases, 1 draw skipped, FAIL (('polygon', 3): betti (1, 1, 1) != h (1, 1, 1, 1))"),
+    ("duality", "2", _degenerate_from_dimension_4,
+     "duality: 7 cases, 1 draw skipped, FAIL (dims=[3, 1]: degenerate pairing "
+     "(True, True, True, True, True))"),
+], ids=["binom", "betti", "duality"])
+def test_verify_reports_the_first_failure(capsys, monkeypatch, suite, seed, fault, line):
+    fault(monkeypatch)
+    code, out = run(capsys, "verify", "--suite", suite, "--seed", seed)
+    assert code == 1 and out == line + "\n"
+    # in a full run the other suites still pass, and the run fails
+    code, out = run(capsys, "verify", "--seed", seed)
+    failing = [x.split(":")[0] for x in out.splitlines() if "FAIL" in x]
+    assert code == 1 and failing == [suite]
+
+
+def test_readme_usage_names_every_suite():
+    readme = (ROOT / "README.md").read_text()
+    m = re.search(r"smallcover verify \[--suite ([\w|]+)\]", readme)
+    assert m and m.group(1).split("|") == list(cli._SUITES)
+
+
 def test_options_in_problem_file(capsys, tmp_path):
     path = write(tmp_path, "opts.json", {
         "polytope": {"type": "polygon", "edges": 4},
@@ -630,6 +701,21 @@ def test_oversized_polytope_rejected_before_allocation(capsys, tmp_path, shape):
     start = time.perf_counter()
     assert_malformed(capsys, ["validate", path])
     assert time.perf_counter() - start < 0.5
+
+
+def test_ring_on_a_large_polygon_exits_2_before_listing(capsys, tmp_path):
+    k = 20000
+    path = write(tmp_path, "gon.json", {
+        "polytope": {"type": "polygon", "edges": k},
+        "characteristic": {"type": "facet_vectors", "vectors": ["10", "01"] * (k // 2)},
+    })
+    start = time.perf_counter()
+    err = assert_malformed(capsys, ["ring", path])
+    assert time.perf_counter() - start < 0.5
+    assert "20000-gon's ring has 199970000 relations" in err
+    # only the ring lists the relations
+    code, out = run(capsys, "betti", path)
+    assert code == 0 and out == "1 19998 1\n"
 
 
 def _rp_facet_vectors(tmp_path, n):

@@ -289,6 +289,20 @@ def test_polygon_and_explicit_size_checks():
         explicit_polytope(0, 1, [])
 
 
+def test_polygon_relation_cap():
+    cap = polytope.MAX_POLYGON_RELATIONS
+    assert polytope.minimal_non_faces(polygon(9)) == [
+        (i, j) for i in range(9) for j in range(i + 2, 9) if (i, j) != (0, 8)]
+    assert len(polytope.minimal_non_faces(polygon(1025))) == 1025 * 1022 // 2 <= cap
+    # the 1 026-gon's 524 799 pairs are refused before any is listed
+    P = polygon(1026)
+    with pytest.raises(InputError, match=f"1026-gon's ring has 524799 relations; at most {cap}"):
+        polytope.minimal_non_faces(P)
+    assert "_minimal_non_faces" not in vars(P)
+    # the polygon itself and its h-vector are still there
+    assert h_vector(P).h == (1, 1024, 1)
+
+
 def test_product_vertex_cap():
     assert polytope.MAX_PRODUCT_VERTICES == product_vertex_count((3,) * 8)
     big = product_of_simplices((3,) * 9)

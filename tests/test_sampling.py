@@ -64,3 +64,16 @@ def test_random_bott_matrix_draws_as_the_inline_loop():
         assert rng.getstate() == reference.getstate()
         twisted += bool(B.beta)
     assert twisted > 20
+
+
+def test_random_dims_draws_as_the_inline_loop():
+    shapes = set()
+    for seed in range(40):
+        for max_m, max_n in ((1, 1), (3, 3), (6, 4), (5, 2)):
+            rng, reference = random.Random(seed), random.Random(seed)
+            dims = sampling.random_dims(rng, max_m, max_n)
+            m = reference.randint(1, max_m)
+            assert dims == tuple(reference.randint(1, max_n) for _ in range(m))
+            assert rng.getstate() == reference.getstate()
+            shapes.add(dims)
+    assert len(shapes) > 60
