@@ -68,8 +68,9 @@ def bott_manifold(dims: Sequence[int], B: BottMatrix,
 def small_cover_manifold(P: SimplePolytope, vectors: Sequence[GF2Vector],
                          involution: Optional[GF2Vector] = None,
                          fixed_set_connected: bool = False) -> ManifoldDescription:
-    # building the ring validates the vectors, once; the description keeps it
-    ring = SmallCoverRing(P, vectors)
+    # the ring already built on these vectors, or a new one, which validates
+    # them once; the description keeps it
+    ring = SmallCoverRing._on(P, vectors)
     M = ManifoldDescription("small_cover", P.n, P, ring.vectors,
                             None, None, involution, fixed_set_connected)
     object.__setattr__(M, "_ring", ring)

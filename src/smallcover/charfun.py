@@ -49,8 +49,9 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     and only the vertex's other facets are reduced.  A dependent prefix
     makes every vertex under it bad with no further work.  The bad
     vertices come out in walk order, which is sorted order.  The walk is
-    built once per polytope (`P._vertex_walk`): per vertex, the length of
-    the prefix it shares with the one before it, then its other facets.
+    built once per polytope (`P._vertex_walk`), and P keeps the masks last
+    found valid on it (`P._valid_masks`), so a ring built on an assignment
+    just accepted walks it no more; the lengths are checked every time.
     """
     if len(vectors) != P.facet_count:
         raise CharacteristicError(
@@ -59,7 +60,12 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     for v in vectors:
         if len(v) != P.n:
             raise CharacteristicError("vector length differs from the dimension")
-    bad = tuple(_dependent_vertices(P, [gf2.mask_of(v) for v in vectors]))
+    masks = [gf2.mask_of(v) for v in vectors]
+    if masks == vars(P).get("_valid_masks"):
+        return ValidationReport(True, ())
+    bad = tuple(_dependent_vertices(P, masks))
+    if not bad:
+        object.__setattr__(P, "_valid_masks", masks)
     return ValidationReport(not bad, bad)
 
 
@@ -72,17 +78,14 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tup
     leads: List[int] = []
     facets = [0] * n  # the current vertex
     dead = n + 1  # length of the shortest dependent prefix; n + 1 if none
-    i, end = 0, len(walk)
-    while i < end:
-        p = walk[i]
-        i += 1 + n - p
-        facets[p:] = walk[i - n + p:i]
+    for p, new in walk:
+        facets[p:] = new
         if p < dead:
             while len(leads) > p:
                 del pivots[leads.pop()]
             dead = n + 1
-            for t in range(p, n):
-                row = masks[facets[t]]
+            for t, f in enumerate(new, p):
+                row = masks[f]
                 while row:
                     lead = row.bit_length() - 1
                     pivot = pivots.get(lead)
@@ -98,11 +101,13 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tup
             yield tuple(facets)
 
 
-def _vertex_walk(vertices) -> Tuple[int, ...]:
-    """The vertices in lexicographic order of their sorted facet tuples, as
-    one flat tuple: per vertex, the length p of the prefix it shares with
-    the vertex before it, then its facets after that prefix."""
-    out: List[int] = []
+def _vertex_walk(vertices) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """The vertices in lexicographic order of their sorted facet tuples, one
+    step (p, new) per vertex: the length p of the prefix it shares with the
+    vertex before it, and its facets after that prefix.  Equal steps are
+    one object, so the walk holds about one reference per vertex."""
+    out: List[Tuple[int, Tuple[int, ...]]] = []
+    steps: Dict[tuple, tuple] = {}  # each distinct step, once
     prev: Tuple[int, ...] = ()
     for v in sorted(tuple(sorted(v)) for v in vertices):
         p = 0
@@ -110,8 +115,8 @@ def _vertex_walk(vertices) -> Tuple[int, ...]:
             if a != b:
                 break
             p += 1
-        out.append(p)
-        out.extend(v[p:])
+        step = (p, v[p:])
+        out.append(steps.setdefault(step, step))
         prev = v
     return tuple(out)
 

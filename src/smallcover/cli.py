@@ -303,9 +303,22 @@ def cmd_dold(spec: ProblemSpec, args) -> _Result:
 
 # draws per random facet assignment before a sweep skips the polytope
 _SAMPLER_TRIES = 400
+# most towers the lemma suite sweeps, about a minute at the default sweep's
+# rate: (4, 3) has 2 063 925 and (4, 4) 190 984 924
+_LEMMA_MAX_TOWERS = 1 << 20
 
 
 def _suite_lemma(max_m: int, max_n: int, _rng):
+    # counted first: the sum over m of prod_{k < m} sum_{n <= max_n} 2^{kn},
+    # exact while max_m, max_n <= 22; cut to 22, a larger one still passes
+    # the cap (2^{22} from block k = 1, or 2^{231} at m = 22)
+    total, count, cut = 0, 1, _LEMMA_MAX_TOWERS.bit_length() + 1
+    for k in range(min(max_m, cut)):
+        count *= sum(1 << k * n for n in range(1, min(max_n, cut) + 1)) if k else max_n
+        total += count
+    if total > _LEMMA_MAX_TOWERS:
+        raise InputError(f"the lemma suite would sweep more than {_LEMMA_MAX_TOWERS} "
+                         f"towers at --max-m {max_m} --max-n {max_n}")
     for m in range(1, max_m + 1):
         for dims, B in sampling.all_bott_matrices(m, max_n):
             ok = cohomology.verify_top_monomial(dims, B)

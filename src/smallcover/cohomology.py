@@ -20,6 +20,7 @@ base.  Betti numbers of products are read in closed form, building nothing.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from heapq import heapify, heappop, heappush
@@ -296,7 +297,8 @@ class QuotientRing(Ring):
     normal form builds them.  Degree d's slice row-reduces the multiples of
     the relations among all monomials of degree d; its basis is the
     monomials that lead no pivot row, in grlex order, and its normal-form
-    table gives the product of two basis monomials that lands in degree d.
+    table, built when the algebra first needs it, gives the product of two
+    basis monomials that lands in degree d.
 
     A monomial is packed into one int of k fields, each of width
     w = (top + 1).bit_length(); the exponent of variable i sits at bit
@@ -305,7 +307,7 @@ class QuotientRing(Ring):
     2^w, the largest degree of a relation, and in a slice at most its
     degree d <= top, so the sum of two monomials whose degrees add up to at
     most top never carries from one field into the next: it is their
-    product.  Labels unpack a monomial when they are asked for.
+    product.  Labels render a monomial when they are asked for.
     """
 
     def __init__(self, names: Sequence[str], top: int):
@@ -331,9 +333,8 @@ class QuotientRing(Ring):
         """The relations as text, rendered on first use: only the `ring`
         command prints them.  A relation is homogeneous, so its terms in
         descending int order are in descending grlex order."""
-        k, w, names = self.nvars, self._width, self.names
-        return tuple(" + ".join(gf2.mono_render(_unpack(t, k, w), names)
-                                for t in sorted(terms, reverse=True))
+        w, names = self._width, self.names
+        return tuple(" + ".join(_render(t, w, names) for t in sorted(terms, reverse=True))
                      for _, terms in self._packed)
 
     @cached_property
@@ -352,8 +353,8 @@ class QuotientRing(Ring):
         return levels
 
     def _slice(self, d: int):
-        """(monomials, pivot rows, basis monomials, normal-form table) of
-        degree d, monomials packed."""
+        """(monomials, pivot rows, basis monomials) of degree d, monomials
+        packed."""
         if d not in self._slices:
             mons = self._monomials[d]
             pos = {m: i for i, m in enumerate(mons)}
@@ -374,22 +375,28 @@ class QuotientRing(Ring):
                             pivots[lead] = row
                             break
             basis = [m for i, m in enumerate(mons) if i not in pivots]
-            self._slices[d] = (mons, pivots, basis, _normal_form_table(mons, pivots))
+            self._slices[d] = (mons, pivots, basis)
         return self._slices[d]
 
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
             slices = [self._slice(d) for d in range(self.top + 1)]
             betti = [len(s[2]) for s in slices]
+            # a ring that only pairs builds only the top degree's table
+            tables = [None] * len(slices)
             # the product and the labels hold the ring's slices and names,
             # not the ring, so a ring and its algebra form no cycle
-            names, k, w = self.names, self.nvars, self._width
+            names, w = self.names, self._width
 
             def mult(d1, i, d2, j):
-                return slices[d1 + d2][3][slices[d1][2][i] + slices[d2][2][j]]
+                d = d1 + d2
+                table = tables[d]
+                if table is None:
+                    table = tables[d] = _normal_form_table(*slices[d][:2])
+                return table[slices[d1][2][i] + slices[d2][2][j]]
 
             def label(d, i):
-                return gf2.mono_render(_unpack(slices[d][2][i], k, w), names)
+                return _render(slices[d][2][i], w, names)
 
             # generated in degree one, as the polynomial ring is
             gens = [(1, 1 << i) for i in range(betti[1])] if self.top else []
@@ -414,6 +421,18 @@ def _unpack(packed: int, k: int, w: int) -> Tuple[int, ...]:
     """The exponents of a packed monomial in k variables."""
     field = (1 << w) - 1
     return tuple([(packed >> s) & field for s in range(0, k * w, w)])
+
+
+def _render(packed: int, w: int, names: Sequence[str]) -> str:
+    """A packed monomial as `gf2.mono_render` writes it, from its nonzero
+    fields alone."""
+    parts = []
+    while packed:
+        i = ((packed & -packed).bit_length() - 1) // w
+        e = (packed >> i * w) & ((1 << w) - 1)
+        packed ^= e << i * w
+        parts.append(names[i] if e == 1 else f"{names[i]}^{e}")
+    return "*".join(parts) or "1"
 
 
 def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int, int]:
@@ -560,6 +579,14 @@ def projective_ring(n: int) -> BottRing:
 class SmallCoverRing(QuotientRing):
     kind = "small_cover"
 
+    @staticmethod
+    def _on(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> "SmallCoverRing":
+        """The ring last built on P if it has these vectors, else a new one.
+        P refers to it weakly (`P._ring`), so P does not keep it alive."""
+        ring = vars(P).get("_ring", lambda: None)()
+        same = ring is not None and ring.vectors == tuple(map(tuple, vectors))
+        return ring if same else SmallCoverRing(P, vectors)
+
     def __init__(self, P: SimplePolytope, vectors: Sequence[GF2Vector]):
         report = validate(P, vectors)
         if not report.valid:
@@ -575,6 +602,7 @@ class SmallCoverRing(QuotientRing):
         if len(pivot_cols) != P.n:
             raise CharacteristicError("facet vectors do not span the ambient space")
         super().__init__([f"z{i + 1}" for i in range(r - P.n)], P.n)
+        object.__setattr__(P, "_ring", weakref.ref(self))
 
     def _relations(self):
         """The non-face monomials, each facet class a linear form in the free
@@ -706,24 +734,22 @@ class PairingReport:
 
 
 def poincare_pairing(ring: Ring) -> PairingReport:
-    """Nondegeneracy of H^d x H^{top-d} -> H^top for each degree."""
+    """Nondegeneracy of H^d x H^{top-d} -> H^top for each degree.  The
+    algebra is commutative, so the matrix of degree top - d is the
+    transpose of that of degree d: each flag is found for d <= top/2 and
+    mirrored."""
     alg = ring.algebra()
-    if alg.betti[alg.top] != 1:
+    top, betti = alg.top, alg.betti
+    if betti[top] != 1:
         raise InputError("ring has no one-dimensional top class")
-    flags = []
-    for d in range(alg.top + 1):
-        e = alg.top - d
-        if alg.betti[d] != alg.betti[e]:
-            flags.append(False)
+    flags = [False] * (top + 1)
+    for d in range(top // 2 + 1):
+        e = top - d
+        if betti[d] != betti[e]:
             continue
-        rows = []
-        for i in range(alg.betti[d]):
-            row = 0
-            for j in range(alg.betti[e]):
-                if alg.mult_basis(d, i, e, j):
-                    row |= 1 << j
-            rows.append(row)
-        flags.append(len(gf2.row_reduce_masks(rows)) == alg.betti[d])
+        rows = [sum(1 << j for j in range(betti[e]) if alg.mult_basis(d, i, e, j))
+                for i in range(betti[d])]
+        flags[d] = flags[e] = len(gf2.row_reduce_masks(rows)) == betti[d]
     return PairingReport(all(flags), tuple(flags))
 
 

@@ -26,6 +26,9 @@ MAX_PRODUCT_VERTICES = 65536
 # edges: the 1 025-gon's k(k-3)/2 = 523 775 are listed, the 1 026-gon's are
 # not.  `ring` on the 1 025-gon peaks near 0.7 GB.
 MAX_POLYGON_RELATIONS = 1 << 19
+# Largest vertex count * 2^n, the facet subsets of every vertex, that an
+# explicit f-vector enumerates: the 14-simplex's 15 * 2^14 take about 1.6 s.
+_MAX_FACE_SUBSETS = 1 << 18
 # Largest dimension of a product of simplices: its tower's n + 1 facet
 # vectors of n entries each are laid out even when no vertex is built.
 MAX_PRODUCT_DIMENSION = 1024
@@ -278,6 +281,9 @@ def f_vector(P: SimplePolytope) -> FVector:
         k = P.family[1]
         return FVector((k, k))
     # explicit: enumerate faces as components of facet-subset intersections
+    if P.vertex_count << P.n > _MAX_FACE_SUBSETS:
+        raise InputError(f"{P.vertex_count} vertices * 2^{P.n} facet subsets exceed "
+                         f"the {_MAX_FACE_SUBSETS} an explicit f-vector enumerates")
     f = [0] * P.n
     f[0] = P.vertex_count
     for codim in range(1, P.n):

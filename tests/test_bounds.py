@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -23,9 +24,10 @@ from smallcover.charfun import BottMatrix, parse_bits
 from smallcover.cohomology import DoldRing, PointRing
 from smallcover.errors import CharacteristicError, InputError
 from smallcover.invariants import cup_length, cup_length_algebra, zcl_exact, zcl_interval
-from smallcover.polytope import polygon, product_of_simplices
+from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
+from smallcover.sampling import random_bott_matrix
 
-from conftest import all_bott_matrices
+from conftest import all_bott_matrices, random_characteristic
 from test_cohomology import _step_rings
 
 
@@ -62,6 +64,45 @@ def test_small_cover_validated_once(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(CharacteristicError, match=r"invalid assignment at vertices \(\("):
         small_cover_manifold(polygon(4), [parse_bits(s) for s in ["10", "01", "10", "10"]])
+
+
+def test_covers_op_walks_each_assignment_once(monkeypatch, rng):
+    # as a random_covers op: 12 rejected draws, the valid one, its ring and
+    # pairing, then the manifold and its bounds on the same polytope
+    prism = [(i, (i + 1) % 6, cap) for i in range(6) for cap in (6, 7)]
+    tower = charfun.from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
+    for P, valid in ((explicit_polytope(3, 8, prism), None),
+                     (product_of_simplices((2, 2, 2)), tower)):
+        valid = valid or random_characteristic(P, rng)
+        nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]
+        rejected = []
+        while len(rejected) < 12:
+            vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
+            if not charfun.validate(P, vectors).valid:
+                rejected.append(vectors)
+        walks, builds = [], Counter()
+        walk, build = charfun._dependent_vertices, cohomology.QuotientRing._slice
+
+        def walked(Q, masks):
+            walks.append(Q)
+            return walk(Q, masks)
+
+        def built(ring, d):
+            builds[d] += d not in ring._slices
+            return build(ring, d)
+
+        monkeypatch.setattr(charfun, "_dependent_vertices", walked)
+        monkeypatch.setattr(cohomology.QuotientRing, "_slice", built)
+        assert not any(charfun.validate(P, vectors).valid for vectors in rejected)
+        assert charfun.validate(P, valid).valid
+        ring = cohomology.SmallCoverRing(P, valid)
+        assert cohomology.poincare_pairing(ring).nondegenerate
+        M = small_cover_manifold(P, valid)
+        tc_bounds(M)
+        assert len(walks) == 13, P.family
+        assert builds == Counter(range(P.n + 1)), P.family
+        assert manifold_ring(M) is ring
+        monkeypatch.undo()
 
 
 def test_cat_small_cover():

@@ -370,5 +370,34 @@ def test_vertex_walk_matches_per_vertex_reference(rng):
         assert report == _per_vertex_validate(P, vectors), (P.family, vectors)
         shared += len(report.bad_vertices) >= 32
     assert shared >= 8
+    # one step per vertex, and equal steps are one object
+    for P, _ in cases:
+        walk = vars(P)["_vertex_walk"]
+        assert len(walk) == P.vertex_count
+        assert len(set(map(id, walk))) == len(set(walk)), P.family
     assert validate(explicit_polytope(0, 0, [()]), []).valid
     assert not validate(product_of_simplices((n,)), rp[:-1] + [rp[5]]).valid
+
+
+def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
+    prism = [(i, (i + 1) % 6, cap) for i in range(6) for cap in (6, 7)]
+    shapes = [product_of_simplices((2, 2, 2)), polygon(6), explicit_polytope(3, 8, prism)]
+    invalid = 0
+    for P in shapes:
+        valid = (from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
+                 if P.family[0] == "product_of_simplices" else random_characteristic(P, rng))
+        nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]
+        for _ in range(20):
+            assert validate(P, valid).valid
+            # one facet vector changed after a valid validate on the same P
+            vectors = list(valid)
+            vectors[rng.randrange(P.facet_count)] = rng.choice(nonzero)
+            report = validate(P, vectors)
+            assert report == _per_vertex_validate(P, vectors), (P.family, vectors)
+            invalid += not report.valid
+        # the kept masks skip the walk, not the length checks
+        with pytest.raises(CharacteristicError):
+            validate(P, valid[:-1])
+        with pytest.raises(CharacteristicError):
+            validate(P, [v + (0,) for v in valid])
+    assert invalid >= 20

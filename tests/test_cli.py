@@ -323,6 +323,24 @@ def test_verify_output_is_pinned(capsys, argv, lines):
     assert code == 0 and out.splitlines() == lines
 
 
+def test_verify_refuses_an_oversized_lemma_sweep(capsys, monkeypatch):
+    start = time.perf_counter()
+    err = assert_malformed(capsys, ["verify", "--max-m", "4", "--max-n", "4"])
+    assert time.perf_counter() - start < 1
+    assert "more than 1048576 towers at --max-m 4 --max-n 4" in err
+    for argv in (["--max-m", "1", "--max-n", "2000000"], ["--max-m", "10000"]):
+        assert_malformed(capsys, ["verify", "--suite", "lemma", *argv])
+    # the count is exact: the default sweep is 3 573 towers
+    monkeypatch.setattr(cli, "_LEMMA_MAX_TOWERS", 3573)
+    code, out = run(capsys, "verify", "--suite", "lemma")
+    assert code == 0 and out == "lemma: 3573 cases, pass\n"
+    monkeypatch.setattr(cli, "_LEMMA_MAX_TOWERS", 3572)
+    assert_malformed(capsys, ["verify", "--suite", "lemma"])
+    # the other suites do not sweep towers
+    code, out = run(capsys, "verify", "--suite", "binom", "--max-m", "4", "--max-n", "4")
+    assert code == 0
+
+
 def _flip_binom(monkeypatch):
     binom = cli.gf2.binom_odd
     monkeypatch.setattr(cli.gf2, "binom_odd",
@@ -701,6 +719,26 @@ def test_oversized_polytope_rejected_before_allocation(capsys, tmp_path, shape):
     start = time.perf_counter()
     assert_malformed(capsys, ["validate", path])
     assert time.perf_counter() - start < 0.5
+
+
+def _simplex(tmp_path, n):
+    """The explicit n-simplex with the facet vectors of RP^n."""
+    return write(tmp_path, f"simplex{n}.json", {
+        "polytope": {"type": "explicit", "n": n, "facet_count": n + 1,
+                     "vertices": [[f for f in range(n + 1) if f != o] for o in range(n + 1)]},
+        "characteristic": {"type": "facet_vectors", "vectors":
+                           ["".join("1" if c == i else "0" for c in range(n)) for i in range(n)]
+                           + ["1" * n]},
+    })
+
+
+def test_explicit_f_vector_exits_2_before_enumerating(capsys, tmp_path):
+    start = time.perf_counter()
+    err = assert_malformed(capsys, ["betti", _simplex(tmp_path, 24)])
+    assert time.perf_counter() - start < 0.5
+    assert "25 vertices * 2^24 facet subsets exceed the 262144" in err
+    code, out = run(capsys, "betti", _simplex(tmp_path, 6))
+    assert code == 0 and out == "1 1 1 1 1 1 1\n"
 
 
 def test_ring_on_a_large_polygon_exits_2_before_listing(capsys, tmp_path):

@@ -255,6 +255,7 @@ def test_packed_relations_unpack_to_the_tuple_reference(rng):
     for dims in [(1, 1), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (3, 3, 3), (1,) * 5]:
         rings.append(SmallCoverRing(product_of_simplices(dims),
                                     _scrambled_bott_vectors(rng, dims)))
+    rings.append(SmallCoverRing(polygon(64), _polygon_vectors(64)))
     for n in range(1, 9):  # the RP^n facet documents: e_1, ..., e_n, 1...1
         rp = [tuple(int(c == i) for c in range(n)) for i in range(n)] + [(1,) * n]
         rings.append(SmallCoverRing(product_of_simplices((n,)), rp))
@@ -756,8 +757,57 @@ def test_rings_freed_by_reference_count():
             ref = weakref.ref(ring)
             del ring
             assert ref() is None
+        # P keeps the ring it was built on only weakly, and hands it back
+        # while it lives
+        P, vectors = polygon(5), _polygon_vectors(5)
+        ring = SmallCoverRing(P, vectors)
+        assert SmallCoverRing._on(P, vectors) is ring
+        assert SmallCoverRing._on(P, vectors[::-1]) is not ring
+        ring = SmallCoverRing(P, vectors)
+        ring.algebra().mult_basis(1, 0, 1, 0)
+        ref = weakref.ref(ring)
+        del ring
+        assert ref() is None and vars(P)["_ring"]() is None
+        assert SmallCoverRing._on(P, vectors).vectors == tuple(vectors)
     finally:
         gc.enable()
+
+
+class _NoDuality(cohomology.QuotientRing):
+    """Z2[x, y]/(x^2, xy) up to degree 3, Betti numbers 1 2 1 1: no
+    duality between degrees 1 and 2."""
+
+    def __init__(self):
+        super().__init__(["x", "y"], 3)
+
+    def _relations(self):
+        return ((2, (2,)), (2, (1 + (1 << self._width),)))
+
+
+def _full_pairing(ring):
+    """poincare_pairing's flags by the loop over every degree."""
+    alg = ring.algebra()
+    flags = []
+    for d in range(alg.top + 1):
+        e = alg.top - d
+        rows = [sum(1 << j for j in range(alg.betti[e]) if alg.mult_basis(d, i, e, j))
+                for i in range(alg.betti[d])]
+        flags.append(alg.betti[d] == alg.betti[e]
+                     and len(gf2.row_reduce_masks(rows)) == alg.betti[d])
+    return tuple(flags)
+
+
+def test_symmetric_pairing_matches_the_full_loop(rng):
+    rings = list(_step_rings())
+    rings += [SmallCoverRing(polygon(k), random_characteristic(polygon(k), rng))
+              for k in range(3, 13)]
+    rings += [SmallCoverRing(*_shuffled_prism(rng, k)) for k in range(3, 9)]
+    for ring in rings:
+        assert poincare_pairing(ring).by_degree == _full_pairing(ring), ring.kind
+    degenerate = _NoDuality()
+    assert degenerate.betti == (1, 2, 1, 1)
+    assert poincare_pairing(degenerate).by_degree == _full_pairing(degenerate)
+    assert poincare_pairing(degenerate).by_degree == (True, False, False, True)
 
 
 # --- table-driven products ---------------------------------------------------
@@ -780,7 +830,7 @@ def _reference_products(ring):
     out = {}
     for d1 in range(ring.top + 1):
         for d2 in range(ring.top + 1 - d1):
-            mons, pivots, basis, _ = ring._slice(d1 + d2)
+            mons, pivots, basis = ring._slice(d1 + d2)
             mons = [_unpacked(ring, mon) for mon in mons]
             basis = [_unpacked(ring, mon) for mon in basis]
             pos = {mon: k for k, mon in enumerate(mons)}
