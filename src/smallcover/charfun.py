@@ -29,10 +29,6 @@ def parse_bits(s: str) -> GF2Vector:
     return tuple(int(c) for c in s)
 
 
-def render_bits(v: GF2Vector) -> str:
-    return "".join(str(b) for b in v)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool

@@ -22,6 +22,7 @@ from . import charfun, cohomology, gf2, invariants, polytope, sampling
 from .errors import BudgetExceeded, CharacteristicError, InputError, ReductionFailed
 
 EX_USAGE = 64
+_BUDGET_RANGE = f"must be a non-negative integer at most {invariants.MAX_EXACT_BUDGET}"
 
 
 class ProblemSpec:
@@ -51,8 +52,8 @@ class ProblemSpec:
         self.exact_budget = options.get("exact_budget")
         if self.exact_budget is not None:
             self.exact_budget = _int(self.exact_budget, "exact_budget")
-            if self.exact_budget < 0:
-                raise InputError("exact_budget must be a non-negative integer")
+            if not 0 <= self.exact_budget <= invariants.MAX_EXACT_BUDGET:
+                raise InputError(f"exact_budget {_BUDGET_RANGE}")
         self.format = options.get("format")
         if self.format not in (None, "table", "json"):
             raise InputError(f"unknown output format {self.format!r}")
@@ -330,7 +331,9 @@ def _suite_betti(max_m: int, max_n: int, rng: random.Random):
              for _ in range(10)]
     cases += [polytope.polygon(k) for k in range(3, 9)]
     for P in cases:
-        lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
+        # a product too large to build is skipped, as the certificate suite does
+        lam = (sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
+               if P.vertex_count <= polytope.MAX_PRODUCT_VERTICES else None)
         if lam is None:
             yield None
             continue
@@ -343,7 +346,8 @@ def _suite_duality(max_m: int, max_n: int, rng: random.Random):
     for _ in range(8):
         dims = sampling.random_dims(rng, max_m, max_n)
         P = polytope.product_of_simplices(dims)
-        lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
+        lam = (sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
+               if P.vertex_count <= polytope.MAX_PRODUCT_VERTICES else None)
         if lam is None:
             yield None
             continue
@@ -411,21 +415,21 @@ def cmd_verify(args) -> Tuple[int, List[str]]:
 # argument parsing
 
 
-def _at_least(low: int, what: str) -> Callable[[str], int]:
-    """An option type: an integer that must be at least low."""
+def _in_range(low: int, high: Optional[int], words: str) -> Callable[[str], int]:
+    """An option type: an integer from low up to high, if given, as words say."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{words}, got {text!r}")
         return value
     return parse
 
 
-_positive = _at_least(1, "positive")
-_non_negative = _at_least(0, "non-negative")
+_positive = _in_range(1, None, "must be a positive integer")
+_exact_budget = _in_range(0, invariants.MAX_EXACT_BUDGET, _BUDGET_RANGE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="JSON problem file")
         p.add_argument("--format", choices=["table", "json"], default=None)
         if exact_budget:
-            p.add_argument("--exact-budget", dest="exact_budget", type=_non_negative,
+            p.add_argument("--exact-budget", dest="exact_budget", type=_exact_budget,
                            default=None)
         return p
 

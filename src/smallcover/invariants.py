@@ -30,6 +30,9 @@ from .cohomology import cup_kernel, ideal_powers  # noqa: F401
 from .errors import BudgetExceeded, InputError
 
 DEFAULT_BUDGET = 12
+# Largest budget the CLI takes: a ring of dimension 128 searches in under 1 s
+# and 120 MB, the 256-gon in 6.5 s and 1.2 GB; (1,)^9 (512) runs out of 3 GB.
+MAX_EXACT_BUDGET = 128
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb, prod
-from typing import Callable, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
 
@@ -27,7 +27,7 @@ MAX_PRODUCT_VERTICES = 65536
 # not.  `ring` on the 1 025-gon peaks near 0.7 GB.
 MAX_POLYGON_RELATIONS = 1 << 19
 # Largest vertex count * 2^n, the facet subsets of every vertex, that an
-# explicit f-vector enumerates: the 14-simplex's 15 * 2^14 take about 1.6 s.
+# explicit polytope's face table enumerates: the 14-simplex's 15 * 2^14.
 _MAX_FACE_SUBSETS = 1 << 18
 # Largest dimension of a product of simplices: its tower's n + 1 facet
 # vectors of n entries each are laid out even when no vertex is built.
@@ -204,39 +204,6 @@ def explicit_polytope(n: int, facet_count: int, vertices: Sequence[Sequence[int]
     )
 
 
-def faces_meeting(P: SimplePolytope, facet_set) -> List[FrozenSet[int]]:
-    """Connected components of the face cut out by a set of facets.
-
-    Components are vertex sets; vertices are adjacent when they share n-1
-    facets (an edge of P) all of whose facets contain the given set.
-    """
-    facet_set = frozenset(facet_set)
-    for f in facet_set:
-        if not 0 <= f < P.facet_count:
-            raise InputError(f"unknown facet {f}")
-    members = [vi for vi, v in enumerate(P.vertices) if facet_set <= v]
-    if not members:
-        return []
-    idx = set(members)
-    parent = {vi: vi for vi in members}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in combinations(members, 2):
-        shared = P.vertices[a] & P.vertices[b]
-        if len(shared) == P.n - 1 and facet_set <= shared:
-            parent[find(a)] = find(b)
-    comps: dict = {}
-    for vi in members:
-        comps.setdefault(find(vi), set()).add(vi)
-    assert idx == set().union(*comps.values())
-    return [frozenset(c) for c in comps.values()]
-
-
 @dataclass(frozen=True)
 class FVector:
     f: Tuple[int, ...]  # f_0 .. f_{n-1}, vertices first
@@ -280,17 +247,46 @@ def f_vector(P: SimplePolytope) -> FVector:
     if kind == "polygon":
         k = P.family[1]
         return FVector((k, k))
-    # explicit: enumerate faces as components of facet-subset intersections
+    faces = kept(P, "_faces", _face_table)
+    return FVector(tuple(sum(faces[P.n - i].values()) for i in range(P.n)))
+
+
+def _face_table(P: SimplePolytope) -> List[Dict[Tuple[int, ...], int]]:
+    """faces[c][S]: how many faces the sorted set S of c facets cuts out of
+    an explicit polytope, for every S on a vertex: the components of the
+    vertices on S joined by the edges on S.  An empty level ends the list."""
     if P.vertex_count << P.n > _MAX_FACE_SUBSETS:
         raise InputError(f"{P.vertex_count} vertices * 2^{P.n} facet subsets exceed "
-                         f"the {_MAX_FACE_SUBSETS} an explicit f-vector enumerates")
-    f = [0] * P.n
-    f[0] = P.vertex_count
-    for codim in range(1, P.n):
-        subsets = {S for v in P.vertices for S in combinations(sorted(v), codim)}
-        count = sum(len(faces_meeting(P, S)) for S in subsets)
-        f[P.n - codim] = count  # codim-c faces have dimension n - c
-    return FVector(tuple(f))
+                         f"the {_MAX_FACE_SUBSETS} an explicit face table enumerates")
+    parents: Dict[Tuple[int, ...], Dict[int, int]] = {}  # S -> {vertex on S: parent}
+    for vi, v in enumerate(P.vertices):
+        for c in range(P.n + 1):
+            for S in combinations(sorted(v), c):
+                parents.setdefault(S, {})[vi] = vi
+    faces = [{} for _ in range(P.n + 2)]
+    for S, parent in parents.items():
+        faces[len(S)][S] = len(parent)
+    # n - 1 facets on a vertex lie on an edge, two vertices as the constructor
+    # checks, which it joins in the face of each S it lies on
+    for edge in faces[P.n - 1]:
+        a, b = parents[edge]
+        for c in range(P.n):
+            level = faces[c]
+            for S in combinations(edge, c):
+                if level[S] > 1:  # else the face is one component already
+                    parent = parents[S]
+                    ra, rb = _root(parent, a), _root(parent, b)
+                    if ra != rb:
+                        parent[ra] = rb
+                        level[S] -= 1
+    return faces
+
+
+def _root(parent: Dict[int, int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 def h_vector(P: SimplePolytope) -> HVector:
@@ -340,17 +336,17 @@ def _minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
                              f"{MAX_POLYGON_RELATIONS} can be listed")
         # edges i < j are disjoint unless adjacent: j = i + 1, or 0 and k - 1
         return [(i, j) for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)]
-    # explicit: grow the faces by size from the facets, each of which lies on
-    # a vertex; a set whose every maximal subset is a face is a face or a
-    # minimal non-face
-    vertex_sets = [frozenset(v) for v in P.vertices]
-    faces = {frozenset({f}) for f in range(P.facet_count)}
-    out: List[Tuple[int, ...]] = []
-    for _ in range(P.n):
-        cands = {S | {f} for S in faces for f in range(P.facet_count) if f not in S}
-        cands = {S for S in cands if all(S - {f} in faces for f in S)}
-        faces = {S for S in cands if any(S <= v for v in vertex_sets)}
-        out += (tuple(sorted(S)) for S in cands - faces)
+    # explicit: a minimal non-face T lies on no vertex while each T - {f}
+    # does, so T is a face S of the table and one facet above max S
+    faces = kept(P, "_faces", _face_table)
+    out = []
+    for c in range(1, P.n + 1):
+        for S in faces[c]:
+            for f in range(S[-1] + 1, P.facet_count):
+                T = S + (f,)
+                if T not in faces[c + 1] and all(T[:i] + T[i + 1:] in faces[c]
+                                                 for i in range(c)):
+                    out.append(T)
     return sorted(out)
 
 

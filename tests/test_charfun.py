@@ -9,7 +9,6 @@ from smallcover.charfun import (
     from_bott,
     parse_bits,
     reduce_to_bott,
-    render_bits,
     validate,
 )
 from smallcover.errors import CharacteristicError, InputError, ReductionFailed
@@ -21,7 +20,6 @@ from conftest import all_bott_matrices, random_characteristic
 
 def test_parse_render_bits():
     assert parse_bits("101") == (1, 0, 1)
-    assert render_bits((1, 0, 1)) == "101"
     with pytest.raises(InputError):
         parse_bits("12")
     with pytest.raises(InputError):

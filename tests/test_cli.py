@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from smallcover import cli, cohomology
+from smallcover import cli, cohomology, invariants
 from smallcover.bounds import BoundReport
 from smallcover.cli import main
 
@@ -282,6 +282,26 @@ def test_exact_budget_must_be_non_negative(capsys, tmp_path, klein):
     doc["options"] = {"exact_budget": 0}
     code, out = run(capsys, "zcl", write(tmp_path, "zero.json", doc))
     assert code == 0 and "exhaustive" not in out
+
+
+def test_exact_budget_ceiling(capsys, tmp_path, klein):
+    # the (3,)^6 tower's ring has dimension 4096: refused before any search
+    cap = invariants.MAX_EXACT_BUDGET
+    doc = {"polytope": {"type": "product_of_simplices", "dims": [3] * 6},
+           "characteristic": {"type": "bott_matrix", "dims": [3] * 6}}
+    path = write(tmp_path, "tower.json", doc)
+    doc["options"] = {"exact_budget": 100000}
+    in_doc = write(tmp_path, "budget.json", doc)
+    for argv, code in ((["zcl", path, "--exact-budget", "100000"], cli.EX_USAGE),
+                       (["zcl", in_doc], 2)):
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"must be a non-negative integer at most {cap}" in err
+        assert "Traceback" not in err
+    code, out = run(capsys, "zcl", klein, "--exact-budget", str(cap))
+    assert code == 0 and "exhaustive" in out
 
 
 def test_exact_budget_flag_only_where_read(capsys, klein):
@@ -622,8 +642,11 @@ def test_facet_hypotheses_checked_once_per_manifold(capsys, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("suite, draws", [("betti", 16), ("duality", 8)])
 def test_verify_reports_skipped_draws(capsys, suite, draws):
-    for seed in ("0", "1", "2"):
-        code, out = run(capsys, "verify", "--suite", suite, "--seed", seed)
+    # at size 8, seed 0 draws products too large to build, such as
+    # [7, 1, 5, 8, 7, 5, 8] with 373 248 vertices: skipped, not fatal
+    for seed, size in (("0", "3"), ("1", "3"), ("2", "3"), ("0", "8")):
+        code, out = run(capsys, "verify", "--suite", suite, "--seed", seed,
+                        "--max-m", size, "--max-n", size)
         assert code == 0, out
         m = re.fullmatch(rf"{suite}: (\d+) cases(?:, (\d+) draws? skipped)?, pass\n", out)
         assert m, out
@@ -739,6 +762,16 @@ def test_explicit_f_vector_exits_2_before_enumerating(capsys, tmp_path):
     assert "25 vertices * 2^24 facet subsets exceed the 262144" in err
     code, out = run(capsys, "betti", _simplex(tmp_path, 6))
     assert code == 0 and out == "1 1 1 1 1 1 1\n"
+
+
+def test_explicit_ring_exits_2_before_enumerating(capsys, tmp_path):
+    # the ring's minimal non-faces read the f-vector's bounded face table
+    start = time.perf_counter()
+    err = assert_malformed(capsys, ["ring", _simplex(tmp_path, 24)])
+    assert time.perf_counter() - start < 0.5
+    assert "25 vertices * 2^24 facet subsets exceed the 262144" in err
+    code, out = run(capsys, "ring", _simplex(tmp_path, 6))
+    assert code == 0 and "z1^7" in out
 
 
 def test_ring_on_a_large_polygon_exits_2_before_listing(capsys, tmp_path):

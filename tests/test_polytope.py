@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from smallcover import bounds, charfun, polytope
@@ -7,7 +10,6 @@ from smallcover.polytope import (
     HVector,
     explicit_polytope,
     f_vector,
-    faces_meeting,
     facet_neighbours,
     h_vector,
     polygon,
@@ -119,29 +121,92 @@ def test_h_vector_validation():
         HVector((1, -1, 1))
 
 
-def test_faces_meeting():
-    P = product_of_simplices([1, 2])
-    # one facet: its vertices, one component
-    comps = faces_meeting(P, {0})
-    assert len(comps) == 1
-    assert comps[0] == frozenset(P.facet_vertex_indices(0))
-    # the two simplex ends of the prism are facets 0 and 1 of the first block;
-    # their intersection is empty
-    assert faces_meeting(P, {0, 1}) == []
-    # an edge: two facets meeting in it
-    v = P.vertices[0]
-    pair = tuple(sorted(v))[:2]
-    comps = faces_meeting(P, set(pair))
-    assert all(len(c) >= 1 for c in comps)
-    with pytest.raises(InputError):
-        faces_meeting(P, {99})
+def _components(P, facet_set):
+    """Reference for the face table: the connected components, as vertex
+    sets, of the face a set of facets cuts out, walking every vertex pair.
+
+    Vertices are adjacent when they share n-1 facets (an edge of P) all of
+    whose facets contain the given set.
+    """
+    facet_set = frozenset(facet_set)
+    members = [vi for vi, v in enumerate(P.vertices) if facet_set <= v]
+    parent = {vi: vi for vi in members}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in combinations(members, 2):
+        shared = P.vertices[a] & P.vertices[b]
+        if len(shared) == P.n - 1 and facet_set <= shared:
+            parent[find(a)] = find(b)
+    comps = {}
+    for vi in members:
+        comps.setdefault(find(vi), set()).add(vi)
+    return [frozenset(c) for c in comps.values()]
 
 
-def test_faces_meeting_disconnected():
-    # in a hexagon, opposite edges never meet; a single edge is connected
-    P = polygon(6)
-    comps = faces_meeting(P, {0})
-    assert len(comps) == 1 and len(comps[0]) == 2
+def _brute_minimal_non_faces(P):
+    """Every facet set on no vertex whose maximal subsets each lie on one."""
+    def face(T):
+        return any(set(T) <= v for v in P.vertices)
+
+    return sorted(T for c in range(1, P.n + 2) for T in combinations(range(P.facet_count), c)
+                  if not face(T) and all(face(T[:i] + T[i + 1:]) for i in range(c)))
+
+
+def _prism_union(rng):
+    """Two prisms over polygons, sharing up to three facet labels; a shared
+    label is a facet in two components.  None when the union is not simple:
+    two shared labels on an edge of both prisms put it on four vertices."""
+    k1, k2, shared = rng.randint(3, 8), rng.randint(3, 8), rng.randint(0, 3)
+    labels1 = rng.sample(range(k1 + 2), k1 + 2)
+    count = k1 + k2 + 4 - shared
+    labels2 = rng.sample(range(k1 + 2), shared) + list(range(k1 + 2, count))
+    rng.shuffle(labels2)
+    vertices = {tuple(sorted((labels[i], labels[(i + 1) % k], labels[cap])))
+                for labels, k in ((labels1, k1), (labels2, k2))
+                for i in range(k) for cap in (k, k + 1)}
+    try:
+        return explicit_polytope(3, count, sorted(vertices))
+    except InputError:
+        return None
+
+
+def _explicit_cases():
+    for n in range(1, 11):
+        yield explicit_polytope(n, n + 1, [[f for f in range(n + 1) if f != o]
+                                           for o in range(n + 1)])
+    for k in range(3, 13):
+        yield explicit_polytope(3, k + 2, [sorted((i, (i + 1) % k, cap))
+                                           for i in range(k) for cap in (k, k + 1)])
+        yield explicit_polytope(2, k, [sorted((i, (i + 1) % k)) for i in range(k)])
+    for dims in [(1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 3), (2, 3), (1, 1, 2), (1, 1, 1, 1)]:
+        P = product_of_simplices(dims)
+        yield explicit_polytope(P.n, P.facet_count, [sorted(v) for v in P.vertices])
+
+
+def test_face_table_matches_component_walk():
+    cases = list(_explicit_cases())
+    rng, split = random.Random(25), 0
+    while split < 20:
+        P = _prism_union(rng)
+        if P is not None:
+            cases.append(P)
+            split += any(len(_components(P, {f})) > 1 for f in range(P.facet_count))
+    for P in cases:
+        table = polytope._face_table(P)
+        on_vertex = {S for v in P.vertices for c in range(P.n + 1)
+                     for S in combinations(sorted(v), c)}
+        assert {S for level in table for S in level} == on_vertex
+        for S in on_vertex:
+            assert table[len(S)][S] == len(_components(P, S)), (P, S)
+        f = tuple(sum(len(_components(P, S)) for S in on_vertex if len(S) == P.n - i)
+                  for i in range(P.n))
+        assert f_vector(P).f == f
+        assert polytope.minimal_non_faces(P) == _brute_minimal_non_faces(P)
 
 
 def test_simplex_facets():
@@ -241,27 +306,30 @@ def test_polytope_data_found_once_per_object(monkeypatch):
     from smallcover.cohomology import SmallCoverRing
 
     calls = []
-    for name in ("_h_vector", "_minimal_non_faces"):
+    for name in ("_face_table", "_h_vector", "_minimal_non_faces"):
         def counted(P, name=name, build=getattr(polytope, name)):
             calls.append(name)
             return build(P)
         monkeypatch.setattr(polytope, name, counted)
     prism = [sorted((i, (i + 1) % 4, cap)) for i in range(4) for cap in (4, 5)]
+    # only an explicit polytope builds the face table, once for both uses
     cases = [
         (lambda: explicit_polytope(3, 6, prism),
-         [(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)]),
-        (lambda: polygon(6), [(1, 0), (0, 1)] * 3),
+         [(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)],
+         ["_face_table"]),
+        (lambda: polygon(6), [(1, 0), (0, 1)] * 3, []),
         (lambda: product_of_simplices((1, 2)),
-         charfun.from_bott((1, 2), charfun.BottMatrix.make((1, 2)))),
+         charfun.from_bott((1, 2), charfun.BottMatrix.make((1, 2))), []),
     ]
-    for make, vectors in cases:
+    for make, vectors, table in cases:
         P, twin = make(), make()
         before = (repr(P), hash(P))
         calls.clear()
         for _ in range(2):
             ring = SmallCoverRing(P, vectors)
             assert ring.betti == ring.algebra().betti == h_vector(P).h
-        assert sorted(calls) == ["_h_vector", "_minimal_non_faces"], P.family
+        assert f_vector(P) == f_vector(P)
+        assert sorted(calls) == table + ["_h_vector", "_minimal_non_faces"], P.family
         # kept data is not part of the polytope's value
         assert (repr(P), hash(P)) == before and P == twin and hash(twin) == before[1]
         assert "_h_vector" not in vars(twin)
@@ -311,5 +379,5 @@ def test_product_vertex_cap():
     assert simplex_facets(big) == [] and len(facet_neighbours(big, 0)) == 35
     with pytest.raises(InputError, match="262144 vertices"):
         big.vertices
-    with pytest.raises(InputError):
-        faces_meeting(big, {0})
+    with pytest.raises(InputError, match="262144 vertices"):
+        big.facet_vertex_indices(0)
