@@ -209,6 +209,39 @@ def test_face_table_matches_component_walk():
         assert polytope.minimal_non_faces(P) == _brute_minimal_non_faces(P)
 
 
+def test_faces_meeting():
+    prism = product_of_simplices([1, 2])
+    P = explicit_polytope(prism.n, prism.facet_count, [sorted(v) for v in prism.vertices])
+    table = polytope._face_table(P)
+    # one facet: its vertices, one component
+    assert table[1][(0,)] == 1
+    assert _components(P, {0}) == [frozenset(P.facet_vertex_indices(0))]
+    # the two simplex ends of the prism are facets 0 and 1 of the first block;
+    # their intersection is empty, so the table has no entry for them
+    assert (0, 1) not in table[2] and _components(P, {0, 1}) == []
+    # an edge: two facets on a vertex meet in one connected face
+    pair = tuple(sorted(P.vertices[0]))[:2]
+    assert table[2][pair] == 1 and len(_components(P, set(pair))[0]) == 2
+    # a facet the polytope does not have cuts out nothing
+    assert all((99,) not in level for level in table)
+
+
+def test_faces_meeting_disconnected():
+    # in a hexagon, opposite edges never meet; a single edge is connected
+    P = explicit_polytope(2, 6, [sorted((i, (i + 1) % 6)) for i in range(6)])
+    table = polytope._face_table(P)
+    assert table[1][(0,)] == 1 and len(_components(P, {0})[0]) == 2
+    assert (0, 3) not in table[2]
+    # two triangular prisms sharing the side facet 0: it has two components,
+    # so the f-vector counts ten facets on nine labels
+    first = [sorted((s, t, cap)) for s, t in ((0, 1), (1, 2), (2, 0)) for cap in (3, 4)]
+    second = [sorted((s, t, cap)) for s, t in ((0, 5), (5, 6), (6, 0)) for cap in (7, 8)]
+    P = explicit_polytope(3, 9, first + second)
+    table = polytope._face_table(P)
+    assert table[1][(0,)] == 2 and len(_components(P, {0})) == 2
+    assert f_vector(P).f == (12, 18, 10)
+
+
 def test_simplex_facets():
     # every facet of a simplex is a simplex
     P = product_of_simplices([3])
