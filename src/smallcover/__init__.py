@@ -15,7 +15,6 @@ from .bounds import (
 from .charfun import BottMatrix, BottReduction, from_bott, reduce_to_bott, validate
 from .cohomology import (
     BottRing,
-    DoldRing,
     SmallCoverRing,
     SphereRing,
     poincare_pairing,

@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds as bounds_mod
@@ -326,32 +327,39 @@ def _suite_lemma(max_m: int, max_n: int, _rng):
             yield "" if ok else f"dims={list(dims)} beta={dict(B.beta)}"
 
 
+def _random_ring(rng: random.Random, build: Callable[[], polytope.SimplePolytope]):
+    """The ring of P = build() on facet vectors drawn at random, or None for
+    a draw the sampler gives up on or a command would refuse: building P, or
+    the vertices the sampler reads before it draws, raises InputError."""
+    try:
+        P = build()
+        lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
+    except InputError:
+        return None
+    return None if lam is None else cohomology.SmallCoverRing(P, lam)
+
+
 def _suite_betti(max_m: int, max_n: int, rng: random.Random):
-    cases = [polytope.product_of_simplices(sampling.random_dims(rng, max_m, max_n))
-             for _ in range(10)]
-    cases += [polytope.polygon(k) for k in range(3, 9)]
-    for P in cases:
-        # a product too large to build is skipped, as the certificate suite does
-        lam = (sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
-               if P.vertex_count <= polytope.MAX_PRODUCT_VERTICES else None)
-        if lam is None:
+    builds = [partial(polytope.product_of_simplices, sampling.random_dims(rng, max_m, max_n))
+              for _ in range(10)]
+    builds += [partial(polytope.polygon, k) for k in range(3, 9)]
+    for build in builds:
+        ring = _random_ring(rng, build)
+        if ring is None:
             yield None
             continue
-        ring = cohomology.SmallCoverRing(P, lam)
-        h, betti = polytope.h_vector(P).h, ring.algebra().betti
-        yield "" if betti == h else f"{P.family}: betti {betti} != h {h}"
+        h, betti = polytope.h_vector(ring.P).h, ring.algebra().betti
+        yield "" if betti == h else f"{ring.P.family}: betti {betti} != h {h}"
 
 
 def _suite_duality(max_m: int, max_n: int, rng: random.Random):
     for _ in range(8):
         dims = sampling.random_dims(rng, max_m, max_n)
-        P = polytope.product_of_simplices(dims)
-        lam = (sampling.random_characteristic(P, rng, _SAMPLER_TRIES)
-               if P.vertex_count <= polytope.MAX_PRODUCT_VERTICES else None)
-        if lam is None:
+        ring = _random_ring(rng, partial(polytope.product_of_simplices, dims))
+        if ring is None:
             yield None
             continue
-        rep = cohomology.poincare_pairing(cohomology.SmallCoverRing(P, lam))
+        rep = cohomology.poincare_pairing(ring)
         yield "" if rep.nondegenerate else f"dims={list(dims)}: degenerate pairing {rep.by_degree}"
 
 

@@ -12,17 +12,16 @@ Bott relations have pairwise-coprime leading monomials under graded lex with
 y1 < ... < ym, so single polynomials also reduce by rewriting, on the same
 packed ints, without completion and without a slice; exponent tuples appear
 only as the input and output of `BottRing.normal_form` and `power`.
-Every other algebra is a `TensorAlgebra` product of such quotients and
-square-zero classes: a sphere is one square-zero class, and a twisted product
-(Dold-type) ring is a truncated polynomial ring, square-zero classes and the
-base.  Betti numbers of products are read in closed form, building nothing.
+A sphere's algebra is one square-zero class, and the tensor square of an
+algebra, in which the cup kernel lives, is a `TensorAlgebra`.  Betti numbers
+of both presentations are read in closed form, building nothing.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from operator import lshift
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -245,15 +244,6 @@ def cup_kernel(A: GradedAlgebra) -> Tuple[TensorAlgebra, List[Tuple[int, int]]]:
         for combo in gf2.kernel_combos(images):
             gens.append((d, combo))
     return T, gens
-
-
-def _product_label(la: str, lb: str) -> str:
-    """Label of a basis product in a tensor product of rings, unit omitted."""
-    if la == "1":
-        return lb
-    if lb == "1":
-        return la
-    return f"{la}*{lb}"
 
 
 def square_zero(name: str, n: int) -> GradedAlgebra:
@@ -652,22 +642,6 @@ class PointRing(QuotientRing):
         super().__init__([], 0)
 
 
-class TruncatedRing(QuotientRing):
-    """Z2[x]/(x^{n+1}) on one class x of degree one, named `name`."""
-
-    kind = "truncated"
-
-    def __init__(self, name: str, n: int):
-        super().__init__([name], n)
-
-    def _relations(self):
-        # in one variable the monomial x^e packs to the int e
-        return ((self.top + 1, (self.top + 1,)),)
-
-
-_RETRACTABLE_KINDS = {"bott", "small_cover", "sphere", "point"}
-
-
 def dold_exponents(p: Iterable) -> Tuple[int, ...]:
     """The fibre exponents p_1 <= ... <= p_r of a twisted product, as ints;
     InputError unless they are nonempty, ascending and positive."""
@@ -675,52 +649,6 @@ def dold_exponents(p: Iterable) -> Tuple[int, ...]:
     if not p or list(p) != sorted(p) or p[0] < 1:
         raise InputError("dold exponents must be ascending positive integers")
     return p
-
-
-class DoldRing(Ring):
-    kind = "dold"
-
-    def __init__(self, base: Ring, p: Sequence[int]):
-        p = dold_exponents(p)
-        if base.kind not in _RETRACTABLE_KINDS:
-            raise InputError(
-                f"unsupported base ring kind {base.kind!r}; the twisted product "
-                "construction is only applied over the declared families"
-            )
-        self.base = base
-        self.p = p
-        self.r = len(p)
-        self.top = base.top + sum(p)
-        names = ["a"] + [f"a{i + 2}" for i in range(self.r - 1)]
-        # the truncated generator lives in degree 1; the square-zero ones in p_i
-        self.generators = tuple(zip(names, (1,) + p[1:])) + base.generators
-        self._alg: Optional[GradedAlgebra] = None
-        self._names = names
-
-    @cached_property
-    def relations_text(self) -> Tuple[str, ...]:
-        names = self._names
-        return ((f"a^{self.p[0] + 1}",) + tuple(f"{a}^2" for a in names[1:])
-                + self.base.relations_text)
-
-    @cached_property
-    def betti(self) -> Tuple[int, ...]:
-        """The base's Betti numbers times (1 + ... + t^{p_1}) prod (1 + t^{p_i})."""
-        return _poly_product([self.base.betti, (1,) * (self.p[0] + 1)] + [
-            (1,) + (0,) * (n - 1) + (1,) for n in self.p[1:]])
-
-    def algebra(self) -> GradedAlgebra:
-        """Z2[a]/(a^{p_1+1}) (x) Z2[a_i]/(a_i^2) ... (x) the base's algebra."""
-        if self._alg is None:
-            p, names = self.p, self._names
-            factors = [TruncatedRing(names[0], p[0]).algebra()]
-            factors += [square_zero(name, n) for name, n in zip(names[1:], p[1:])]
-            # nested from the right, so each degree lists its basis products
-            # a^e * a2^b2 * ... * ar^br in ascending (e, b2, ..., br)
-            fibre = reduce(lambda right, left: TensorAlgebra(left, right, _product_label),
-                           reversed(factors))
-            self._alg = TensorAlgebra(fibre, self.base.algebra(), _product_label)
-        return self._alg
 
 
 # ---------------------------------------------------------------------------

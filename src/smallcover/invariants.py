@@ -131,8 +131,8 @@ def cup_length(ring: Ring) -> int:
 
     Closed forms where the structure gives them: rings generated in degree 1
     with a nonzero top product realise the top degree; sphere rings have a
-    single square-zero class; twisted products add the fibre cup-length.
-    Other inputs fall back to the exhaustive subspace computation.
+    single square-zero class.  Other inputs fall back to the exhaustive
+    subspace computation.
     """
     if ring.kind in ("bott", "small_cover"):
         return ring.top
@@ -140,8 +140,6 @@ def cup_length(ring: Ring) -> int:
         return 1
     if ring.kind == "point":
         return 0
-    if ring.kind == "dold":
-        return cup_length(ring.base) + ring.p[0] + ring.r - 1
     return cup_length_algebra(ring.algebra())
 
 
@@ -367,10 +365,6 @@ def zcl_interval(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         return IntervalValue(lo, hi, "tensor power certificate", "grading cap")
     if ring.kind == "sphere":
         return sphere_zcl(ring.n)
-    if ring.kind == "dold":
-        base = zcl_interval(ring.base, budget)
-        lo = base.lo + zcl_rp(ring.p[0]).lo + ring.r - 1
-        return IntervalValue(lo, hi, "twisted product sum", "grading cap")
     return IntervalValue(1 if ring.top >= 1 else 0, hi, "degree-one diagonal class",
                          "grading cap")
 

@@ -21,13 +21,14 @@ from smallcover.bounds import (
     tc_bounds,
 )
 from smallcover.charfun import BottMatrix, parse_bits
-from smallcover.cohomology import DoldRing, PointRing
+from smallcover.cohomology import PointRing
 from smallcover.errors import CharacteristicError, InputError
 from smallcover.invariants import cup_length, cup_length_algebra, zcl_exact, zcl_interval
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic
+from dold_reference import DoldRing
 from test_cohomology import _step_rings
 
 
@@ -270,14 +271,16 @@ def test_rules_against_exact_search():
     """Every rule-based end against the exact zcl, with the exact search
     itself switched off in the rules (budget 0): a zero-divisor TC end is
     at most zcl + 1, a TC_S end at most zcl + 2, and the ring's own
-    fallback interval contains the exact value."""
+    fallback interval contains the exact value.  On a twisted product the
+    category end is the base's cup-length plus the fibre's, plus one: the
+    reference ring's cup-length by search, plus one."""
     checked = pinned = 0
     for ring in _step_rings():
         exact = zcl_exact(ring, 64).lo
         assert zcl_interval(ring, 0).lo <= exact <= zcl_interval(ring, 0).hi
-        assert cup_length(ring) == cup_length_algebra(ring.algebra())
         if ring.kind == "dold":
             continue
+        assert cup_length(ring) == cup_length_algebra(ring.algebra())
         if ring.kind == "bott":
             M = bott_manifold(ring.dims, ring.bmat)
         else:
@@ -292,20 +295,21 @@ def test_rules_against_exact_search():
             pinned += 1
         checked += 1
     assert checked == 107 and pinned == 321
-    dold = 0
+    dold = closed = 0
     for name, M, base in _dold_bases():
         for p in DOLD_EXPONENTS:
             ring = DoldRing(base, p)
             assert ring.dim <= 64
             exact = zcl_exact(ring, 64).lo
             assert zcl_interval(ring, 0).lo <= exact <= zcl_interval(ring, 0).hi, (name, p)
-            assert cup_length(ring) == cup_length_algebra(ring.algebra()), (name, p)
             if M is not None:
-                _, tc, tcs = dold_bounds(M, p, 0)
+                cat, tc, tcs = dold_bounds(M, p, 0)
+                assert cat.interval.lo == cup_length_algebra(ring.algebra()) + 1, (name, p)
                 assert tc.interval.lo <= exact + 1, (name, p)
                 assert tcs.interval.lo <= exact + 2, (name, p)
+                closed += 1
             dold += 1
-    assert dold == 80
+    assert dold == 80 and closed == 72
 
 
 def test_dold_validation():

@@ -643,10 +643,12 @@ def test_facet_hypotheses_checked_once_per_manifold(capsys, tmp_path, monkeypatc
 @pytest.mark.parametrize("suite, draws", [("betti", 16), ("duality", 8)])
 def test_verify_reports_skipped_draws(capsys, suite, draws):
     # at size 8, seed 0 draws products too large to build, such as
-    # [7, 1, 5, 8, 7, 5, 8] with 373 248 vertices: skipped, not fatal
-    for seed, size in (("0", "3"), ("1", "3"), ("2", "3"), ("0", "8")):
+    # [7, 1, 5, 8, 7, 5, 8] with 373 248 vertices, and at --max-n 1500
+    # products of dimension above 1 024: skipped, as the commands refuse them
+    for seed, max_m, max_n in (("0", "3", "3"), ("1", "3", "3"), ("2", "3", "3"),
+                               ("0", "8", "8"), ("0", "2", "1500")):
         code, out = run(capsys, "verify", "--suite", suite, "--seed", seed,
-                        "--max-m", size, "--max-n", size)
+                        "--max-m", max_m, "--max-n", max_n)
         assert code == 0, out
         m = re.fullmatch(rf"{suite}: (\d+) cases(?:, (\d+) draws? skipped)?, pass\n", out)
         assert m, out

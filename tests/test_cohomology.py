@@ -10,7 +10,6 @@ from smallcover import cohomology, gf2, invariants
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import (
     BottRing,
-    DoldRing,
     GradedSpan,
     PointRing,
     SmallCoverRing,
@@ -30,6 +29,7 @@ from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic, random_product_dims
 import tuple_reference as ref
+from dold_reference import DoldRing, TruncatedRing
 
 
 def _mult_elem(alg, e1, e2):
@@ -273,7 +273,7 @@ def test_packed_relations_unpack_to_the_tuple_reference(rng):
 
 
 def test_truncated_fibre_and_point_relations():
-    fibre = cohomology.TruncatedRing("a", 2)
+    fibre = TruncatedRing("a", 2)
     assert ref.unpacked_relations(fibre) == (frozenset({(3,)}),)
     assert fibre.relations_text == ("a^3",)
     alg = fibre.algebra()

@@ -5,7 +5,6 @@ import pytest
 from smallcover.charfun import BottMatrix, parse_bits
 from smallcover.cohomology import (
     BottRing,
-    DoldRing,
     PointRing,
     SmallCoverRing,
     SphereRing,
@@ -49,7 +48,6 @@ def test_cup_length_closed_forms():
     assert cup_length(projective_ring(4)) == 4
     assert cup_length(SphereRing(5)) == 1
     assert cup_length(PointRing()) == 0
-    assert cup_length(DoldRing(projective_ring(2), [2])) == 4
     P = polygon(4)
     ring = SmallCoverRing(P, [parse_bits(s) for s in ["10", "01", "10", "11"]])
     assert cup_length(ring) == 2
@@ -238,8 +236,6 @@ def test_cup_length_algebra_matches_closed_forms():
         projective_ring(4),
         SphereRing(3),
         PointRing(),
-        DoldRing(projective_ring(2), [2]),
-        DoldRing(SphereRing(3), [1, 2]),
         BottRing((2, 3), BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)})),
         SmallCoverRing(polygon(5), [parse_bits(s) for s in ["10", "01", "10", "01", "11"]]),
     ]
