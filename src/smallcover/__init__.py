@@ -29,7 +29,6 @@ from .invariants import (
     verify_certificate,
     zcl_certificate_bott,
     zcl_exact,
-    zcl_interval,
     zcl_rp,
 )
 from .polytope import (

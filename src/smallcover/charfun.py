@@ -45,9 +45,9 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     and only the vertex's other facets are reduced.  A dependent prefix
     makes every vertex under it bad with no further work.  The bad
     vertices come out in walk order, which is sorted order.  The walk is
-    built once per polytope (`P._vertex_walk`), and P keeps the masks last
-    found valid on it (`P._valid_masks`), so a ring built on an assignment
-    just accepted walks it no more; the lengths are checked every time.
+    built once per live polytope value (`P._vertex_walk`).  P keeps the
+    masks last found valid on it (`P._valid_masks`), so a ring built on an
+    assignment just accepted walks it no more; lengths are always checked.
     """
     if len(vectors) != P.facet_count:
         raise CharacteristicError(

@@ -29,7 +29,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from . import gf2
 from .charfun import BottMatrix, GF2Vector, validate
 from .errors import CharacteristicError, InputError
-from .polytope import SimplePolytope, _poly_product, h_vector, minimal_non_faces
+from .polytope import SimplePolytope, _poly_product, h_vector, kept, minimal_non_faces
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +608,11 @@ class SmallCoverRing(QuotientRing):
             terms = _product(subs[f] for f in S)
             if terms:
                 yield len(S), terms
+
+    @cached_property
+    def _monomials(self) -> List[List[int]]:
+        # r - n variables up to degree n: P alone fixes them, so P keeps them
+        return kept(self.P, "_monomials", lambda P: QuotientRing._monomials.func(self))
 
     @cached_property
     def betti(self) -> Tuple[int, ...]:

@@ -6,11 +6,13 @@ f-/h-vectors are derived from the incidence structure (closed forms for the
 built-in families).  A product of simplices holds only its block dimensions:
 its vertex count, simplex facets, facet neighbours and disjoint facet pairs
 come in closed form, and its vertices are built only when something iterates
-them, up to MAX_PRODUCT_VERTICES.
+them, up to MAX_PRODUCT_VERTICES.  Equal constructions return one object
+while any is alive, so what `kept` stores is found once per live value.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -32,6 +34,8 @@ _MAX_FACE_SUBSETS = 1 << 18
 # Largest dimension of a product of simplices: its tower's n + 1 facet
 # vectors of n entries each are laid out even when no vertex is built.
 MAX_PRODUCT_DIMENSION = 1024
+# every live polytope by its value, which == compares; it holds none of them
+_LIVE = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,9 @@ def _incidence(vertices, facet_count: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def kept(P: SimplePolytope, name: str, build: Callable):
-    """build(P), found on first use and kept on P as `name`.  It is not a
-    field, so equality and hashing do not see it."""
+    """build(P), found on first use and kept on P as `name`: once per live
+    polytope value, as equal constructions share P.  It is not a field, so
+    equality and hashing do not see it."""
     if name not in P.__dict__:
         object.__setattr__(P, name, build(P))
     return P.__dict__[name]
@@ -176,7 +181,8 @@ def product_of_simplices(dims: Sequence[int]) -> SimplePolytope:
     Block j contributes facets indexed consecutively; a vertex omits exactly
     one facet from each block.  Holds only the dims (see ProductOfSimplices).
     """
-    return ProductOfSimplices(dims)
+    P = ProductOfSimplices(dims)
+    return _LIVE.setdefault(P.family, P)
 
 
 def block_offsets(dims: Sequence[int]) -> List[int]:
@@ -195,13 +201,13 @@ def polygon(k: int) -> SimplePolytope:
     if k > MAX_PRODUCT_VERTICES:
         raise InputError(f"a polygon has at most {MAX_PRODUCT_VERTICES} edges, got {k}")
     vertices = tuple(frozenset({i, (i + 1) % k}) for i in range(k))
-    return SimplePolytope(2, k, vertices, ("polygon", k))
+    P = SimplePolytope(2, k, vertices, ("polygon", k))
+    return _LIVE.setdefault(P.family, P)
 
 
 def explicit_polytope(n: int, facet_count: int, vertices: Sequence[Sequence[int]]) -> SimplePolytope:
-    return SimplePolytope(
-        n, facet_count, tuple(frozenset(v) for v in vertices), ("explicit",)
-    )
+    P = SimplePolytope(n, facet_count, tuple(frozenset(v) for v in vertices))
+    return _LIVE.setdefault((P.n, P.facet_count, P.vertices), P)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
+import gc
 import random
 from collections import Counter
 from math import prod
 
 import pytest
 
-from smallcover import bounds, charfun, cohomology
+from smallcover import bounds, charfun, cohomology, polytope
 from smallcover.bounds import (
     BoundReport,
     bott_manifold,
@@ -27,7 +28,7 @@ from smallcover.invariants import cup_length, cup_length_algebra, zcl_exact, zcl
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
-from conftest import all_bott_matrices, random_characteristic
+from conftest import all_bott_matrices, new_polytope, random_characteristic
 from dold_reference import DoldRing
 from test_cohomology import _step_rings
 
@@ -72,8 +73,9 @@ def test_covers_op_walks_each_assignment_once(monkeypatch, rng):
     # pairing, then the manifold and its bounds on the same polytope
     prism = [(i, (i + 1) % 6, cap) for i in range(6) for cap in (6, 7)]
     tower = charfun.from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
-    for P, valid in ((explicit_polytope(3, 8, prism), None),
-                     (product_of_simplices((2, 2, 2)), tower)):
+    for make, valid in ((lambda: explicit_polytope(3, 8, prism), None),
+                        (lambda: product_of_simplices((2, 2, 2)), tower)):
+        P = new_polytope(make)
         valid = valid or random_characteristic(P, rng)
         nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]
         rejected = []
@@ -104,6 +106,49 @@ def test_covers_op_walks_each_assignment_once(monkeypatch, rng):
         assert builds == Counter(range(P.n + 1)), P.family
         assert manifold_ring(M) is ring
         monkeypatch.undo()
+
+
+def _covers_op(P, draws):
+    """What a random_covers op reads off P: the report of each draw, the
+    last one valid, then its ring, pairing, h-vector and bounds."""
+    reports = [charfun.validate(P, vectors) for vectors in draws]
+    ring = cohomology.SmallCoverRing(P, draws[-1])
+    M = small_cover_manifold(P, draws[-1])
+    return (reports, ring.betti, ring.algebra().betti, ring.relations_text,
+            cohomology.poincare_pairing(ring), polytope.h_vector(P), M.vectors,
+            cat_bounds(M).to_json(), tc_bounds(M).to_json())
+
+
+def test_shared_polytope_state_does_not_leak(rng):
+    # the same op on a new polytope, then on one equal to a live polytope
+    # that keeps valid masks and a ring: of another assignment, or of this one
+    prism = [(i, (i + 1) % 6, cap) for i in range(6) for cap in (6, 7)]
+    for make in (lambda: explicit_polytope(3, 8, prism), lambda: polygon(6),
+                 lambda: product_of_simplices((2, 2, 2))):
+        P = new_polytope(make)
+        nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]
+        draws = []
+        while len(draws) < 12:
+            vectors = [rng.choice(nonzero) for _ in range(P.facet_count)]
+            if not charfun.validate(P, vectors).valid:
+                draws.append(vectors)
+        for _ in range(2):  # the op's valid draw, then another valid one
+            if P.family[0] == "product_of_simplices":  # few draws are valid
+                dims = P.family[1]
+                draws.append(charfun.from_bott(dims, random_bott_matrix(dims, rng)))
+            else:
+                draws.append(random_characteristic(P, rng))
+        other = draws.pop()
+        del P
+        gc.collect()
+        alone = _covers_op(new_polytope(make), draws)
+        assert not any(report.valid for report in alone[0][:12])
+        for held in (other, draws[-1]):
+            live = new_polytope(make)
+            ring = cohomology.SmallCoverRing(live, held)
+            assert vars(live)["_valid_masks"] and vars(live)["_ring"]() is ring
+            assert _covers_op(make(), draws) == alone, (live.family, held)
+            del live, ring
 
 
 def test_cat_small_cover():

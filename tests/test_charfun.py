@@ -15,7 +15,7 @@ from smallcover.errors import CharacteristicError, InputError, ReductionFailed
 from smallcover.polytope import block_offsets, explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
-from conftest import all_bott_matrices, random_characteristic
+from conftest import all_bott_matrices, new_polytope, random_characteristic
 
 
 def test_parse_render_bits():
@@ -379,9 +379,11 @@ def test_vertex_walk_matches_per_vertex_reference(rng):
 
 def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
     prism = [(i, (i + 1) % 6, cap) for i in range(6) for cap in (6, 7)]
-    shapes = [product_of_simplices((2, 2, 2)), polygon(6), explicit_polytope(3, 8, prism)]
+    shapes = [lambda: product_of_simplices((2, 2, 2)), lambda: polygon(6),
+              lambda: explicit_polytope(3, 8, prism)]
     invalid = 0
-    for P in shapes:
+    for make in shapes:
+        P = new_polytope(make)
         valid = (from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
                  if P.family[0] == "product_of_simplices" else random_characteristic(P, rng))
         nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]

@@ -1,7 +1,6 @@
 import gc
 import random
 import weakref
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -635,10 +634,11 @@ def _reference_search(alg):
     return k, best, witness
 
 
-@lru_cache(maxsize=None)
-def _step_references():
+@pytest.fixture(scope="module")
+def step_references():
     """(ring, T, kernel, reference powers) for each ring of `_step_rings`,
-    built once for the tests that compare with the full-kernel reference."""
+    built once for the tests that compare with the full-kernel reference.
+    Dropped with the module, so no later test meets its polytopes."""
     out = []
     for ring in _step_rings():
         T, kernel = cup_kernel(ring.algebra())
@@ -646,8 +646,8 @@ def _step_references():
     return tuple(out)
 
 
-def test_generator_step_matches_full_kernel_step():
-    for ring, T, kernel, full in _step_references():
+def test_generator_step_matches_full_kernel_step(step_references):
+    for ring, T, kernel, full in step_references:
         fast = ideal_powers(kernel, _reference_steps(T, ring.algebra()))
         assert len(fast) == len(full)
         for a, b in zip(fast, full):
@@ -655,8 +655,8 @@ def test_generator_step_matches_full_kernel_step():
             assert all(a.contains(*v) for v in b.basis())
 
 
-def test_monomial_search_matches_full_kernel_reference():
-    for ring, T, kernel, full in _step_references():
+def test_monomial_search_matches_full_kernel_reference(step_references):
+    for ring, T, kernel, full in step_references:
         alg = ring.algebra()
         iv = invariants.zcl_exact(ring)
         assert iv.lo == len(full) == len(iv.witness)

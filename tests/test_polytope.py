@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations
 
@@ -17,6 +18,8 @@ from smallcover.polytope import (
     product_vertex_count,
     simplex_facets,
 )
+
+from conftest import new_polytope
 
 
 def test_product_structure():
@@ -319,20 +322,25 @@ def test_product_closed_forms_reject_unknown_facets():
 
 
 def test_product_equality_ignores_built_vertices():
-    built, lazy = product_of_simplices([2, 1, 3]), product_of_simplices([2, 1, 3])
+    built = product_of_simplices([2, 1, 3])
     assert built.vertices and built._facet_vertices
-    assert "vertices" not in vars(lazy)
+    # a twin built by the class itself is not the shared polytope
+    lazy = polytope.ProductOfSimplices((2, 1, 3))
+    assert lazy is not built and "vertices" not in vars(lazy)
     assert built == lazy and hash(built) == hash(lazy)
     assert len({built, lazy}) == 1
     assert "vertices" not in vars(lazy)
-    assert product_of_simplices([1, 2]) != product_of_simplices([2, 1])
-    # an explicit polytope with the same vertices is a different description
-    explicit = explicit_polytope(built.n, built.facet_count,
-                                 [sorted(v) for v in built.vertices])
-    assert built != explicit and explicit != built
     B = charfun.BottMatrix.make((2, 1, 3))
     assert bounds.bott_manifold((2, 1, 3), B) == bounds.ManifoldDescription(
-        "bott", 6, built, tuple(charfun.from_bott((2, 1, 3), B)), (2, 1, 3), B)
+        "bott", 6, lazy, tuple(charfun.from_bott((2, 1, 3), B)), (2, 1, 3), B)
+
+
+def _unshared(P):
+    """A polytope equal to P built by its class, past the constructors'
+    registry: a second object of the same value."""
+    if isinstance(P, polytope.ProductOfSimplices):
+        return polytope.ProductOfSimplices(P.family[1])
+    return polytope.SimplePolytope(P.n, P.facet_count, P.vertices, P.family)
 
 
 def test_polytope_data_found_once_per_object(monkeypatch):
@@ -355,7 +363,8 @@ def test_polytope_data_found_once_per_object(monkeypatch):
          charfun.from_bott((1, 2), charfun.BottMatrix.make((1, 2))), []),
     ]
     for make, vectors, table in cases:
-        P, twin = make(), make()
+        P = new_polytope(make)
+        twin = _unshared(P)
         before = (repr(P), hash(P))
         calls.clear()
         for _ in range(2):
@@ -369,6 +378,61 @@ def test_polytope_data_found_once_per_object(monkeypatch):
     # every call returns a list of its own
     P = polygon(5)
     assert polytope.minimal_non_faces(P) is not polytope.minimal_non_faces(P)
+
+
+_PRISM = [(i, (i + 1) % 4, cap) for i in range(4) for cap in (4, 5)]
+
+
+def test_equal_constructions_share_one_polytope():
+    P = product_of_simplices([1, 2])
+    assert product_of_simplices((1, 2)) is P
+    Q = polygon(7)
+    assert polygon(7) is Q
+    R = explicit_polytope(3, 6, _PRISM)
+    # vertices as lists of facets in any order within a vertex
+    assert explicit_polytope(3, 6, [list(reversed(v)) for v in _PRISM]) is R
+    # unequal values stay distinct objects
+    assert product_of_simplices((2, 1)) != P
+    assert explicit_polytope(2, 7, [sorted(v) for v in Q.vertices]) != Q
+    same_vertices = explicit_polytope(P.n, P.facet_count, [sorted(v) for v in P.vertices])
+    assert same_vertices != P and same_vertices is not P
+    permuted = explicit_polytope(3, 6, _PRISM[1:] + _PRISM[:1])
+    assert permuted != R and permuted is not R
+
+
+def test_kept_data_built_once_per_value(monkeypatch):
+    calls = []
+    for module, name in ((charfun, "_vertex_walk"), (polytope, "_h_vector"),
+                         (polytope, "_face_table")):
+        def counted(*args, name=name, build=getattr(module, name)):
+            calls.append(name)
+            return build(*args)
+        monkeypatch.setattr(module, name, counted)
+    for make in (lambda: explicit_polytope(3, 6, _PRISM), lambda: polygon(5),
+                 lambda: product_of_simplices((1, 2))):
+        calls.clear()
+        copies = [new_polytope(make), make()]
+        assert copies[1] is copies[0]
+        for P in copies:
+            # one vector on every facet: dependent at each vertex, so walked
+            assert not charfun.validate(P, [(1,) + (0,) * (P.n - 1)] * P.facet_count).valid
+            assert sum(h_vector(P).h) == P.vertex_count
+        table = ["_face_table"] if copies[0].family == ("explicit",) else []
+        assert sorted(calls) == table + ["_h_vector", "_vertex_walk"], copies[0].family
+
+
+def test_dead_polytopes_leave_the_registry():
+    from smallcover.cohomology import SmallCoverRing
+
+    P = polygon(6)
+    ring = SmallCoverRing(P, [(1, 0), (0, 1)] * 3)
+    M = bounds.small_cover_manifold(polygon(6), ring.vectors)
+    assert M.P is P and h_vector(P).h == (1, 4, 1)
+    del P, ring, M
+    gc.collect()
+    # no test leaves a polytope alive once it has returned
+    assert not polytope._LIVE
+    assert "_h_vector" not in vars(polygon(6))
 
 
 def test_product_vertices_are_stored_once_built():
