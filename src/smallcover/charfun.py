@@ -4,9 +4,11 @@ Validation checks invertibility of the vertex matrices; for a simple
 polytope that subsumes the conditions on all lower faces.  The multiplicative
 sign convention is carried additively (a -1 entry is bit 1).  On a product
 of simplices, a Bott matrix gives facet vectors in the block layout
-(`from_bott`), and `reduce_to_bott` takes a valid assignment back to such a
-matrix in polynomial time: one basis change, then the blocks peeled from
-the end into a triangular order.
+(`from_bott`), and the block peel takes an assignment back to such a matrix
+in polynomial time: one basis change, then the blocks peeled from the end
+into a triangular order.  The peel succeeds exactly on the valid
+assignments, so on a product it decides validity, and `reduce_to_bott`
+returns its matrix.
 """
 
 from __future__ import annotations
@@ -21,12 +23,17 @@ from .polytope import SimplePolytope, block_offsets, kept, product_of_simplices
 GF2Vector = Tuple[int, ...]
 
 
+# the ASCII digits 0 and 1 to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def parse_bits(s: str) -> GF2Vector:
     """Bitstring "10" -> (1, 0); leftmost character is coordinate 1.  Only a
     str is a bitstring: a JSON array of "0"/"1" strings is refused."""
-    if not isinstance(s, str) or not s or any(c not in "01" for c in s):
+    # strip leaves a character other than 0 and 1, if there is one
+    if not isinstance(s, str) or not s or s.strip("01"):
         raise InputError(f"bad bitstring {s!r}")
-    return tuple(int(c) for c in s)
+    return tuple(s.encode().translate(_BIT_BYTES))
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,10 @@ class ValidationReport:
 def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationReport:
     """Check that every vertex matrix of facet vectors is invertible.
 
-    The vertices are walked in lexicographic order of their sorted facet
+    On a product of simplices the block peel (`_peel`) decides first: it
+    succeeds exactly on a valid assignment, so an accepted one needs no
+    vertex list.  A refused one, and any assignment on another polytope, is
+    walked: the vertices in lexicographic order of their sorted facet
     tuples, so each shares a prefix with the one before it.  The rows of
     that prefix stay reduced, in a dict keyed by lead bit with the leads
     in push order, so going back to a prefix pops the rows pushed since,
@@ -47,8 +57,23 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     vertices come out in walk order, which is sorted order.  The walk is
     built once per live polytope value (`P._vertex_walk`).  P keeps the
     masks last found valid on it (`P._valid_masks`), so a ring built on an
-    assignment just accepted walks it no more; lengths are always checked.
+    assignment just accepted checks it no more, and reads its masks there;
+    lengths are always checked.
     """
+    masks = _masks(P, vectors)
+    if masks == vars(P).get("_valid_masks"):
+        return ValidationReport(True, ())
+    if P.family[0] == "product_of_simplices" and _peel(P, masks) is not None:
+        bad = ()
+    else:
+        bad = tuple(_dependent_vertices(P, masks))
+    if not bad:
+        object.__setattr__(P, "_valid_masks", masks)
+    return ValidationReport(not bad, bad)
+
+
+def _masks(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> List[int]:
+    """The facet vectors as bit masks, once their count and lengths fit P."""
     if len(vectors) != P.facet_count:
         raise CharacteristicError(
             f"expected {P.facet_count} vectors, got {len(vectors)}"
@@ -56,13 +81,7 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     for v in vectors:
         if len(v) != P.n:
             raise CharacteristicError("vector length differs from the dimension")
-    masks = [gf2.mask_of(v) for v in vectors]
-    if masks == vars(P).get("_valid_masks"):
-        return ValidationReport(True, ())
-    bad = tuple(_dependent_vertices(P, masks))
-    if not bad:
-        object.__setattr__(P, "_valid_masks", masks)
-    return ValidationReport(not bad, bad)
+    return [gf2.mask_of(v) for v in vectors]
 
 
 def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tuple[int, ...]]:
@@ -197,73 +216,29 @@ class BottReduction:
 
 
 def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottReduction:
-    """Bring a valid assignment on a product of simplices to triangular form.
-
-    The last facet of each block plays the alpha role.  The other facets
-    meet in a vertex, so their vectors are a basis, and C takes them to
-    e_1..e_n in the block layout.  In those coordinates each alpha vector
-    is all ones on its own block: the vertex that swaps one of the block's
-    other facets for alpha needs that coordinate.  Say j precedes k when
-    alpha_j is nonzero on block k.  The form is triangular in a block order
-    exactly when that order puts every j before the blocks it precedes, so
-    the blocks are peeled from the end: the remaining block whose alpha
-    vanishes on every other remaining block goes last, the highest such
-    index first, which keeps a from_bott layout in its own order.
-
-    Any alpha choice gives the same answer.  Making block j's facet with
-    vector e_p its alpha is the shear x -> x + x_p w, w = alpha_j + e_p:
-    block j's alpha keeps its image, and another alpha_l changes only when
-    it has bit p (l precedes j), and then only on block j and on the blocks
-    j precedes.  So the change adds only pairs l, k with l before j before
-    k, and an acyclic relation stays acyclic; the swap undoes itself, so
-    the converse holds too.  Hence ReductionFailed, raised when the peel
-    finds no block, means that no block order and alpha choice is
-    triangular.
-    """
+    """Bring a valid assignment on a product of simplices to triangular form
+    by the block peel (`_peel`).  An assignment the peel refuses is walked
+    by `validate`, which names its bad vertices."""
     dims = tuple(dims)
-    report = validate(product_of_simplices(dims), vectors)
-    if not report.valid:
-        raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
-    m, n = len(dims), sum(dims)
-    masks = [gf2.mask_of(v) for v in vectors]
+    P = product_of_simplices(dims)
+    masks = _masks(P, vectors)
+    peeled = _peel(P, masks)
+    if peeled is None:
+        report = validate(P, vectors)
+        if not report.valid:
+            raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
+        raise ReductionFailed(f"no block order is triangular for dims {dims}")
+    pivots, images, order = peeled
+    n = P.n
     offsets = block_offsets(dims)
     alphas = [off + d for off, d in zip(offsets, dims)]
-    starts = [sum(dims[:j]) for j in range(m)]  # first coordinate of each block
-    segments = [((1 << d) - 1) << s for d, s in zip(dims, starts)]
-
-    # the basis row-reduced, each row with the bits of the basis vectors it sums
-    pivots: Dict[int, Tuple[int, int]] = {}
-    basis = (mask for f, mask in enumerate(masks) if f not in alphas)
-    for i, row in enumerate(basis):
-        tag = 1 << i
-        while row.bit_length() - 1 in pivots:
-            reduced, used = pivots[row.bit_length() - 1]
-            row, tag = row ^ reduced, tag ^ used
-        pivots[row.bit_length() - 1] = (row, tag)
-
-    def coordinates(v: int) -> int:
-        tag = 0
-        while v:
-            reduced, used = pivots[v.bit_length() - 1]
-            v, tag = v ^ reduced, tag ^ used
-        return tag
-
-    images = [coordinates(masks[a]) for a in alphas]
-    left, order = list(range(m)), []
-    while left:
-        span = sum(segments[k] for k in left)
-        last = next((j for j in reversed(left) if not images[j] & (span ^ segments[j])), None)
-        if last is None:
-            raise ReductionFailed(f"no block order is triangular for dims {dims}")
-        left.remove(last)
-        order.insert(0, last)
-
+    starts = [off - j for j, off in enumerate(offsets)]  # first coordinate of each block
     perm_dims = tuple(dims[j] for j in order)
     beta = {(s + 1, t + 1): gf2.bits_of(images[j] >> starts[k], dims[k])
             for t, j in enumerate(order) for s, k in enumerate(order) if s > t}
     B = BottMatrix.make(perm_dims, beta)
     # C: the rows of the coordinate map, blocks in the new order
-    columns = [coordinates(1 << c) for c in range(n)]
+    columns = [gf2.reduce_tagged(pivots, 1 << c)[1] for c in range(n)]
     C = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
          for j in order for r in range(starts[j], starts[j] + dims[j])]
     # postcondition: the transformed, reordered vectors are the layout
@@ -272,3 +247,70 @@ def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottRed
     assert laid == from_bott(perm_dims, B)
     return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
                          tuple(gf2.bits_of(row, n) for row in C))
+
+
+def _peel(P: SimplePolytope, masks: Sequence[int]):
+    """(pivots, images, order) of the block peel of facet masks on a product
+    of simplices, or None where the assignment is invalid.
+
+    The last facet of each block plays the alpha role.  The other facets
+    meet in a vertex, so on a valid assignment their vectors are a basis,
+    and the pivots (lead bit -> reduced row, basis vectors it sums) take a
+    vector to its coordinates in it, e_1..e_n in the block layout.  The
+    images are the alpha vectors in those coordinates.  Each is all ones on
+    its own block: the vertex that swaps one of the block's other facets for
+    alpha needs that coordinate.  Say j precedes k when alpha_j is nonzero
+    on block k.  The form is triangular in a block order exactly when that
+    order puts every j before the blocks it precedes, so the blocks are
+    peeled from the end: the remaining block whose alpha vanishes on every
+    other remaining block goes last, the highest such index first, which
+    keeps a from_bott layout in its own order; `order` lists the blocks
+    (0-based) first to last.
+
+    Any alpha choice gives the same answer.  Making block j's facet with
+    vector e_p its alpha is the shear x -> x + x_p w, w = alpha_j + e_p:
+    block j's alpha keeps its image, and another alpha_l changes only when
+    it has bit p (l precedes j), and then only on block j and on the blocks
+    j precedes.  So the change adds only pairs l, k with l before j before
+    k, and an acyclic relation stays acyclic; the swap undoes itself, so
+    the converse holds too.  Hence a failed peel means that no block order
+    and alpha choice is triangular.  On a product of simplices every small
+    cover is a generalized real Bott manifold (Choi-Masuda-Suh, Osaka J.
+    Math. 47, 2010), so that happens only on an invalid assignment; and a
+    triangular form is the layout of its Bott matrix, which is valid.
+    """
+    alphas, basis, segments = kept(P, "_peel_layout", _peel_layout)
+    pivots: Dict[int, Tuple[int, int]] = {}
+    for i, f in enumerate(basis):
+        row, tag = gf2.reduce_tagged(pivots, masks[f], 1 << i)
+        if not row:  # the facets of a vertex are dependent
+            return None
+        pivots[row.bit_length() - 1] = (row, tag)
+    images = [gf2.reduce_tagged(pivots, masks[a])[1] for a in alphas]
+    if any(image & segment != segment for image, segment in zip(images, segments)):
+        return None
+    left, order = list(range(len(alphas))), []
+    span = (1 << P.n) - 1  # the coordinates of the blocks left
+    while left:
+        last = next((j for j in reversed(left) if not images[j] & (span ^ segments[j])), None)
+        if last is None:
+            return None
+        left.remove(last)
+        order.insert(0, last)
+        span ^= segments[last]
+    return pivots, images, order
+
+
+def _peel_layout(P: SimplePolytope):
+    """What the peel reads of a product of simplices alone: the alpha facet
+    of each block, the other facets in order, and each block's coordinates
+    as a mask."""
+    dims = P.family[1]
+    alphas = tuple(off + d for off, d in zip(block_offsets(dims), dims))
+    alpha_set = set(alphas)
+    basis = tuple(f for f in range(P.facet_count) if f not in alpha_set)
+    segments, start = [], 0
+    for d in dims:
+        segments.append(((1 << d) - 1) << start)
+        start += d
+    return alphas, basis, tuple(segments)

@@ -586,10 +586,10 @@ class SmallCoverRing(QuotientRing):
         self.P = P
         self.vectors = tuple(tuple(v) for v in vectors)
         r = P.facet_count
-        # eliminate the linear relations: row-reduce the coordinate matrix
-        rows = [[vectors[f][i] for f in range(r)] for i in range(P.n)]
-        self._reduced, pivot_cols = gf2.row_reduce(rows)
-        if len(pivot_cols) != P.n:
+        # eliminate the linear relations: the reduced coordinate matrix, read
+        # off the facet masks that validate accepted and kept on P
+        self._reduced = gf2.column_rref(vars(P)["_valid_masks"])
+        if len(self._reduced) != P.n:
             raise CharacteristicError("facet vectors do not span the ambient space")
         super().__init__([f"z{i + 1}" for i in range(r - P.n)], P.n)
         object.__setattr__(P, "_ring", weakref.ref(self))

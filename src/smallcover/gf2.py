@@ -8,7 +8,7 @@ packed into ints.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
 
@@ -56,27 +56,42 @@ def row_reduce_masks(masks: Iterable[int]) -> List[int]:
     return [pivots[k] for k in sorted(pivots, reverse=True)]
 
 
+def reduce_tagged(pivots: Dict[int, Tuple[int, int]], row: int, tag: int = 0) -> Tuple[int, int]:
+    """Reduce row by pivots (lead bit -> (reduced row, tag)), XORing the tag
+    of each pivot used into tag: (remainder, tag).  With each tag the set of
+    rows a pivot sums, a zero remainder makes tag the coordinates of row."""
+    while row:
+        pivot = pivots.get(row.bit_length() - 1)
+        if pivot is None:
+            break
+        row, tag = row ^ pivot[0], tag ^ pivot[1]
+    return row, tag
+
+
+def column_rref(columns: Sequence[int]) -> List[int]:
+    """Reduced row echelon form of the matrix whose column f is the mask
+    columns[f], each row's pivot its lead bit: the nonzero rows as masks,
+    pivot ascending.  It is read off the columns: the pivot columns are
+    chosen greedily from the last one, row p has bit p, and a free column f
+    has bit f in the rows of the pivot columns it sums."""
+    pivots: Dict[int, Tuple[int, int]] = {}
+    rows: Dict[int, int] = {}  # pivot column -> its row
+    for f in reversed(range(len(columns))):
+        rest, tag = reduce_tagged(pivots, columns[f])
+        if rest:
+            pivots[rest.bit_length() - 1] = (rest, tag | 1 << f)
+            rows[f] = 1 << f
+            continue
+        while tag:
+            low = tag & -tag
+            rows[low.bit_length() - 1] |= 1 << f
+            tag ^= low
+    return [rows[p] for p in sorted(rows)]
+
+
 def rank_gf2(rows: Iterable[Sequence[int]]) -> int:
     """Matrix rank over GF(2); rows are 0/1 sequences of equal length."""
     return len(row_reduce_masks(_as_masks(rows)))
-
-
-def row_reduce(rows: Iterable[Sequence[int]]):
-    """Reduced row echelon form.
-
-    Returns (rows, pivot_cols): fully reduced nonzero rows as masks, sorted by
-    pivot column, and the list of pivot column indices.
-    """
-    reduced = row_reduce_masks(_as_masks(rows))
-    # back-substitute to clear entries above pivots
-    for i, row in enumerate(reduced):
-        lead = row.bit_length() - 1
-        for j in range(len(reduced)):
-            if j != i and (reduced[j] >> lead) & 1:
-                reduced[j] ^= row
-    reduced.sort(key=lambda r: r.bit_length())
-    pivot_cols = [r.bit_length() - 1 for r in reduced]
-    return reduced, pivot_cols
 
 
 def kernel_combos(images: Sequence[int]) -> List[int]:
@@ -85,18 +100,12 @@ def kernel_combos(images: Sequence[int]) -> List[int]:
     Images are bitmasks in some codomain.  Returns masks over the domain
     indices: each returned mask c satisfies XOR_{j in c} images[j] == 0.
     """
-    pivots: dict[int, Tuple[int, int]] = {}  # lead bit -> (image, combo)
+    pivots: Dict[int, Tuple[int, int]] = {}  # lead bit -> (image, combo)
     kernel = []
     for j, img in enumerate(images):
-        combo = 1 << j
-        while img:
-            lead = img.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (img, combo)
-                break
-            pimg, pcombo = pivots[lead]
-            img ^= pimg
-            combo ^= pcombo
+        img, combo = reduce_tagged(pivots, img, 1 << j)
+        if img:
+            pivots[img.bit_length() - 1] = (img, combo)
         else:
             kernel.append(combo)
     return kernel

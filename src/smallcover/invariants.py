@@ -112,27 +112,12 @@ def _longest_product(start: Sequence[Tuple[int, int]], steps: Sequence[tuple],
     return k, best
 
 
-def cup_length_algebra(alg: GradedAlgebra) -> int:
-    """Longest nonzero product of positive-degree elements, by exhaustion.
-
-    Exact: the positive-degree part is the ideal generated by the algebra
-    generators, so its k-th power is spanned by multiples of the k-fold
-    monomials in them, and it is nonzero iff one of those monomials is.
-    """
-    def step(s: int, ig: int) -> tuple:
-        return s, cache(lambda d: [alg.mult_basis(d, i, s, ig) for i in range(alg.betti[d])])
-
-    steps = [step(s, m.bit_length() - 1) for s, m in alg.gens]
-    return _longest_product(alg.gens, steps, alg.top)[0]
-
-
 def cup_length(ring: Ring) -> int:
     """Cup-length of a ring presentation.
 
-    Closed forms where the structure gives them: rings generated in degree 1
-    with a nonzero top product realise the top degree; sphere rings have a
-    single square-zero class.  Other inputs fall back to the exhaustive
-    subspace computation.
+    Closed forms for every ring kind the package builds: rings generated in
+    degree 1 with a nonzero top product realise the top degree; sphere rings
+    have a single square-zero class; the point has none.
     """
     if ring.kind in ("bott", "small_cover"):
         return ring.top
@@ -140,7 +125,7 @@ def cup_length(ring: Ring) -> int:
         return 1
     if ring.kind == "point":
         return 0
-    return cup_length_algebra(ring.algebra())
+    raise InputError(f"no cup-length closed form for a ring of kind {ring.kind!r}")
 
 
 # ---------------------------------------------------------------------------

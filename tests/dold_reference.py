@@ -5,10 +5,12 @@ The package bounds a Dold manifold of real torus type in closed form
 keeps the ring it is checked against: Dold's mod-2 presentation
 Z2[a]/(a^{p_1+1}) (x) Z2[a_2]/(a_2^2) (x) ... (x) Z2[a_r]/(a_r^2) (x) H*(B)
 (Dold, "Erzeugende der Thomschen Algebra N", Math. Z. 65, 1956), built as
-`TensorAlgebra` products of the package's own algebras.
+`TensorAlgebra` products of the package's own algebras.  Its cup-length
+comes from the exhaustive search `cup_length_algebra`, which also checks
+the package's closed forms (`invariants.cup_length`).
 """
 
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Optional, Sequence, Tuple
 
 from smallcover.cohomology import (
@@ -20,6 +22,7 @@ from smallcover.cohomology import (
     square_zero,
 )
 from smallcover.errors import InputError
+from smallcover.invariants import _longest_product
 from smallcover.polytope import _poly_product
 
 
@@ -92,3 +95,17 @@ class DoldRing(Ring):
                            reversed(factors))
             self._alg = TensorAlgebra(fibre, self.base.algebra(), _product_label)
         return self._alg
+
+
+def cup_length_algebra(alg: GradedAlgebra) -> int:
+    """Longest nonzero product of positive-degree elements, by exhaustion.
+
+    Exact: the positive-degree part is the ideal generated by the algebra
+    generators, so its k-th power is spanned by multiples of the k-fold
+    monomials in them, and it is nonzero iff one of those monomials is.
+    """
+    def step(s: int, ig: int) -> tuple:
+        return s, cache(lambda d: [alg.mult_basis(d, i, s, ig) for i in range(alg.betti[d])])
+
+    steps = [step(s, m.bit_length() - 1) for s, m in alg.gens]
+    return _longest_product(alg.gens, steps, alg.top)[0]

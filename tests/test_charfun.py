@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -16,14 +17,19 @@ from smallcover.polytope import block_offsets, explicit_polytope, polygon, produ
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, new_polytope, random_characteristic
+import tuple_reference as ref
 
 
 def test_parse_render_bits():
     assert parse_bits("101") == (1, 0, 1)
+    assert parse_bits("0" * 40 + "1") == (0,) * 40 + (1,)
     with pytest.raises(InputError):
         parse_bits("12")
-    with pytest.raises(InputError):
-        parse_bits("")
+    # whitespace, a newline, a fullwidth zero and a list are no bitstrings
+    for s in ["", "012", " 01", "01\n", "\uff101", ["0", "1"]]:
+        with pytest.raises(InputError) as refused:
+            parse_bits(s)
+        assert str(refused.value) == f"bad bitstring {s!r}"
 
 
 def test_validate_klein_bottle():
@@ -130,7 +136,7 @@ def _invert(rows):
     n = len(rows)
     # matrix in the high bits (where the reduction pivots), identity low
     aug = [(gf2.mask_of(rows[i]) << n) | (1 << i) for i in range(n)]
-    red, pivots = gf2.row_reduce([gf2.bits_of(a, 2 * n) for a in aug])
+    red, pivots = ref.row_reduce([gf2.bits_of(a, 2 * n) for a in aug])
     assert pivots == list(range(n, 2 * n)), "matrix is singular"
     inv = [None] * n
     for row in red:
@@ -401,3 +407,62 @@ def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
         with pytest.raises(CharacteristicError):
             validate(P, [v + (0,) for v in valid])
     assert invalid >= 20
+
+
+def _peel_and_walk(P, masks):
+    """(the block peel accepts, the walk finds no dependent vertex)."""
+    return (charfun._peel(P, masks) is not None,
+            next(charfun._dependent_vertices(P, masks), None) is None)
+
+
+def test_peel_decides_like_the_walk_on_every_small_assignment():
+    decisions = Counter()
+    for dims in [(1, 1), (2,), (1, 2), (2, 1), (1, 1, 1)]:
+        P = product_of_simplices(dims)
+        nonzero = range(1, 1 << P.n)
+        for masks in product(nonzero, repeat=P.facet_count):
+            decisions[_peel_and_walk(P, masks)] += 1
+    # the peel never refuses an assignment the walk accepts, nor the converse
+    assert decisions[(False, True)] == 0 and decisions[(True, False)] == 0
+    assert sum(decisions.values()) == 3 ** 4 + 3 ** 3 + 2 * 7 ** 5 + 7 ** 6
+    assert decisions[(True, True)] > 1000
+
+
+def test_peel_decides_like_the_walk_on_scrambled_and_perturbed_towers(rng):
+    decisions = Counter()
+    for _ in range(1500):
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        scrambled_dims, vectors = _scramble(dims, random_bott_matrix(dims, rng), rng)
+        P = product_of_simplices(scrambled_dims)
+        if rng.random() < 0.5:  # one facet vector replaced by a nonzero one
+            vectors[rng.randrange(P.facet_count)] = gf2.bits_of(rng.randrange(1, 1 << P.n), P.n)
+        decision = _peel_and_walk(P, [gf2.mask_of(v) for v in vectors])
+        decisions[decision] += 1
+        if not decision[1]:
+            # a refused assignment is walked: its bad vertices as before
+            assert validate(P, vectors) == _per_vertex_validate(P, vectors)
+    assert decisions[(False, True)] == 0 and decisions[(True, False)] == 0
+    assert decisions[(True, True)] > 750 and decisions[(False, False)] > 250
+
+
+def test_refused_product_assignment_keeps_its_bad_vertices():
+    # vertices {0, 2}, {0, 3}, {1, 2}, {1, 3} of the square; 0, 1, 2 repeat
+    vectors = [(1, 0), (1, 0), (1, 0), (0, 1)]
+    report = validate(product_of_simplices((1, 1)), vectors)
+    assert report == charfun.ValidationReport(False, ((0, 2), (1, 2)))
+    with pytest.raises(CharacteristicError) as refused:
+        reduce_to_bott((1, 1), vectors)
+    assert str(refused.value) == "invalid assignment at vertices ((0, 2), (1, 2))"
+
+
+def test_peel_accepts_without_walking(monkeypatch, rng):
+    def refuse(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(charfun, "_dependent_vertices", refuse)
+    for dims in [(1, 1), (3, 2), (2, 2, 1), (1,) * 6, (3,) * 9]:
+        dims, vectors = _scramble(dims, random_bott_matrix(dims, rng), rng)
+        P = product_of_simplices(dims)
+        vars(P).pop("_valid_masks", None)  # no kept masks answer for the peel
+        assert validate(P, vectors) == charfun.ValidationReport(True, ())
+        _check_reduction(dims, vectors, reduce_to_bott(dims, vectors))

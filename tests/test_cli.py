@@ -722,6 +722,32 @@ def test_zcl_and_dold_on_a_twelve_block_tower(capsys, tmp_path):
     assert code == 0 and len(json.loads(out)["reports"]) == 3
 
 
+def test_valid_facet_vectors_past_the_vertex_cap(capsys, tmp_path, monkeypatch):
+    """A valid twisted (3,)x9 assignment as facet vectors: the block peel
+    accepts it, so no command builds the 262 144 vertices."""
+    from smallcover import charfun, polytope
+
+    def refuse(*args):
+        raise AssertionError("product vertices built")
+
+    dims = (3,) * 9
+    B = charfun.BottMatrix.make(dims, {(2, 1): (1, 0, 1), (9, 3): (1, 1, 0)})
+    path = write(tmp_path, "t39.json", {
+        "polytope": {"type": "product_of_simplices", "dims": list(dims)},
+        "characteristic": {"type": "facet_vectors", "vectors":
+                           ["".join(map(str, v)) for v in charfun.from_bott(dims, B)]},
+    })
+    monkeypatch.setattr(polytope.ProductOfSimplices, "_build_vertices", refuse)
+    code, out = run(capsys, "validate", path)
+    assert code == 0 and out.strip() == "valid"
+    code, out = run(capsys, "bounds", path, "--format", "json")
+    reports = {r["invariant"]: (r["lo"], r["hi"]) for r in json.loads(out)["reports"]}
+    assert code == 0 and reports["cat"] == (28, 28)
+    code, out = run(capsys, "zcl", path, "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["lo"] <= data["hi"] == 54
+
+
 def test_vertex_cap_exit_2(capsys, tmp_path):
     n = 27  # (3,)x9: 262 144 vertices
     path = write(tmp_path, "big.json", {

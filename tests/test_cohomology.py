@@ -201,7 +201,7 @@ def _reference_non_face_relations(P, vectors):
     """The nonzero minimal-non-face products, each facet class substituted
     by tuple arithmetic as a linear polynomial in the free classes."""
     r = P.facet_count
-    reduced, pivot_cols = gf2.row_reduce([[vectors[f][i] for f in range(r)]
+    reduced, pivot_cols = ref.row_reduce([[vectors[f][i] for f in range(r)]
                                           for i in range(P.n)])
     free = [c for c in range(r) if c not in pivot_cols]
     k = len(free)
@@ -269,6 +269,29 @@ def test_packed_relations_unpack_to_the_tuple_reference(rng):
     assert triangle.relations_text == ("z1^3",)
     assert [d for d, _ in triangle._packed] == [3]
     assert rings[-4].relations_text == ("z1^6",)
+
+
+def test_reduced_rows_match_the_coordinate_matrix_reference(rng):
+    """The ring's fully reduced rows, read off the facet masks, are the row
+    reduction of the coordinate matrix: row i holds coordinate i of every
+    facet vector."""
+    covers = []
+    for m in (1, 2, 3):
+        for dims, B in all_bott_matrices(m, 2):
+            P = product_of_simplices(dims)
+            covers += [(P, from_bott(dims, B)), (P, _scrambled_bott_vectors(rng, dims))]
+    assert len(covers) == 2 * 254
+    for k in range(3, 13):
+        covers.append((polygon(k), random_characteristic(polygon(k), rng)))
+    for k in (3, 4, 5, 6, 8):
+        covers.append(_shuffled_prism(rng, k))
+    for _ in range(20):
+        dims = random_product_dims(rng)
+        covers.append((product_of_simplices(dims), _scrambled_bott_vectors(rng, dims)))
+    for P, vectors in covers:
+        r = P.facet_count
+        reduced, _ = ref.row_reduce([[vectors[f][i] for f in range(r)] for i in range(P.n)])
+        assert SmallCoverRing(P, vectors)._reduced == reduced, (P.family, vectors)
 
 
 def test_truncated_fibre_and_point_relations():

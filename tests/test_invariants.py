@@ -18,7 +18,6 @@ from smallcover.invariants import (
     ZclCertificate,
     certificate_length,
     cup_length,
-    cup_length_algebra,
     power_exponent,
     sphere_zcl_declared,
     verify_certificate,
@@ -31,6 +30,7 @@ from smallcover.polytope import polygon
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices
+from dold_reference import TruncatedRing, cup_length_algebra
 import tuple_reference as ref
 
 
@@ -51,6 +51,9 @@ def test_cup_length_closed_forms():
     P = polygon(4)
     ring = SmallCoverRing(P, [parse_bits(s) for s in ["10", "01", "10", "11"]])
     assert cup_length(ring) == 2
+    # no search behind the closed forms: a kind the package builds none of
+    with pytest.raises(InputError, match="kind 'truncated'"):
+        cup_length(TruncatedRing("x", 3))
 
 
 def test_power_exponent_and_certificate_length():

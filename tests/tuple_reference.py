@@ -6,13 +6,14 @@ polynomial a frozenset of monomials (coefficient 1, addition is symmetric
 difference), and a tensor-square element a frozenset of ordered monomial
 pairs.  On top of it sit the rewriting normal form of a real Bott tower and
 the full-expansion certificate oracle, as the package had them before it
-packed them.
+packed them.  Last comes the row reduction of 0/1 rows that a small
+cover's reduced coordinate matrix (`gf2.column_rref`) is checked against.
 """
 
 from typing import Iterable, Sequence, Tuple
 
 from smallcover.errors import InputError
-from smallcover.gf2 import mono_render
+from smallcover.gf2 import _as_masks, mono_render, row_reduce_masks
 
 Monomial = Tuple[int, ...]
 GF2Poly = frozenset  # of Monomial
@@ -192,3 +193,25 @@ def verify_certificate(dims, B, cert) -> bool:
         if bott_normal_form(tensor_cup(f), dims, B):
             return False
     return cert.product <= certificate_product(dims, B, cert.factors)
+
+
+# ---------------------------------------------------------------------------
+# row reduction
+
+
+def row_reduce(rows: Iterable[Sequence[int]]):
+    """Reduced row echelon form.
+
+    Returns (rows, pivot_cols): fully reduced nonzero rows as masks, sorted by
+    pivot column, and the list of pivot column indices.
+    """
+    reduced = row_reduce_masks(_as_masks(rows))
+    # back-substitute to clear entries above pivots
+    for i, row in enumerate(reduced):
+        lead = row.bit_length() - 1
+        for j in range(len(reduced)):
+            if j != i and (reduced[j] >> lead) & 1:
+                reduced[j] ^= row
+    reduced.sort(key=lambda r: r.bit_length())
+    pivot_cols = [r.bit_length() - 1 for r in reduced]
+    return reduced, pivot_cols
