@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charfun import BottMatrix, GF2Vector, from_bott
+from .charfun import BottMatrix, GF2Vector, from_bott, peel_matrix
 from .cohomology import BottRing, Ring, SmallCoverRing, SphereRing, dold_exponents
 from .errors import BudgetExceeded, InputError
 from .gf2 import rank_gf2
@@ -38,10 +38,11 @@ from .polytope import (
 
 @dataclass(frozen=True)
 class ManifoldDescription:
-    kind: str  # 'small_cover' | 'bott' | 'sphere'
+    kind: str  # the ring presentation: 'small_cover' | 'bott' | 'sphere'
     n: int
     P: Optional[SimplePolytope] = None
     vectors: Optional[Tuple[GF2Vector, ...]] = None
+    # the tower of a manifold over a product of simplices, in either input form
     dims: Optional[Tuple[int, ...]] = None
     bmat: Optional[BottMatrix] = None
     involution: Optional[GF2Vector] = None
@@ -57,9 +58,11 @@ class ManifoldDescription:
 
 def bott_manifold(dims: Sequence[int], B: BottMatrix,
                   involution: Optional[GF2Vector] = None,
-                  fixed_set_connected: bool = False) -> ManifoldDescription:
+                  fixed_set_connected: bool = False,
+                  P: Optional[SimplePolytope] = None) -> ManifoldDescription:
+    """The tower of B over P, the product of simplices of dims if not given."""
     dims = tuple(dims)
-    P = product_of_simplices(dims)
+    P = product_of_simplices(dims) if P is None else P
     vectors = tuple(from_bott(dims, B))
     return ManifoldDescription("bott", P.n, P, vectors, dims, B,
                                involution, fixed_set_connected)
@@ -69,10 +72,11 @@ def small_cover_manifold(P: SimplePolytope, vectors: Sequence[GF2Vector],
                          involution: Optional[GF2Vector] = None,
                          fixed_set_connected: bool = False) -> ManifoldDescription:
     # the ring already built on these vectors, or a new one, which validates
-    # them once; the description keeps it
+    # them once; the description keeps it, and the tower of its peel
     ring = SmallCoverRing._on(P, vectors)
-    M = ManifoldDescription("small_cover", P.n, P, ring.vectors,
-                            None, None, involution, fixed_set_connected)
+    B = None if ring._peeled is None else peel_matrix(P.family[1], ring._peeled)
+    M = ManifoldDescription("small_cover", P.n, P, ring.vectors, B and B.dims, B,
+                            involution, fixed_set_connected)
     object.__setattr__(M, "_ring", ring)
     return M
 
@@ -217,7 +221,7 @@ def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
     n = M.n
     ring = manifold_ring(M)
     rules = []
-    if M.kind == "bott":
+    if M.bmat is not None:
         if ring._cert is None:
             ring._cert = zcl_certificate_bott(M.dims, M.bmat)
         cert = ring._cert
@@ -289,7 +293,7 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
     for value, rule, detail, witness in _zcl_rules(M, budget):
         b.lower(value + 1, rule, detail, witness)
     b.upper(2 * n + 1, "dimension cap")
-    if M.kind == "bott":
+    if M.bmat is not None:
         blocks = free_circle_blocks(M.dims, M.bmat)
         if blocks:
             b.upper(2 * n - len(blocks) + 1, "free circle actions",
@@ -346,7 +350,7 @@ def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> Boun
         b.lower(zcl.lo + 2, "norm subring",
                 f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
     b.upper(2 * n + 1, "dimension cap")
-    if M.kind in ("bott", "small_cover") and n > 1:
+    if M.kind != "sphere" and n > 1:
         _, det_ok = M._facet_hypotheses
         s = n.bit_length() - 1
         if det_ok and n == (1 << s):

@@ -7,13 +7,14 @@ of simplices, a Bott matrix gives facet vectors in the block layout
 (`from_bott`), and the block peel takes an assignment back to such a matrix
 in polynomial time: one basis change, then the blocks peeled from the end
 into a triangular order.  The peel succeeds exactly on the valid
-assignments, so on a product it decides validity, and `reduce_to_bott`
-returns its matrix.
+assignments, so on a product it decides validity; `validate` keeps it, and
+`peel_matrix` reads its Bott matrix, which `reduce_to_bott` returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import gf2
@@ -56,18 +57,18 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     makes every vertex under it bad with no further work.  The bad
     vertices come out in walk order, which is sorted order.  The walk is
     built once per live polytope value (`P._vertex_walk`).  P keeps the
-    masks last found valid on it (`P._valid_masks`), so a ring built on an
-    assignment just accepted checks it no more, and reads its masks there;
+    masks last found valid on it (`P._valid_masks`) and, set with them,
+    their peel (`P._peeled`, None off a product), so a ring built on an
+    assignment just accepted checks it no more, and reads both there;
     lengths are always checked.
     """
     masks = _masks(P, vectors)
     if masks == vars(P).get("_valid_masks"):
         return ValidationReport(True, ())
-    if P.family[0] == "product_of_simplices" and _peel(P, masks) is not None:
-        bad = ()
-    else:
-        bad = tuple(_dependent_vertices(P, masks))
+    peeled = _peel(P, masks) if P.family[0] == "product_of_simplices" else None
+    bad = () if peeled else tuple(_dependent_vertices(P, masks))
     if not bad:
+        object.__setattr__(P, "_peeled", peeled)
         object.__setattr__(P, "_valid_masks", masks)
     return ValidationReport(not bad, bad)
 
@@ -164,11 +165,13 @@ class BottMatrix:
                 items.append(((k, j), bits))
         return BottMatrix(dims, tuple(sorted(items)))
 
+    @cached_property
+    def _blocks(self) -> Dict[Tuple[int, int], GF2Vector]:
+        # off the fields, so equality and hash read dims and beta alone
+        return dict(self.beta)
+
     def block(self, k: int, j: int) -> GF2Vector:
-        for key, bits in self.beta:
-            if key == (k, j):
-                return bits
-        return (0,) * self.dims[k - 1]
+        return self._blocks.get((k, j)) or (0,) * self.dims[k - 1]
 
     @property
     def m(self) -> int:
@@ -177,13 +180,8 @@ class BottMatrix:
     def column(self, j: int) -> GF2Vector:
         """Column j assembled as a length-n vector over the block layout."""
         out: List[int] = []
-        for k in range(1, self.m + 1):
-            if k < j:
-                out.extend([0] * self.dims[k - 1])
-            elif k == j:
-                out.extend([1] * self.dims[k - 1])
-            else:
-                out.extend(self.block(k, j))
+        for k, d in enumerate(self.dims, start=1):  # zero above block j, ones on it
+            out.extend(self.block(k, j) if k > j else (int(k == j),) * d)
         return tuple(out)
 
 
@@ -217,26 +215,22 @@ class BottReduction:
 
 def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottReduction:
     """Bring a valid assignment on a product of simplices to triangular form
-    by the block peel (`_peel`).  An assignment the peel refuses is walked
-    by `validate`, which names its bad vertices."""
+    by the block peel (`_peel`) that `validate` keeps with the masks; a
+    refused assignment raises with the bad vertices the walk names."""
     dims = tuple(dims)
     P = product_of_simplices(dims)
-    masks = _masks(P, vectors)
-    peeled = _peel(P, masks)
+    report = validate(P, vectors)
+    if not report.valid:
+        raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
+    masks, peeled = P._valid_masks, P._peeled
     if peeled is None:
-        report = validate(P, vectors)
-        if not report.valid:
-            raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
         raise ReductionFailed(f"no block order is triangular for dims {dims}")
-    pivots, images, order = peeled
+    B = peel_matrix(dims, peeled)
+    pivots, _, order = peeled
     n = P.n
     offsets = block_offsets(dims)
     alphas = [off + d for off, d in zip(offsets, dims)]
     starts = [off - j for j, off in enumerate(offsets)]  # first coordinate of each block
-    perm_dims = tuple(dims[j] for j in order)
-    beta = {(s + 1, t + 1): gf2.bits_of(images[j] >> starts[k], dims[k])
-            for t, j in enumerate(order) for s, k in enumerate(order) if s > t}
-    B = BottMatrix.make(perm_dims, beta)
     # C: the rows of the coordinate map, blocks in the new order
     columns = [gf2.reduce_tagged(pivots, 1 << c)[1] for c in range(n)]
     C = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
@@ -244,9 +238,19 @@ def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottRed
     # postcondition: the transformed, reordered vectors are the layout
     laid = [tuple((row & masks[f]).bit_count() & 1 for row in C)
             for j in order for f in range(offsets[j], alphas[j] + 1)]
-    assert laid == from_bott(perm_dims, B)
+    assert laid == from_bott(B.dims, B)
     return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
                          tuple(gf2.bits_of(row, n) for row in C))
+
+
+def peel_matrix(dims: Sequence[int], peeled) -> BottMatrix:
+    """The Bott matrix of a peel on the product of simplices of dims, its
+    blocks in the peeled order: block (s, t) is alpha_t read on block s."""
+    _, images, order = peeled
+    starts = [off - j for j, off in enumerate(block_offsets(dims))]
+    beta = {(s + 1, t + 1): gf2.bits_of(images[j] >> starts[k], dims[k])
+            for t, j in enumerate(order) for s, k in enumerate(order) if s > t}
+    return BottMatrix.make([dims[j] for j in order], beta)
 
 
 def _peel(P: SimplePolytope, masks: Sequence[int]):

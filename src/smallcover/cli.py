@@ -34,11 +34,10 @@ class ProblemSpec:
             raise InputError("problem document must be a JSON object")
         self.P = _parse_polytope(data.get("polytope"))
         self.char = data.get("characteristic")
-        self.dims: Optional[Tuple[int, ...]] = None
         self.bmat: Optional[charfun.BottMatrix] = None
         self.vectors: Optional[Tuple[charfun.GF2Vector, ...]] = None
         if self.char is not None:
-            self.vectors, self.dims, self.bmat = _parse_characteristic(self.P, self.char)
+            self.vectors, self.bmat = _parse_characteristic(self.P, self.char)
         inv = data.get("involution")
         self.involution = _involution(inv, self.P.n) if inv is not None else None
         p = _object(data.get("dold"), "dold").get("p")
@@ -108,13 +107,13 @@ def _parse_polytope(obj) -> polytope.SimplePolytope:
 
 
 def _parse_characteristic(P, obj):
-    """-> (vectors, dims-or-None, matrix-or-None)."""
+    """-> (vectors, None) or (None, matrix)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("characteristic section must be an object with a type")
     kind = obj["type"]
     if kind == "facet_vectors":
         vectors = _array(obj["vectors"], "vectors", lambda s, _: charfun.parse_bits(s))
-        return tuple(vectors), None, None
+        return tuple(vectors), None
     if kind == "bott_matrix":
         dims = tuple(_array(obj["dims"], "characteristic dims"))
         if P.family[0] != "product_of_simplices" or P.family[1] != dims:
@@ -128,8 +127,7 @@ def _parse_characteristic(P, obj):
             if (k, j) in beta:
                 raise InputError(f"beta block {k},{j} is given twice")
             beta[(k, j)] = charfun.parse_bits(bits)
-        B = charfun.BottMatrix.make(dims, beta)
-        return tuple(charfun.from_bott(dims, B)), dims, B
+        return None, charfun.BottMatrix.make(dims, beta)
     raise InputError(f"unknown characteristic type {kind!r}")
 
 
@@ -150,17 +148,15 @@ def _load(path: str) -> ProblemSpec:
 
 
 def _require_char(spec: ProblemSpec):
-    if spec.vectors is None:
+    if spec.char is None:
         raise InputError("this command needs a characteristic section")
 
 
 def _manifold(spec: ProblemSpec) -> bounds_mod.ManifoldDescription:
     _require_char(spec)
-    if spec.bmat is not None:
-        # the parsed polytope and vectors already came from dims and the matrix
-        return bounds_mod.ManifoldDescription(
-            "bott", spec.P.n, spec.P, spec.vectors, spec.dims, spec.bmat,
-            spec.involution, spec.fixed_set_connected)
+    if spec.bmat is not None:  # the matrix is laid out here, once
+        return bounds_mod.bott_manifold(spec.bmat.dims, spec.bmat, spec.involution,
+                                        spec.fixed_set_connected, spec.P)
     return bounds_mod.small_cover_manifold(spec.P, spec.vectors, spec.involution,
                                            spec.fixed_set_connected)
 
@@ -182,7 +178,8 @@ _Result = Tuple[int, List[str], Dict]
 
 def cmd_validate(spec: ProblemSpec, args) -> _Result:
     _require_char(spec)
-    report = charfun.validate(spec.P, spec.vectors)
+    B = spec.bmat
+    report = charfun.validate(spec.P, spec.vectors if B is None else charfun.from_bott(B.dims, B))
     payload = {"valid": report.valid,
                "bad_vertices": [list(v) for v in report.bad_vertices]}
     if report.valid:
@@ -223,9 +220,9 @@ def cmd_cl(spec: ProblemSpec, args) -> _Result:
 def cmd_zcl(spec: ProblemSpec, args) -> _Result:
     M = _manifold(spec)
     if args.certificate_only:
-        if spec.bmat is None:
-            raise InputError("--certificate-only needs a bott_matrix characteristic")
-        cert = invariants.zcl_certificate_bott(spec.dims, spec.bmat)
+        if M.bmat is None:
+            raise InputError("--certificate-only needs a product of simplices")
+        cert = invariants.zcl_certificate_bott(M.dims, M.bmat)
         lines = [f"certificate length = {cert.k}",
                  "surviving terms: " + ", ".join(cert.surviving_terms),
                  f"argument: {cert.argument}"]

@@ -264,8 +264,9 @@ class Ring:
     top: int
     generators: Tuple[Tuple[str, int], ...]
     relations_text: Tuple[str, ...]
-    # exact zero-divisor-cup-length, kept by invariants.zcl_exact
-    _zcl = None
+    # kept once found: the exact zero-divisor-cup-length (invariants.zcl_exact)
+    # and a tower's tensor-power certificate (bounds._zcl_rules)
+    _zcl = _cert = None
 
     def algebra(self) -> GradedAlgebra:
         raise NotImplementedError
@@ -454,8 +455,6 @@ def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int,
 
 class BottRing(QuotientRing):
     kind = "bott"
-    # tensor-power certificate, kept by bounds._zcl_rules
-    _cert = None
 
     def __init__(self, dims: Sequence[int], B: BottMatrix):
         dims = tuple(dims)
@@ -587,8 +586,9 @@ class SmallCoverRing(QuotientRing):
         self.vectors = tuple(tuple(v) for v in vectors)
         r = P.facet_count
         # eliminate the linear relations: the reduced coordinate matrix, read
-        # off the facet masks that validate accepted and kept on P
-        self._reduced = gf2.column_rref(vars(P)["_valid_masks"])
+        # off the facet masks validate accepted and kept on P with their peel
+        self._reduced = gf2.column_rref(P._valid_masks)
+        self._peeled = P._peeled
         if len(self._reduced) != P.n:
             raise CharacteristicError("facet vectors do not span the ambient space")
         super().__init__([f"z{i + 1}" for i in range(r - P.n)], P.n)

@@ -21,7 +21,7 @@ from smallcover.bounds import (
     symm_tc_bounds,
     tc_bounds,
 )
-from smallcover.charfun import BottMatrix, parse_bits
+from smallcover.charfun import BottMatrix, from_bott, parse_bits, reduce_to_bott
 from smallcover.cohomology import PointRing
 from smallcover.errors import CharacteristicError, InputError
 from smallcover.invariants import cup_length, zcl_exact, zcl_interval
@@ -30,6 +30,7 @@ from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, new_polytope, random_characteristic
 from dold_reference import DoldRing, cup_length_algebra
+from test_charfun import _scramble
 from test_cohomology import _step_rings
 
 
@@ -462,6 +463,60 @@ def test_certificate_built_once_per_tower(monkeypatch):
     assert calls == [(3, 2)]
     assert manifold_ring(M)._cert is not None
     assert tc_bounds(M) == tc and calls == [(3, 2)]
+
+
+def _intervals(M, budget):
+    reports = (cat_bounds(M), tc_bounds(M, budget), symm_tc_bounds(M, budget),
+               *dold_bounds(M, (1,), budget))
+    return [(rep.interval.lo, rep.interval.hi) for rep in reports]
+
+
+def test_both_forms_of_a_tower_get_the_same_bounds():
+    """The survey towers (m <= 3, n_j <= 3, dimension <= 12) as a matrix and
+    as its facet vectors: the facet form peels back to the same matrix, so
+    the tower rules reach both, with the exact search on and off."""
+    towers = [(dims, B) for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)
+              if prod(d + 1 for d in dims) <= 12]
+    assert len(towers) == 101
+    for dims, B in towers:
+        facets = small_cover_manifold(product_of_simplices(dims), from_bott(dims, B))
+        assert facets.kind == "small_cover" and facets.bmat == B and facets.dims == dims
+        for budget in (0, 12):
+            assert _intervals(facets, budget) == _intervals(bott_manifold(dims, B), budget)
+
+
+def test_scrambled_tower_bounds_hold_against_the_exact_search(rng):
+    """Facet vectors of a tower after a basis change and a block permutation
+    carry the matrix that reduce_to_bott finds, and every end the tower
+    rules give holds against the exact zcl."""
+    checked = 0
+    while checked < 100:
+        dims = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+        if prod(d + 1 for d in dims) > 64:
+            continue
+        scrambled_dims, vectors = _scramble(dims, random_bott_matrix(dims, rng), rng)
+        M = small_cover_manifold(product_of_simplices(scrambled_dims), vectors)
+        assert M.bmat == reduce_to_bott(scrambled_dims, vectors).matrix
+        n, exact = M.n, zcl_exact(manifold_ring(M), 64).lo
+        assert all(value <= exact for value, *_ in bounds._zcl_rules(M, 0))
+        zcl, tc, tcs = (manifold_zcl(M, 0), tc_bounds(M, 0).interval,
+                        symm_tc_bounds(M, 0).interval)
+        assert zcl.lo <= exact <= zcl.hi, (dims, vectors)
+        assert tc.lo <= max(n + 1, exact + 1) and exact + 1 <= tc.hi, (dims, vectors)
+        assert exact + 2 <= tcs.hi, (dims, vectors)
+        checked += 1
+
+
+def test_description_reads_the_peel_of_its_own_vectors():
+    """P is one object per value and keeps only the peel it last accepted,
+    so a description reads the peel of the ring built on its own vectors."""
+    dims = (2, 1, 2)
+    P = new_polytope(lambda: product_of_simplices(dims))
+    mine, other = (BottMatrix.make(dims, beta) for beta in ({(2, 1): (1,)}, {(3, 1): (1, 0)}))
+    ring = cohomology.SmallCoverRing(P, from_bott(dims, mine))
+    assert charfun.validate(P, from_bott(dims, other)).valid
+    M = small_cover_manifold(P, from_bott(dims, mine))
+    assert manifold_ring(M) is ring and M.bmat == mine
 
 
 def test_manifold_zcl_names_the_side_that_set_each_end():

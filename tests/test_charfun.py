@@ -70,6 +70,23 @@ def test_bott_matrix_zero_blocks_dropped():
     assert BottMatrix.make((1, 1), {(2, 1): (0,)}) == BottMatrix.make((1, 1))
 
 
+def test_block_lookup_leaves_value_and_speed(rng):
+    dims = (1,) * 512
+    B = BottMatrix.make(dims, {(k, 1): (1,) for k in range(2, 513)})
+    start = time.perf_counter()
+    vectors = from_bott(dims, B)
+    assert time.perf_counter() - start < 1.0  # 4.1-4.7 s scanning beta per block
+    assert vectors[1] == (1,) * 512 and vectors[3] == vectors[2] == _unit(1, 512)
+    # the lookup table is kept off the fields: equality and hash read dims and beta
+    twin = BottMatrix(B.dims, B.beta)
+    assert "_blocks" in vars(B) and "_blocks" not in vars(twin)
+    assert B == twin and hash(B) == hash(twin) and repr(B) == repr(twin)
+    for dims in [(2, 1, 3), (3, 3, 2, 1)]:
+        B = random_bott_matrix(dims, rng)
+        assert all(B.block(k, j) == dict(B.beta).get((k, j), (0,) * dims[k - 1])
+                   for k in range(1, len(dims) + 1) for j in range(1, len(dims) + 1))
+
+
 def test_from_bott_layout():
     # Klein-bottle tower: dims (1, 1), beta = (1,)
     B = BottMatrix.make((1, 1), {(2, 1): (1,)})

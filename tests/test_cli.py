@@ -171,6 +171,15 @@ def test_zcl_certificate_only(capsys, tower):
     assert "certificate length = 46" in out
 
 
+def test_zcl_certificate_only_reads_the_peeled_tower(capsys, tmp_path, klein):
+    # facet vectors over a product carry the tower their peel finds
+    code, out = run(capsys, "zcl", _rp_facet_vectors(tmp_path, 16), "--certificate-only",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["certificate_length"] == 31
+    err = assert_malformed(capsys, ["zcl", klein, "--certificate-only"])
+    assert err == "error: --certificate-only needs a product of simplices\n"
+
+
 def test_bounds_tc_table(capsys, tower):
     code, out = run(capsys, "bounds", tower, "--invariant", "tc")
     assert "TC ∈ [47,49]" in out
@@ -745,7 +754,8 @@ def test_valid_facet_vectors_past_the_vertex_cap(capsys, tmp_path, monkeypatch):
     assert code == 0 and reports["cat"] == (28, 28)
     code, out = run(capsys, "zcl", path, "--format", "json")
     data = json.loads(out)
-    assert code == 0 and data["lo"] <= data["hi"] == 54
+    assert code == 0 and (data["lo"], data["hi"]) == (27, 54)
+    assert data["lo_source"] == "tensor power certificate"
 
 
 def test_vertex_cap_exit_2(capsys, tmp_path):
@@ -830,7 +840,8 @@ def test_zcl_and_bounds_share_one_route(capsys, tmp_path):
     code, out = run(capsys, "zcl", path, "--format", "json")
     zcl = json.loads(out)
     assert code == 0 and (zcl["lo"], zcl["hi"]) == (31, 32)
-    assert zcl["lo_source"] == "connected-sum projective subring"
+    # the peeled tower's certificate ties with the connected-sum rule and comes first
+    assert zcl["lo_source"] == "tensor power certificate"
     code, out = run(capsys, "bounds", path, "--format", "json")
     reports = {r["invariant"]: r for r in json.loads(out)["reports"]}
     assert (reports["TC"]["lo"], reports["TC"]["hi"]) == (zcl["lo"] + 1, 33)
