@@ -248,16 +248,15 @@ def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
 
 
 def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
-    """Zero-divisor interval for the manifold: the exact search within the
-    budget, otherwise the first largest of the degree-one class (small
-    covers) and the `_zcl_rules` ends, under the grading cap 2n."""
+    """Zero-divisor interval: the exact search within the budget, otherwise
+    the first largest of the degree-one class and `_zcl_rules`, capped at 2n."""
     if M.kind == "sphere":  # spheres use the declared mod-2 value only
         return sphere_zcl(M.n)
     ring = manifold_ring(M)
     if ring.dim <= budget:  # an exact value ends the merge
         return zcl_exact(ring, budget)
-    rules = [(1, "degree-one diagonal class", "", ())] if M.kind == "small_cover" else []
-    value, rule, _, witness = max(rules + _zcl_rules(M, budget), key=lambda r: r[0])
+    rules = [(1, "degree-one diagonal class", "", ())] + _zcl_rules(M, budget)
+    value, rule, _, witness = max(rules, key=lambda r: r[0])
     return IntervalValue(value, 2 * M.n, rule, "grading cap", witness)
 
 

@@ -1,9 +1,10 @@
 """Facet vector assignments over GF(2).
 
-Validation checks invertibility of the vertex matrices; for a simple
-polytope that subsumes the conditions on all lower faces.  The multiplicative
-sign convention is carried additively (a -1 entry is bit 1).  On a product
-of simplices, a Bott matrix gives facet vectors in the block layout
+Validation checks invertibility of the vertex matrices, all in one
+elimination on the smaller Gale side (`validate`); for a simple polytope
+that subsumes the conditions on all lower faces.  The multiplicative sign
+convention is carried additively (a -1 entry is bit 1).  On a product of
+simplices, a Bott matrix gives facet vectors in the block layout
 (`from_bott`), and the block peel takes an assignment back to such a matrix
 in polynomial time: one basis change, then the blocks peeled from the end
 into a triangular order.  The peel succeeds exactly on the valid
@@ -15,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Sequence, Tuple
+from itertools import chain, compress
+from typing import Dict, List, Sequence, Tuple
 
 from . import gf2
 from .errors import CharacteristicError, InputError, ReductionFailed
@@ -48,25 +50,23 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
 
     On a product of simplices the block peel (`_peel`) decides first: it
     succeeds exactly on a valid assignment, so an accepted one needs no
-    vertex list.  A refused one, and any assignment on another polytope, is
-    walked: the vertices in lexicographic order of their sorted facet
-    tuples, so each shares a prefix with the one before it.  The rows of
-    that prefix stay reduced, in a dict keyed by lead bit with the leads
-    in push order, so going back to a prefix pops the rows pushed since,
-    and only the vertex's other facets are reduced.  A dependent prefix
-    makes every vertex under it bad with no further work.  The bad
-    vertices come out in walk order, which is sorted order.  The walk is
-    built once per live polytope value (`P._vertex_walk`).  P keeps the
-    masks last found valid on it (`P._valid_masks`) and, set with them,
-    their peel (`P._peeled`, None off a product), so a ring built on an
-    assignment just accepted checks it no more, and reads both there;
-    lengths are always checked.
+    vertex list.  A refused one, and any assignment on another polytope,
+    goes to one elimination over all vertex matrices (`_dependent_vertices`).
+    When F - n < n it reads the F - n facets off each vertex in a basis of
+    the relations among the facet vectors: those span the complement of the
+    rows of the n x F matrix of facet vectors, so n of its columns are a
+    basis exactly when the relations on the other F - n are independent
+    (matroid duality; Oxley, Matroid Theory, ch. 2), and more than F - n
+    relations mean rank < n.  P keeps the masks last found valid on it
+    (`P._valid_masks`) and, set with them, their peel (`P._peeled`, None
+    off a product), so a ring built on an assignment just accepted checks
+    it no more, and reads both there; lengths are always checked.
     """
     masks = _masks(P, vectors)
     if masks == vars(P).get("_valid_masks"):
         return ValidationReport(True, ())
     peeled = _peel(P, masks) if P.family[0] == "product_of_simplices" else None
-    bad = () if peeled else tuple(_dependent_vertices(P, masks))
+    bad = () if peeled else _dependent_vertices(P, masks)
     if not bad:
         object.__setattr__(P, "_peeled", peeled)
         object.__setattr__(P, "_valid_masks", masks)
@@ -85,56 +85,58 @@ def _masks(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> List[int]:
     return [gf2.mask_of(v) for v in vectors]
 
 
-def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """The vertices whose facet vectors (bit masks) are dependent, as sorted
-    facet tuples in ascending order, by the walk of validate."""
-    walk = kept(P, "_vertex_walk", lambda P: _vertex_walk(P.vertices))
-    n = P.n
-    pivots: Dict[int, int] = {}
-    leads: List[int] = []
-    facets = [0] * n  # the current vertex
-    dead = n + 1  # length of the shortest dependent prefix; n + 1 if none
-    for p, new in walk:
-        facets[p:] = new
-        if p < dead:
-            while len(leads) > p:
-                del pivots[leads.pop()]
-            dead = n + 1
-            for t, f in enumerate(new, p):
-                row = masks[f]
-                while row:
-                    lead = row.bit_length() - 1
-                    pivot = pivots.get(lead)
-                    if pivot is None:
-                        break
-                    row ^= pivot
-                if not row:
-                    dead = t + 1
-                    break
-                pivots[lead] = row
-                leads.append(lead)
-        if dead <= n:
-            yield tuple(facets)
+def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """The vertices with dependent facet vectors (bit masks), as sorted facet
+    tuples in ascending order.  Row i is a lane of whole bytes per vertex,
+    gathered by `str.translate`: its facet's vector or relation column
+    (`validate`).  Column c pivots each lane on its first row with bit c,
+    adds that to the later rows with bit c and zeroes it, clearing bits c
+    and below; a lane with no pivot is a bad vertex."""
+    vertices, rows = kept(P, "_vertex_rows", _vertex_rows)
+    r = len(rows)
+    if r < P.n:
+        relations = gf2.kernel_combos(masks)
+        if len(relations) > r:
+            return tuple(vertices)
+        masks = [0] * P.facet_count  # each facet's column in the relations
+        for k, relation in enumerate(relations):
+            while relation:
+                low = relation & -relation
+                masks[low.bit_length() - 1] |= 1 << k
+                relation ^= low
+    width = -(-r // 8) or 1  # bytes per lane
+    cells = [mask.to_bytes(width, "little").decode("latin-1") for mask in masks]
+    rows = [int.from_bytes(facets.translate(cells).encode("latin-1"), "little")
+            for facets in rows]
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(vertices), "little")
+    bad = 0
+    for c in range(r):
+        bit = free = ones << c  # free: bit c of the lanes with no pivot yet
+        lane = (1 << 8 * width - c) - 1  # times a bit c: bits c and up of its lane
+        pivot = 0
+        for i, row in enumerate(rows):
+            has = row & bit
+            if has:
+                take = has & free
+                if take:
+                    free ^= take
+                    pivot |= row & take * lane
+                rows[i] = row ^ pivot & has * lane
+        bad |= free >> c
+    return tuple(compress(vertices, bad.to_bytes(width * len(vertices), "little")[::width]))
 
 
-def _vertex_walk(vertices) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """The vertices in lexicographic order of their sorted facet tuples, one
-    step (p, new) per vertex: the length p of the prefix it shares with the
-    vertex before it, and its facets after that prefix.  Equal steps are
-    one object, so the walk holds about one reference per vertex."""
-    out: List[Tuple[int, Tuple[int, ...]]] = []
-    steps: Dict[tuple, tuple] = {}  # each distinct step, once
-    prev: Tuple[int, ...] = ()
-    for v in sorted(tuple(sorted(v)) for v in vertices):
-        p = 0
-        for a, b in zip(prev, v):
-            if a != b:
-                break
-            p += 1
-        step = (p, v[p:])
-        out.append(steps.setdefault(step, step))
-        prev = v
-    return tuple(out)
+def _vertex_rows(P: SimplePolytope):
+    """The vertices as sorted facet tuples in ascending order, and per row a
+    str whose k-th character codes the facet vertex k puts there: its n
+    facets, or if fewer the F - n off it, sliced from one str of them all."""
+    vertices = sorted(tuple(sorted(v)) for v in P.vertices)
+    r = P.facet_count - P.n
+    if r >= P.n:
+        return vertices, tuple("".join(map(chr, row)) for row in zip(*vertices))
+    facets = frozenset(range(P.facet_count))
+    off = "".join(map(chr, chain.from_iterable(map(sorted, map(facets.difference, vertices)))))
+    return vertices, tuple(off[i::r] for i in range(r))
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,7 @@ class BottReduction:
 def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottReduction:
     """Bring a valid assignment on a product of simplices to triangular form
     by the block peel (`_peel`) that `validate` keeps with the masks; a
-    refused assignment raises with the bad vertices the walk names."""
+    refused assignment raises with the bad vertices `validate` lists."""
     dims = tuple(dims)
     P = product_of_simplices(dims)
     report = validate(P, vectors)

@@ -36,8 +36,7 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
         # make the first vertex a basis to help the success rate
         for i, f in enumerate(first):
             masks[f] = 1 << i
-        # valid unless the walk finds a first dependent vertex
-        if next(_dependent_vertices(P, masks), None) is None:
+        if not _dependent_vertices(P, masks):
             return tuple(bits_of(m, n) for m in masks)
     return None
 

@@ -466,15 +466,18 @@ def test_certificate_built_once_per_tower(monkeypatch):
 
 
 def _intervals(M, budget):
+    """The cat, TC, TC_S, Dold and zcl intervals, with the rule behind each end."""
     reports = (cat_bounds(M), tc_bounds(M, budget), symm_tc_bounds(M, budget),
                *dold_bounds(M, (1,), budget))
-    return [(rep.interval.lo, rep.interval.hi) for rep in reports]
+    intervals = [rep.interval for rep in reports] + [manifold_zcl(M, budget)]
+    return [(iv.lo, iv.hi, iv.lo_source, iv.hi_source) for iv in intervals]
 
 
 def test_both_forms_of_a_tower_get_the_same_bounds():
     """The survey towers (m <= 3, n_j <= 3, dimension <= 12) as a matrix and
     as its facet vectors: the facet form peels back to the same matrix, so
-    the tower rules reach both, with the exact search on and off."""
+    the tower rules reach both, with the exact search on and off, and each
+    end names the same rule (RP^1 ties at 1 with the search off)."""
     towers = [(dims, B) for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)
               if prod(d + 1 for d in dims) <= 12]
     assert len(towers) == 101

@@ -333,7 +333,7 @@ def _unit(i, n):
     return tuple(int(c == i) for c in range(n))
 
 
-def test_vertex_walk_matches_per_vertex_reference(rng):
+def test_bad_vertices_match_per_vertex_reference(rng):
     cases = []
 
     def draws(P, valid):
@@ -371,9 +371,9 @@ def test_vertex_walk_matches_per_vertex_reference(rng):
     cases.append((explicit_polytope(0, 0, [()]), []))
     with pytest.raises(InputError):
         explicit_polytope(0, 0, [])
-    # a dependent prefix shared by many vertices: every vertex of
-    # (3, 3, 3, 3) that starts with facets 0, 1 (half of them), or of
-    # (2, 2, 2) that starts with facets 0, 1, 3
+    # two facets of one vertex equal: every vertex of (3, 3, 3, 3) on
+    # facets 0 and 1 (half of them) is bad, and of (2, 2, 2) every vertex
+    # on facets 0, 1 and 3
     P = product_of_simplices((3, 3, 3, 3))
     for _ in range(4):
         vectors = tower((3, 3, 3, 3))
@@ -391,13 +391,70 @@ def test_vertex_walk_matches_per_vertex_reference(rng):
         assert report == _per_vertex_validate(P, vectors), (P.family, vectors)
         shared += len(report.bad_vertices) >= 32
     assert shared >= 8
-    # one step per vertex, and equal steps are one object
+    # the sorted vertices, and one row per facet of the smaller Gale side,
+    # a str with a facet of each vertex as a character: on the vertex, or
+    # off it when F - n < n, each facet in one row
     for P, _ in cases:
-        walk = vars(P)["_vertex_walk"]
-        assert len(walk) == P.vertex_count
-        assert len(set(map(id, walk))) == len(set(walk)), P.family
+        vertices, rows = vars(P)["_vertex_rows"]
+        assert vertices == sorted(tuple(sorted(v)) for v in P.vertices)
+        assert len(rows) == min(P.n, P.facet_count - P.n), P.family
+        on = P.facet_count - P.n >= P.n
+        for row in rows:
+            assert len(row) == P.vertex_count
+            assert all((ord(f) in v) == on for f, v in zip(row, vertices)), P.family
+        for v, facets in zip(vertices, zip(*rows)):
+            assert len(set(facets)) == len(rows), P.family
     assert validate(explicit_polytope(0, 0, [()]), []).valid
     assert not validate(product_of_simplices((n,)), rp[:-1] + [rp[5]]).valid
+
+
+def _prism(k):
+    return explicit_polytope(3, k + 2, [(i, (i + 1) % k, cap) for i in range(k) for cap in (k, k + 1)])
+
+
+def test_elimination_matches_per_vertex_reference_on_every_small_assignment():
+    """Every nonzero assignment, rank-deficient ones too, on both Gale
+    sides: the 2-simplex, (1, 2), (2, 1) and the 3-prism (F - n < n) take
+    the relations off each vertex, (1, 1), the square and the pentagon the
+    facets on it."""
+    shapes = [product_of_simplices(d) for d in [(1, 1), (2,), (1, 2), (2, 1)]]
+    shapes += [polygon(4), polygon(5), _prism(3)]
+    sides, bad = Counter(), 0
+    for P in shapes:
+        sides[P.facet_count - P.n < P.n] += 1
+        for masks in product(range(1, 1 << P.n), repeat=P.facet_count):
+            vectors = [gf2.bits_of(m, P.n) for m in masks]
+            expected = _per_vertex_validate(P, vectors).bad_vertices
+            assert charfun._dependent_vertices(P, masks) == expected, (P.family, masks)
+            bad += bool(expected)
+    assert sides == {True: 4, False: 3}
+    assert bad > 40000
+
+
+def test_elimination_matches_per_vertex_reference_in_two_byte_lanes(rng):
+    """r = 9 rows need lanes of two bytes: the facets on each vertex of
+    (1,)x9 (F - n = n), the relations off each vertex of (2,)x9."""
+    for dims, count in (((1,) * 9, 12), ((2,) * 9, 2)):
+        P = product_of_simplices(dims)
+        assert min(P.n, P.facet_count - P.n) == 9
+        vertex = sorted(P.vertices[0])
+        for t in range(count):
+            vectors = from_bott(dims, random_bott_matrix(dims, rng))
+            if t % 2:  # one facet replaced: a few bad vertices, or many
+                vectors[rng.randrange(P.facet_count)] = gf2.bits_of(
+                    rng.randrange(1, 1 << P.n), P.n)
+            else:  # random vectors, the facets of one vertex a basis
+                vectors = [gf2.bits_of(rng.randrange(1, 1 << P.n), P.n)
+                           for _ in range(P.facet_count)]
+                for i, f in enumerate(vertex):
+                    vectors[f] = _unit(i, P.n)
+            masks = [gf2.mask_of(v) for v in vectors]
+            expected = _per_vertex_validate(P, vectors).bad_vertices
+            assert charfun._dependent_vertices(P, masks) == expected, (dims, t)
+    # a rank-deficient assignment on the relations side: every vertex bad
+    P = product_of_simplices((2,) * 9)
+    vectors = [_unit(i % 17, 18) for i in range(P.facet_count)]
+    assert len(charfun._dependent_vertices(P, [gf2.mask_of(v) for v in vectors])) == 3 ** 9
 
 
 def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
@@ -427,9 +484,8 @@ def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
 
 
 def _peel_and_walk(P, masks):
-    """(the block peel accepts, the walk finds no dependent vertex)."""
-    return (charfun._peel(P, masks) is not None,
-            next(charfun._dependent_vertices(P, masks), None) is None)
+    """(the block peel accepts, the elimination finds no dependent vertex)."""
+    return charfun._peel(P, masks) is not None, not charfun._dependent_vertices(P, masks)
 
 
 def test_peel_decides_like_the_walk_on_every_small_assignment():

@@ -402,7 +402,7 @@ def test_equal_constructions_share_one_polytope():
 
 def test_kept_data_built_once_per_value(monkeypatch):
     calls = []
-    for module, name in ((charfun, "_vertex_walk"), (polytope, "_h_vector"),
+    for module, name in ((charfun, "_vertex_rows"), (polytope, "_h_vector"),
                          (polytope, "_face_table")):
         def counted(*args, name=name, build=getattr(module, name)):
             calls.append(name)
@@ -414,11 +414,11 @@ def test_kept_data_built_once_per_value(monkeypatch):
         copies = [new_polytope(make), make()]
         assert copies[1] is copies[0]
         for P in copies:
-            # one vector on every facet: dependent at each vertex, so walked
+            # one vector on every facet: dependent at each vertex, so listed
             assert not charfun.validate(P, [(1,) + (0,) * (P.n - 1)] * P.facet_count).valid
             assert sum(h_vector(P).h) == P.vertex_count
         table = ["_face_table"] if copies[0].family == ("explicit",) else []
-        assert sorted(calls) == table + ["_h_vector", "_vertex_walk"], copies[0].family
+        assert sorted(calls) == table + ["_h_vector", "_vertex_rows"], copies[0].family
 
 
 def test_dead_polytopes_leave_the_registry():
