@@ -324,10 +324,8 @@ def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
             for i, f in enumerate(matching)
             for h in matching[i + 1:]
         )
-        covered = set()
-        for f in matching:
-            covered |= set(P.facet_vertex_indices(f))
-        if disjoint and covered == set(range(P.vertex_count)):
+        circles = set(matching)
+        if disjoint and all(not circles.isdisjoint(v) for v in P.vertices):
             b.lower(2 * len(matching), "fixed circle cover",
                     f"{len(matching)} disjoint fixed circles through every vertex")
     cat = cat_bounds(M)

@@ -21,7 +21,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import gf2
 from .errors import CharacteristicError, InputError, ReductionFailed
-from .polytope import SimplePolytope, block_offsets, kept, product_of_simplices
+from .polytope import (SimplePolytope, block_offsets, kept, product_of_simplices,
+                       product_vertices)
 
 GF2Vector = Tuple[int, ...]
 
@@ -130,7 +131,8 @@ def _vertex_rows(P: SimplePolytope):
     """The vertices as sorted facet tuples in ascending order, and per row a
     str whose k-th character codes the facet vertex k puts there: its n
     facets, or if fewer the F - n off it, sliced from one str of them all."""
-    vertices = sorted(tuple(sorted(v)) for v in P.vertices)
+    vertices = (product_vertices(P) if P.family[0] == "product_of_simplices"
+                else sorted(tuple(sorted(v)) for v in P.vertices))
     r = P.facet_count - P.n
     if r >= P.n:
         return vertices, tuple("".join(map(chr, row)) for row in zip(*vertices))

@@ -327,7 +327,7 @@ def _suite_lemma(max_m: int, max_n: int, _rng):
 def _random_ring(rng: random.Random, build: Callable[[], polytope.SimplePolytope]):
     """The ring of P = build() on facet vectors drawn at random, or None for
     a draw the sampler gives up on or a command would refuse: building P, or
-    the vertices the sampler reads before it draws, raises InputError."""
+    listing its vertices before the first draw, raises InputError."""
     try:
         P = build()
         lam = sampling.random_characteristic(P, rng, _SAMPLER_TRIES)

@@ -5,9 +5,9 @@ meeting it.  Higher faces are recovered by intersecting facet subsets, and
 f-/h-vectors are derived from the incidence structure (closed forms for the
 built-in families).  A product of simplices holds only its block dimensions:
 its vertex count, simplex facets, facet neighbours and disjoint facet pairs
-come in closed form, and its vertices are built only when something iterates
-them, up to MAX_PRODUCT_VERTICES.  Equal constructions return one object
-while any is alive, so what `kept` stores is found once per live value.
+come in closed form, and so do its vertices (`product_vertices`), listed up
+to MAX_PRODUCT_VERTICES only when read.  Equal constructions return one
+object while any is alive, so what `kept` stores is found once per value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, product
 from math import comb, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
@@ -112,9 +113,9 @@ def kept(P: SimplePolytope, name: str, build: Callable):
 class ProductOfSimplices(SimplePolytope):
     """Product of simplices held as its dims; see product_of_simplices.
 
-    `vertices` and `_facet_vertices` are built on first access and then
-    stored: __getattr__ runs only while an attribute is missing, so later
-    reads are plain attribute reads.  Equality and hashing go by dims alone.
+    `vertices` and `_facet_vertices` come from `product_vertices` on first
+    read and are kept; no closed form, nor `charfun.validate`, reads them.
+    Equality and hashing go by dims alone.
     """
 
     def __init__(self, dims: Sequence[int]):
@@ -128,31 +129,14 @@ class ProductOfSimplices(SimplePolytope):
         object.__setattr__(self, "facet_count", sum(dims) + len(dims))
         object.__setattr__(self, "family", ("product_of_simplices", dims))
 
-    def __getattr__(self, name):
-        if name == "vertices":
-            value = self._build_vertices()
-        elif name == "_facet_vertices":
-            value = _incidence(self.vertices, self.facet_count)
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def vertices(self) -> Tuple[FrozenSet[int], ...]:
+        # vertex 0 leaves out the first facet of each block
+        return tuple(map(frozenset, reversed(product_vertices(self))))
 
-    def _build_vertices(self) -> Tuple[FrozenSet[int], ...]:
-        dims = self.family[1]
-        count = self.vertex_count
-        if count > MAX_PRODUCT_VERTICES:
-            raise InputError(
-                f"product of simplices {list(dims)} has {count} vertices; "
-                f"at most {MAX_PRODUCT_VERTICES} can be built"
-            )
-        # a vertex keeps all facets of each block but one
-        prefixes = [()]
-        for off, d in zip(block_offsets(dims), dims):
-            block = range(off, off + d + 1)
-            kept = [tuple(g for g in block if g != f) for f in block]
-            prefixes = [p + k for p in prefixes for k in kept]
-        return tuple(map(frozenset, prefixes))
+    @cached_property
+    def _facet_vertices(self) -> Tuple[Tuple[int, ...], ...]:
+        return _incidence(self.vertices, self.facet_count)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -183,6 +167,18 @@ def product_of_simplices(dims: Sequence[int]) -> SimplePolytope:
     """
     P = ProductOfSimplices(dims)
     return _LIVE.setdefault(P.family, P)
+
+
+def product_vertices(P: SimplePolytope) -> List[Tuple[int, ...]]:
+    """The vertices of a product of simplices as sorted facet tuples in
+    ascending order: a vertex keeps all facets of each block but one."""
+    dims = P.family[1]
+    if P.vertex_count > MAX_PRODUCT_VERTICES:
+        raise InputError(f"product of simplices {list(dims)} has {P.vertex_count} "
+                         f"vertices; at most {MAX_PRODUCT_VERTICES} can be built")
+    blocks = [combinations(range(off, off + d + 1), d)
+              for off, d in zip(block_offsets(dims), dims)]
+    return list(map(tuple, map(chain.from_iterable, product(*blocks))))
 
 
 def block_offsets(dims: Sequence[int]) -> List[int]:

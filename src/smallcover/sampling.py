@@ -12,9 +12,9 @@ import random
 from itertools import product
 from typing import Iterator, Optional, Tuple
 
-from .charfun import BottMatrix, GF2Vector, _dependent_vertices
+from .charfun import BottMatrix, GF2Vector, _dependent_vertices, _vertex_rows
 from .gf2 import bits_of
-from .polytope import SimplePolytope
+from .polytope import SimplePolytope, kept
 
 
 def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
@@ -28,7 +28,9 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
                           tries: int) -> Optional[Tuple[GF2Vector, ...]]:
     """Random valid facet vectors for P, or None after `tries` draws."""
     n = P.n
-    first = sorted(P.vertices[0])
+    # on a product, P.vertices[0] is the last vertex the elimination keeps
+    first = (kept(P, "_vertex_rows", _vertex_rows)[0][-1]
+             if P.family[0] == "product_of_simplices" else sorted(P.vertices[0]))
     for _ in range(tries):
         # a nonzero vector is the bits of one draw from 1 .. 2^n - 1, so no
         # list of all 2^n - 1 of them is built; it is kept as that mask

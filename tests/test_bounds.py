@@ -228,6 +228,14 @@ def test_eq_cat_2m_gons():
         assert (rep.interval.lo, rep.interval.hi) == (2 * m, 2 * m)
 
 
+def test_eq_cat_fixed_circles_must_meet_every_vertex():
+    # the disjoint edges 0 and 3 of the hexagon miss vertices {1, 2} and {4, 5}
+    vectors = [parse_bits(s) for s in ("10", "01", "11") * 2]
+    rep = eq_cat_bounds(small_cover_manifold(polygon(6), vectors, involution=(1, 0)))
+    assert (rep.interval.lo, rep.interval.hi) == (3, 6)
+    assert rep.interval.lo_source == "non-equivariant floor"
+
+
 def test_eq_cat_connected_fixed_set():
     rep = eq_cat_bounds(klein_manifold(involution=(1, 1), fixed_set_connected=True))
     assert (rep.interval.lo, rep.interval.hi) == (3, 3)

@@ -707,12 +707,13 @@ def _twisted_tower(tmp_path, name, dims):
 
 def test_tower_commands_never_build_vertices(capsys, tmp_path, monkeypatch):
     """Nor do they expand the tower certificate's product."""
-    from smallcover import invariants, polytope
+    from smallcover import charfun, invariants, polytope
 
     def refuse(*args):
         raise AssertionError("product vertices built or certificate expanded")
 
-    monkeypatch.setattr(polytope.ProductOfSimplices, "_build_vertices", refuse)
+    monkeypatch.setattr(charfun, "product_vertices", refuse)
+    monkeypatch.setattr(polytope, "product_vertices", refuse)
     monkeypatch.setattr(invariants, "verify_certificate", refuse)
     path = _twisted_tower(tmp_path, "t38.json", (3,) * 8)
     for argv in (["bounds", path, "--invariant", "all"], ["dold", path], ["zcl", path],
@@ -746,7 +747,8 @@ def test_valid_facet_vectors_past_the_vertex_cap(capsys, tmp_path, monkeypatch):
         "characteristic": {"type": "facet_vectors", "vectors":
                            ["".join(map(str, v)) for v in charfun.from_bott(dims, B)]},
     })
-    monkeypatch.setattr(polytope.ProductOfSimplices, "_build_vertices", refuse)
+    monkeypatch.setattr(charfun, "product_vertices", refuse)
+    monkeypatch.setattr(polytope, "product_vertices", refuse)
     code, out = run(capsys, "validate", path)
     assert code == 0 and out.strip() == "valid"
     code, out = run(capsys, "bounds", path, "--format", "json")

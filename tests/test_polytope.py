@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from smallcover import bounds, charfun, polytope
+from smallcover import bounds, charfun, polytope, sampling
 from smallcover.errors import InputError
 from smallcover.polytope import (
     MAX_PRODUCT_DIMENSION,
@@ -16,6 +16,7 @@ from smallcover.polytope import (
     polygon,
     product_of_simplices,
     product_vertex_count,
+    product_vertices,
     simplex_facets,
 )
 
@@ -293,11 +294,25 @@ def _scanned_h_vector(P):
     return tuple(h), len(edges)
 
 
+def _prefix_vertices(dims):
+    """A product's vertices as frozensets, built prefix by prefix, each
+    block leaving out its facets in turn: the order P.vertices keeps."""
+    prefixes = [()]
+    for off, d in zip(polytope.block_offsets(dims), dims):
+        block = range(off, off + d + 1)
+        kept = [tuple(g for g in block if g != f) for f in block]
+        prefixes = [p + k for p in prefixes for k in kept]
+    return tuple(map(frozenset, prefixes))
+
+
 def test_product_closed_forms_match_vertex_scan():
     products = _small_products()
-    assert len(products) == 740
+    assert len(products) == 740 and (1,) * 6 in products
     for dims in products:
         P = product_of_simplices(dims)
+        reference = _prefix_vertices(dims)
+        assert product_vertices(P) == sorted(tuple(sorted(v)) for v in reference), dims
+        assert P.vertices == reference, dims
         Q = explicit_polytope(P.n, P.facet_count, [sorted(v) for v in P.vertices])
         assert P.vertex_count == Q.vertex_count == len(P.vertices)
         assert simplex_facets(P) == simplex_facets(Q), dims
@@ -436,7 +451,12 @@ def test_dead_polytopes_leave_the_registry():
 
 
 def test_product_vertices_are_stored_once_built():
-    P = product_of_simplices([3, 3])
+    P = new_polytope(lambda: product_of_simplices([3, 3]))
+    # neither a refused assignment nor a draw of the sampler reads them
+    assert not charfun.validate(P, [(1,) + (0,) * 5] * 8).valid
+    assert "vertices" not in vars(P)
+    assert sampling.random_characteristic(P, random.Random(1), 500) is not None
+    assert "vertices" not in vars(P)
     first = P.vertices
     assert vars(P)["vertices"] is first and P.vertices is first
 
@@ -478,3 +498,9 @@ def test_product_vertex_cap():
         big.vertices
     with pytest.raises(InputError, match="262144 vertices"):
         big.facet_vertex_indices(0)
+    # the sampler refuses it before its first draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="262144 vertices"):
+        sampling.random_characteristic(big, rng, 1)
+    assert rng.getstate() == state
