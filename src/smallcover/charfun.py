@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from typing import Dict, List, Sequence, Tuple
 
 from . import gf2
@@ -101,10 +101,8 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Tuple[Tuple[
             return tuple(vertices)
         masks = [0] * P.facet_count  # each facet's column in the relations
         for k, relation in enumerate(relations):
-            while relation:
-                low = relation & -relation
-                masks[low.bit_length() - 1] |= 1 << k
-                relation ^= low
+            for f in gf2.bit_positions(relation):
+                masks[f] |= 1 << k
     width = -(-r // 8) or 1  # bytes per lane
     cells = [mask.to_bytes(width, "little").decode("latin-1") for mask in masks]
     rows = [int.from_bytes(facets.translate(cells).encode("latin-1"), "little")
@@ -130,15 +128,25 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Tuple[Tuple[
 def _vertex_rows(P: SimplePolytope):
     """The vertices as sorted facet tuples in ascending order, and per row a
     str whose k-th character codes the facet vertex k puts there: its n
-    facets, or if fewer the F - n off it, sliced from one str of them all."""
-    vertices = (product_vertices(P) if P.family[0] == "product_of_simplices"
+    facets, or if fewer the F - n off it.  A product vertex is off one facet
+    per block.  In `product_vertices` order, block j's row counts down its
+    facets, each held for as many vertices as the later blocks have, and
+    repeats that run once per vertex of the earlier blocks."""
+    on_product = P.family[0] == "product_of_simplices"
+    vertices = (product_vertices(P) if on_product
                 else sorted(tuple(sorted(v)) for v in P.vertices))
-    r = P.facet_count - P.n
-    if r >= P.n:
+    if P.facet_count - P.n >= P.n:
         return vertices, tuple("".join(map(chr, row)) for row in zip(*vertices))
-    facets = frozenset(range(P.facet_count))
-    off = "".join(map(chr, chain.from_iterable(map(sorted, map(facets.difference, vertices)))))
-    return vertices, tuple(off[i::r] for i in range(r))
+    if not on_product:
+        facets = frozenset(range(P.facet_count))
+        off = map(sorted, map(facets.difference, vertices))
+        return vertices, tuple("".join(map(chr, row)) for row in zip(*off))
+    rows, held = [], len(vertices)
+    for off, d in zip(block_offsets(P.family[1]), P.family[1]):
+        held //= d + 1  # the vertices of the later blocks
+        run = "".join(chr(f) * held for f in range(off + d, off - 1, -1))
+        rows.append(run * (len(vertices) // len(run)))
+    return vertices, tuple(rows)
 
 
 @dataclass(frozen=True)

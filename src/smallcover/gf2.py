@@ -30,6 +30,16 @@ def bits_of(mask: int, n: int) -> Tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
 
 
+def bit_positions(mask: int) -> List[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _as_masks(rows: Iterable[Sequence[int]]) -> List[int]:
     rows = list(rows)
     if not rows:
@@ -82,10 +92,8 @@ def column_rref(columns: Sequence[int]) -> List[int]:
             pivots[rest.bit_length() - 1] = (rest, tag | 1 << f)
             rows[f] = 1 << f
             continue
-        while tag:
-            low = tag & -tag
-            rows[low.bit_length() - 1] |= 1 << f
-            tag ^= low
+        for p in bit_positions(tag):
+            rows[p] |= 1 << f
     return [rows[p] for p in sorted(rows)]
 
 

@@ -3,35 +3,30 @@
 The exact search works in the tensor square: the kernel of the
 multiplication map is the ideal generated by the diagonal classes
 g (x) 1 + 1 (x) g of the algebra generators g, so its k-th power is
-generated by the k-fold monomials in those classes, and the
-zero-divisor-cup-length is the longest nonzero such monomial.  It builds
-no tensor-square object: a basis pair's position is computed from the
-Betti numbers, multiplication by a diagonal class is built one degree at a
-time from the algebra's own products, when the search first needs that
-degree, and each witness factor is rendered once from its generator's label.
+generated by the k-fold monomials in those classes, and the zcl is the
+longest nonzero such monomial.  An element is a bit matrix over the
+algebra's basis, on which each class acts through its generator's products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
+from itertools import accumulate
 from math import ceil, log2
+from operator import or_
 from typing import List, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix
-from .cohomology import (
-    BottRing,
-    GradedAlgebra,
-    Ring,
-)
+from .cohomology import BottRing, GradedAlgebra, Ring, apply_step
 # unused here; perfbench/tracer.py rebinds these names on this module
 from .cohomology import cup_kernel, ideal_powers  # noqa: F401
 from .errors import BudgetExceeded, InputError
 
 DEFAULT_BUDGET = 12
-# Largest budget the CLI takes: a ring of dimension 128 searches in under 1 s
-# and 120 MB, the 256-gon in 6.5 s and 1.2 GB; (1,)^9 (512) runs out of 3 GB.
+# Largest budget the CLI takes: a ring of dimension 128 searches in under 0.5 s
+# and 60 MB, the 256-gon in 3 s and 0.35 GB (Python 3.11, 2-vCPU host).
 MAX_EXACT_BUDGET = 128
 
 
@@ -72,44 +67,6 @@ class ZclCertificate:
 
 # ---------------------------------------------------------------------------
 # cup-length
-
-
-def _longest_product(start: Sequence[Tuple[int, int]], steps: Sequence[tuple],
-                     top: int) -> Tuple[int, Tuple[int, ...]]:
-    """(k, a): the length and exponents of the longest nonzero monomial in
-    the classes `start`, in an algebra of top degree `top`.  steps[j] is
-    (s, rows) for start[j] of degree s: rows(d) lists the images of degree
-    d's basis elements under start[j], for d + s <= top.
-
-    Level by level over the nonzero monomials only (a multiple of a zero
-    monomial is zero).  A monomial whose last factor is class j takes only
-    the classes j' >= j, so each multiset is visited once; a is the first
-    monomial of the last nonzero level.  A monomial's set bits are read once
-    and each step XORs the rows at them.
-    """
-    m = len(start)
-    level = [(j, d, mask, tuple(int(i == j) for i in range(m)))
-             for j, (d, mask) in enumerate(start) if mask]
-    k, best = 0, (0,) * m
-    while level:
-        k, best = k + 1, level[0][3]
-        nxt = []
-        for j, d, mask, a in level:
-            bits, rest = [], mask
-            while rest:
-                low = rest & -rest
-                bits.append(low.bit_length() - 1)
-                rest ^= low
-            for i in range(j, m):
-                s, rows = steps[i]
-                if d + s <= top:
-                    table, image = rows(d), 0
-                    for b in bits:
-                        image ^= table[b]
-                    if image:
-                        nxt.append((i, d + s, image, a[:i] + (a[i] + 1,) + a[i + 1:]))
-        level = nxt
-    return k, best
 
 
 def cup_length(ring: Ring) -> int:
@@ -247,48 +204,73 @@ def verify_certificate(ring: BottRing, cert: ZclCertificate) -> bool:
 # exact search
 
 
-def _diagonal_steps(alg: GradedAlgebra) -> Tuple[list, list]:
-    """(start, steps) of the diagonal classes z_g = g (x) 1 + 1 (x) g of the
-    generators g of A, in A (x) A, for `_longest_product`.
+class _Diagonal:
+    """Multiplication by z_g = g (x) 1 + 1 (x) g, g a generator of A.
 
-    Degree d of A (x) A lists the pairs (d1, i, d - d1, j) of basis elements
-    by d1, then i, then j, so a pair sits at base[d][d1] + i*b(d - d1) + j,
-    b being A's Betti numbers.  z_g maps a (x) b to (a.g) (x) b + a (x) (b.g),
-    so its rows come from the dim A products of A by g, and a degree's rows
-    are built the first time the search steps from that degree.
+    An element M of A (x) A is a matrix over A's whole basis (e_i (x) e_j at
+    row i, column j), kept as {i: row mask} over its nonzero rows.  With
+    G[i] the mask of e_i.g, z_g.M = G^T M + M G: each row r at i is XORed
+    into the rows at the bits of G[i], and row i receives r.G, kept per r.
+    M is symmetric, so z_g.M = 0 when no row of M is in `support`, the rows
+    where G is nonzero.  In characteristic 2, z_g^(2^h) = g^(2^h) (x) 1 +
+    1 (x) g^(2^h), so for the least h with g^(2^h) = 0, no nonzero monomial
+    has an exponent of z_g above `cap` = 2^h - 1.
     """
-    top = alg.top
-    b = alg.betti + (0,) * top  # zero above the top, up to 2 top
-    base = []
-    for d in range(2 * top + 1):
-        offsets = [0]
-        for d1 in range(d):
-            offsets.append(offsets[-1] + b[d1] * b[d - d1])
-        base.append(offsets)
 
-    def step(s: int, ig: int) -> tuple:
-        by_g = [[alg.mult_basis(d, i, s, ig) for i in range(b[d])] for d in range(top + 1)]
+    def __init__(self, alg: GradedAlgebra, offset: Sequence[int], s: int, i: int):
+        G = [alg.mult_basis(d, j, s, i) << offset[d + s]
+             for d in range(alg.top + 1 - s) for j in range(alg.betti[d])]
+        self.G = G = G + [0] * (offset[-1] - len(G))
+        self.targets = [gf2.bit_positions(row) for row in G]
+        self.support = sum(1 << j for j, row in enumerate(G) if row)
+        self._products: dict = {}
+        g = offset[s] + i
+        self.z = {0: 1 << g, g: 1}
+        height, power = 1, G[g]  # g^2
+        while power:
+            height, power = height + 1, apply_step(G, power)
+        self.cap = (1 << height.bit_length()) - 1
 
-        def rows(d: int) -> List[int]:
-            out = []
-            for d1 in range(max(0, d - top), min(d, top) + 1):
-                d2 = d - d1
-                left, right, n2, n2s = base[d + s][d1 + s], base[d + s][d1], b[d2], b[d2 + s]
-                for i, ag in enumerate(by_g[d1]):
-                    # (a.g) (x) b: a.g's bits spread at stride b(d2)
-                    spread = 0
-                    while ag:
-                        low = ag & -ag
-                        spread |= 1 << ((low.bit_length() - 1) * n2 + left)
-                        ag ^= low
-                    at = right + i * n2s
-                    out += [(spread << j) ^ (bg << at) for j, bg in enumerate(by_g[d2])]
-            return out
+    def times(self, M: dict) -> dict:
+        out, products, targets = {}, self._products, self.targets
+        get = out.get
+        for i, r in M.items():
+            image = products.get(r)
+            if image is None:
+                image = products[r] = apply_step(self.G, r)
+            if image:
+                out[i] = get(i, 0) ^ image
+            for t in targets[i]:
+                out[t] = get(t, 0) ^ r
+        return out if all(out.values()) else {i: r for i, r in out.items() if r}
 
-        return s, cache(rows)
 
-    start = [(s, m << base[s][s] | m) for s, m in alg.gens]
-    return start, [step(s, m.bit_length() - 1) for s, m in alg.gens]
+def _longest_monomial(alg: GradedAlgebra) -> Tuple[int, Tuple[int, ...]]:
+    """(k, a): the length and exponents of the longest nonzero monomial in
+    the diagonal classes, level by level over the nonzero monomials only (a
+    multiple of a zero monomial is zero).  A monomial (j, M, run, prefix)
+    ends in a run of z_j and takes only the z_j' with j' >= j, z_j up to its
+    cap, so each multiset is visited once; a is the first of the last level."""
+    offset = list(accumulate(alg.betti, initial=0))
+    diagonals = [_Diagonal(alg, offset, s, m.bit_length() - 1) for s, m in alg.gens]
+    level = [(j, z.z, 1, None) for j, z in enumerate(diagonals)]
+    k, last = 0, None
+    while level:
+        k, last, nxt = k + 1, level[0], []
+        for monomial in level:
+            j, M, run, _ = monomial
+            rows = reduce(or_, M.values())  # M is symmetric: its nonzero rows
+            for i, z in enumerate(diagonals[j:], j):
+                if (i > j or run < z.cap) and z.support & rows:
+                    image = z.times(M)
+                    if image:
+                        nxt.append((i, image, run + 1 if i == j else 1, monomial))
+        level = nxt
+    a = [0] * len(diagonals)
+    while last:
+        a[last[0]] += 1
+        last = last[3]
+    return k, tuple(a)
 
 
 def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
@@ -308,7 +290,7 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
         )
     if ring._zcl is None:
         alg = ring.algebra()
-        k, exponents = _longest_product(*_diagonal_steps(alg), 2 * alg.top)
+        k, exponents = _longest_monomial(alg)
         witness: Tuple[str, ...] = ()
         for (d, m), e in zip(alg.gens, exponents):
             if e:

@@ -7,7 +7,9 @@ Z2[a]/(a^{p_1+1}) (x) Z2[a_2]/(a_2^2) (x) ... (x) Z2[a_r]/(a_r^2) (x) H*(B)
 (Dold, "Erzeugende der Thomschen Algebra N", Math. Z. 65, 1956), built as
 `TensorAlgebra` products of the package's own algebras.  Its cup-length
 comes from the exhaustive search `cup_length_algebra`, which also checks
-the package's closed forms (`invariants.cup_length`).
+the package's closed forms (`invariants.cup_length`).  It runs level by
+level over the nonzero monomials in the generators, stepping through each
+generator's product rows, built per degree.
 """
 
 from functools import cache, cached_property, reduce
@@ -22,7 +24,6 @@ from smallcover.cohomology import (
     square_zero,
 )
 from smallcover.errors import InputError
-from smallcover.invariants import _longest_product
 from smallcover.polytope import _poly_product
 
 
@@ -108,4 +109,33 @@ def cup_length_algebra(alg: GradedAlgebra) -> int:
         return s, cache(lambda d: [alg.mult_basis(d, i, s, ig) for i in range(alg.betti[d])])
 
     steps = [step(s, m.bit_length() - 1) for s, m in alg.gens]
-    return _longest_product(alg.gens, steps, alg.top)[0]
+    return _longest_product(alg.gens, steps, alg.top)
+
+
+def _longest_product(start, steps, top: int) -> int:
+    """Length of the longest nonzero monomial in the classes `start`, in
+    an algebra of top degree `top`.  steps[j] is (s, rows) for start[j] of
+    degree s: rows(d) lists the images of degree d's basis elements under
+    start[j], for d + s <= top.
+
+    Level by level over the nonzero monomials only (a multiple of a zero
+    monomial is zero).  A monomial whose last factor is class j takes only
+    the classes j' >= j, so each multiset is visited once.
+    """
+    level = [(j, d, mask) for j, (d, mask) in enumerate(start) if mask]
+    k = 0
+    while level:
+        k += 1
+        nxt = []
+        for j, d, mask in level:
+            for i in range(j, len(start)):
+                s, rows = steps[i]
+                if d + s <= top:
+                    table, image = rows(d), 0
+                    for b in range(mask.bit_length()):
+                        if mask >> b & 1:
+                            image ^= table[b]
+                    if image:
+                        nxt.append((i, d + s, image))
+        level = nxt
+    return k

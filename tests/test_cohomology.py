@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -726,39 +726,82 @@ def _twisted(dims):
                                                  for j in range(1, k)}))
 
 
+def _large_rings():
+    """The three rings the search is checked on at budget 64."""
+    return [_twisted((3, 3, 3)), _twisted((1,) * 6),
+            SmallCoverRing(polygon(64), _polygon_vectors(64))]
+
+
 def test_search_matches_tensor_square_reference():
     small = list(_step_rings()) + [DoldRing(projective_ring(2), [1, 2]),
                                    DoldRing(SphereRing(2), [1]), PointRing()]
-    large = [_twisted((3, 3, 3)), _twisted((1,) * 6),
-             SmallCoverRing(polygon(64), _polygon_vectors(64))]
-    for budget, rings in ((12, small), (64, large)):
+    for budget, rings in ((12, small), (64, _large_rings())):
         for ring in rings:
-            alg = ring.algebra()
-            k, exponents = invariants._longest_product(
-                *invariants._diagonal_steps(alg), 2 * alg.top)
+            k, exponents = invariants._longest_monomial(ring.algebra())
             iv = invariants.zcl_exact(ring, budget)
             assert iv.lo == k
-            assert (k, exponents, iv.witness) == _reference_search(alg), ring.relations_text
+            assert (k, exponents, iv.witness) == _reference_search(ring.algebra()), \
+                ring.relations_text
 
 
-def test_lazy_rows_match_the_pair_index_tables():
-    # every degree's rows, built last degree first, against the whole
-    # tables; the two Dold rings have generators in degree 2 (a2 and s)
+def _diagonals(alg):
+    offset = list(accumulate(alg.betti, initial=0))
+    return offset, [invariants._Diagonal(alg, offset, s, m.bit_length() - 1)
+                    for s, m in alg.gens]
+
+
+def _as_matrix(T, offset, d, mask):
+    """A degree-d element of the tensor square T as the search keeps it:
+    {row: mask} over A's whole basis, nonzero rows only."""
+    M = {}
+    for b in _bits(mask):
+        d1, i, d2, j = T.pairs[d][b]
+        M[offset[d1] + i] = M.get(offset[d1] + i, 0) ^ (1 << offset[d2] + j)
+    return M
+
+
+def test_diagonal_action_matches_the_pair_index_tables():
+    # z_g and z_g . M against the reference tables indexed through a built
+    # tensor square: every basis pair of every degree, then sums of pairs,
+    # twice each so the second reads the kept r.G; the two Dold rings have
+    # generators in degree 2 (a2 and s)
+    rng = random.Random(32)
     for ring in (projective_ring(3), DoldRing(projective_ring(2), [1, 2]),
                  DoldRing(SphereRing(2), [1]), SmallCoverRing(*_prism(3))):
         alg = ring.algebra()
         T = tensor_square(alg)
-        start, steps = invariants._diagonal_steps(alg)
-        assert start == [_diagonal(T, g) for g in alg.gens]
-        for g, (s, rows) in zip(alg.gens, steps):
-            s_ref, table = _diagonal_step(T, alg, g)
-            assert s == s_ref
-            for d in reversed(range(len(table))):
-                assert rows(d) == table[d], (ring.relations_text, g, d)
-    # no two consecutive degrees share their rows, so reading base or a
-    # Betti number one degree off fails the comparison above
-    s, rows = invariants._diagonal_steps(projective_ring(3).algebra())[1][0]
-    assert all(rows(d) != rows(d + 1) for d in range(2 * 3 - s))
+        offset, diagonals = _diagonals(alg)
+        for g, z in zip(alg.gens, diagonals):
+            assert z.z == _as_matrix(T, offset, *_diagonal(T, g))
+            s, table = _diagonal_step(T, alg, g)
+            for d in range(T.top + 1):
+                n = T.betti[d]
+                masks = [1 << b for b in range(n)] + [rng.randrange(1, 1 << n) for _ in range(8)]
+                for mask in masks * 2:
+                    image = apply_step(table[d], mask) if d < len(table) else 0
+                    assert (z.times(_as_matrix(T, offset, d, mask))
+                            == _as_matrix(T, offset, d + s, image)), (ring.relations_text, g, d)
+
+
+def test_exponent_caps_are_sound():
+    # cap = 2^h - 1 with z_g^(2^h) = 0 and z_g^(2^(h-1)) != 0, by repeated
+    # squaring in a built tensor square
+    rings = list(_step_rings()) + _large_rings()
+    for ring in rings:
+        alg = ring.algebra()
+        T = tensor_square(alg)
+        for g, z in zip(alg.gens, _diagonals(alg)[1]):
+            h = z.cap.bit_length()
+            assert z.cap == (1 << h) - 1
+            power = _diagonal(T, g)
+            for _ in range(h - 1):
+                power = _mult_elem(T, power, power)
+            assert power[1], (ring.relations_text, g)
+            assert not _mult_elem(T, power, power)[1], (ring.relations_text, g)
+    # below the grading cap: y^4 = 0 in RP^3, so z^3 is the longest power,
+    # where the tensor square's top degree is 6
+    (z,) = _diagonals(projective_ring(3).algebra())[1]
+    assert z.cap == 3
 
 
 def test_ideal_powers_need_positive_degree_generators():
