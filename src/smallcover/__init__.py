@@ -12,7 +12,7 @@ from .bounds import (
     symm_tc_bounds,
     tc_bounds,
 )
-from .charfun import BottMatrix, BottReduction, from_bott, reduce_to_bott, validate
+from .charfun import BottMatrix, BottReduction, FacetMasks, from_bott, reduce_to_bott, validate
 from .cohomology import (
     BottRing,
     SmallCoverRing,

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charfun import BottMatrix, GF2Vector, from_bott, peel_matrix
+from .charfun import BottMatrix, FacetMasks, GF2Vector, Vectors, from_bott, peel_matrix
 from .cohomology import BottRing, Ring, SmallCoverRing, SphereRing, dold_exponents
 from .errors import BudgetExceeded, InputError
-from .gf2 import rank_gf2
+from .gf2 import mask_of, row_reduce_masks
 from .invariants import (
     DEFAULT_BUDGET,
     IntervalValue,
@@ -41,7 +41,7 @@ class ManifoldDescription:
     kind: str  # the ring presentation: 'small_cover' | 'bott' | 'sphere'
     n: int
     P: Optional[SimplePolytope] = None
-    vectors: Optional[Tuple[GF2Vector, ...]] = None
+    vectors: Optional[FacetMasks] = None
     # the tower of a manifold over a product of simplices, in either input form
     dims: Optional[Tuple[int, ...]] = None
     bmat: Optional[BottMatrix] = None
@@ -63,12 +63,11 @@ def bott_manifold(dims: Sequence[int], B: BottMatrix,
     """The tower of B over P, the product of simplices of dims if not given."""
     dims = tuple(dims)
     P = product_of_simplices(dims) if P is None else P
-    vectors = tuple(from_bott(dims, B))
-    return ManifoldDescription("bott", P.n, P, vectors, dims, B,
+    return ManifoldDescription("bott", P.n, P, from_bott(dims, B), dims, B,
                                involution, fixed_set_connected)
 
 
-def small_cover_manifold(P: SimplePolytope, vectors: Sequence[GF2Vector],
+def small_cover_manifold(P: SimplePolytope, vectors: Vectors,
                          involution: Optional[GF2Vector] = None,
                          fixed_set_connected: bool = False) -> ManifoldDescription:
     # the ring already built on these vectors, or a new one, which validates
@@ -177,19 +176,13 @@ class _Builder:
 # hypothesis checks
 
 
-def simplex_facet_hypotheses(P: SimplePolytope, vectors: Sequence[GF2Vector]):
-    """(some facet is a simplex, some simplex facet has an invertible
-    neighbour matrix).  The second needs exactly n neighbouring facets whose
-    vectors form a basis."""
-    has_simplex = False
-    det_ok = False
-    for f in simplex_facets(P):
-        has_simplex = True
-        nb = facet_neighbours(P, f)
-        if len(nb) == P.n and rank_gf2([vectors[g] for g in nb]) == P.n:
-            det_ok = True
-            break
-    return has_simplex, det_ok
+def simplex_facet_hypotheses(P: SimplePolytope, masks: FacetMasks):
+    """(some facet is a simplex, some simplex facet has an invertible neighbour
+    matrix: exactly n neighbouring facets whose masks form a basis)."""
+    simplices = simplex_facets(P)
+    return bool(simplices), any(
+        len(nb) == P.n and len(row_reduce_masks(masks[g] for g in nb)) == P.n
+        for nb in (facet_neighbours(P, f) for f in simplices))
 
 
 def free_circle_blocks(dims: Sequence[int], B: BottMatrix) -> List[int]:
@@ -317,7 +310,8 @@ def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
     P, vectors = M.P, M.vectors
     b.upper(P.vertex_count, "fixed point count",
             "one invariant categorical set per vertex")
-    matching = [f for f in range(P.facet_count) if tuple(vectors[f]) == tuple(g)]
+    target = mask_of(g) if len(g) == n else None  # of another length, g matches no facet
+    matching = [f for f, mask in enumerate(vectors) if mask == target]
     if n == 2 and matching:
         disjoint = all(
             P.facets_disjoint(f, h)

@@ -1,9 +1,10 @@
-"""Facet vector assignments over GF(2).
+"""Facet vector assignments over GF(2), as one int mask per facet
+(`FacetMasks`).  0/1 tuples given to `validate` are packed once (`_masks`),
+the multiplicative sign convention carried additively (a -1 entry is bit 1).
 
 Validation checks invertibility of the vertex matrices, all in one
 elimination on the smaller Gale side (`validate`); for a simple polytope
-that subsumes the conditions on all lower faces.  The multiplicative sign
-convention is carried additively (a -1 entry is bit 1).  On a product of
+that subsumes the conditions on all lower faces.  On a product of
 simplices, a Bott matrix gives facet vectors in the block layout
 (`from_bott`), and the block peel takes an assignment back to such a matrix
 in polynomial time: one basis change, then the blocks peeled from the end
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Dict, List, Sequence, Tuple
+from itertools import accumulate, compress
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from . import gf2
 from .errors import CharacteristicError, InputError, ReductionFailed
@@ -27,17 +28,45 @@ from .polytope import (SimplePolytope, block_offsets, kept, product_of_simplices
 GF2Vector = Tuple[int, ...]
 
 
+class FacetMasks(tuple):
+    """Facet vectors as int masks, coordinate 1 at bit 0 (as `gf2.mask_of`
+    packs a 0/1 tuple), with n, the length of each, or -1 if they differ."""
+
+    def __new__(cls, n: int, masks: Iterable[int]) -> "FacetMasks":
+        self = super().__new__(cls, masks)
+        self.n = n
+        return self
+
+
 # the ASCII digits 0 and 1 to the bytes 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def parse_bits(s: str) -> GF2Vector:
-    """Bitstring "10" -> (1, 0); leftmost character is coordinate 1.  Only a
-    str is a bitstring: a JSON array of "0"/"1" strings is refused."""
-    # strip leaves a character other than 0 and 1, if there is one
+def _bitstring(s: str) -> str:
+    # a nonempty str of 0s and 1s, not a JSON array; strip leaves any other character
     if not isinstance(s, str) or not s or s.strip("01"):
         raise InputError(f"bad bitstring {s!r}")
-    return tuple(s.encode().translate(_BIT_BYTES))
+    return s
+
+
+def parse_bits(s: str) -> GF2Vector:
+    """Bitstring "10" -> (1, 0); leftmost character is coordinate 1."""
+    return tuple(_bitstring(s).encode().translate(_BIT_BYTES))
+
+
+def parse_vectors(strings: Sequence[str]) -> FacetMasks:
+    """Bitstrings to masks as `parse_bits` reads them, checked at once, one by
+    one only to refuse the first bad one; `validate` checks count and lengths."""
+    text = "".join(strings) if all(isinstance(s, str) and s for s in strings) else "?"
+    if text.count("0") + text.count("1") < len(text):
+        for s in strings:
+            _bitstring(s)
+    masks = [int(s[::-1], 2) for s in strings]
+    lengths = set(map(len, strings))
+    return FacetMasks(lengths.pop() if len(lengths) == 1 else -1, masks)
+
+
+Vectors = Union[FacetMasks, Sequence[GF2Vector]]  # masks, or 0/1 tuples to pack
 
 
 @dataclass(frozen=True)
@@ -46,7 +75,7 @@ class ValidationReport:
     bad_vertices: Tuple[Tuple[int, ...], ...]  # offending vertices, as facet tuples
 
 
-def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationReport:
+def validate(P: SimplePolytope, vectors: Vectors) -> ValidationReport:
     """Check that every vertex matrix of facet vectors is invertible.
 
     On a product of simplices the block peel (`_peel`) decides first: it
@@ -61,7 +90,7 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     relations mean rank < n.  P keeps the masks last found valid on it
     (`P._valid_masks`) and, set with them, their peel (`P._peeled`, None
     off a product), so a ring built on an assignment just accepted checks
-    it no more, and reads both there; lengths are always checked.
+    it no more, and reads both there; count and lengths are always checked.
     """
     masks = _masks(P, vectors)
     if masks == vars(P).get("_valid_masks"):
@@ -74,16 +103,19 @@ def validate(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> ValidationRepor
     return ValidationReport(not bad, bad)
 
 
-def _masks(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> List[int]:
-    """The facet vectors as bit masks, once their count and lengths fit P."""
+def _masks(P: SimplePolytope, vectors: Vectors) -> Tuple[int, ...]:
+    """The masks, once their count and then their lengths fit P; 0/1 tuples
+    are packed here, the one place, by `gf2.mask_of`."""
     if len(vectors) != P.facet_count:
-        raise CharacteristicError(
-            f"expected {P.facet_count} vectors, got {len(vectors)}"
-        )
+        raise CharacteristicError(f"expected {P.facet_count} vectors, got {len(vectors)}")
+    if isinstance(vectors, FacetMasks):
+        if vectors and (vectors.n != P.n or max(vectors) >> P.n):
+            raise CharacteristicError("vector length differs from the dimension")
+        return vectors
     for v in vectors:
         if len(v) != P.n:
             raise CharacteristicError("vector length differs from the dimension")
-    return [gf2.mask_of(v) for v in vectors]
+    return tuple(map(gf2.mask_of, vectors))
 
 
 def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
@@ -185,36 +217,22 @@ class BottMatrix:
     def block(self, k: int, j: int) -> GF2Vector:
         return self._blocks.get((k, j)) or (0,) * self.dims[k - 1]
 
-    @property
-    def m(self) -> int:
-        return len(self.dims)
 
-    def column(self, j: int) -> GF2Vector:
-        """Column j assembled as a length-n vector over the block layout."""
-        out: List[int] = []
-        for k, d in enumerate(self.dims, start=1):  # zero above block j, ones on it
-            out.extend(self.block(k, j) if k > j else (int(k == j),) * d)
-        return tuple(out)
-
-
-def from_bott(dims: Sequence[int], B: BottMatrix) -> List[GF2Vector]:
-    """Facet vectors on the product of simplices in the block layout.
-
-    Block j's first n_j facets get consecutive standard basis vectors; its
-    last facet gets column j of the matrix.
-    """
+def from_bott(dims: Sequence[int], B: BottMatrix) -> FacetMasks:
+    """Facet masks on the product of simplices in the block layout: block
+    j's first n_j facets get consecutive standard basis vectors, its last
+    column j of the matrix, ones on block j and block (k, j) on each k > j."""
     dims = tuple(dims)
     if B.dims != dims:
         raise InputError("matrix dims disagree with the polytope dims")
-    n = sum(dims)
-    vectors: List[GF2Vector] = []
-    coord = 0
-    for j, d in enumerate(dims, start=1):
-        for _ in range(d):
-            vectors.append(tuple(1 if c == coord else 0 for c in range(n)))
-            coord += 1
-        vectors.append(B.column(j))
-    return vectors
+    starts = list(accumulate(dims, initial=0))  # each block's first coordinate, then n
+    columns = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
+    for (k, j), bits in B.beta:
+        columns[j - 1] |= gf2.mask_of(bits) << starts[k - 1]
+    masks: List[int] = []
+    for start, end, column in zip(starts, starts[1:], columns):
+        masks += [1 << c for c in range(start, end)] + [column]
+    return FacetMasks(starts[-1], masks)
 
 
 @dataclass(frozen=True)
@@ -225,7 +243,7 @@ class BottReduction:
     basis_change: Tuple[GF2Vector, ...]  # rows of C; new vector = C . old
 
 
-def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottReduction:
+def reduce_to_bott(dims: Sequence[int], vectors: Vectors) -> BottReduction:
     """Bring a valid assignment on a product of simplices to triangular form
     by the block peel (`_peel`) that `validate` keeps with the masks; a
     refused assignment raises with the bad vertices `validate` lists."""
@@ -248,9 +266,9 @@ def reduce_to_bott(dims: Sequence[int], vectors: Sequence[GF2Vector]) -> BottRed
     C = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
          for j in order for r in range(starts[j], starts[j] + dims[j])]
     # postcondition: the transformed, reordered vectors are the layout
-    laid = [tuple((row & masks[f]).bit_count() & 1 for row in C)
+    laid = [sum(((row & masks[f]).bit_count() & 1) << r for r, row in enumerate(C))
             for j in order for f in range(offsets[j], alphas[j] + 1)]
-    assert laid == from_bott(B.dims, B)
+    assert tuple(laid) == from_bott(B.dims, B)
     return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
                          tuple(gf2.bits_of(row, n) for row in C))
 
@@ -325,8 +343,5 @@ def _peel_layout(P: SimplePolytope):
     alphas = tuple(off + d for off, d in zip(block_offsets(dims), dims))
     alpha_set = set(alphas)
     basis = tuple(f for f in range(P.facet_count) if f not in alpha_set)
-    segments, start = [], 0
-    for d in dims:
-        segments.append(((1 << d) - 1) << start)
-        start += d
-    return alphas, basis, tuple(segments)
+    starts = list(accumulate(dims, initial=0))
+    return alphas, basis, tuple((1 << e) - (1 << s) for s, e in zip(starts, starts[1:]))

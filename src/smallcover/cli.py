@@ -35,7 +35,7 @@ class ProblemSpec:
         self.P = _parse_polytope(data.get("polytope"))
         self.char = data.get("characteristic")
         self.bmat: Optional[charfun.BottMatrix] = None
-        self.vectors: Optional[Tuple[charfun.GF2Vector, ...]] = None
+        self.vectors: Optional[charfun.FacetMasks] = None
         if self.char is not None:
             self.vectors, self.bmat = _parse_characteristic(self.P, self.char)
         inv = data.get("involution")
@@ -107,13 +107,12 @@ def _parse_polytope(obj) -> polytope.SimplePolytope:
 
 
 def _parse_characteristic(P, obj):
-    """-> (vectors, None) or (None, matrix)."""
+    """-> (vectors as masks, None) or (None, matrix)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("characteristic section must be an object with a type")
     kind = obj["type"]
     if kind == "facet_vectors":
-        vectors = _array(obj["vectors"], "vectors", lambda s, _: charfun.parse_bits(s))
-        return tuple(vectors), None
+        return charfun.parse_vectors(_array(obj["vectors"], "vectors", lambda s, _: s)), None
     if kind == "bott_matrix":
         dims = tuple(_array(obj["dims"], "characteristic dims"))
         if P.family[0] != "product_of_simplices" or P.family[1] != dims:
@@ -121,7 +120,7 @@ def _parse_characteristic(P, obj):
         beta = {}
         for key, bits in _object(obj.get("beta"), "beta").items():
             try:
-                k, j = (int(x) for x in key.split(","))
+                k, j = map(int, key.split(","))
             except ValueError:
                 raise InputError(f"beta key {key!r} is not two integers k,j") from None
             if (k, j) in beta:

@@ -27,7 +27,7 @@ from operator import lshift
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .charfun import BottMatrix, GF2Vector, validate
+from .charfun import BottMatrix, FacetMasks, Vectors, _masks, validate
 from .errors import CharacteristicError, InputError
 from .polytope import SimplePolytope, _poly_product, h_vector, kept, minimal_non_faces
 
@@ -569,21 +569,20 @@ class SmallCoverRing(QuotientRing):
     kind = "small_cover"
 
     @staticmethod
-    def _on(P: SimplePolytope, vectors: Sequence[GF2Vector]) -> "SmallCoverRing":
-        """The ring last built on P if it has these vectors, else a new one.
-        P refers to it weakly (`P._ring`), so P does not keep it alive."""
+    def _on(P: SimplePolytope, vectors: Vectors) -> "SmallCoverRing":
+        """The ring last built on P if it has these vectors, else a new one on
+        their masks, packed once.  P holds it weakly (`P._ring`)."""
+        masks = _masks(P, vectors)
         ring = vars(P).get("_ring", lambda: None)()
-        same = ring is not None and ring.vectors == tuple(map(tuple, vectors))
-        return ring if same else SmallCoverRing(P, vectors)
+        same = ring is not None and ring.vectors == masks
+        return ring if same else SmallCoverRing(P, FacetMasks(P.n, masks))
 
-    def __init__(self, P: SimplePolytope, vectors: Sequence[GF2Vector]):
+    def __init__(self, P: SimplePolytope, vectors: Vectors):
         report = validate(P, vectors)
         if not report.valid:
-            raise CharacteristicError(
-                f"invalid assignment at vertices {report.bad_vertices}"
-            )
+            raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
         self.P = P
-        self.vectors = tuple(tuple(v) for v in vectors)
+        self.vectors = FacetMasks(P.n, P._valid_masks)  # as validate packed them
         r = P.facet_count
         # eliminate the linear relations: the reduced coordinate matrix, read
         # off the facet masks validate accepted and kept on P with their peel

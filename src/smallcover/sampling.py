@@ -12,8 +12,7 @@ import random
 from itertools import product
 from typing import Iterator, Optional, Tuple
 
-from .charfun import BottMatrix, GF2Vector, _dependent_vertices, _vertex_rows
-from .gf2 import bits_of
+from .charfun import BottMatrix, FacetMasks, _dependent_vertices, _vertex_rows
 from .polytope import SimplePolytope, kept
 
 
@@ -25,21 +24,21 @@ def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
 
 
 def random_characteristic(P: SimplePolytope, rng: random.Random,
-                          tries: int) -> Optional[Tuple[GF2Vector, ...]]:
-    """Random valid facet vectors for P, or None after `tries` draws."""
+                          tries: int) -> Optional[FacetMasks]:
+    """Random valid facet vectors for P, as masks, or None after `tries` draws."""
     n = P.n
     # on a product, P.vertices[0] is the last vertex the elimination keeps
     first = (kept(P, "_vertex_rows", _vertex_rows)[0][-1]
              if P.family[0] == "product_of_simplices" else sorted(P.vertices[0]))
     for _ in range(tries):
-        # a nonzero vector is the bits of one draw from 1 .. 2^n - 1, so no
-        # list of all 2^n - 1 of them is built; it is kept as that mask
+        # a nonzero vector is one draw from 1 .. 2^n - 1, as a mask, so no
+        # list of all 2^n - 1 of them is built
         masks = [rng.randrange(1, 1 << n) for _ in range(P.facet_count)]
         # make the first vertex a basis to help the success rate
         for i, f in enumerate(first):
             masks[f] = 1 << i
         if not _dependent_vertices(P, masks):
-            return tuple(bits_of(m, n) for m in masks)
+            return FacetMasks(n, masks)
     return None
 
 

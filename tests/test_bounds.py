@@ -28,8 +28,9 @@ from smallcover.invariants import cup_length, zcl_exact, zcl_interval
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
-from conftest import all_bott_matrices, new_polytope, random_characteristic
+from conftest import all_bott_matrices, new_polytope, random_characteristic, random_product_dims
 from dold_reference import DoldRing, cup_length_algebra
+import tuple_reference as ref
 from test_charfun import _scramble
 from test_cohomology import _step_rings
 
@@ -208,6 +209,35 @@ def test_simplex_facet_hypotheses():
     M = bott_manifold((16, 8), BottMatrix.make((16, 8)))
     has_simplex, det_ok = simplex_facet_hypotheses(M.P, M.vectors)
     assert not has_simplex and not det_ok
+
+
+def test_facet_hypotheses_on_masks_match_the_tuple_rank_reference(rng):
+    """On the masks, as the tuple rank of the neighbour vectors gives them:
+    every tower with m <= 3 and n_j <= 3, large towers, polygons, prisms
+    and seeded scrambled towers, as their descriptions keep them."""
+    cases = [(product_of_simplices(dims), from_bott(dims, B))
+             for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)]
+    for dims in [(46,), (3,) * 8, (16, 8), (17, 9)]:
+        cases.append((product_of_simplices(dims), from_bott(dims, random_bott_matrix(dims, rng))))
+    shapes = [polygon(k) for k in range(3, 13)]
+    shapes += [explicit_polytope(3, k + 2, [(i, (i + 1) % k, cap)
+                                            for i in range(k) for cap in (k, k + 1)])
+               for k in (3, 4, 5, 6, 8)]
+    for P in shapes:
+        for _ in range(3):
+            cases.append((P, random_characteristic(P, rng)))
+    for _ in range(40):  # seeded covers: towers under a basis change, blocks shuffled
+        dims = random_product_dims(rng)
+        dims, vectors = _scramble(dims, random_bott_matrix(dims, rng), rng)
+        P = product_of_simplices(dims)
+        cases.append((P, small_cover_manifold(P, vectors).vectors))
+    outcomes = Counter()
+    for P, masks in cases:
+        assert masks is not None, P.family
+        got = simplex_facet_hypotheses(P, masks)
+        assert got == ref.simplex_facet_hypotheses(P, ref.tuples(masks, P.n)), P.family
+        outcomes[got] += 1
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
 
 
 def test_eq_cat_klein():

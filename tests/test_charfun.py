@@ -7,6 +7,7 @@ import pytest
 from smallcover import charfun, gf2
 from smallcover.charfun import (
     BottMatrix,
+    FacetMasks,
     from_bott,
     parse_bits,
     reduce_to_bott,
@@ -56,8 +57,8 @@ def test_validate_shape_errors():
 def test_bott_matrix_make():
     B = BottMatrix.make((1, 1), {(2, 1): (1,)})
     assert B.block(2, 1) == (1,)
-    assert B.column(1) == (1, 1)
-    assert B.column(2) == (0, 1)
+    assert ref.bott_column(B, 1) == (1, 1)
+    assert ref.bott_column(B, 2) == (0, 1)
     with pytest.raises(InputError):
         BottMatrix.make((1, 1), {(1, 2): (1,)})  # upper block
     with pytest.raises(InputError):
@@ -76,8 +77,9 @@ def test_block_lookup_leaves_value_and_speed(rng):
     start = time.perf_counter()
     vectors = from_bott(dims, B)
     assert time.perf_counter() - start < 1.0  # 4.1-4.7 s scanning beta per block
-    assert vectors[1] == (1,) * 512 and vectors[3] == vectors[2] == _unit(1, 512)
+    assert vectors[1] == (1 << 512) - 1 and vectors[3] == vectors[2] == 1 << 1
     # the lookup table is kept off the fields: equality and hash read dims and beta
+    assert B.block(512, 1) == (1,) and B.block(3, 2) == (0,)
     twin = BottMatrix(B.dims, B.beta)
     assert "_blocks" in vars(B) and "_blocks" not in vars(twin)
     assert B == twin and hash(B) == hash(twin) and repr(B) == repr(twin)
@@ -91,9 +93,23 @@ def test_from_bott_layout():
     # Klein-bottle tower: dims (1, 1), beta = (1,)
     B = BottMatrix.make((1, 1), {(2, 1): (1,)})
     vectors = from_bott((1, 1), B)
-    assert vectors == [(1, 0), (1, 1), (0, 1), (0, 1)]
+    assert vectors == (0b01, 0b11, 0b10, 0b10) and vectors.n == 2
+    assert ref.from_bott((1, 1), B) == [(1, 0), (1, 1), (0, 1), (0, 1)]
     # and it validates on the square
     assert validate(product_of_simplices((1, 1)), vectors).valid
+
+
+def test_from_bott_masks_pack_the_tuple_layout(rng):
+    """The masks are the tuple layout packed, on every tower with m <= 3 and
+    n_j <= 3, and on large towers, untwisted and twisted."""
+    towers = [(dims, B) for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)]
+    assert len(towers) == 3573
+    for dims in [(46,), (3,) * 8, (16, 8), (17, 9)]:
+        towers += [(dims, BottMatrix.make(dims)), (dims, random_bott_matrix(dims, rng))]
+    for dims, B in towers:
+        masks = from_bott(dims, B)
+        assert masks == tuple(map(gf2.mask_of, ref.from_bott(dims, B))), (dims, B)
+        assert masks.n == sum(dims)
 
 
 def test_from_bott_always_valid(rng):
@@ -121,12 +137,12 @@ def test_reduce_recovers_after_basis_change():
     def mv(M, v):
         return tuple(sum(M[i][j] * v[j] for j in range(len(v))) % 2 for i in range(len(M)))
 
-    scrambled = [mv(g, v) for v in from_bott(dims, B)]
+    scrambled = [mv(g, v) for v in ref.from_bott(dims, B)]
     red = reduce_to_bott(dims, scrambled)
     assert red.matrix == B
     # the reported basis change reproduces the triangular layout
     rebuilt = [mv(red.basis_change, scrambled[f]) for f in range(len(scrambled))]
-    assert sorted(rebuilt) == sorted(from_bott(dims, B))
+    assert sorted(rebuilt) == sorted(ref.from_bott(dims, B))
 
 
 def test_reduce_handles_block_permutation():
@@ -211,7 +227,7 @@ def _check_reduction(dims, vectors, red):
         assert alpha in block
         laid += [_mat_vec(red.basis_change, vectors[f])
                  for f in [g for g in block if g != alpha] + [alpha]]
-    assert laid == from_bott(red.matrix.dims, red.matrix)
+    assert laid == ref.from_bott(red.matrix.dims, red.matrix)
 
 
 def _scramble(dims, B, rng):
@@ -222,7 +238,7 @@ def _scramble(dims, B, rng):
         G = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n)]
         if gf2.rank_gf2(G) == n:
             break
-    vectors = [_mat_vec(G, v) for v in from_bott(dims, B)]
+    vectors = [_mat_vec(G, v) for v in ref.from_bott(dims, B)]
     offsets = block_offsets(dims)
     blocks = [vectors[off:off + d + 1] for off, d in zip(offsets, dims)]
     order = list(range(len(dims)))
@@ -251,7 +267,7 @@ def test_peel_matches_exhaustive_search_on_scrambled_towers(rng):
         vectors = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n + len(dims))]
         drawn = random_characteristic(product_of_simplices(dims), rng)
         if drawn is not None and rng.random() < 0.5:
-            vectors = list(drawn)
+            vectors = ref.tuples(drawn, n)
         outcomes = []
         for reduce in (reduce_to_bott, _exhaustive_reduce):
             try:
@@ -310,7 +326,7 @@ def test_packed_validate_matches_rank_reference(rng):
                 vectors[f] = tuple(int(c == i) for c in range(n))
         valid = random_characteristic(P, rng)
         if valid is not None:
-            draws.append(list(valid))
+            draws.append(ref.tuples(valid, n))
         for vectors in draws:
             report = validate(P, vectors)
             assert report == _reference_validate(P, vectors), (P.family, vectors)
@@ -345,13 +361,13 @@ def test_bad_vertices_match_per_vertex_reference(rng):
                 vectors[f] = _unit(i, P.n)
             cases.append((P, vectors))
         assert valid is not None, P.family
-        cases.append((P, list(valid)))
+        cases.append((P, ref.tuples(valid, P.n)))
 
     def tower(dims):
-        return from_bott(dims, random_bott_matrix(dims, rng))
+        return ref.from_bott(dims, random_bott_matrix(dims, rng))
 
     for dims in [(1, 1), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (1,) * 6, (3, 3, 3)]:
-        draws(product_of_simplices(dims), tower(dims))
+        draws(product_of_simplices(dims), from_bott(dims, random_bott_matrix(dims, rng)))
     for k in (3, 4, 5, 8, 12):
         draws(polygon(k), random_characteristic(polygon(k), rng))
     # prisms with their vertices, and the facets of each, in shuffled order
@@ -439,7 +455,7 @@ def test_elimination_matches_per_vertex_reference_in_two_byte_lanes(rng):
         assert min(P.n, P.facet_count - P.n) == 9
         vertex = sorted(P.vertices[0])
         for t in range(count):
-            vectors = from_bott(dims, random_bott_matrix(dims, rng))
+            vectors = ref.from_bott(dims, random_bott_matrix(dims, rng))
             if t % 2:  # one facet replaced: a few bad vertices, or many
                 vectors[rng.randrange(P.facet_count)] = gf2.bits_of(
                     rng.randrange(1, 1 << P.n), P.n)
@@ -464,11 +480,12 @@ def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
     invalid = 0
     for make in shapes:
         P = new_polytope(make)
-        valid = (from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
+        masks = (from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
                  if P.family[0] == "product_of_simplices" else random_characteristic(P, rng))
+        valid = ref.tuples(masks, P.n)
         nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]
-        for _ in range(20):
-            assert validate(P, valid).valid
+        for t in range(20):
+            assert validate(P, (masks, valid)[t % 2]).valid
             # one facet vector changed after a valid validate on the same P
             vectors = list(valid)
             vectors[rng.randrange(P.facet_count)] = rng.choice(nonzero)
@@ -480,6 +497,9 @@ def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
             validate(P, valid[:-1])
         with pytest.raises(CharacteristicError):
             validate(P, [v + (0,) for v in valid])
+        for wrong in (FacetMasks(P.n + 1, masks), FacetMasks(P.n, masks[:-1] + (1 << P.n,))):
+            with pytest.raises(CharacteristicError):
+                validate(P, wrong)
     assert invalid >= 20
 
 

@@ -12,6 +12,8 @@ from smallcover import cli, cohomology, invariants
 from smallcover.bounds import BoundReport
 from smallcover.cli import main
 
+import tuple_reference as ref
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -527,6 +529,32 @@ def test_bitstrings_must_be_strings(capsys, tmp_path, doc):
     assert_malformed(capsys, ["betti", write(tmp_path, "bits.json", doc)])
 
 
+_DOCUMENT_COMMANDS = ("validate", "ring", "betti", "cl", "zcl", "bounds", "dold")
+
+
+@pytest.mark.parametrize("extra, vectors, code, message", [
+    # the count is checked before the lengths
+    ({}, ["10", "01", "100"], 1, "invalid characteristic: expected 4 vectors, got 3"),
+    ({}, ["10", "01", "10", "110"], 1,
+     "invalid characteristic: vector length differs from the dimension"),
+    ({}, ["10", "01", "1", "11"], 1,
+     "invalid characteristic: vector length differs from the dimension"),
+    # a bitstring is checked on parsing, before the count
+    ({}, ["10", "0x"], 2, "error: bad bitstring '0x'"),
+    # the whole document is parsed before the lengths are checked
+    ({"dold": []}, ["10", "01", "10", "110"], 2,
+     "error: dold section must be an object, not list"),
+], ids=["count-and-length", "length", "short", "bitstring-and-count", "length-and-dold"])
+def test_facet_vector_errors_come_in_document_order(capsys, tmp_path, extra, vectors,
+                                                    code, message):
+    doc = {"polytope": {"type": "polygon", "edges": 4},
+           "characteristic": {"type": "facet_vectors", "vectors": vectors}, **extra}
+    path = write(tmp_path, "square.json", doc)
+    for command in _DOCUMENT_COMMANDS:
+        assert main([command, path]) == code, command
+        assert capsys.readouterr() == ("", message + "\n"), command
+
+
 @pytest.mark.parametrize("value", ["false", 0, 1])
 def test_fixed_set_flag_must_be_a_json_boolean(capsys, tmp_path, value):
     doc = {"polytope": {"type": "polygon", "edges": 4},
@@ -745,7 +773,7 @@ def test_valid_facet_vectors_past_the_vertex_cap(capsys, tmp_path, monkeypatch):
     path = write(tmp_path, "t39.json", {
         "polytope": {"type": "product_of_simplices", "dims": list(dims)},
         "characteristic": {"type": "facet_vectors", "vectors":
-                           ["".join(map(str, v)) for v in charfun.from_bott(dims, B)]},
+                           ["".join(map(str, v)) for v in ref.from_bott(dims, B)]},
     })
     monkeypatch.setattr(charfun, "product_vertices", refuse)
     monkeypatch.setattr(polytope, "product_vertices", refuse)

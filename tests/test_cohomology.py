@@ -223,7 +223,7 @@ def _reference_non_face_relations(P, vectors):
 def _reference_relations(ring):
     if ring.kind == "bott":
         return ref.gammas(ring.dims, ring.bmat)
-    return _reference_non_face_relations(ring.P, ring.vectors)
+    return _reference_non_face_relations(ring.P, ref.tuples(ring.vectors, ring.P.n))
 
 
 def _shuffled_prism(rng, k):
@@ -289,8 +289,8 @@ def test_reduced_rows_match_the_coordinate_matrix_reference(rng):
         dims = random_product_dims(rng)
         covers.append((product_of_simplices(dims), _scrambled_bott_vectors(rng, dims)))
     for P, vectors in covers:
-        r = P.facet_count
-        reduced, _ = ref.row_reduce([[vectors[f][i] for f in range(r)] for i in range(P.n)])
+        bits = ref.tuples(vectors, P.n)
+        reduced, _ = ref.row_reduce([[v[i] for v in bits] for i in range(P.n)])
         assert SmallCoverRing(P, vectors)._reduced == reduced, (P.family, vectors)
 
 
@@ -834,7 +834,7 @@ def test_rings_freed_by_reference_count():
         ref = weakref.ref(ring)
         del ring
         assert ref() is None and vars(P)["_ring"]() is None
-        assert SmallCoverRing._on(P, vectors).vectors == tuple(vectors)
+        assert SmallCoverRing._on(P, vectors).vectors == tuple(map(gf2.mask_of, vectors))
     finally:
         gc.enable()
 
@@ -881,7 +881,7 @@ def test_symmetric_pairing_matches_the_full_loop(rng):
 
 def _scrambled_bott_vectors(rng, dims):
     """from_bott vectors of a random tower under a random basis change."""
-    vectors = from_bott(dims, random_bott_matrix(dims, rng))
+    vectors = ref.from_bott(dims, random_bott_matrix(dims, rng))
     n = sum(dims)
     while True:
         C = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]

@@ -347,7 +347,7 @@ def test_product_equality_ignores_built_vertices():
     assert "vertices" not in vars(lazy)
     B = charfun.BottMatrix.make((2, 1, 3))
     assert bounds.bott_manifold((2, 1, 3), B) == bounds.ManifoldDescription(
-        "bott", 6, lazy, tuple(charfun.from_bott((2, 1, 3), B)), (2, 1, 3), B)
+        "bott", 6, lazy, charfun.from_bott((2, 1, 3), B), (2, 1, 3), B)
 
 
 def _unshared(P):

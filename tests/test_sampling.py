@@ -1,6 +1,6 @@
 import random
 
-from smallcover import sampling
+from smallcover import gf2, sampling
 from smallcover.charfun import BottMatrix, validate
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 
@@ -33,7 +33,11 @@ def test_random_characteristic_draws_as_the_list_sampler():
             for tries in (1, 400):
                 rng, reference = random.Random(seed), random.Random(seed)
                 got = sampling.random_characteristic(P, rng, tries)
-                assert got == _list_sampler(P, reference, tries), (P.family, seed)
+                expected = _list_sampler(P, reference, tries)
+                # the draw as masks, each the one its tuple packs
+                assert (got is None) == (expected is None), (P.family, seed)
+                if got is not None:
+                    assert got == tuple(map(gf2.mask_of, expected)) and got.n == P.n
                 assert rng.getstate() == reference.getstate()
                 found += got is not None
     assert found > len(shapes)

@@ -6,14 +6,18 @@ polynomial a frozenset of monomials (coefficient 1, addition is symmetric
 difference), and a tensor-square element a frozenset of ordered monomial
 pairs.  On top of it sit the rewriting normal form of a real Bott tower and
 the full-expansion certificate oracle, as the package had them before it
-packed them.  Last comes the row reduction of 0/1 rows that a small
+packed them.  Then comes the row reduction of 0/1 rows that a small
 cover's reduced coordinate matrix (`gf2.column_rref`) is checked against.
+Last come facet vectors as 0/1 tuples: the Bott matrix layout and the
+simplex-facet hypotheses by a rank of tuple rows, which the package's
+masks are checked against.
 """
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from smallcover.errors import InputError
 from smallcover.gf2 import _as_masks, mono_render, row_reduce_masks
+from smallcover.polytope import facet_neighbours, simplex_facets
 
 Monomial = Tuple[int, ...]
 GF2Poly = frozenset  # of Monomial
@@ -215,3 +219,62 @@ def row_reduce(rows: Iterable[Sequence[int]]):
     reduced.sort(key=lambda r: r.bit_length())
     pivot_cols = [r.bit_length() - 1 for r in reduced]
     return reduced, pivot_cols
+
+
+# ---------------------------------------------------------------------------
+# facet vectors as tuples
+
+
+def bott_column(B, j: int) -> Tuple[int, ...]:
+    """Column j of a Bott matrix as a length-n vector over the block layout."""
+    out: List[int] = []
+    for k, d in enumerate(B.dims, start=1):  # zero above block j, ones on it
+        out.extend(B.block(k, j) if k > j else (int(k == j),) * d)
+    return tuple(out)
+
+
+def from_bott(dims, B) -> List[Tuple[int, ...]]:
+    """`charfun.from_bott`'s layout as tuples: block j's first n_j facets get
+    consecutive standard basis vectors, its last facet column j of B."""
+    n = sum(dims)
+    vectors: List[Tuple[int, ...]] = []
+    coord = 0
+    for j, d in enumerate(dims, start=1):
+        for _ in range(d):
+            vectors.append(tuple(1 if c == coord else 0 for c in range(n)))
+            coord += 1
+        vectors.append(bott_column(B, j))
+    return vectors
+
+
+def tuples(vectors: Iterable, n: int) -> List[Tuple[int, ...]]:
+    """Facet vectors as 0/1 tuples of length n: each mask as the tuple it
+    packs, each tuple as it is."""
+    return [tuple(v) if isinstance(v, Sequence) else tuple((v >> i) & 1 for i in range(n))
+            for v in vectors]
+
+
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over GF(2) by elimination on 0/1 lists, column by column."""
+    rows = [list(r) for r in rows]
+    done = 0  # the rows that hold a pivot
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][c] & 1), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        for i, row in enumerate(rows):
+            if i != done and row[c] & 1:
+                rows[i] = [a ^ b for a, b in zip(row, rows[done])]
+        done += 1
+    return done
+
+
+def simplex_facet_hypotheses(P, vectors) -> Tuple[bool, bool]:
+    """`bounds.simplex_facet_hypotheses` on 0/1 tuples: some facet is a
+    simplex, and some simplex facet has n neighbours whose vectors have
+    rank n."""
+    simplices = simplex_facets(P)
+    invertible = any(len(nb) == P.n and rank([vectors[g] for g in nb]) == P.n
+                     for nb in (facet_neighbours(P, f) for f in simplices))
+    return bool(simplices), invertible
