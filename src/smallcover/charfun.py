@@ -38,32 +38,22 @@ class FacetMasks(tuple):
         return self
 
 
-# the ASCII digits 0 and 1 to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bitstring(s: str) -> str:
-    # a nonempty str of 0s and 1s, not a JSON array; strip leaves any other character
-    if not isinstance(s, str) or not s or s.strip("01"):
-        raise InputError(f"bad bitstring {s!r}")
-    return s
-
-
-def parse_bits(s: str) -> GF2Vector:
-    """Bitstring "10" -> (1, 0); leftmost character is coordinate 1."""
-    return tuple(_bitstring(s).encode().translate(_BIT_BYTES))
-
-
 def parse_vectors(strings: Sequence[str]) -> FacetMasks:
-    """Bitstrings to masks as `parse_bits` reads them, checked at once, one by
-    one only to refuse the first bad one; `validate` checks count and lengths."""
-    text = "".join(strings) if all(isinstance(s, str) and s for s in strings) else "?"
-    if text.count("0") + text.count("1") < len(text):
-        for s in strings:
-            _bitstring(s)
+    """Bitstrings to masks; the leftmost character is coordinate 1.  Only a
+    str is a bitstring: a JSON array of "0"/"1" strings is refused.  Each is
+    checked in turn; `validate` checks their count and lengths."""
+    for s in strings:
+        # strip leaves a character other than 0 and 1, if there is one
+        if not isinstance(s, str) or not s or s.strip("01"):
+            raise InputError(f"bad bitstring {s!r}")
     masks = [int(s[::-1], 2) for s in strings]
     lengths = set(map(len, strings))
     return FacetMasks(lengths.pop() if len(lengths) == 1 else -1, masks)
+
+
+def parse_bits(s: str) -> GF2Vector:
+    """Bitstring "10" -> (1, 0), checked and packed as `parse_vectors` does."""
+    return gf2.bits_of(parse_vectors([s])[0], len(s))
 
 
 Vectors = Union[FacetMasks, Sequence[GF2Vector]]  # masks, or 0/1 tuples to pack
@@ -107,7 +97,9 @@ def _masks(P: SimplePolytope, vectors: Vectors) -> Tuple[int, ...]:
     """The masks, once their count and then their lengths fit P; 0/1 tuples
     are packed here, the one place, by `gf2.mask_of`."""
     if len(vectors) != P.facet_count:
-        raise CharacteristicError(f"expected {P.facet_count} vectors, got {len(vectors)}")
+        raise CharacteristicError(
+            f"expected {P.facet_count} vectors, got {len(vectors)}"
+        )
     if isinstance(vectors, FacetMasks):
         if vectors and (vectors.n != P.n or max(vectors) >> P.n):
             raise CharacteristicError("vector length differs from the dimension")
@@ -343,5 +335,8 @@ def _peel_layout(P: SimplePolytope):
     alphas = tuple(off + d for off, d in zip(block_offsets(dims), dims))
     alpha_set = set(alphas)
     basis = tuple(f for f in range(P.facet_count) if f not in alpha_set)
-    starts = list(accumulate(dims, initial=0))
-    return alphas, basis, tuple((1 << e) - (1 << s) for s, e in zip(starts, starts[1:]))
+    segments, start = [], 0
+    for d in dims:
+        segments.append(((1 << d) - 1) << start)
+        start += d
+    return alphas, basis, tuple(segments)

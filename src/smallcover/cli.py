@@ -120,7 +120,7 @@ def _parse_characteristic(P, obj):
         beta = {}
         for key, bits in _object(obj.get("beta"), "beta").items():
             try:
-                k, j = map(int, key.split(","))
+                k, j = (int(x) for x in key.split(","))
             except ValueError:
                 raise InputError(f"beta key {key!r} is not two integers k,j") from None
             if (k, j) in beta:

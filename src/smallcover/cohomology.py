@@ -580,7 +580,9 @@ class SmallCoverRing(QuotientRing):
     def __init__(self, P: SimplePolytope, vectors: Vectors):
         report = validate(P, vectors)
         if not report.valid:
-            raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
+            raise CharacteristicError(
+                f"invalid assignment at vertices {report.bad_vertices}"
+            )
         self.P = P
         self.vectors = FacetMasks(P.n, P._valid_masks)  # as validate packed them
         r = P.facet_count

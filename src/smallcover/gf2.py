@@ -42,9 +42,15 @@ def bit_positions(mask: int) -> List[int]:
 
 def _as_masks(rows: Iterable[Sequence[int]]) -> List[int]:
     rows = list(rows)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("ragged matrix rows")
-    return [mask_of(r) for r in rows]
+    if not rows:
+        return []
+    length = len(rows[0])
+    masks = []
+    for r in rows:
+        if len(r) != length:
+            raise InputError("ragged matrix rows")
+        masks.append(mask_of(r))
+    return masks
 
 def row_reduce_masks(masks: Iterable[int]) -> List[int]:
     """Row-reduce int bitmask rows; returns the nonzero reduced rows."""
