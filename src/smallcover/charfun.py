@@ -38,22 +38,32 @@ class FacetMasks(tuple):
         return self
 
 
-def parse_vectors(strings: Sequence[str]) -> FacetMasks:
-    """Bitstrings to masks; the leftmost character is coordinate 1.  Only a
-    str is a bitstring: a JSON array of "0"/"1" strings is refused.  Each is
-    checked in turn; `validate` checks their count and lengths."""
-    for s in strings:
-        # strip leaves a character other than 0 and 1, if there is one
-        if not isinstance(s, str) or not s or s.strip("01"):
-            raise InputError(f"bad bitstring {s!r}")
-    masks = [int(s[::-1], 2) for s in strings]
-    lengths = set(map(len, strings))
-    return FacetMasks(lengths.pop() if len(lengths) == 1 else -1, masks)
+# the ASCII digits 0 and 1 to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bitstring(s: str) -> str:
+    """s, if it is a bitstring.  Only a str is a bitstring: a JSON array of
+    "0"/"1" strings is refused."""
+    # strip leaves a character other than 0 and 1, if there is one
+    if not isinstance(s, str) or not s or s.strip("01"):
+        raise InputError(f"bad bitstring {s!r}")
+    return s
 
 
 def parse_bits(s: str) -> GF2Vector:
-    """Bitstring "10" -> (1, 0), checked and packed as `parse_vectors` does."""
-    return gf2.bits_of(parse_vectors([s])[0], len(s))
+    """Bitstring "10" -> (1, 0); leftmost character is coordinate 1."""
+    return tuple(_bitstring(s).encode().translate(_BIT_BYTES))
+
+
+def parse_vectors(strings: Sequence[str]) -> FacetMasks:
+    """Bitstrings to masks as `parse_bits` reads them, each checked in turn;
+    `validate` checks their count and lengths."""
+    for s in strings:
+        _bitstring(s)
+    masks = [int(s[::-1], 2) for s in strings]
+    lengths = set(map(len, strings))
+    return FacetMasks(lengths.pop() if len(lengths) == 1 else -1, masks)
 
 
 Vectors = Union[FacetMasks, Sequence[GF2Vector]]  # masks, or 0/1 tuples to pack
