@@ -21,6 +21,7 @@ from .gf2 import mask_of, row_reduce_masks
 from .invariants import (
     DEFAULT_BUDGET,
     IntervalValue,
+    ZclCertificate,
     cup_length,
     sphere_zcl,
     sphere_zcl_declared,
@@ -54,6 +55,11 @@ class ManifoldDescription:
     def _facet_hypotheses(self) -> Tuple[bool, bool]:
         """`simplex_facet_hypotheses` of (P, vectors), checked once."""
         return simplex_facet_hypotheses(self.P, self.vectors)
+
+    @cached_property
+    def _certificate(self) -> ZclCertificate:
+        """The tower's tensor-power certificate, built once."""
+        return zcl_certificate_bott(self.dims, self.bmat)
 
 
 def bott_manifold(dims: Sequence[int], B: BottMatrix,
@@ -215,9 +221,7 @@ def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
     ring = manifold_ring(M)
     rules = []
     if M.bmat is not None:
-        if ring._cert is None:
-            ring._cert = zcl_certificate_bott(M.dims, M.bmat)
-        cert = ring._cert
+        cert = M._certificate
         rules.append((cert.k, "tensor power certificate",
                       f"{cert.k} diagonal zero divisors with nonzero product, "
                       f"surviving terms {', '.join(cert.surviving_terms)}", ()))

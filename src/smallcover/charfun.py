@@ -3,9 +3,9 @@
 the multiplicative sign convention carried additively (a -1 entry is bit 1).
 
 Validation checks invertibility of the vertex matrices, all in one
-elimination on the smaller Gale side (`validate`); for a simple polytope
-that subsumes the conditions on all lower faces.  On a product of
-simplices, a Bott matrix gives facet vectors in the block layout
+elimination (`validate`), on a product on the smaller Gale side; for a
+simple polytope that subsumes the conditions on all lower faces.  On a
+product of simplices, a Bott matrix gives facet vectors in the block layout
 (`from_bott`), and the block peel takes an assignment back to such a matrix
 in polynomial time: one basis change, then the blocks peeled from the end
 into a triangular order.  The peel succeeds exactly on the valid
@@ -82,15 +82,16 @@ def validate(P: SimplePolytope, vectors: Vectors) -> ValidationReport:
     succeeds exactly on a valid assignment, so an accepted one needs no
     vertex list.  A refused one, and any assignment on another polytope,
     goes to one elimination over all vertex matrices (`_dependent_vertices`).
-    When F - n < n it reads the F - n facets off each vertex in a basis of
-    the relations among the facet vectors: those span the complement of the
-    rows of the n x F matrix of facet vectors, so n of its columns are a
-    basis exactly when the relations on the other F - n are independent
-    (matroid duality; Oxley, Matroid Theory, ch. 2), and more than F - n
-    relations mean rank < n.  P keeps the masks last found valid on it
-    (`P._valid_masks`) and, set with them, their peel (`P._peeled`, None
-    off a product), so a ring built on an assignment just accepted checks
-    it no more, and reads both there; count and lengths are always checked.
+    On a product with F - n < n it reads the F - n facets off each vertex in
+    a basis of the relations among the facet vectors: those span the
+    complement of the rows of the n x F matrix of facet vectors, so n of its
+    columns are a basis exactly when the relations on the other F - n are
+    independent (matroid duality; Oxley, Matroid Theory, ch. 2), and more
+    than F - n relations mean rank < n.  P keeps the masks last found valid
+    on it (`P._valid_masks`) and, set with them, their peel (`P._peeled`,
+    None off a product), so a ring built on an assignment just accepted
+    checks it no more, and reads both there; count and lengths are always
+    checked.
     """
     masks = _masks(P, vectors)
     if masks == vars(P).get("_valid_masks"):
@@ -162,19 +163,15 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Tuple[Tuple[
 def _vertex_rows(P: SimplePolytope):
     """The vertices as sorted facet tuples in ascending order, and per row a
     str whose k-th character codes the facet vertex k puts there: its n
-    facets, or if fewer the F - n off it.  A product vertex is off one facet
-    per block.  In `product_vertices` order, block j's row counts down its
-    facets, each held for as many vertices as the later blocks have, and
-    repeats that run once per vertex of the earlier blocks."""
+    facets, or on a product with F - n < n the F - n off it, one per block.
+    In `product_vertices` order, block j's row counts down its facets, each
+    held for as many vertices as the later blocks have, and repeats that run
+    once per vertex of the earlier blocks."""
     on_product = P.family[0] == "product_of_simplices"
     vertices = (product_vertices(P) if on_product
                 else sorted(tuple(sorted(v)) for v in P.vertices))
-    if P.facet_count - P.n >= P.n:
+    if not on_product or P.facet_count - P.n >= P.n:
         return vertices, tuple("".join(map(chr, row)) for row in zip(*vertices))
-    if not on_product:
-        facets = frozenset(range(P.facet_count))
-        off = map(sorted, map(facets.difference, vertices))
-        return vertices, tuple("".join(map(chr, row)) for row in zip(*off))
     rows, held = [], len(vertices)
     for off, d in zip(block_offsets(P.family[1]), P.family[1]):
         held //= d + 1  # the vertices of the later blocks

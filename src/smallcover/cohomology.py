@@ -264,9 +264,8 @@ class Ring:
     top: int
     generators: Tuple[Tuple[str, int], ...]
     relations_text: Tuple[str, ...]
-    # kept once found: the exact zero-divisor-cup-length (invariants.zcl_exact)
-    # and a tower's tensor-power certificate (bounds._zcl_rules)
-    _zcl = _cert = None
+    # the exact zero-divisor-cup-length, kept once found (invariants.zcl_exact)
+    _zcl = None
 
     def algebra(self) -> GradedAlgebra:
         raise NotImplementedError
@@ -442,14 +441,8 @@ def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int,
         if row is None:
             forms.append(1 << rank)
             rank += 1
-            continue
-        acc = 0
-        rest = row & ~(1 << i)
-        while rest:
-            b = rest.bit_length() - 1
-            rest &= ~(1 << b)
-            acc ^= forms[b]
-        forms.append(acc)
+        else:  # the row's lead bit is i
+            forms.append(apply_step(forms, row ^ 1 << i))
     return dict(zip(mons, forms))
 
 
@@ -585,19 +578,19 @@ class SmallCoverRing(QuotientRing):
             )
         self.P = P
         self.vectors = FacetMasks(P.n, P._valid_masks)  # as validate packed them
-        r = P.facet_count
-        # eliminate the linear relations: the reduced coordinate matrix, read
-        # off the facet masks validate accepted and kept on P with their peel
-        self._reduced = gf2.column_rref(P._valid_masks)
-        self._peeled = P._peeled
-        if len(self._reduced) != P.n:
-            raise CharacteristicError("facet vectors do not span the ambient space")
-        super().__init__([f"z{i + 1}" for i in range(r - P.n)], P.n)
+        self._peeled = P._peeled  # kept on P with them
+        super().__init__([f"z{i + 1}" for i in range(P.facet_count - P.n)], P.n)
         object.__setattr__(P, "_ring", weakref.ref(self))
+
+    @cached_property
+    def _reduced(self) -> List[int]:
+        """The reduced coordinate matrix of the vectors, on first use."""
+        return gf2.column_rref(self.vectors)
 
     def _relations(self):
         """The non-face monomials, each facet class a linear form in the free
         classes z_i, those of the facets that lead no reduced row."""
+        non_faces = minimal_non_faces(self.P)  # first: a polygon over the cap refuses
         w, rows = self._width, self._reduced
         leads = {row.bit_length() - 1 for row in rows}
         free = [f for f in range(self.P.facet_count) if f not in leads]
@@ -605,7 +598,7 @@ class SmallCoverRing(QuotientRing):
         for row in rows:
             # a fully reduced row has no other lead bit
             subs[row.bit_length() - 1] = tuple(subs[f][0] for f in free if row >> f & 1)
-        for S in minimal_non_faces(self.P):
+        for S in non_faces:
             terms = _product(subs[f] for f in S)
             if terms:
                 yield len(S), terms

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from math import ceil, log2
 from operator import or_
 from typing import List, Sequence, Tuple
 
@@ -91,7 +90,7 @@ def cup_length(ring: Ring) -> int:
 
 def power_exponent(nj: int) -> int:
     """Smallest r with nj <= 2^r - 1 < 2 nj."""
-    return ceil(log2(nj + 1))
+    return nj.bit_length()
 
 
 def certificate_length(dims: Sequence[int]) -> int:

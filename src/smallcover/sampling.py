@@ -12,8 +12,8 @@ import random
 from itertools import product
 from typing import Iterator, Optional, Tuple
 
-from .charfun import BottMatrix, FacetMasks, _dependent_vertices, _vertex_rows
-from .polytope import SimplePolytope, kept
+from .charfun import BottMatrix, FacetMasks, _dependent_vertices, _peel
+from .polytope import SimplePolytope, product_vertices
 
 
 def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
@@ -25,11 +25,12 @@ def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
 
 def random_characteristic(P: SimplePolytope, rng: random.Random,
                           tries: int) -> Optional[FacetMasks]:
-    """Random valid facet vectors for P, as masks, or None after `tries` draws."""
+    """Random valid facet vectors for P, as masks, or None after `tries` draws,
+    each decided as `validate` does: by the block peel on a product."""
     n = P.n
-    # on a product, P.vertices[0] is the last vertex the elimination keeps
-    first = (kept(P, "_vertex_rows", _vertex_rows)[0][-1]
-             if P.family[0] == "product_of_simplices" else sorted(P.vertices[0]))
+    on_product = P.family[0] == "product_of_simplices"
+    # on a product, P.vertices[0] is the last vertex listed
+    first = product_vertices(P)[-1] if on_product else sorted(P.vertices[0])
     for _ in range(tries):
         # a nonzero vector is one draw from 1 .. 2^n - 1, as a mask, so no
         # list of all 2^n - 1 of them is built
@@ -37,7 +38,7 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
         # make the first vertex a basis to help the success rate
         for i, f in enumerate(first):
             masks[f] = 1 << i
-        if not _dependent_vertices(P, masks):
+        if _peel(P, masks) if on_product else not _dependent_vertices(P, masks):
             return FacetMasks(n, masks)
     return None
 

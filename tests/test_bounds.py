@@ -471,7 +471,7 @@ def test_manifold_ring_built_once():
 
 def test_rules_above_the_budget_build_no_relations():
     # the certificate, the closed-form cup-length and the budget check read
-    # no relation, so the ring packs none
+    # no relation, so the ring packs none and eliminates no linear one
     twisted = {(k, j): (1, 0, 1) for k in range(2, 6) for j in range(1, k)}
     tower = bott_manifold((3,) * 5, BottMatrix.make((3,) * 5, twisted))
     cover = small_cover_manifold(polygon(16), [parse_bits(s) for s in ["10", "01"] * 8])
@@ -481,7 +481,7 @@ def test_rules_above_the_budget_build_no_relations():
         manifold_zcl(M, 12)
         dold_bounds(M, [1, 2])
         ring = manifold_ring(M)
-        assert {"_packed", "relations_text", "_tails"}.isdisjoint(vars(ring))
+        assert {"_packed", "relations_text", "_tails", "_reduced"}.isdisjoint(vars(ring))
         assert ring._slices == {} and ring._alg is None
     assert manifold_ring(cover).relations_text[:2] == ("z1*z3", "z1*z4")
 
@@ -499,7 +499,7 @@ def test_certificate_built_once_per_tower(monkeypatch):
     tc = tc_bounds(M)
     symm_tc_bounds(M)
     assert calls == [(3, 2)]
-    assert manifold_ring(M)._cert is not None
+    assert vars(M)["_certificate"].k == 3 + 3  # 2^2 - 1 for each block
     assert tc_bounds(M) == tc and calls == [(3, 2)]
 
 

@@ -411,14 +411,14 @@ def test_bad_vertices_match_per_vertex_reference(rng):
         assert report == _per_vertex_validate(P, vectors), (P.family, vectors)
         shared += len(report.bad_vertices) >= 32
     assert shared >= 8
-    # the sorted vertices, and one row per facet of the smaller Gale side,
-    # a str with a facet of each vertex as a character: on the vertex, or
-    # off it when F - n < n, each facet in one row
+    # the sorted vertices, and rows of str with a facet of each vertex as a
+    # character, each facet in one row: the n on the vertex, or on a product
+    # with F - n < n, the smaller Gale side, the F - n off it
     for P, _ in cases:
         vertices, rows = vars(P)["_vertex_rows"]
         assert vertices == sorted(tuple(sorted(v)) for v in P.vertices)
-        assert len(rows) == min(P.n, P.facet_count - P.n), P.family
-        on = P.facet_count - P.n >= P.n
+        on = P.family[0] != "product_of_simplices" or P.facet_count - P.n >= P.n
+        assert len(rows) == (P.n if on else P.facet_count - P.n), P.family
         for row in rows:
             assert len(row) == P.vertex_count
             assert all((ord(f) in v) == on for f, v in zip(row, vertices)), P.family
@@ -434,20 +434,20 @@ def _prism(k):
 
 def test_elimination_matches_per_vertex_reference_on_every_small_assignment():
     """Every nonzero assignment, rank-deficient ones too, on both Gale
-    sides: the 2-simplex, (1, 2), (2, 1) and the 3-prism (F - n < n) take
-    the relations off each vertex, (1, 1), the square and the pentagon the
-    facets on it."""
+    sides: the 2-simplex, (1, 2) and (2, 1) (products with F - n < n) take
+    the relations off each vertex; (1, 1), the square, the pentagon and the
+    3-prism, whose F - n < n off a product, the facets on it."""
     shapes = [product_of_simplices(d) for d in [(1, 1), (2,), (1, 2), (2, 1)]]
     shapes += [polygon(4), polygon(5), _prism(3)]
     sides, bad = Counter(), 0
     for P in shapes:
-        sides[P.facet_count - P.n < P.n] += 1
         for masks in product(range(1, 1 << P.n), repeat=P.facet_count):
             vectors = [gf2.bits_of(m, P.n) for m in masks]
             expected = _per_vertex_validate(P, vectors).bad_vertices
             assert charfun._dependent_vertices(P, masks) == expected, (P.family, masks)
             bad += bool(expected)
-    assert sides == {True: 4, False: 3}
+        sides[len(vars(P)["_vertex_rows"][1]) < P.n] += 1  # on the relations side
+    assert sides == {True: 3, False: 4}
     assert bad > 40000
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from smallcover import cli, cohomology, invariants
+from smallcover import cli, cohomology, gf2, invariants
 from smallcover.bounds import BoundReport
 from smallcover.cli import main
 
@@ -842,16 +842,22 @@ def test_explicit_ring_exits_2_before_enumerating(capsys, tmp_path):
     assert code == 0 and "z1^7" in out
 
 
-def test_ring_on_a_large_polygon_exits_2_before_listing(capsys, tmp_path):
+def test_ring_on_a_large_polygon_exits_2_before_listing(capsys, tmp_path, monkeypatch):
     k = 20000
     path = write(tmp_path, "gon.json", {
         "polytope": {"type": "polygon", "edges": k},
         "characteristic": {"type": "facet_vectors", "vectors": ["10", "01"] * (k // 2)},
     })
+    eliminations = []
+    column_rref = gf2.column_rref
+    monkeypatch.setattr(gf2, "column_rref",
+                        lambda columns: eliminations.append(1) or column_rref(columns))
     start = time.perf_counter()
     err = assert_malformed(capsys, ["ring", path])
     assert time.perf_counter() - start < 0.5
     assert "20000-gon's ring has 199970000 relations" in err
+    # the cap refuses before the linear relations are eliminated
+    assert not eliminations
     # only the ring lists the relations
     code, out = run(capsys, "betti", path)
     assert code == 0 and out == "1 19998 1\n"

@@ -63,6 +63,9 @@ def test_power_exponent_and_certificate_length():
     assert certificate_length((16, 8)) == 31 + 15
     assert certificate_length((17, 9)) == 31 + 15
     assert certificate_length((2,)) == 3
+    # exact past a float's 53 bits, where log2(n + 1) rounds down to log2(n)
+    assert power_exponent(2 ** 53) == 54 and power_exponent(2 ** 60) == 61
+    assert certificate_length((2 ** 60,)) == 2 ** 61 - 1
 
 
 # frozen oracle values: known zero-divisor-cup-lengths of small projective rings

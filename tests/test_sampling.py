@@ -43,6 +43,22 @@ def test_random_characteristic_draws_as_the_list_sampler():
     assert found > len(shapes)
 
 
+def test_product_draws_are_decided_by_the_peel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(sampling, "_dependent_vertices", refuse)
+    found = 0
+    for dims in [(1,), (2, 3), (1, 1, 1), (3, 4), (2, 2, 2, 2)]:
+        P = product_of_simplices(dims)
+        for seed in range(4):
+            masks = sampling.random_characteristic(P, random.Random(seed), 400)
+            if masks is not None:
+                assert validate(P, masks).valid
+                found += 1
+    assert found > 10
+
+
 def _inline_bott_matrix(dims, rng):
     """The twisting draw as the CLI and the tests wrote it out."""
     m = len(dims)
