@@ -3,7 +3,7 @@
 the multiplicative sign convention carried additively (a -1 entry is bit 1).
 
 Validation checks invertibility of the vertex matrices, all in one
-elimination (`validate`), on a product on the smaller Gale side; for a
+elimination (`validate`), on the smaller Gale side on a product; for a
 simple polytope that subsumes the conditions on all lower faces.  On a
 product of simplices, a Bott matrix gives facet vectors in the block layout
 (`from_bott`), and the block peel takes an assignment back to such a matrix

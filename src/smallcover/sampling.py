@@ -29,7 +29,8 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
     each decided as `validate` does: by the block peel on a product."""
     n = P.n
     on_product = P.family[0] == "product_of_simplices"
-    # on a product, P.vertices[0] is the last vertex listed
+    # on a product, P.vertices[0] is the last vertex listed; listing them
+    # refuses a product past the vertex cap before the first draw
     first = product_vertices(P)[-1] if on_product else sorted(P.vertices[0])
     for _ in range(tries):
         # a nonzero vector is one draw from 1 .. 2^n - 1, as a mask, so no
