@@ -9,7 +9,7 @@ from smallcover import BottMatrix, bott_manifold, tc_bounds, zcl_certificate_bot
 
 for dims in [(16, 8), (16, 9), (17, 8), (17, 9)]:
     B = BottMatrix.make(dims)
-    cert = zcl_certificate_bott(dims, B)
+    cert = zcl_certificate_bott(B)
     rep = tc_bounds(bott_manifold(dims, B))
     iv = rep.interval
     print(f"dims {dims}: certificate length {cert.k} -> TC in [{iv.lo}, {iv.hi}]")

@@ -9,7 +9,6 @@ recorded in the report when used.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,12 +38,12 @@ from .polytope import (
 
 @dataclass(frozen=True)
 class ManifoldDescription:
+    """A manifold as the bound rules read it.  Over a product of simplices, in
+    either input form, `bmat` is its tower, and `bmat.dims` its block sizes."""
     kind: str  # the ring presentation: 'small_cover' | 'bott' | 'sphere'
     n: int
     P: Optional[SimplePolytope] = None
     vectors: Optional[FacetMasks] = None
-    # the tower of a manifold over a product of simplices, in either input form
-    dims: Optional[Tuple[int, ...]] = None
     bmat: Optional[BottMatrix] = None
     involution: Optional[GF2Vector] = None
     fixed_set_connected: bool = False
@@ -59,17 +58,19 @@ class ManifoldDescription:
     @cached_property
     def _certificate(self) -> ZclCertificate:
         """The tower's tensor-power certificate, built once."""
-        return zcl_certificate_bott(self.dims, self.bmat)
+        return zcl_certificate_bott(self.bmat)
 
 
 def bott_manifold(dims: Sequence[int], B: BottMatrix,
                   involution: Optional[GF2Vector] = None,
                   fixed_set_connected: bool = False,
                   P: Optional[SimplePolytope] = None) -> ManifoldDescription:
-    """The tower of B over P, the product of simplices of dims if not given."""
-    dims = tuple(dims)
+    """The tower of B over P, the product of simplices of dims if not given.
+    The one check that dims are B's block sizes, made after P is built."""
     P = product_of_simplices(dims) if P is None else P
-    return ManifoldDescription("bott", P.n, P, from_bott(dims, B), dims, B,
+    if B.dims != tuple(dims):
+        raise InputError("matrix dims disagree with the polytope dims")
+    return ManifoldDescription("bott", P.n, P, from_bott(B), B,
                                involution, fixed_set_connected)
 
 
@@ -80,7 +81,7 @@ def small_cover_manifold(P: SimplePolytope, vectors: Vectors,
     # them once; the description keeps it, and the tower of its peel
     ring = SmallCoverRing._on(P, vectors)
     B = None if ring._peeled is None else peel_matrix(P.family[1], ring._peeled)
-    M = ManifoldDescription("small_cover", P.n, P, ring.vectors, B and B.dims, B,
+    M = ManifoldDescription("small_cover", P.n, P, ring.vectors, B,
                             involution, fixed_set_connected)
     object.__setattr__(M, "_ring", ring)
     return M
@@ -95,7 +96,7 @@ def sphere_manifold(n: int, fixed_set_connected: bool = False) -> ManifoldDescri
 def manifold_ring(M: ManifoldDescription) -> Ring:
     if M._ring is None:
         if M.kind == "bott":
-            ring = BottRing(M.dims, M.bmat)
+            ring = BottRing(M.bmat)
         elif M.kind == "small_cover":
             ring = SmallCoverRing(M.P, M.vectors)
         elif M.kind == "sphere":
@@ -191,8 +192,8 @@ def simplex_facet_hypotheses(P: SimplePolytope, masks: FacetMasks):
         for nb in (facet_neighbours(P, f) for f in simplices))
 
 
-def free_circle_blocks(dims: Sequence[int], B: BottMatrix) -> List[int]:
-    """Blocks j (1-based) whose stage carries a free circle action by scalars.
+def free_circle_blocks(B: BottMatrix) -> List[int]:
+    """Blocks j (1-based) whose stage of B's tower carries a free circle action by scalars.
 
     Block j counts when n_j > 1 is odd, its fibre line bundles pair up, and
     no later block is twisted by y_j (beta(j', j) = 0 for every j' > j).  The
@@ -200,17 +201,18 @@ def free_circle_blocks(dims: Sequence[int], B: BottMatrix) -> List[int]:
     w_k = (beta(j, l)[k])_{l < j}, occurs an even number of times: the fibre
     is then a complex projectivisation.  The README gives the argument.
     """
-    twisted = {j for (_, j), bits in B.beta if any(bits)}
-    out = []
-    for j, nj in enumerate(dims, start=1):
-        if nj == 1 or nj % 2 == 0 or j in twisted:
-            continue
-        rows = [B.block(j, l) for l in range(1, j)]
-        fibre = Counter(tuple(row[k] for row in rows) for k in range(nj))
-        fibre[(0,) * (j - 1)] += 1
-        if all(c % 2 == 0 for c in fibre.values()):
-            out.append(j)
-    return out
+    # each candidate's w_k, an int with bit l set when beta(j, l)[k] = 1
+    fibres = {j: [0] * (nj + 1) for j, nj in enumerate(B.dims, start=1) if nj > 1 and nj % 2}
+    twisted = set()
+    for (j, l), bits in B.beta:
+        twisted.add(l)
+        w = fibres.get(j)
+        if w is not None:
+            for k, bit in enumerate(bits):
+                w[k] |= bit << l
+    # sorted, every value occurs an even number of times iff the pairs match
+    return [j for j, w in fibres.items()
+            if j not in twisted and (s := sorted(w))[::2] == s[1::2]]
 
 
 def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
@@ -290,7 +292,7 @@ def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundRepo
         b.lower(value + 1, rule, detail, witness)
     b.upper(2 * n + 1, "dimension cap")
     if M.bmat is not None:
-        blocks = free_circle_blocks(M.dims, M.bmat)
+        blocks = free_circle_blocks(M.bmat)
         if blocks:
             b.upper(2 * n - len(blocks) + 1, "free circle actions",
                     "free circle on blocks " + ", ".join(map(str, blocks)))

@@ -217,14 +217,11 @@ class BottMatrix:
         return self._blocks.get((k, j)) or (0,) * self.dims[k - 1]
 
 
-def from_bott(dims: Sequence[int], B: BottMatrix) -> FacetMasks:
-    """Facet masks on the product of simplices in the block layout: block
-    j's first n_j facets get consecutive standard basis vectors, its last
-    column j of the matrix, ones on block j and block (k, j) on each k > j."""
-    dims = tuple(dims)
-    if B.dims != dims:
-        raise InputError("matrix dims disagree with the polytope dims")
-    starts = list(accumulate(dims, initial=0))  # each block's first coordinate, then n
+def from_bott(B: BottMatrix) -> FacetMasks:
+    """Facet masks on the product of simplices of B.dims in the block layout:
+    block j's first n_j facets get consecutive standard basis vectors, its last
+    column j of B, ones on block j and block (k, j) on each k > j."""
+    starts = list(accumulate(B.dims, initial=0))  # each block's first coordinate, then n
     columns = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
     for (k, j), bits in B.beta:
         columns[j - 1] |= gf2.mask_of(bits) << starts[k - 1]
@@ -267,7 +264,7 @@ def reduce_to_bott(dims: Sequence[int], vectors: Vectors) -> BottReduction:
     # postcondition: the transformed, reordered vectors are the layout
     laid = [sum(((row & masks[f]).bit_count() & 1) << r for r, row in enumerate(C))
             for j in order for f in range(offsets[j], alphas[j] + 1)]
-    assert tuple(laid) == from_bott(B.dims, B)
+    assert tuple(laid) == from_bott(B)
     return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
                          tuple(gf2.bits_of(row, n) for row in C))
 

@@ -178,7 +178,7 @@ _Result = Tuple[int, List[str], Dict]
 def cmd_validate(spec: ProblemSpec, args) -> _Result:
     _require_char(spec)
     B = spec.bmat
-    report = charfun.validate(spec.P, spec.vectors if B is None else charfun.from_bott(B.dims, B))
+    report = charfun.validate(spec.P, spec.vectors if B is None else charfun.from_bott(B))
     payload = {"valid": report.valid,
                "bad_vertices": [list(v) for v in report.bad_vertices]}
     if report.valid:
@@ -221,7 +221,7 @@ def cmd_zcl(spec: ProblemSpec, args) -> _Result:
     if args.certificate_only:
         if M.bmat is None:
             raise InputError("--certificate-only needs a product of simplices")
-        cert = invariants.zcl_certificate_bott(M.dims, M.bmat)
+        cert = M._certificate
         lines = [f"certificate length = {cert.k}",
                  "surviving terms: " + ", ".join(cert.surviving_terms),
                  f"argument: {cert.argument}"]
@@ -319,7 +319,7 @@ def _suite_lemma(max_m: int, max_n: int, _rng):
                          f"towers at --max-m {max_m} --max-n {max_n}")
     for m in range(1, max_m + 1):
         for dims, B in sampling.all_bott_matrices(m, max_n):
-            ok = cohomology.verify_top_monomial(dims, B)
+            ok = cohomology.verify_top_monomial(B)
             yield "" if ok else f"dims={list(dims)} beta={dict(B.beta)}"
 
 
@@ -372,8 +372,8 @@ def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
         if k > _CERTIFICATE_MAX_LENGTH:
             yield None
             continue
-        cert = invariants.zcl_certificate_bott(dims, B)
-        ok = cert.k == k and invariants.verify_certificate(cohomology.BottRing(dims, B), cert)
+        cert = invariants.zcl_certificate_bott(B)
+        ok = cert.k == k and invariants.verify_certificate(cohomology.BottRing(B), cert)
         yield "" if ok else f"dims={list(dims)} beta={dict(B.beta)}"
 
 

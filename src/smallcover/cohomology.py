@@ -447,16 +447,14 @@ def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int,
 
 
 class BottRing(QuotientRing):
+    """Z2[y_1..y_m]/<Gamma_1..Gamma_m>, the ring of B's tower; `dims` is B.dims."""
     kind = "bott"
 
-    def __init__(self, dims: Sequence[int], B: BottMatrix):
-        dims = tuple(dims)
-        if B.dims != dims:
-            raise InputError("matrix dims disagree with the ring dims")
-        self.dims = dims
+    def __init__(self, B: BottMatrix):
+        self.dims = B.dims
         self.bmat = B
-        self.m = len(dims)
-        super().__init__(gf2.default_names(self.m, "y"), sum(dims))
+        self.m = len(B.dims)
+        super().__init__(gf2.default_names(self.m, "y"), sum(B.dims))
 
     @cached_property
     def betti(self) -> Tuple[int, ...]:
@@ -555,7 +553,7 @@ def projective_ring(n: int) -> BottRing:
         raise InputError("projective dimension must be non-negative")
     if n == 0:
         return PointRing()
-    return BottRing((n,), BottMatrix.make((n,)))
+    return BottRing(BottMatrix.make((n,)))
 
 
 class SmallCoverRing(QuotientRing):
@@ -680,8 +678,8 @@ def poincare_pairing(ring: Ring) -> PairingReport:
     return PairingReport(all(flags), tuple(flags))
 
 
-def verify_top_monomial(dims: Sequence[int], B: BottMatrix) -> bool:
-    """Each y_j^{n_j} and the full product y_1^{n_1}..y_m^{n_m} are nonzero."""
-    ring = BottRing(dims, B)
+def verify_top_monomial(B: BottMatrix) -> bool:
+    """Each y_j^{n_j} and the full product y_1^{n_1}..y_m^{n_m} of B's tower are nonzero."""
+    ring = BottRing(B)
     powers = [n << (j * ring._width) for j, n in enumerate(ring.dims)]
     return all(ring._reduce({t}) for t in powers + [sum(powers)])

@@ -103,8 +103,8 @@ LEADING_TERM_ARGUMENT = (
 )
 
 
-def zcl_certificate_bott(dims: Sequence[int], B: BottMatrix) -> ZclCertificate:
-    """Nonzero product of diagonal zero divisors of maximal binary length.
+def zcl_certificate_bott(B: BottMatrix) -> ZclCertificate:
+    """Nonzero product of diagonal zero divisors of maximal binary length for B's tower.
 
     Uses one factor a_j = 1 (x) y_j + y_j (x) 1 per generator, raised to
     d_j = 2^{r_j} - 1.  Every C(d_j, s) is odd, so before reduction the
@@ -122,9 +122,7 @@ def zcl_certificate_bott(dims: Sequence[int], B: BottMatrix) -> ZclCertificate:
     holds the witness term {T*}, not the expanded product.
     `verify_certificate` re-checks it by the full expansion.
     """
-    dims = tuple(dims)
-    if B.dims != dims:
-        raise InputError("matrix dims disagree with the ring dims")
+    dims = B.dims
     m = len(dims)
     names = gf2.default_names(m, "y")
     one = (0,) * m

@@ -71,7 +71,7 @@ def test_criterion_2_top_monomial_sweep():
         count = 0
         for m in (1, 2, 3):
             for dims, B in all_bott_matrices(m, 3):
-                assert verify_top_monomial(dims, B), (dims, dict(B.beta))
+                assert verify_top_monomial(B), (dims, dict(B.beta))
                 count += 1
         assert count == 3573
         assert time.monotonic() - t0 < 60.0
@@ -105,8 +105,8 @@ def test_criterion_4_two_presentations_agree():
         for m in (1, 2, 3):
             for dims, B in all_bott_matrices(m, 3):
                 P = product_of_simplices(dims)
-                r1 = BottRing(dims, B)
-                r2 = SmallCoverRing(P, from_bott(dims, B))
+                r1 = BottRing(B)
+                r2 = SmallCoverRing(P, from_bott(B))
                 assert tuple(r1.betti) == r2.algebra().betti, (dims, dict(B.beta))
 
 
@@ -139,10 +139,10 @@ def test_criterion_6_exact_zcl_oracle():
         assert iv.witness == ("1(x)y1 + y1(x)1",) * 3
         for m in (1, 2, 3):
             for dims, B in all_bott_matrices(m, 3):
-                ring = BottRing(dims, B)
+                ring = BottRing(B)
                 if ring.dim > 12:
                     continue
-                cert = zcl_certificate_bott(dims, B)
+                cert = zcl_certificate_bott(B)
                 assert zcl_exact(ring).lo >= cert.k, (dims, dict(B.beta))
         assert time.monotonic() - t0 < 120.0
 
@@ -182,10 +182,10 @@ def test_criterion_9_property_suites():
         for dims, beta in [((2,), {}), ((1, 1), {(2, 1): (1,)}),
                            ((2, 3), {(2, 1): (1, 0, 1)}), ((16, 8), {})]:
             B = BottMatrix.make(dims, beta)
-            cert = zcl_certificate_bott(dims, B)
+            cert = zcl_certificate_bott(B)
             assert cert.k == certificate_length(dims)
             assert cert.product
-            assert verify_certificate(BottRing(dims, B), cert)
+            assert verify_certificate(BottRing(B), cert)
 
         # binomial parity against Pascal's triangle mod 2
         for k in range(65):
@@ -195,8 +195,8 @@ def test_criterion_9_property_suites():
         # normal form: idempotent and multiplicative, 10^3 random polynomials per ring
         rings = [
             projective_ring(4),
-            BottRing((2, 2), BottMatrix.make((2, 2), {(2, 1): (1, 1)})),
-            BottRing((1, 2, 1), BottMatrix.make(
+            BottRing(BottMatrix.make((2, 2), {(2, 1): (1, 1)})),
+            BottRing(BottMatrix.make(
                 (1, 2, 1), {(2, 1): (1, 0), (3, 2): (1,)})),
         ]
         for ring in rings:

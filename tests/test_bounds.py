@@ -52,6 +52,20 @@ def test_constructors_validate():
         sphere_manifold(0)
 
 
+def test_bott_manifold_is_the_one_dims_check():
+    """A tower's block sizes live in its matrix; `bott_manifold` checks the
+    dims it is given against them, after building the polytope, so dims
+    that are no polytope's are refused first, with the polytope's message."""
+    B = BottMatrix.make((1, 2))
+    assert bott_manifold([1, 2], B).bmat.dims == (1, 2)
+    for dims in [(2, 1), (1, 2, 1), (1,)]:
+        with pytest.raises(InputError, match="^matrix dims disagree with the polytope dims$"):
+            bott_manifold(dims, B)
+    for dims in [(0,), (), (1, -2)]:
+        with pytest.raises(InputError, match="^dims must be a nonempty list of positive"):
+            bott_manifold(dims, B)
+
+
 def test_small_cover_validated_once(monkeypatch):
     calls = []
 
@@ -76,7 +90,7 @@ def test_covers_op_walks_each_assignment_once(monkeypatch, rng):
     # the product the block peel accepts the valid draw, so only the 12
     # rejected draws are walked
     prism = [(i, (i + 1) % 6, cap) for i in range(6) for cap in (6, 7)]
-    tower = charfun.from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
+    tower = charfun.from_bott(random_bott_matrix((2, 2, 2), rng))
     for make, valid, walked_draws in ((lambda: explicit_polytope(3, 8, prism), None, 13),
                                       (lambda: product_of_simplices((2, 2, 2)), tower, 12)):
         P = new_polytope(make)
@@ -139,7 +153,7 @@ def test_shared_polytope_state_does_not_leak(rng):
         for _ in range(2):  # the op's valid draw, then another valid one
             if P.family[0] == "product_of_simplices":  # few draws are valid
                 dims = P.family[1]
-                draws.append(charfun.from_bott(dims, random_bott_matrix(dims, rng)))
+                draws.append(charfun.from_bott(random_bott_matrix(dims, rng)))
             else:
                 draws.append(random_characteristic(P, rng))
         other = draws.pop()
@@ -215,10 +229,10 @@ def test_facet_hypotheses_on_masks_match_the_tuple_rank_reference(rng):
     """On the masks, as the tuple rank of the neighbour vectors gives them:
     every tower with m <= 3 and n_j <= 3, large towers, polygons, prisms
     and seeded scrambled towers, as their descriptions keep them."""
-    cases = [(product_of_simplices(dims), from_bott(dims, B))
+    cases = [(product_of_simplices(dims), from_bott(B))
              for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)]
     for dims in [(46,), (3,) * 8, (16, 8), (17, 9)]:
-        cases.append((product_of_simplices(dims), from_bott(dims, random_bott_matrix(dims, rng))))
+        cases.append((product_of_simplices(dims), from_bott(random_bott_matrix(dims, rng))))
     shapes = [polygon(k) for k in range(3, 13)]
     shapes += [explicit_polytope(3, k + 2, [(i, (i + 1) % k, cap)
                                             for i in range(k) for cap in (k, k + 1)])
@@ -407,13 +421,46 @@ def test_dold_validation():
 
 def test_free_circle_blocks():
     dims = (3, 5, 2, 1)
-    assert free_circle_blocks(dims, BottMatrix.make(dims)) == [1, 2]
+    assert free_circle_blocks(BottMatrix.make(dims)) == [1, 2]
     # block 2's fibre bundles pair up (0, 1, 1, 0), but y_1 twists block 2
     B = BottMatrix.make((3, 3), {(2, 1): (1, 1, 0)})
-    assert free_circle_blocks((3, 3), B) == [2]
+    assert free_circle_blocks(B) == [2]
     # unpaired fibre bundles (0, 1, 0, 0)
     B = BottMatrix.make((3, 3), {(2, 1): (1, 0, 0)})
-    assert free_circle_blocks((3, 3), B) == []
+    assert free_circle_blocks(B) == []
+
+
+def _sparse_tower(rng, m):
+    """A seeded tower of m blocks, mostly of odd size, with sparse twistings.
+    Each odd block's fibre vectors pair up half the time (w_0 = 0 and the
+    w_k in equal pairs), so free-circle blocks are common."""
+    dims = tuple(rng.choice((1, 2, 3, 3, 5, 7)) for _ in range(m))
+    beta = {}
+    for k, n in enumerate(dims[1:], start=2):
+        if n % 2 and rng.random() < 0.5:
+            ws = [0] + [rng.getrandbits(k - 1) for _ in range(n // 2)] * 2
+            rng.shuffle(ws)
+        else:
+            ws = [rng.getrandbits(k - 1) for _ in range(n)]
+        for l in range(1, k):
+            if rng.random() < 0.3:
+                beta[(k, l)] = tuple((w >> (l - 1)) & 1 for w in ws)
+    return BottMatrix.make(dims, beta)
+
+
+def test_free_circle_blocks_match_the_block_by_block_reference():
+    """The one pass over the nonzero blocks against the reference's m^2
+    block lookups: every tower with m <= 3 and n_j <= 3, then seeded sparse
+    towers with up to 8 blocks of sizes up to 7."""
+    towers = [B for m in (1, 2, 3) for _, B in all_bott_matrices(m, 3)]
+    rng = random.Random(35)
+    towers += [_sparse_tower(rng, rng.randint(2, 8)) for _ in range(2000)]
+    found = 0
+    for B in towers:
+        blocks = free_circle_blocks(B)
+        assert blocks == ref.free_circle_blocks(B.dims, B), (B.dims, dict(B.beta))
+        found += bool(blocks)
+    assert found > len(towers) // 10
 
 
 def test_free_circle_guard_against_exact_search():
@@ -490,9 +537,9 @@ def test_certificate_built_once_per_tower(monkeypatch):
     calls = []
     build = bounds.zcl_certificate_bott
 
-    def counted(dims, B):
-        calls.append(dims)
-        return build(dims, B)
+    def counted(B):
+        calls.append(B.dims)
+        return build(B)
 
     monkeypatch.setattr(bounds, "zcl_certificate_bott", counted)
     M = bott_manifold((3, 2), BottMatrix.make((3, 2), {(2, 1): (1, 0)}))
@@ -520,8 +567,8 @@ def test_both_forms_of_a_tower_get_the_same_bounds():
               if prod(d + 1 for d in dims) <= 12]
     assert len(towers) == 101
     for dims, B in towers:
-        facets = small_cover_manifold(product_of_simplices(dims), from_bott(dims, B))
-        assert facets.kind == "small_cover" and facets.bmat == B and facets.dims == dims
+        facets = small_cover_manifold(product_of_simplices(dims), from_bott(B))
+        assert facets.kind == "small_cover" and facets.bmat == B
         for budget in (0, 12):
             assert _intervals(facets, budget) == _intervals(bott_manifold(dims, B), budget)
 
@@ -554,9 +601,9 @@ def test_description_reads_the_peel_of_its_own_vectors():
     dims = (2, 1, 2)
     P = new_polytope(lambda: product_of_simplices(dims))
     mine, other = (BottMatrix.make(dims, beta) for beta in ({(2, 1): (1,)}, {(3, 1): (1, 0)}))
-    ring = cohomology.SmallCoverRing(P, from_bott(dims, mine))
-    assert charfun.validate(P, from_bott(dims, other)).valid
-    M = small_cover_manifold(P, from_bott(dims, mine))
+    ring = cohomology.SmallCoverRing(P, from_bott(mine))
+    assert charfun.validate(P, from_bott(other)).valid
+    M = small_cover_manifold(P, from_bott(mine))
     assert manifold_ring(M) is ring and M.bmat == mine
 
 

@@ -75,7 +75,7 @@ def test_block_lookup_leaves_value_and_speed(rng):
     dims = (1,) * 512
     B = BottMatrix.make(dims, {(k, 1): (1,) for k in range(2, 513)})
     start = time.perf_counter()
-    vectors = from_bott(dims, B)
+    vectors = from_bott(B)
     assert time.perf_counter() - start < 1.0
     assert vectors[1] == (1 << 512) - 1 and vectors[3] == vectors[2] == 1 << 1
     # all m^2 block lookups, as free_circle_blocks and BottRing make them
@@ -96,7 +96,7 @@ def test_block_lookup_leaves_value_and_speed(rng):
 def test_from_bott_layout():
     # Klein-bottle tower: dims (1, 1), beta = (1,)
     B = BottMatrix.make((1, 1), {(2, 1): (1,)})
-    vectors = from_bott((1, 1), B)
+    vectors = from_bott(B)
     assert vectors == (0b01, 0b11, 0b10, 0b10) and vectors.n == 2
     assert ref.from_bott((1, 1), B) == [(1, 0), (1, 1), (0, 1), (0, 1)]
     # and it validates on the square
@@ -111,7 +111,7 @@ def test_from_bott_masks_pack_the_tuple_layout(rng):
     for dims in [(46,), (3,) * 8, (16, 8), (17, 9)]:
         towers += [(dims, BottMatrix.make(dims)), (dims, random_bott_matrix(dims, rng))]
     for dims, B in towers:
-        masks = from_bott(dims, B)
+        masks = from_bott(B)
         assert masks == tuple(map(gf2.mask_of, ref.from_bott(dims, B))), (dims, B)
         assert masks.n == sum(dims)
 
@@ -122,13 +122,13 @@ def test_from_bott_always_valid(rng):
         dims = tuple(rng.randint(1, 3) for _ in range(m))
         B = random_bott_matrix(dims, rng)
         P = product_of_simplices(dims)
-        assert validate(P, from_bott(dims, B)).valid
+        assert validate(P, from_bott(B)).valid
 
 
 def test_reduce_round_trip_sweep():
     for m in (1, 2):
         for dims, B in all_bott_matrices(m, 2):
-            red = reduce_to_bott(dims, from_bott(dims, B))
+            red = reduce_to_bott(dims, from_bott(B))
             assert red.matrix == B
             assert red.block_order == tuple(range(1, m + 1))
 
@@ -153,7 +153,7 @@ def test_reduce_handles_block_permutation():
     # vectors laid out with the blocks swapped still reduce
     dims = (2, 1)
     B = BottMatrix.make(dims)
-    vectors = from_bott(dims, B)
+    vectors = from_bott(B)
     red = reduce_to_bott(dims, vectors)
     assert red.matrix.dims == dims
 
@@ -291,7 +291,7 @@ def test_peel_reduces_seeded_towers(rng):
         scrambled_dims, vectors = _scramble(dims, B, rng)
         _check_reduction(scrambled_dims, vectors, reduce_to_bott(scrambled_dims, vectors))
         # unscrambled, the tower comes back as it is
-        red = reduce_to_bott(dims, from_bott(dims, B))
+        red = reduce_to_bott(dims, from_bott(B))
         assert red.matrix == B and red.block_order == tuple(range(1, len(dims) + 1))
 
 
@@ -371,7 +371,7 @@ def test_bad_vertices_match_per_vertex_reference(rng):
         return ref.from_bott(dims, random_bott_matrix(dims, rng))
 
     for dims in [(1, 1), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1), (1,) * 6, (3, 3, 3)]:
-        draws(product_of_simplices(dims), from_bott(dims, random_bott_matrix(dims, rng)))
+        draws(product_of_simplices(dims), from_bott(random_bott_matrix(dims, rng)))
     for k in (3, 4, 5, 8, 12):
         draws(polygon(k), random_characteristic(polygon(k), rng))
     # prisms with their vertices, and the facets of each, in shuffled order
@@ -484,7 +484,7 @@ def test_kept_valid_masks_do_not_hide_a_changed_assignment(rng):
     invalid = 0
     for make in shapes:
         P = new_polytope(make)
-        masks = (from_bott((2, 2, 2), random_bott_matrix((2, 2, 2), rng))
+        masks = (from_bott(random_bott_matrix((2, 2, 2), rng))
                  if P.family[0] == "product_of_simplices" else random_characteristic(P, rng))
         valid = ref.tuples(masks, P.n)
         nonzero = [tuple((v >> i) & 1 for i in range(P.n)) for v in range(1, 1 << P.n)]

@@ -329,7 +329,7 @@ def test_verify_suites(capsys):
 
 
 def test_verify_fault_injection(capsys, monkeypatch):
-    monkeypatch.setattr(cohomology, "verify_top_monomial", lambda dims, B: False)
+    monkeypatch.setattr(cohomology, "verify_top_monomial", lambda B: False)
     code, out = run(capsys, "verify", "--suite", "lemma", "--max-m", "1")
     assert code == 1 and "FAIL" in out
 

@@ -56,7 +56,7 @@ def _bits(mask):
 
 def test_gamma_relations_text():
     # dims (1, 1), beta (1,): Gamma_1 = y1^2, Gamma_2 = y2(y2 + y1)
-    ring = BottRing((1, 1), BottMatrix.make((1, 1), {(2, 1): (1,)}))
+    ring = BottRing(BottMatrix.make((1, 1), {(2, 1): (1,)}))
     dold = DoldRing(ring, [1, 2])
     # rendered only when asked for: the search never reads the text
     invariants.zcl_exact(dold, budget=16)
@@ -87,7 +87,7 @@ def _unpacked(ring, packed):
 def test_standard_monomial_count():
     for dims, beta in [((2, 3), {(2, 1): (1, 0, 1)}), ((3, 1, 2), {(3, 1): (1, 1)}),
                        ((1, 1, 1, 1), {})]:
-        ring = BottRing(dims, BottMatrix.make(dims, beta))
+        ring = BottRing(BottMatrix.make(dims, beta))
         for d in range(ring.top + 1):
             assert [_unpacked(ring, m) for m in ring._slice(d)[2]] == _box(dims, d)
         count = 1
@@ -112,7 +112,7 @@ def test_bott_table_products_match_normal_form():
     sample = _bott_sample()
     assert any(B.beta for _, B in sample) and any(not B.beta for _, B in sample)
     for dims, B in sample:
-        ring = BottRing(dims, B)
+        ring = BottRing(B)
         alg = ring.algebra()
         assert alg.betti == ring.betti
         boxes = [_box(dims, d) for d in range(ring.top + 1)]
@@ -127,7 +127,7 @@ def test_bott_table_products_match_normal_form():
 
 
 def test_normal_form_idempotent_and_multiplicative(rng):
-    ring = BottRing((2, 2), BottMatrix.make((2, 2), {(2, 1): (1, 1)}))
+    ring = BottRing(BottMatrix.make((2, 2), {(2, 1): (1, 1)}))
 
     def random_poly():
         return ref.poly(
@@ -144,7 +144,7 @@ def test_normal_form_idempotent_and_multiplicative(rng):
 
 
 def test_normal_form_kills_relations():
-    ring = BottRing((1, 2), BottMatrix.make((1, 2), {(2, 1): (1, 0)}))
+    ring = BottRing(BottMatrix.make((1, 2), {(2, 1): (1, 0)}))
     for g in ref.unpacked_relations(ring):
         assert ring.normal_form(g) == frozenset()
 
@@ -156,7 +156,7 @@ def test_packed_normal_form_matches_tuple_rewriting():
     above = 0
     for m in (1, 2, 3):
         for dims, B in all_bott_matrices(m, 3):
-            ring = BottRing(dims, B)
+            ring = BottRing(B)
             p = ref.poly(tuple(rng.randint(0, n + 2) for n in dims)
                          for _ in range(rng.randint(1, 4)))
             above += sum(sum(mon) > ring.top for mon in p)
@@ -166,7 +166,7 @@ def test_packed_normal_form_matches_tuple_rewriting():
 
 def test_verify_top_monomial_sweep_small():
     for dims, B in all_bott_matrices(2, 2):
-        assert verify_top_monomial(dims, B)
+        assert verify_top_monomial(B)
 
 
 # --- linear-algebra presentation --------------------------------------------
@@ -279,7 +279,7 @@ def test_reduced_rows_match_the_coordinate_matrix_reference(rng):
     for m in (1, 2, 3):
         for dims, B in all_bott_matrices(m, 2):
             P = product_of_simplices(dims)
-            covers += [(P, from_bott(dims, B)), (P, _scrambled_bott_vectors(rng, dims))]
+            covers += [(P, from_bott(B)), (P, _scrambled_bott_vectors(rng, dims))]
     assert len(covers) == 2 * 254
     for k in range(3, 13):
         covers.append((polygon(k), random_characteristic(polygon(k), rng)))
@@ -306,7 +306,7 @@ def test_truncated_fibre_and_point_relations():
 
 
 def test_relations_built_on_first_use():
-    ring = BottRing((2, 1), BottMatrix.make((2, 1), {(2, 1): (1,)}))
+    ring = BottRing(BottMatrix.make((2, 1), {(2, 1): (1,)}))
     assert {"_packed", "relations_text", "_tails"}.isdisjoint(vars(ring))
     assert ring.betti == (1, 2, 2, 1) and ring.dim == 6
     assert "_packed" not in vars(ring)
@@ -360,8 +360,8 @@ def test_two_presentations_agree(rng):
     cases = list(all_bott_matrices(2, 3))
     for dims, B in rng.sample(cases, 25):
         P = product_of_simplices(dims)
-        r1 = BottRing(dims, B)
-        r2 = SmallCoverRing(P, from_bott(dims, B))
+        r1 = BottRing(B)
+        r2 = SmallCoverRing(P, from_bott(B))
         assert tuple(r1.betti) == r2.algebra().betti
 
 
@@ -400,7 +400,7 @@ def _dold_bases():
     """RP^1..RP^3, S^1..S^3, a twisted (1,1) tower, the Klein bottle, a point."""
     yield from (projective_ring(n) for n in (1, 2, 3))
     yield from (SphereRing(n) for n in (1, 2, 3))
-    yield BottRing((1, 1), BottMatrix.make((1, 1), {(2, 1): (1,)}))
+    yield BottRing(BottMatrix.make((1, 1), {(2, 1): (1,)}))
     yield SmallCoverRing(polygon(4), [parse_bits(s) for s in ["10", "01", "10", "11"]])
     yield PointRing()
 
@@ -465,7 +465,7 @@ def test_dold_products_follow_exponent_arithmetic():
 
 
 def test_dold_budget_check_builds_nothing():
-    base = BottRing((3,) * 5, BottMatrix.make((3,) * 5))
+    base = BottRing(BottMatrix.make((3,) * 5))
     ring = DoldRing(base, [1, 2])
     with pytest.raises(BudgetExceeded):
         invariants.zcl_exact(ring, 12)
@@ -499,8 +499,8 @@ def test_algebra_generators_degrees():
     assert degrees(PointRing()) == []
     assert degrees(SphereRing(3)) == [3]
     assert degrees(projective_ring(5)) == [1]
-    assert degrees(BottRing((2, 3), BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)}))) == [1, 1]
-    assert degrees(BottRing((1, 1, 1), BottMatrix.make((1, 1, 1)))) == [1, 1, 1]
+    assert degrees(BottRing(BottMatrix.make((2, 3), {(2, 1): (1, 0, 1)}))) == [1, 1]
+    assert degrees(BottRing(BottMatrix.make((1, 1, 1)))) == [1, 1, 1]
     # Dold rings: the truncated class a, the square-zero classes, the base
     assert degrees(DoldRing(projective_ring(2), [2])) == [1, 1]
     assert degrees(DoldRing(SphereRing(3), [1, 2])) == [1, 2, 3]
@@ -570,7 +570,7 @@ def _step_rings():
     count = 0
     for m in (1, 2, 3):
         for dims, B in all_bott_matrices(m, 3):
-            ring = BottRing(dims, B)
+            ring = BottRing(B)
             if ring.dim <= 12:
                 yield ring
                 count += 1
@@ -721,7 +721,7 @@ def test_diagonal_classes_lie_in_the_kernel():
 
 def _twisted(dims):
     """The tower on dims with every twisting block all ones."""
-    return BottRing(dims, BottMatrix.make(dims, {(k, j): (1,) * dims[k - 1]
+    return BottRing(BottMatrix.make(dims, {(k, j): (1,) * dims[k - 1]
                                                  for k in range(2, len(dims) + 1)
                                                  for j in range(1, k)}))
 
@@ -812,7 +812,7 @@ def test_ideal_powers_need_positive_degree_generators():
 def test_rings_freed_by_reference_count():
     # a ring and its algebra form no reference cycle: del frees the ring
     # without the cycle collector
-    rings = [lambda: BottRing((1, 2), BottMatrix.make((1, 2), {(2, 1): (1, 0)})),
+    rings = [lambda: BottRing(BottMatrix.make((1, 2), {(2, 1): (1, 0)})),
              lambda: SmallCoverRing(polygon(5), _polygon_vectors(5))]
     gc.disable()
     try:

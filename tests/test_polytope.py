@@ -347,7 +347,7 @@ def test_product_equality_ignores_built_vertices():
     assert "vertices" not in vars(lazy)
     B = charfun.BottMatrix.make((2, 1, 3))
     assert bounds.bott_manifold((2, 1, 3), B) == bounds.ManifoldDescription(
-        "bott", 6, lazy, charfun.from_bott((2, 1, 3), B), (2, 1, 3), B)
+        "bott", 6, lazy, charfun.from_bott(B), B)
 
 
 def _unshared(P):
@@ -375,7 +375,7 @@ def test_polytope_data_found_once_per_object(monkeypatch):
          ["_face_table"]),
         (lambda: polygon(6), [(1, 0), (0, 1)] * 3, []),
         (lambda: product_of_simplices((1, 2)),
-         charfun.from_bott((1, 2), charfun.BottMatrix.make((1, 2))), []),
+         charfun.from_bott(charfun.BottMatrix.make((1, 2))), []),
     ]
     for make, vectors, table in cases:
         P = new_polytope(make)

@@ -10,9 +10,12 @@ packed them.  Then comes the row reduction of 0/1 rows that a small
 cover's reduced coordinate matrix (`gf2.column_rref`) is checked against.
 Last come facet vectors as 0/1 tuples: the Bott matrix layout and the
 simplex-facet hypotheses by a rank of tuple rows, which the package's
-masks are checked against.
+masks are checked against, and the free-circle blocks of a tower read block
+by block, which the package's one pass over the nonzero blocks is checked
+against.
 """
 
+from collections import Counter
 from typing import Iterable, List, Sequence, Tuple
 
 from smallcover.errors import InputError
@@ -278,3 +281,19 @@ def simplex_facet_hypotheses(P, vectors) -> Tuple[bool, bool]:
     invertible = any(len(nb) == P.n and rank([vectors[g] for g in nb]) == P.n
                      for nb in (facet_neighbours(P, f) for f in simplices))
     return bool(simplices), invertible
+
+
+def free_circle_blocks(dims, B) -> List[int]:
+    """`bounds.free_circle_blocks` block by block: each candidate's fibre
+    vectors w_k as tuples of `B.block` lookups, counted."""
+    twisted = {j for (_, j), bits in B.beta if any(bits)}
+    out = []
+    for j, nj in enumerate(dims, start=1):
+        if nj == 1 or nj % 2 == 0 or j in twisted:
+            continue
+        rows = [B.block(j, l) for l in range(1, j)]
+        fibre = Counter(tuple(row[k] for row in rows) for k in range(nj))
+        fibre[(0,) * (j - 1)] += 1
+        if all(c % 2 == 0 for c in fibre.values()):
+            out.append(j)
+    return out
