@@ -49,6 +49,8 @@ class ManifoldDescription:
     fixed_set_connected: bool = False
     # the cohomology ring, built once by manifold_ring
     _ring: Optional[Ring] = field(default=None, init=False, repr=False, compare=False)
+    # per budget, the zcl rules and the TC report, each built once
+    _by_budget: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _facet_hypotheses(self) -> Tuple[bool, bool]:
@@ -215,10 +217,12 @@ def free_circle_blocks(B: BottMatrix) -> List[int]:
             if j not in twisted and (s := sorted(w))[::2] == s[1::2]]
 
 
-def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
+def _zcl_rules(M: ManifoldDescription, budget: int) -> Tuple[tuple, ...]:
     """The zero-divisor lower ends of a polytope manifold, as
     (value, rule, detail, witness) in trail order.  `tc_bounds` and
-    `manifold_zcl` both read this list."""
+    `manifold_zcl` both read it, listed once per budget on M."""
+    if ("zcl", budget) in M._by_budget:
+        return M._by_budget["zcl", budget]
     n = M.n
     ring = manifold_ring(M)
     rules = []
@@ -243,7 +247,7 @@ def _zcl_rules(M: ManifoldDescription, budget: int) -> List[tuple]:
             rules.append((zcl_rp(n).lo, "connected-sum projective subring",
                           f"invertible neighbour matrix embeds the {n}-projective ring",
                           ()))
-    return rules
+    return M._by_budget.setdefault(("zcl", budget), tuple(rules))
 
 
 def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
@@ -254,7 +258,7 @@ def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     ring = manifold_ring(M)
     if ring.dim <= budget:  # an exact value ends the merge
         return zcl_exact(ring, budget)
-    rules = [(1, "degree-one diagonal class", "", ())] + _zcl_rules(M, budget)
+    rules = ((1, "degree-one diagonal class", "", ()),) + _zcl_rules(M, budget)
     value, rule, _, witness = max(rules, key=lambda r: r[0])
     return IntervalValue(value, 2 * M.n, rule, "grading cap", witness)
 
@@ -277,26 +281,25 @@ def cat_bounds(M: ManifoldDescription) -> BoundReport:
 
 
 def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundReport:
+    """The TC report, built once per budget on M; `symm_tc_bounds` reads it."""
+    if ("TC", budget) in M._by_budget:
+        return M._by_budget["TC", budget]
     b = _Builder("TC")
     n = M.n
-    cat = cat_bounds(M)
     if M.kind == "sphere":
-        lo = sphere_zcl_declared(n) + 1
-        b.lower(lo, "rational sphere zero-divisor bound",
+        b.lower(sphere_zcl_declared(n) + 1, "rational sphere zero-divisor bound",
                 "zero-divisor-cup-length over Q plus one")
-        b.upper(2 * cat.interval.hi - 1, "category sandwich")
-        b.upper(2 * n + 1, "dimension cap")
-        return b.report()
-    b.lower(cat.interval.lo, "category floor", "TC is at least cat")
-    for value, rule, detail, witness in _zcl_rules(M, budget):
-        b.lower(value + 1, rule, detail, witness)
+        b.upper(2 * cat_bounds(M).interval.hi - 1, "category sandwich")
+    else:
+        b.lower(cat_bounds(M).interval.lo, "category floor", "TC is at least cat")
+        for value, rule, detail, witness in _zcl_rules(M, budget):
+            b.lower(value + 1, rule, detail, witness)
     b.upper(2 * n + 1, "dimension cap")
-    if M.bmat is not None:
-        blocks = free_circle_blocks(M.bmat)
-        if blocks:
-            b.upper(2 * n - len(blocks) + 1, "free circle actions",
-                    "free circle on blocks " + ", ".join(map(str, blocks)))
-    return b.report()
+    blocks = () if M.bmat is None else free_circle_blocks(M.bmat)
+    if blocks:
+        b.upper(2 * n - len(blocks) + 1, "free circle actions",
+                "free circle on blocks " + ", ".join(map(str, blocks)))
+    return M._by_budget.setdefault(("TC", budget), b.report())
 
 
 def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from functools import partial
+from json.encoder import encode_basestring_ascii  # the C encoder where it is built
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds as bounds_mod
@@ -256,6 +257,24 @@ def _report_lines(reports: List[bounds_mod.BoundReport]) -> List[str]:
     return lines
 
 
+def _json_text(x, indent: str = "\n") -> str:
+    """`json.dumps(x, indent=2, sort_keys=True)` without the pure-Python encoder
+    that `indent` selects: lists and tuples are arrays, bool is read before int."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if x else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if x else "[]"
+    return json.dumps(x)  # None, bool, float
+
+
 def cmd_bounds(spec: ProblemSpec, args) -> _Result:
     # the flags override the document, through the same check, before the
     # description (and its ring) is built once
@@ -493,7 +512,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             spec = _load(args.problem)
             code, lines, payload = args.run(spec, args)
             if (args.format or spec.format) == "json":
-                lines = [json.dumps(payload, indent=2, sort_keys=True)]
+                lines = [_json_text(payload)]
     except CharacteristicError as exc:
         print(f"invalid characteristic: {exc}", file=sys.stderr)
         return 1

@@ -123,19 +123,18 @@ def zcl_certificate_bott(B: BottMatrix) -> ZclCertificate:
     `verify_certificate` re-checks it by the full expansion.
     """
     dims = B.dims
-    m = len(dims)
-    names = gf2.default_names(m, "y")
-    one = (0,) * m
+    names = gf2.default_names(len(dims), "y")
+    one = (0,) * len(dims)
     factors: List[frozenset] = []
     left: List[int] = []
     surviving = []
     for j, nj in enumerate(dims):
         dj = (1 << power_exponent(nj)) - 1
-        y_j = tuple(int(i == j) for i in range(m))
+        y_j = one[:j] + (1,) + one[j + 1:]
         factors.extend([frozenset({(one, y_j), (y_j, one)})] * dj)
         left.append(dj - nj)
-        surviving.append("(x)".join(gf2.mono_render((e,), names[j:j + 1])
-                                    for e in (dj - nj, nj)))
+        name = names[j:j + 1]
+        surviving.append(gf2.mono_render((dj - nj,), name) + "(x)" + gf2.mono_render((nj,), name))
     witness = frozenset({(tuple(left), dims)})
     return ZclCertificate(certificate_length(dims), tuple(factors), witness,
                           tuple(surviving), LEADING_TERM_ARGUMENT)

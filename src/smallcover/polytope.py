@@ -173,12 +173,17 @@ def product_vertices(P: SimplePolytope) -> List[Tuple[int, ...]]:
     """The vertices of a product of simplices as sorted facet tuples in
     ascending order: a vertex keeps all facets of each block but one."""
     dims = P.family[1]
-    if P.vertex_count > MAX_PRODUCT_VERTICES:
-        raise InputError(f"product of simplices {list(dims)} has {P.vertex_count} "
-                         f"vertices; at most {MAX_PRODUCT_VERTICES} can be built")
+    check_vertex_cap(P)
     blocks = [combinations(range(off, off + d + 1), d)
               for off, d in zip(block_offsets(dims), dims)]
     return list(map(tuple, map(chain.from_iterable, product(*blocks))))
+
+
+def check_vertex_cap(P: SimplePolytope) -> None:
+    """Refuses a product of simplices past MAX_PRODUCT_VERTICES by its count."""
+    if P.vertex_count > MAX_PRODUCT_VERTICES:
+        raise InputError(f"product of simplices {list(P.family[1])} has {P.vertex_count} "
+                         f"vertices; at most {MAX_PRODUCT_VERTICES} can be built")
 
 
 def block_offsets(dims: Sequence[int]) -> List[int]:

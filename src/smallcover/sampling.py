@@ -13,7 +13,7 @@ from itertools import product
 from typing import Iterator, Optional, Tuple
 
 from .charfun import BottMatrix, FacetMasks, _dependent_vertices, _peel
-from .polytope import SimplePolytope, product_vertices
+from .polytope import SimplePolytope, block_offsets, check_vertex_cap
 
 
 def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
@@ -29,9 +29,11 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
     each decided as `validate` does: by the block peel on a product."""
     n = P.n
     on_product = P.family[0] == "product_of_simplices"
-    # on a product, P.vertices[0] is the last vertex listed; listing them
-    # refuses a product past the vertex cap before the first draw
-    first = product_vertices(P)[-1] if on_product else sorted(P.vertices[0])
+    if on_product:  # refused past the vertex cap, as listing its vertices is
+        check_vertex_cap(P)
+        starts = set(block_offsets(P.family[1]))  # the last vertex listed omits these
+    first = ([f for f in range(P.facet_count) if f not in starts] if on_product
+             else sorted(P.vertices[0]))
     for _ in range(tries):
         # a nonzero vector is one draw from 1 .. 2^n - 1, as a mask, so no
         # list of all 2^n - 1 of them is built

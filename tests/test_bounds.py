@@ -1,11 +1,12 @@
 import gc
+import json
 import random
 from collections import Counter
 from math import prod
 
 import pytest
 
-from smallcover import bounds, charfun, cohomology, polytope
+from smallcover import bounds, charfun, cli, cohomology, polytope
 from smallcover.bounds import (
     BoundReport,
     bott_manifold,
@@ -528,7 +529,8 @@ def test_rules_above_the_budget_build_no_relations():
         manifold_zcl(M, 12)
         dold_bounds(M, [1, 2])
         ring = manifold_ring(M)
-        assert {"_packed", "relations_text", "_tails", "_reduced"}.isdisjoint(vars(ring))
+        # nor the Betti numbers: a tower's dimension is read in closed form
+        assert {"_packed", "relations_text", "_tails", "_reduced", "betti"}.isdisjoint(vars(ring))
         assert ring._slices == {} and ring._alg is None
     assert manifold_ring(cover).relations_text[:2] == ("z1*z3", "z1*z4")
 
@@ -548,6 +550,49 @@ def test_certificate_built_once_per_tower(monkeypatch):
     assert calls == [(3, 2)]
     assert vars(M)["_certificate"].k == 3 + 3  # 2^2 - 1 for each block
     assert tc_bounds(M) == tc and calls == [(3, 2)]
+
+
+def test_bounds_all_tries_the_exact_search_once(monkeypatch, tmp_path):
+    """Above the budget, one `bounds --invariant all` builds its TC report
+    and its zcl rules once: `symm_tc_bounds` reads the one, `manifold_zcl`
+    the other.  On the tower and on its facet vectors."""
+    counts = Counter()
+
+    def counting(name, fn):
+        return lambda *args: counts.update([name]) or fn(*args)
+
+    for name in ("zcl_exact", "free_circle_blocks"):
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    dims, beta = (3,) * 8, {(8, 3): (1, 1, 0)}
+    masks = from_bott(BottMatrix.make(dims, beta))
+    characteristics = [
+        {"type": "bott_matrix", "dims": list(dims), "beta": {"8,3": "110"}},
+        {"type": "facet_vectors",
+         "vectors": ["".join(str(v >> i & 1) for i in range(24)) for v in masks]}]
+    for i, char in enumerate(characteristics):
+        path = tmp_path / f"tower{i}.json"
+        path.write_text(json.dumps({
+            "polytope": {"type": "product_of_simplices", "dims": list(dims)},
+            "characteristic": char}))
+        counts.clear()
+        assert cli.main(["bounds", str(path), "--format", "json"]) == 0
+        assert counts == {"zcl_exact": 1, "free_circle_blocks": 1}, char["type"]
+
+
+def test_reports_are_kept_per_budget():
+    """A description keeps its TC report and zcl rules for each budget: on
+    one M, each budget gets the report a new description gets for it."""
+    dims = (3, 3, 3)
+    B = BottMatrix.make(dims, {(2, 1): (1, 0, 1), (3, 1): (0, 1, 1), (3, 2): (1, 1, 0)})
+    M = bott_manifold(dims, B)
+    for budget in (0, 64, 0, 12, 64):
+        fresh = [bott_manifold(dims, B) for _ in range(3)]
+        assert tc_bounds(M, budget) == tc_bounds(fresh[0], budget)
+        assert manifold_zcl(M, budget) == manifold_zcl(fresh[1], budget)
+        assert symm_tc_bounds(M, budget) == symm_tc_bounds(fresh[2], budget)
+    # the exact search, within the budget of 64 only, moves both ends
+    assert tc_bounds(M, 0).interval.lo == 10 and tc_bounds(M, 64).interval.lo == 15
+    assert manifold_zcl(M, 12).lo == 9 and manifold_zcl(M, 64).lo == 14
 
 
 def _intervals(M, budget):

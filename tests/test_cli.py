@@ -863,6 +863,17 @@ def test_ring_on_a_large_polygon_exits_2_before_listing(capsys, tmp_path, monkey
     assert code == 0 and out == "1 19998 1\n"
 
 
+def test_ring_json_on_the_300_gon_is_what_json_dumps_writes(capsys, tmp_path):
+    path = write(tmp_path, "gon.json", {
+        "polytope": {"type": "polygon", "edges": 300},
+        "characteristic": {"type": "facet_vectors", "vectors": ["10", "01"] * 150},
+    })
+    code, out = run(capsys, "ring", path, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and len(payload["relations"]) > 40000
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _rp_facet_vectors(tmp_path, n):
     vectors = ["".join("1" if c == i else "0" for c in range(n)) for i in range(n)]
     return write(tmp_path, f"rp{n}.json", {

@@ -1,4 +1,5 @@
 """The CLI on mutated problem documents: a clean exit code, never a traceback.
+Its JSON writer on random JSON values: the text `json.dumps` writes.
 
 Each example takes a small valid document, applies one to three mutations
 (drop a key or list entry, swap a value's type, or put in a small integer
@@ -10,10 +11,10 @@ edges and an exact budget of at most 16.
 import copy
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from smallcover.cli import main
+from smallcover.cli import _json_text, main
 
 BASES = [
     {"polytope": {"type": "polygon", "edges": 4},
@@ -79,3 +80,23 @@ def test_cli_exits_cleanly_on_mutated_documents(tmp_path, capsys, doc, command, 
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 64), (code, doc)
     assert "Traceback" not in err
+
+
+# the corners of the string encoder: quotes, backslashes, control
+# characters and non-ASCII text, as well as any text
+_STRINGS = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀')) | st.text()
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+            | st.floats(allow_nan=True, allow_infinity=True) | _STRINGS)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_STRINGS, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALUES)
+@example({"b": [], "a": {}, "c": (), "é": [True, False, None, 2**64, -2**63 - 1]})
+@example([[], {}, [[1, (2, "x")]], {"": {"\"": "\\"}}])
+def test_json_writer_writes_what_json_dumps_writes(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -346,6 +346,16 @@ def test_betti_equals_h_vector_products(rng):
         assert ring.algebra().betti == h_vector(P).h
 
 
+def test_tower_dimension_is_the_sum_of_its_betti_numbers():
+    towers = [B for m in (1, 2, 3) for _, B in all_bott_matrices(m, 3)]
+    assert len(towers) == 3573
+    for B in towers:
+        ring = BottRing(B)
+        dim = ring.dim
+        assert "betti" not in vars(ring)  # read without the Betti numbers
+        assert dim == sum(ring.betti), B.dims
+
+
 def test_betti_equals_h_vector_polygons(rng):
     for k in range(3, 13):
         P = polygon(k)

@@ -128,6 +128,17 @@ def test_certificate_verifies():
         assert cert.surviving_terms == tuple(ref.tensor_render(t, names) for t in splits)
 
 
+def test_certificate_equals_the_reference_construction():
+    towers = [B for m in (1, 2, 3) for _, B in all_bott_matrices(m, 3)]
+    rng = random.Random(3608)
+    for _ in range(40):
+        dims = tuple(rng.randint(1, 9) for _ in range(8))
+        towers.append(random_bott_matrix(dims, rng))
+    assert len(towers) == 3573 + 40
+    for B in towers:
+        assert zcl_certificate_bott(B) == ref.zcl_certificate_bott(B.dims), B.dims
+
+
 def test_certificate_rejects_tampering():
     B = BottMatrix.make((2,))
     cert = zcl_certificate_bott(B)

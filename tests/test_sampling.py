@@ -1,8 +1,12 @@
 import random
+from itertools import product
 
-from smallcover import gf2, sampling
+import pytest
+
+from smallcover import gf2, polytope, sampling
 from smallcover.charfun import BottMatrix, validate
-from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
+from smallcover.errors import InputError
+from smallcover.polytope import explicit_polytope, polygon, product_of_simplices, product_vertices
 
 
 def _list_sampler(P, rng, tries):
@@ -57,6 +61,40 @@ def test_product_draws_are_decided_by_the_peel(monkeypatch):
                 assert validate(P, masks).valid
                 found += 1
     assert found > 10
+
+
+def test_product_draws_start_from_the_last_listed_vertex(monkeypatch):
+    """On a product, each draw makes the vectors on the last vertex that
+    `product_vertices` lists a basis, without listing them: the draw and
+    the random stream are those of the listing, on all 84 products with
+    m <= 3 and n_j <= 4, and a product past the vertex cap is refused with
+    the listing's message."""
+    with pytest.raises(InputError) as listed:
+        product_vertices(product_of_simplices((3,) * 9))
+    with pytest.raises(InputError) as drawn:
+        sampling.random_characteristic(product_of_simplices((3,) * 9), random.Random(0), 1)
+    assert str(drawn.value) == str(listed.value)
+    shapes = [dims for m in (1, 2, 3) for dims in product(range(1, 5), repeat=m)]
+    assert len(shapes) == 84
+    lists = {dims: product_vertices(product_of_simplices(dims))[-1] for dims in shapes}
+
+    def refuse(*args):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(polytope, "product_vertices", refuse)
+    # and under the name a sampler that imported it would list through
+    monkeypatch.setattr(sampling, "product_vertices", refuse, raising=False)
+    for dims in [(3,) * 8, (1,) * 16]:  # 65 536 vertices each
+        sampling.random_characteristic(product_of_simplices(dims), random.Random(0), 3)
+    monkeypatch.setattr(sampling, "_peel", lambda P, masks: True)  # every draw passes
+    for seed, dims in enumerate(shapes):
+        P = product_of_simplices(dims)
+        rng, reference = random.Random(seed), random.Random(seed)
+        masks = [reference.randrange(1, 1 << P.n) for _ in range(P.facet_count)]
+        for i, f in enumerate(lists[dims]):
+            masks[f] = 1 << i
+        assert list(sampling.random_characteristic(P, rng, 1)) == masks, dims
+        assert rng.getstate() == reference.getstate()
 
 
 def _inline_bott_matrix(dims, rng):

@@ -12,14 +12,17 @@ Last come facet vectors as 0/1 tuples: the Bott matrix layout and the
 simplex-facet hypotheses by a rank of tuple rows, which the package's
 masks are checked against, and the free-circle blocks of a tower read block
 by block, which the package's one pass over the nonzero blocks is checked
-against.
+against.  The tower's tensor-power certificate is kept as the package
+first built it, per-block unit tuples and rendered terms included.
 """
 
 from collections import Counter
 from typing import Iterable, List, Sequence, Tuple
 
 from smallcover.errors import InputError
-from smallcover.gf2 import _as_masks, mono_render, row_reduce_masks
+from smallcover.gf2 import _as_masks, default_names, mono_render, row_reduce_masks
+from smallcover.invariants import (LEADING_TERM_ARGUMENT, ZclCertificate, certificate_length,
+                                   power_exponent)
 from smallcover.polytope import facet_neighbours, simplex_facets
 
 Monomial = Tuple[int, ...]
@@ -297,3 +300,25 @@ def free_circle_blocks(dims, B) -> List[int]:
         if all(c % 2 == 0 for c in fibre.values()):
             out.append(j)
     return out
+
+
+def zcl_certificate_bott(dims) -> ZclCertificate:
+    """`invariants.zcl_certificate_bott` as it was first written: a unit
+    tuple built per block, and each surviving term joined from a generator.
+    It reads the block sizes alone."""
+    m = len(dims)
+    names = default_names(m, "y")
+    one = (0,) * m
+    factors: List[frozenset] = []
+    left: List[int] = []
+    surviving = []
+    for j, nj in enumerate(dims):
+        dj = (1 << power_exponent(nj)) - 1
+        y_j = tuple(int(i == j) for i in range(m))
+        factors.extend([frozenset({(one, y_j), (y_j, one)})] * dj)
+        left.append(dj - nj)
+        surviving.append("(x)".join(mono_render((e,), names[j:j + 1])
+                                    for e in (dj - nj, nj)))
+    witness = frozenset({(tuple(left), tuple(dims))})
+    return ZclCertificate(certificate_length(dims), tuple(factors), witness,
+                          tuple(surviving), LEADING_TERM_ARGUMENT)
