@@ -23,14 +23,14 @@ import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from math import prod
 from operator import lshift
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix, FacetMasks, Vectors, _masks, validate
 from .errors import CharacteristicError, InputError
-from .polytope import SimplePolytope, _poly_product, h_vector, kept, minimal_non_faces
+from .polytope import (SimplePolytope, _poly_product, h_vector, kept, minimal_non_faces,
+                       product_vertex_count)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,7 @@ def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int,
 class BottRing(QuotientRing):
     """Z2[y_1..y_m]/<Gamma_1..Gamma_m>, the ring of B's tower; `dims` is B.dims."""
     kind = "bott"
-    dim = property(lambda self: prod(n + 1 for n in self.dims))  # the box's size; builds no `betti`
+    dim = property(lambda self: product_vertex_count(self.dims))  # prod (n_j + 1), no `betti`
 
     def __init__(self, B: BottMatrix):
         self.dims = B.dims
