@@ -12,7 +12,7 @@ from .bounds import (
     symm_tc_bounds,
     tc_bounds,
 )
-from .charfun import BottMatrix, BottReduction, FacetMasks, from_bott, reduce_to_bott, validate
+from .charfun import BottMatrix, FacetMasks, from_bott, validate
 from .cohomology import (
     BottRing,
     SmallCoverRing,
@@ -21,7 +21,7 @@ from .cohomology import (
     projective_ring,
     verify_top_monomial,
 )
-from .errors import BudgetExceeded, CharacteristicError, InputError, ReductionFailed
+from .errors import BudgetExceeded, CharacteristicError, InputError
 from .invariants import (
     IntervalValue,
     ZclCertificate,

@@ -9,9 +9,8 @@ recorded in the report when used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charfun import BottMatrix, FacetMasks, GF2Vector, Vectors, from_bott, peel_matrix
 from .cohomology import BottRing, Ring, SmallCoverRing, SphereRing, dold_exponents
@@ -36,10 +35,7 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class ManifoldDescription:
-    """A manifold as the bound rules read it.  Over a product of simplices, in
-    either input form, `bmat` is its tower, and `bmat.dims` its block sizes."""
+class _ManifoldFields(NamedTuple):
     kind: str  # the ring presentation: 'small_cover' | 'bott' | 'sphere'
     n: int
     P: Optional[SimplePolytope] = None
@@ -47,10 +43,20 @@ class ManifoldDescription:
     bmat: Optional[BottMatrix] = None
     involution: Optional[GF2Vector] = None
     fixed_set_connected: bool = False
+
+
+class ManifoldDescription(_ManifoldFields):
+    """A manifold as the bound rules read it.  Over a product of simplices, in
+    either input form, `bmat` is its tower, and `bmat.dims` its block sizes.
+    A `NamedTuple` with a `__dict__`, which keeps what is built once off the
+    fields: the ring, the hypotheses, the certificate and the reports."""
     # the cohomology ring, built once by manifold_ring
-    _ring: Optional[Ring] = field(default=None, init=False, repr=False, compare=False)
-    # per budget, the zcl rules and the TC report, each built once
-    _by_budget: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ring: Optional[Ring] = None
+
+    @cached_property
+    def _by_budget(self) -> dict:
+        """Per budget, the zcl rules and the TC report, each built once."""
+        return {}
 
     @cached_property
     def _facet_hypotheses(self) -> Tuple[bool, bool]:
@@ -85,7 +91,7 @@ def small_cover_manifold(P: SimplePolytope, vectors: Vectors,
     B = None if ring._peeled is None else peel_matrix(P.family[1], ring._peeled)
     M = ManifoldDescription("small_cover", P.n, P, ring.vectors, B,
                             involution, fixed_set_connected)
-    object.__setattr__(M, "_ring", ring)
+    M._ring = ring
     return M
 
 
@@ -105,12 +111,11 @@ def manifold_ring(M: ManifoldDescription) -> Ring:
             ring = SphereRing(M.n)
         else:
             raise InputError(f"unsupported manifold kind {M.kind!r}")
-        object.__setattr__(M, "_ring", ring)
+        M._ring = ring
     return M._ring
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     invariant: str  # 'cat' | 'TC' | 'TC_S' | 'cat_eq'
     interval: IntervalValue
     certificates: Tuple[Tuple[str, str, str], ...]  # (side, rule, witness summary)

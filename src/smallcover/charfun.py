@@ -10,20 +10,18 @@ product of simplices, a Bott matrix gives facet vectors in the block layout
 in polynomial time: one basis change, then the blocks peeled from the end
 into a triangular order.  The peel succeeds exactly on the valid
 assignments, so on a product it decides validity; `validate` keeps it, and
-`peel_matrix` reads its Bott matrix, which `reduce_to_bott` returns.
+`peel_matrix` reads its Bott matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import gf2
-from .errors import CharacteristicError, InputError, ReductionFailed
-from .polytope import (SimplePolytope, block_offsets, kept, product_of_simplices,
-                       product_vertices)
+from .errors import CharacteristicError, InputError
+from .polytope import SimplePolytope, block_offsets, kept, product_vertices
 
 GF2Vector = Tuple[int, ...]
 
@@ -69,8 +67,7 @@ def parse_vectors(strings: Sequence[str]) -> FacetMasks:
 Vectors = Union[FacetMasks, Sequence[GF2Vector]]  # masks, or 0/1 tuples to pack
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     bad_vertices: Tuple[Tuple[int, ...], ...]  # offending vertices, as facet tuples
 
@@ -180,16 +177,18 @@ def _vertex_rows(P: SimplePolytope):
     return vertices, tuple(rows)
 
 
-@dataclass(frozen=True)
-class BottMatrix:
+class _BottFields(NamedTuple):
+    dims: Tuple[int, ...]
+    beta: Tuple[Tuple[Tuple[int, int], GF2Vector], ...] = ()
+
+
+class BottMatrix(_BottFields):
     """Unipotent lower-triangular block matrix.
 
     beta[(k, j)] is the block in row k, column j (1-based, j < k), a vector of
-    length dims[k-1].  Diagonal blocks are all-ones, upper blocks zero.
+    length dims[k-1].  Diagonal blocks are all-ones, upper blocks zero.  A
+    `NamedTuple` with a `__dict__`, where `_blocks` is kept off the fields.
     """
-
-    dims: Tuple[int, ...]
-    beta: Tuple[Tuple[Tuple[int, int], GF2Vector], ...] = ()
 
     @staticmethod
     def make(dims: Sequence[int], beta: Dict[Tuple[int, int], Sequence[int]] = None) -> "BottMatrix":
@@ -229,44 +228,6 @@ def from_bott(B: BottMatrix) -> FacetMasks:
     for start, end, column in zip(starts, starts[1:], columns):
         masks += [1 << c for c in range(start, end)] + [column]
     return FacetMasks(starts[-1], masks)
-
-
-@dataclass(frozen=True)
-class BottReduction:
-    matrix: BottMatrix
-    block_order: Tuple[int, ...]  # position t holds the original block (1-based)
-    alpha_facets: Tuple[int, ...]  # global facet index playing the alpha role per original block
-    basis_change: Tuple[GF2Vector, ...]  # rows of C; new vector = C . old
-
-
-def reduce_to_bott(dims: Sequence[int], vectors: Vectors) -> BottReduction:
-    """Bring a valid assignment on a product of simplices to triangular form
-    by the block peel (`_peel`) that `validate` keeps with the masks; a
-    refused assignment raises with the bad vertices `validate` lists."""
-    dims = tuple(dims)
-    P = product_of_simplices(dims)
-    report = validate(P, vectors)
-    if not report.valid:
-        raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
-    masks, peeled = P._valid_masks, P._peeled
-    if peeled is None:
-        raise ReductionFailed(f"no block order is triangular for dims {dims}")
-    B = peel_matrix(dims, peeled)
-    pivots, _, order = peeled
-    n = P.n
-    offsets = block_offsets(dims)
-    alphas = [off + d for off, d in zip(offsets, dims)]
-    starts = [off - j for j, off in enumerate(offsets)]  # first coordinate of each block
-    # C: the rows of the coordinate map, blocks in the new order
-    columns = [gf2.reduce_tagged(pivots, 1 << c)[1] for c in range(n)]
-    C = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
-         for j in order for r in range(starts[j], starts[j] + dims[j])]
-    # postcondition: the transformed, reordered vectors are the layout
-    laid = [sum(((row & masks[f]).bit_count() & 1) << r for r, row in enumerate(C))
-            for j in order for f in range(offsets[j], alphas[j] + 1)]
-    assert tuple(laid) == from_bott(B)
-    return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
-                         tuple(gf2.bits_of(row, n) for row in C))
 
 
 def peel_matrix(dims: Sequence[int], peeled) -> BottMatrix:

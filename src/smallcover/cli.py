@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import bounds as bounds_mod
 from . import charfun, cohomology, gf2, invariants, polytope, sampling
-from .errors import BudgetExceeded, CharacteristicError, InputError, ReductionFailed
+from .errors import BudgetExceeded, CharacteristicError, InputError
 
 EX_USAGE = 64
 _BUDGET_RANGE = f"must be a non-negative integer at most {invariants.MAX_EXACT_BUDGET}"
@@ -516,7 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CharacteristicError as exc:
         print(f"invalid characteristic: {exc}", file=sys.stderr)
         return 1
-    except (InputError, ReductionFailed, BudgetExceeded) as exc:
+    except (InputError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -20,11 +20,11 @@ of both presentations are read in closed form, building nothing.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from operator import lshift
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import gf2
 from .charfun import BottMatrix, FacetMasks, Vectors, _masks, validate
@@ -654,8 +654,7 @@ def dold_exponents(p: Iterable) -> Tuple[int, ...]:
 # verification operations
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     nondegenerate: bool
     by_degree: Tuple[bool, ...]
 

@@ -11,7 +11,3 @@ class CharacteristicError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """A ring is too large for the exact search budget."""
-
-
-class ReductionFailed(RuntimeError):
-    """No basis change brings the assignment into triangular form."""

@@ -10,11 +10,10 @@ algebra's basis, on which each class acts through its generator's products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix
@@ -29,27 +28,27 @@ DEFAULT_BUDGET = 12
 MAX_EXACT_BUDGET = 128
 
 
-@dataclass(frozen=True)
-class IntervalValue:
-    lo: int
-    hi: int
-    lo_source: str
-    hi_source: str
-    witness: Tuple[str, ...] = ()
+class IntervalValue(NamedTuple("IntervalValue", [
+        ("lo", int), ("hi", int), ("lo_source", str), ("hi_source", str),
+        ("witness", Tuple[str, ...])])):
+    """[lo, hi] with the rule behind each end, checked by the constructor:
+    lo <= hi, and both sources are nonempty."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InputError(f"empty interval [{self.lo}, {self.hi}]")
-        if not self.lo_source or not self.hi_source:
+    def __new__(cls, lo: int, hi: int, lo_source: str, hi_source: str,
+                witness: Tuple[str, ...] = ()) -> "IntervalValue":
+        if lo > hi:
+            raise InputError(f"empty interval [{lo}, {hi}]")
+        if not lo_source or not hi_source:
             raise InputError("interval sources must be nonempty")
+        return super().__new__(cls, lo, hi, lo_source, hi_source, witness)
 
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
 
 
-@dataclass(frozen=True)
-class ZclCertificate:
+class ZclCertificate(NamedTuple):
     """k zero divisors whose product is nonzero.
 
     Each factor and `product` is a frozenset of terms u (x) v, each a pair

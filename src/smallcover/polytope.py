@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import comb, prod
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import InputError
 
@@ -39,46 +38,66 @@ MAX_PRODUCT_DIMENSION = 1024
 _LIVE = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
 class SimplePolytope:
-    n: int
-    facet_count: int
-    vertices: Tuple[FrozenSet[int], ...]
-    family: Tuple = ("explicit",)
-    # facet -> sorted tuple of incident vertex indices, derived once
-    _facet_vertices: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False,
-                                                         compare=False)
+    """A simple polytope of dimension n as its vertices, each the frozenset of
+    the n facets on it, and `family`, the built-in family it belongs to, or
+    ("explicit",).  The constructor checks the incidences: each vertex lies
+    on n known facets, no vertex repeats, every facet lies on a vertex and
+    every edge on two.  Equality and hashing go by n, facet_count, vertices
+    and family; none of them can be assigned, and neither `_facet_vertices`
+    nor what `kept` stores is part of the value."""
 
-    def __post_init__(self):
-        if self.n < 0 or self.facet_count < 0:
+    def __init__(self, n: int, facet_count: int, vertices: Tuple[FrozenSet[int], ...],
+                 family: Tuple = ("explicit",)):
+        if n < 0 or facet_count < 0:
             raise InputError("negative dimension or facet count")
         first = {}  # vertex -> the index it first appears at
-        for vi, v in enumerate(self.vertices):
-            if len(v) != self.n:
-                raise InputError(f"vertex {vi} does not lie on exactly {self.n} facets")
+        for vi, v in enumerate(vertices):
+            if len(v) != n:
+                raise InputError(f"vertex {vi} does not lie on exactly {n} facets")
             for f in v:
-                if not 0 <= f < self.facet_count:
+                if not 0 <= f < facet_count:
                     raise InputError(f"vertex {vi} uses unknown facet {f}")
             if first.setdefault(v, vi) != vi:
                 raise InputError(f"vertex {vi} repeats vertex {first[v]}")
         # each facet lies on a vertex, so the vertices bound the facet table
-        if self.facet_count > self.n * len(self.vertices):
-            raise InputError(f"{self.facet_count} facets cannot all lie on "
-                             f"{len(self.vertices)} vertices of dimension {self.n}")
-        if not self.vertices:
+        if facet_count > n * len(vertices):
+            raise InputError(f"{facet_count} facets cannot all lie on "
+                             f"{len(vertices)} vertices of dimension {n}")
+        if not vertices:
             raise InputError("a polytope needs at least one vertex")
-        incidence = _incidence(self.vertices, self.facet_count)
-        if self.n > 0:
+        incidence = _incidence(vertices, facet_count)
+        if n > 0:
             for f, incident in enumerate(incidence):
                 if not incident:
                     raise InputError(f"facet {f} lies on no vertex")
         # the n - 1 facets of a vertex but one meet in an edge: two vertices
-        edges = Counter(v - {f} for v in self.vertices for f in v)
+        edges = Counter(v - {f} for v in vertices for f in v)
         for edge, count in edges.items():
             if count != 2:
                 raise InputError(f"an edge lies on 2 vertices, but facets "
                                  f"{sorted(edge)} meet in {count}")
-        object.__setattr__(self, "_facet_vertices", incidence)
+        # _facet_vertices: facet -> sorted tuple of incident vertex indices
+        vars(self).update(n=n, facet_count=facet_count, vertices=vertices, family=family,
+                          _facet_vertices=incidence)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _value(self) -> Tuple:
+        return self.n, self.facet_count, self.vertices, self.family
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return (f"SimplePolytope(n={self.n!r}, facet_count={self.facet_count!r}, "
+                f"vertices={self.vertices!r}, family={self.family!r})")
 
     @property
     def vertex_count(self) -> int:
@@ -125,9 +144,8 @@ class ProductOfSimplices(SimplePolytope):
         if sum(dims) > MAX_PRODUCT_DIMENSION:
             raise InputError(f"a product of simplices has dimension at most "
                              f"{MAX_PRODUCT_DIMENSION}, got n = {sum(dims)}")
-        object.__setattr__(self, "n", sum(dims))
-        object.__setattr__(self, "facet_count", sum(dims) + len(dims))
-        object.__setattr__(self, "family", ("product_of_simplices", dims))
+        vars(self).update(n=sum(dims), facet_count=sum(dims) + len(dims),
+                          family=("product_of_simplices", dims))
 
     @cached_property
     def vertices(self) -> Tuple[FrozenSet[int], ...]:
@@ -138,13 +156,8 @@ class ProductOfSimplices(SimplePolytope):
     def _facet_vertices(self) -> Tuple[Tuple[int, ...], ...]:
         return _incidence(self.vertices, self.facet_count)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.family == other.family
-
-    def __hash__(self):
-        return hash(self.family)
+    def _value(self) -> Tuple:
+        return self.family
 
     def __repr__(self):
         return f"ProductOfSimplices(dims={self.family[1]})"
@@ -211,23 +224,23 @@ def explicit_polytope(n: int, facet_count: int, vertices: Sequence[Sequence[int]
     return _LIVE.setdefault((P.n, P.facet_count, P.vertices), P)
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     f: Tuple[int, ...]  # f_0 .. f_{n-1}, vertices first
 
 
-@dataclass(frozen=True)
-class HVector:
-    h: Tuple[int, ...]  # h_0 .. h_n
+class HVector(NamedTuple("HVector", [("h", Tuple[int, ...])])):
+    """h_0 .. h_n, checked by the constructor: it starts and ends with 1,
+    has no negative entry and is a palindrome."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        h = self.h
+    def __new__(cls, h: Tuple[int, ...]) -> "HVector":
         if h[0] != 1 or h[-1] != 1:
             raise InputError("h-vector must start and end with 1")
         if any(x < 0 for x in h):
             raise InputError("h-vector entries must be non-negative")
         if h != tuple(reversed(h)):
             raise InputError("h-vector fails the palindromic identity")
+        return super().__new__(cls, h)
 
 
 def _poly_product(polys: Iterable[Sequence[int]]) -> Tuple[int, ...]:

@@ -5,20 +5,14 @@ from itertools import permutations, product
 import pytest
 
 from smallcover import charfun, gf2
-from smallcover.charfun import (
-    BottMatrix,
-    FacetMasks,
-    from_bott,
-    parse_bits,
-    reduce_to_bott,
-    validate,
-)
-from smallcover.errors import CharacteristicError, InputError, ReductionFailed
+from smallcover.charfun import BottMatrix, FacetMasks, from_bott, parse_bits, validate
+from smallcover.errors import CharacteristicError, InputError
 from smallcover.polytope import block_offsets, explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, new_polytope, random_characteristic
 import tuple_reference as ref
+from tuple_reference import ReductionFailed, reduce_to_bott
 
 
 def test_parse_render_bits():
@@ -213,8 +207,8 @@ def _exhaustive_reduce(dims, vectors):
                         beta[(k + 1, t + 1)] = seg
             if ok:
                 B = BottMatrix.make(perm_dims, beta)
-                return charfun.BottReduction(B, tuple(b + 1 for b in order),
-                                             tuple(alpha_facets), tuple(C))
+                return ref.BottReduction(B, tuple(b + 1 for b in order),
+                                        tuple(alpha_facets), tuple(C))
     raise ReductionFailed(f"no block order and alpha choice is triangular for dims {dims}")
 
 

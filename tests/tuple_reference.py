@@ -13,17 +13,25 @@ simplex-facet hypotheses by a rank of tuple rows, which the package's
 masks are checked against, and the free-circle blocks of a tower read block
 by block, which the package's one pass over the nonzero blocks is checked
 against.  The tower's tensor-power certificate is kept as the package
-first built it, per-block unit tuples and rendered terms included.
+first built it, per-block unit tuples and rendered terms included.  At the
+end, `reduce_to_bott` reads the peel that `validate` keeps as the basis
+change that takes an assignment on a product of simplices to its Bott
+matrix's layout; no command needs that, and the tests check the peel
+through it.
 """
 
 from collections import Counter
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-from smallcover.errors import InputError
+from smallcover import gf2
+from smallcover.charfun import BottMatrix, peel_matrix, validate
+from smallcover.charfun import from_bott as layout_masks
+from smallcover.errors import CharacteristicError, InputError
 from smallcover.gf2 import _as_masks, default_names, mono_render, row_reduce_masks
 from smallcover.invariants import (LEADING_TERM_ARGUMENT, ZclCertificate, certificate_length,
                                    power_exponent)
-from smallcover.polytope import facet_neighbours, simplex_facets
+from smallcover.polytope import (block_offsets, facet_neighbours, product_of_simplices,
+                                 simplex_facets)
 
 Monomial = Tuple[int, ...]
 GF2Poly = frozenset  # of Monomial
@@ -322,3 +330,48 @@ def zcl_certificate_bott(dims) -> ZclCertificate:
     witness = frozenset({(tuple(left), tuple(dims))})
     return ZclCertificate(certificate_length(dims), tuple(factors), witness,
                           tuple(surviving), LEADING_TERM_ARGUMENT)
+
+
+# ---------------------------------------------------------------------------
+# triangular reduction
+
+
+class ReductionFailed(RuntimeError):
+    """No basis change brings the assignment into triangular form."""
+
+
+class BottReduction(NamedTuple):
+    matrix: BottMatrix
+    block_order: Tuple[int, ...]  # position t holds the original block (1-based)
+    alpha_facets: Tuple[int, ...]  # global facet index playing the alpha role per original block
+    basis_change: Tuple[Tuple[int, ...], ...]  # rows of C; new vector = C . old
+
+
+def reduce_to_bott(dims: Sequence[int], vectors) -> BottReduction:
+    """Bring a valid assignment on a product of simplices to triangular form
+    by the block peel (`charfun._peel`) that `validate` keeps with the masks;
+    a refused assignment raises with the bad vertices `validate` lists."""
+    dims = tuple(dims)
+    P = product_of_simplices(dims)
+    report = validate(P, vectors)
+    if not report.valid:
+        raise CharacteristicError(f"invalid assignment at vertices {report.bad_vertices}")
+    masks, peeled = P._valid_masks, P._peeled
+    if peeled is None:
+        raise ReductionFailed(f"no block order is triangular for dims {dims}")
+    B = peel_matrix(dims, peeled)
+    pivots, _, order = peeled
+    n = P.n
+    offsets = block_offsets(dims)
+    alphas = [off + d for off, d in zip(offsets, dims)]
+    starts = [off - j for j, off in enumerate(offsets)]  # first coordinate of each block
+    # C: the rows of the coordinate map, blocks in the new order
+    columns = [gf2.reduce_tagged(pivots, 1 << c)[1] for c in range(n)]
+    C = [sum(((col >> r) & 1) << c for c, col in enumerate(columns))
+         for j in order for r in range(starts[j], starts[j] + dims[j])]
+    # postcondition: the transformed, reordered vectors are the layout
+    laid = [sum(((row & masks[f]).bit_count() & 1) << r for r, row in enumerate(C))
+            for j in order for f in range(offsets[j], alphas[j] + 1)]
+    assert tuple(laid) == layout_masks(B)
+    return BottReduction(B, tuple(j + 1 for j in order), tuple(alphas),
+                         tuple(gf2.bits_of(row, n) for row in C))
