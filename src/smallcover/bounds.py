@@ -1,10 +1,10 @@
 """Interval bounds for category-type invariants of the supported manifolds.
 
-Every rule contributes a one-sided bound with a named certificate; the
-report keeps the tightest interval together with the trail of rules that
-produced each side.  Hypotheses that are topological rather than
-combinatorial (connectedness of a fixed set) are user-asserted flags and are
-recorded in the report when used.
+Every rule is a `_Rule` record: a one-sided bound with a named certificate.
+Each engine lists its rules in trail order, and the one merge, `_report`,
+keeps the tightest interval together with that trail.  Hypotheses that are
+topological rather than combinatorial (connectedness of a fixed set) are
+user-asserted flags and are recorded in the report when used.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def manifold_ring(M: ManifoldDescription) -> Ring:
 
 
 class BoundReport(NamedTuple):
-    invariant: str  # 'cat' | 'TC' | 'TC_S' | 'cat_eq'
+    invariant: str  # 'cat' | 'TC' | 'TC_S' | 'cat_eq' | 'zcl'
     interval: IntervalValue
     certificates: Tuple[Tuple[str, str, str], ...]  # (side, rule, witness summary)
     assumed_flags: Tuple[str, ...] = ()
@@ -146,44 +146,32 @@ class BoundReport(NamedTuple):
         )
 
 
-class _Builder:
-    """Accumulates one-sided bounds and their certificates."""
+class _Rule(NamedTuple):
+    """One named one-sided bound; `witness` backs a "lo" end, when it has one."""
+    side: str
+    value: int
+    name: str
+    detail: str = ""
+    witness: Tuple[str, ...] = ()
 
-    def __init__(self, invariant: str):
-        self.invariant = invariant
-        self.lo = None
-        self.hi = None
-        self.lo_cert = None
-        self.hi_cert = None
-        self.certs: List[Tuple[str, str, str]] = []
-        self.witness: Tuple[str, ...] = ()
 
-    def lower(self, value: int, rule: str, detail: str = "", witness=()):
-        self.certs.append(("lo", rule, detail))
-        if self.lo is None or value > self.lo:
-            self.lo = value
-            self.lo_cert = rule
-            if witness:
-                self.witness = tuple(witness)
-
-    def upper(self, value: int, rule: str, detail: str = ""):
-        self.certs.append(("hi", rule, detail))
-        if self.hi is None or value < self.hi:
-            self.hi = value
-            self.hi_cert = rule
-
-    def report(self, flags: Sequence[str] = ()) -> BoundReport:
-        if self.lo is None or self.hi is None:
-            raise InputError("incomplete bound computation")
-        if self.lo > self.hi:
-            raise InputError(f"{self.invariant}: lower end {self.lo} ({self.lo_cert}) "
-                             f"exceeds upper end {self.hi} ({self.hi_cert})")
-        return BoundReport(
-            self.invariant,
-            IntervalValue(self.lo, self.hi, self.lo_cert, self.hi_cert, self.witness),
-            tuple(self.certs),
-            tuple(flags),
-        )
+def _report(invariant: str, rules: Sequence[_Rule], flags: Sequence[str] = ()) -> BoundReport:
+    """The one merge: the rules, in trail order, as a report.  Each end is the
+    first best rule on its side, and the lower end keeps that rule's witness."""
+    lo = hi = None
+    for r in rules:  # strict comparisons, so the first of equal values wins
+        if r.side == "lo" and (lo is None or r.value > lo.value):
+            lo = r
+        elif r.side == "hi" and (hi is None or r.value < hi.value):
+            hi = r
+    if lo is None or hi is None:
+        raise InputError("incomplete bound computation")
+    if lo.value > hi.value:
+        raise InputError(f"{invariant}: lower end {lo.value} ({lo.name}) "
+                         f"exceeds upper end {hi.value} ({hi.name})")
+    return BoundReport(invariant,
+                       IntervalValue(lo.value, hi.value, lo.name, hi.name, lo.witness),
+                       tuple([(r.side, r.name, r.detail) for r in rules]), tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +210,10 @@ def free_circle_blocks(B: BottMatrix) -> List[int]:
             if j not in twisted and (s := sorted(w))[::2] == s[1::2]]
 
 
-def _zcl_rules(M: ManifoldDescription, budget: int) -> Tuple[tuple, ...]:
-    """The zero-divisor lower ends of a polytope manifold, as
-    (value, rule, detail, witness) in trail order.  `tc_bounds` and
-    `manifold_zcl` both read it, listed once per budget on M."""
+def _zcl_rules(M: ManifoldDescription, budget: int) -> Tuple[_Rule, ...]:
+    """The zero-divisor lower ends of a polytope manifold, as "lo" rules in
+    trail order.  `tc_bounds` and `manifold_zcl` both read it, listed once
+    per budget on M."""
     if ("zcl", budget) in M._by_budget:
         return M._by_budget["zcl", budget]
     n = M.n
@@ -233,39 +221,36 @@ def _zcl_rules(M: ManifoldDescription, budget: int) -> Tuple[tuple, ...]:
     rules = []
     if M.bmat is not None:
         cert = M._certificate
-        rules.append((cert.k, "tensor power certificate",
-                      f"{cert.k} diagonal zero divisors with nonzero product, "
-                      f"surviving terms {', '.join(cert.surviving_terms)}", ()))
+        rules.append(_Rule("lo", cert.k, "tensor power certificate",
+                           f"{cert.k} diagonal zero divisors with nonzero product, "
+                           f"surviving terms {', '.join(cert.surviving_terms)}"))
     try:
         ex = zcl_exact(ring, budget)
-        rules.append((ex.lo, "exact kernel search", "complete search within budget",
-                      ex.witness))
+        rules.append(_Rule("lo", ex.lo, "exact kernel search",
+                           "complete search within budget", ex.witness))
     except BudgetExceeded:
         pass
     if n > 1:
         has_simplex, det_ok = M._facet_hypotheses
         if has_simplex:
-            rules.append((zcl_rp(n - 1).lo, "facet projective restriction",
-                          f"simplex facet restricts onto the ({n - 1})-projective ring",
-                          ()))
+            rules.append(_Rule("lo", zcl_rp(n - 1).lo, "facet projective restriction",
+                               f"simplex facet restricts onto the ({n - 1})-projective ring"))
         if det_ok:
-            rules.append((zcl_rp(n).lo, "connected-sum projective subring",
-                          f"invertible neighbour matrix embeds the {n}-projective ring",
-                          ()))
+            rules.append(_Rule("lo", zcl_rp(n).lo, "connected-sum projective subring",
+                               f"invertible neighbour matrix embeds the {n}-projective ring"))
     return M._by_budget.setdefault(("zcl", budget), tuple(rules))
 
 
 def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     """Zero-divisor interval: the exact search within the budget, otherwise
-    the first largest of the degree-one class and `_zcl_rules`, capped at 2n."""
+    the `_report` of the degree-one class, `_zcl_rules` and the grading cap 2n."""
     if M.kind == "sphere":  # spheres use the declared mod-2 value only
         return sphere_zcl(M.n)
     ring = manifold_ring(M)
     if ring.dim <= budget:  # an exact value ends the merge
         return zcl_exact(ring, budget)
-    rules = ((1, "degree-one diagonal class", "", ()),) + _zcl_rules(M, budget)
-    value, rule, _, witness = max(rules, key=lambda r: r[0])
-    return IntervalValue(value, 2 * M.n, rule, "grading cap", witness)
+    return _report("zcl", [_Rule("lo", 1, "degree-one diagonal class"), *_zcl_rules(M, budget),
+                           _Rule("hi", 2 * M.n, "grading cap")]).interval
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +258,34 @@ def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
 
 
 def cat_bounds(M: ManifoldDescription) -> BoundReport:
-    b = _Builder("cat")
     if M.kind == "sphere":
-        b.lower(2, "cup-length floor", "single positive-degree class")
-        b.upper(2, "two contractible caps")
-        return b.report()
+        return _report("cat", [_Rule("lo", 2, "cup-length floor", "single positive-degree class"),
+                               _Rule("hi", 2, "two contractible caps")])
     n = M.n
-    b.lower(n + 1, "vertex class product",
-            "product of the facet classes through one vertex is nonzero")
-    b.upper(n + 1, "dimension cap", "dim + 1")
-    return b.report()
+    return _report("cat", [
+        _Rule("lo", n + 1, "vertex class product",
+              "product of the facet classes through one vertex is nonzero"),
+        _Rule("hi", n + 1, "dimension cap", "dim + 1")])
 
 
 def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """The TC report, built once per budget on M; `symm_tc_bounds` reads it."""
     if ("TC", budget) in M._by_budget:
         return M._by_budget["TC", budget]
-    b = _Builder("TC")
     n = M.n
     if M.kind == "sphere":
-        b.lower(sphere_zcl_declared(n) + 1, "rational sphere zero-divisor bound",
-                "zero-divisor-cup-length over Q plus one")
-        b.upper(2 * cat_bounds(M).interval.hi - 1, "category sandwich")
+        rules = [_Rule("lo", sphere_zcl_declared(n) + 1, "rational sphere zero-divisor bound",
+                       "zero-divisor-cup-length over Q plus one"),
+                 _Rule("hi", 2 * cat_bounds(M).interval.hi - 1, "category sandwich")]
     else:
-        b.lower(cat_bounds(M).interval.lo, "category floor", "TC is at least cat")
-        for value, rule, detail, witness in _zcl_rules(M, budget):
-            b.lower(value + 1, rule, detail, witness)
-    b.upper(2 * n + 1, "dimension cap")
+        rules = [_Rule("lo", cat_bounds(M).interval.lo, "category floor", "TC is at least cat"),
+                 *[r._replace(value=r.value + 1) for r in _zcl_rules(M, budget)]]
+    rules.append(_Rule("hi", 2 * n + 1, "dimension cap"))
     blocks = () if M.bmat is None else free_circle_blocks(M.bmat)
     if blocks:
-        b.upper(2 * n - len(blocks) + 1, "free circle actions",
-                "free circle on blocks " + ", ".join(map(str, blocks)))
-    return M._by_budget.setdefault(("TC", budget), b.report())
+        rules.append(_Rule("hi", 2 * n - len(blocks) + 1, "free circle actions",
+                           "free circle on blocks " + ", ".join(map(str, blocks))))
+    return M._by_budget.setdefault(("TC", budget), _report("TC", rules))
 
 
 def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
@@ -313,17 +294,15 @@ def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
     g = M.involution
     if g is None or not any(g):
         raise InputError("a nonzero involution vector is required")
-    b = _Builder("cat_eq")
-    flags = []
     n = M.n
     if M.fixed_set_connected:
-        flags.append("fixed_set_connected")
-        b.lower(n + 1, "connected fixed set", "invariant categorical cover by height levels")
-        b.upper(n + 1, "connected fixed set")
-        return b.report(flags)
+        return _report("cat_eq", [
+            _Rule("lo", n + 1, "connected fixed set",
+                  "invariant categorical cover by height levels"),
+            _Rule("hi", n + 1, "connected fixed set")], ["fixed_set_connected"])
     P, vectors = M.P, M.vectors
-    b.upper(P.vertex_count, "fixed point count",
-            "one invariant categorical set per vertex")
+    rules = [_Rule("hi", P.vertex_count, "fixed point count",
+                   "one invariant categorical set per vertex")]
     target = mask_of(g) if len(g) == n else None  # of another length, g matches no facet
     matching = [f for f, mask in enumerate(vectors) if mask == target]
     if n == 2 and matching:
@@ -334,34 +313,30 @@ def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
         )
         circles = set(matching)
         if disjoint and all(not circles.isdisjoint(v) for v in P.vertices):
-            b.lower(2 * len(matching), "fixed circle cover",
-                    f"{len(matching)} disjoint fixed circles through every vertex")
-    cat = cat_bounds(M)
-    b.lower(cat.interval.lo, "non-equivariant floor")
-    return b.report(flags)
+            rules.append(_Rule("lo", 2 * len(matching), "fixed circle cover",
+                               f"{len(matching)} disjoint fixed circles through every vertex"))
+    rules.append(_Rule("lo", cat_bounds(M).interval.lo, "non-equivariant floor"))
+    return _report("cat_eq", rules)
 
 
 def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundReport:
-    b = _Builder("TC_S")
     n = M.n
-    tc = tc_bounds(M, budget)
-    b.lower(tc.interval.lo, "ordinary complexity floor")
+    rules = [_Rule("lo", tc_bounds(M, budget).interval.lo, "ordinary complexity floor")]
     if n >= 1:  # a point has TC_S 1
-        b.lower(2, "more than one point")
         # in characteristic 2 the norm elements x (x) y + y (x) x are the
         # diagonal zero divisors, so the norm subring's cup-length is at
         # least the zcl
         zcl = manifold_zcl(M, budget)
-        b.lower(zcl.lo + 2, "norm subring",
-                f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")
-    b.upper(2 * n + 1, "dimension cap")
+        rules += [_Rule("lo", 2, "more than one point"),
+                  _Rule("lo", zcl.lo + 2, "norm subring",
+                        f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")]
+    rules.append(_Rule("hi", 2 * n + 1, "dimension cap"))
     if M.kind != "sphere" and n > 1:
         _, det_ok = M._facet_hypotheses
-        s = n.bit_length() - 1
-        if det_ok and n == (1 << s):
-            b.lower(2 * n + 1, "projective exactness",
-                    "power-of-two dimension with invertible neighbour matrix")
-    return b.report()
+        if det_ok and n & (n - 1) == 0:
+            rules.append(_Rule("lo", 2 * n + 1, "projective exactness",
+                               "power-of-two dimension with invertible neighbour matrix"))
+    return _report("TC_S", rules)
 
 
 def dold_bounds(M: ManifoldDescription, p: Sequence[int],
@@ -379,42 +354,37 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
     dim_d = n + sum(p)
     flags = ["fixed_set_connected"] if M.fixed_set_connected else []
 
-    base_ring = manifold_ring(M)
-    cl_base = cup_length(base_ring)
+    cl_base = cup_length(manifold_ring(M))
     cat_tau = 2 if M.kind == "sphere" else n + 1
 
-    cat = _Builder("cat")
-    cat.lower(cl_base + p1 + r, "cup-length product",
-              "base cup-length plus fibre cup-length, plus one")
+    cat = [_Rule("lo", cl_base + p1 + r, "cup-length product",
+                 "base cup-length plus fibre cup-length, plus one")]
     if M.fixed_set_connected or M.kind == "sphere":
-        cat.upper(cat_tau + p1 + r - 1, "invariant cover product",
-                  "invariant categorical cover of the base times the fibre cover")
-    cat.upper(dim_d + 1, "dimension cap")
+        cat.append(_Rule("hi", cat_tau + p1 + r - 1, "invariant cover product",
+                         "invariant categorical cover of the base times the fibre cover"))
+    cat.append(_Rule("hi", dim_d + 1, "dimension cap"))
 
-    tc = _Builder("TC")
     zb = manifold_zcl(M, budget)
     rp = zcl_rp(p1)
     zsum = zb.lo + rp.lo + r - 1
-    tc.lower(zsum + 1, "tensor zero-divisor sum",
-             f"base bound {zb.lo} ({zb.lo_source}) plus fibre bound {rp.lo}")
-    tc.lower(cl_base + p1 + r, "category floor")
+    tc = [_Rule("lo", zsum + 1, "tensor zero-divisor sum",
+                f"base bound {zb.lo} ({zb.lo_source}) plus fibre bound {rp.lo}"),
+          _Rule("lo", cl_base + p1 + r, "category floor")]
     # one fibre factor over a polytope base with an invertible neighbour matrix
-    det_ok = (r == 1 and M.kind != "sphere"
-              and M._facet_hypotheses[1])
+    det_ok = r == 1 and M.kind != "sphere" and M._facet_hypotheses[1]
     if M.kind == "sphere":
-        tc.upper(2 * (cat_tau + p1 + r) - 1, "invariant cover cap")
+        tc.append(_Rule("hi", 2 * (cat_tau + p1 + r) - 1, "invariant cover cap"))
     else:
-        tc.upper(2 * (n + p1 + r) + 1, "dimension-type cap")
+        tc.append(_Rule("hi", 2 * (n + p1 + r) + 1, "dimension-type cap"))
         if det_ok:
-            tc.upper(2 * (n + p1) + 1, "single-factor projective cap",
-                     "invertible neighbour matrix, one fibre factor")
-    tc.upper(2 * dim_d + 1, "dimension cap")
+            tc.append(_Rule("hi", 2 * (n + p1) + 1, "single-factor projective cap",
+                            "invertible neighbour matrix, one fibre factor"))
+    tc.append(_Rule("hi", 2 * dim_d + 1, "dimension cap"))
 
-    tcs = _Builder("TC_S")
-    tcs.lower(2, "more than one point")
-    tcs.lower(zsum + 2, "norm subring")
-    tcs.upper(2 * dim_d + 1, "dimension cap")
+    tcs = [_Rule("lo", 2, "more than one point"),
+           _Rule("lo", zsum + 2, "norm subring"),
+           _Rule("hi", 2 * dim_d + 1, "dimension cap")]
     if det_ok:
-        tcs.upper(2 * (n + p1) + 1, "single-factor projective cap")
+        tcs.append(_Rule("hi", 2 * (n + p1) + 1, "single-factor projective cap"))
 
-    return cat.report(flags), tc.report(flags), tcs.report(flags)
+    return _report("cat", cat, flags), _report("TC", tc, flags), _report("TC_S", tcs, flags)

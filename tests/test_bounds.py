@@ -25,7 +25,7 @@ from smallcover.bounds import (
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import PointRing
 from smallcover.errors import CharacteristicError, InputError
-from smallcover.invariants import cup_length, zcl_exact, zcl_interval
+from smallcover.invariants import IntervalValue, cup_length, zcl_exact, zcl_interval
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
@@ -329,15 +329,35 @@ def test_dold_norm_end_over_rp2():
 
 
 def test_contradictory_rules_name_both_rules():
-    b = bounds._Builder("TC")
-    b.lower(14, "exact kernel search")
-    b.lower(8, "category floor")
-    b.upper(13, "free circle actions")
-    b.upper(20, "dimension cap")
+    """`_report`, the one merge: the first largest "lo" with its own witness,
+    the first smallest "hi" and the trail in the given order; an error that
+    names both rules when the ends cross, and one when a side has no rule."""
+    Rule = bounds._Rule
     with pytest.raises(InputError) as exc:
-        b.report()
+        bounds._report("TC", [Rule("lo", 14, "exact kernel search"),
+                              Rule("lo", 8, "category floor"),
+                              Rule("hi", 13, "free circle actions"),
+                              Rule("hi", 20, "dimension cap")])
     assert str(exc.value) == ("TC: lower end 14 (exact kernel search) exceeds "
                               "upper end 13 (free circle actions)")
+    rules = [Rule("hi", 9, "dimension cap", "dim"),
+             Rule("lo", 5, "tensor power certificate", "", ("a",)),
+             Rule("lo", 5, "exact kernel search", "search", ("b", "c")),
+             Rule("hi", 7, "free circle actions"),
+             Rule("lo", 3, "category floor"),
+             Rule("hi", 7, "grading cap")]
+    rep = bounds._report("zcl", rules, ["fixed_set_connected"])
+    assert rep.interval == IntervalValue(5, 7, "tensor power certificate",
+                                         "free circle actions", ("a",))
+    assert rep.certificates == tuple((r.side, r.name, r.detail) for r in rules)
+    assert rep.assumed_flags == ("fixed_set_connected",)
+    # a lone largest "lo" keeps its own witness, even an empty one
+    assert bounds._report("zcl", rules + [Rule("lo", 6, "facet projective restriction")]
+                          ).interval.witness == ()
+    for side in ("lo", "hi"):
+        with pytest.raises(InputError) as exc:
+            bounds._report("TC", [r for r in rules if r.side != side])
+        assert str(exc.value) == "incomplete bound computation"
 
 
 def test_dold_over_sphere():
@@ -634,7 +654,7 @@ def test_scrambled_tower_bounds_hold_against_the_exact_search(rng):
         M = small_cover_manifold(product_of_simplices(scrambled_dims), vectors)
         assert M.bmat == ref.reduce_to_bott(scrambled_dims, vectors).matrix
         n, exact = M.n, zcl_exact(manifold_ring(M), 64).lo
-        assert all(value <= exact for value, *_ in bounds._zcl_rules(M, 0))
+        assert all(rule.value <= exact for rule in bounds._zcl_rules(M, 0))
         zcl, tc, tcs = (manifold_zcl(M, 0), tc_bounds(M, 0).interval,
                         symm_tc_bounds(M, 0).interval)
         assert zcl.lo <= exact <= zcl.hi, (dims, vectors)

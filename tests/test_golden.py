@@ -6,11 +6,16 @@ each from `smallcover <command> <problem> ... --format json`.  A change that
 moves a bound on purpose rewrites the file and says why in CHANGES.md.
 """
 
+import ast
+import json
+import re
 from pathlib import Path
 
+from smallcover import bounds
 from smallcover.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 COMMANDS = {
     "bounds": ["bounds", "--invariant", "all", "--format", "json"],
     "certificate": ["zcl", "--certificate-only", "--format", "json"],
@@ -46,3 +51,36 @@ def test_golden_outputs_byte_identical(capsys):
             assert main([command, str(problem), *options]) == 0, (name, output)
             expected = (GOLDEN / f"{name}.{output}.json").read_text()
             assert capsys.readouterr().out == expected, (name, output)
+
+
+def _readme_rules():
+    """{(report, side): rule names} from the README's rule table."""
+    header = "| report | lower-end rules | upper-end rules |\n|---|---|---|\n"
+    table = README.read_text().split(header)[1].split("\n\n")[0]
+    rules = {}
+    for row in table.splitlines():
+        report, lo, hi = (cell.strip() for cell in row.strip("|").split("|"))
+        rules[report, "lo"] = set(re.findall(r"`([^`]+)`", lo))
+        rules[report, "hi"] = set(re.findall(r"`([^`]+)`", hi))
+    return rules
+
+
+def test_readme_rule_table_names_every_rule():
+    """Every rule in a committed golden trail is in its report's row of the
+    README's rule table, on its side, and the table names exactly the rules
+    that `bounds.py` states as `_Rule` records."""
+    listed = _readme_rules()
+    trails = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        data = json.loads(path.read_text())
+        prefix = "Dold " if path.name.endswith(".dold.json") else ""
+        for report in data.get("reports", ()) if isinstance(data, dict) else ():
+            for cert in report["certificates"]:
+                key = prefix + report["invariant"], cert["side"]
+                assert cert["rule"] in listed[key], (path.name, key, cert["rule"])
+                trails += 1
+    assert trails > 0
+    source = ast.parse(Path(bounds.__file__).read_text())
+    stated = {node.args[2].value for node in ast.walk(source)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Rule"}
+    assert set().union(*listed.values()) == stated
