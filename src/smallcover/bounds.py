@@ -1,8 +1,10 @@
 """Interval bounds for category-type invariants of the supported manifolds.
 
-Every rule is a `_Rule` record: a one-sided bound with a named certificate.
-Each engine lists its rules in trail order, and the one merge, `_report`,
-keeps the tightest interval together with that trail.  Hypotheses that are
+Every rule is a tuple (side, value, name, detail[, witness]): a one-sided
+bound with a named certificate.  Each report lists its rules in trail
+order, and the one merge, `_report`, keeps the tightest interval together
+with that trail.  A description keeps one `_Bounds` record per budget, which
+builds each part the reports share once, on first use.  Hypotheses that are
 topological rather than combinatorial (connectedness of a fixed set) are
 user-asserted flags and are recorded in the report when used.
 """
@@ -10,6 +12,7 @@ user-asserted flags and are recorded in the report when used.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charfun import BottMatrix, FacetMasks, GF2Vector, Vectors, from_bott, peel_matrix
@@ -19,7 +22,6 @@ from .gf2 import mask_of, row_reduce_masks
 from .invariants import (
     DEFAULT_BUDGET,
     IntervalValue,
-    ZclCertificate,
     cup_length,
     sphere_zcl,
     sphere_zcl_declared,
@@ -49,24 +51,9 @@ class ManifoldDescription(_ManifoldFields):
     """A manifold as the bound rules read it.  Over a product of simplices, in
     either input form, `bmat` is its tower, and `bmat.dims` its block sizes.
     A `NamedTuple` with a `__dict__`, which keeps what is built once off the
-    fields: the ring, the hypotheses, the certificate and the reports."""
+    fields: the ring, and `_records`, a `_Bounds` per budget (`_at`)."""
     # the cohomology ring, built once by manifold_ring
     _ring: Optional[Ring] = None
-
-    @cached_property
-    def _by_budget(self) -> dict:
-        """Per budget, the zcl rules and the TC report, each built once."""
-        return {}
-
-    @cached_property
-    def _facet_hypotheses(self) -> Tuple[bool, bool]:
-        """`simplex_facet_hypotheses` of (P, vectors), checked once."""
-        return simplex_facet_hypotheses(self.P, self.vectors)
-
-    @cached_property
-    def _certificate(self) -> ZclCertificate:
-        """The tower's tensor-power certificate, built once."""
-        return zcl_certificate_bott(self.bmat)
 
 
 def bott_manifold(dims: Sequence[int], B: BottMatrix,
@@ -146,32 +133,23 @@ class BoundReport(NamedTuple):
         )
 
 
-class _Rule(NamedTuple):
-    """One named one-sided bound; `witness` backs a "lo" end, when it has one."""
-    side: str
-    value: int
-    name: str
-    detail: str = ""
-    witness: Tuple[str, ...] = ()
-
-
-def _report(invariant: str, rules: Sequence[_Rule], flags: Sequence[str] = ()) -> BoundReport:
-    """The one merge: the rules, in trail order, as a report.  Each end is the
-    first best rule on its side, and the lower end keeps that rule's witness."""
+def _report(invariant: str, rules: Sequence[tuple], flags: Sequence[str] = ()) -> BoundReport:
+    """The one merge: rules (side, value, name, detail[, witness]) in trail order
+    as a report; each end is the first best rule on its side, with its witness."""
     lo = hi = None
     for r in rules:  # strict comparisons, so the first of equal values wins
-        if r.side == "lo" and (lo is None or r.value > lo.value):
+        if r[0] == "lo" and (lo is None or r[1] > lo[1]):
             lo = r
-        elif r.side == "hi" and (hi is None or r.value < hi.value):
+        elif r[0] == "hi" and (hi is None or r[1] < hi[1]):
             hi = r
     if lo is None or hi is None:
         raise InputError("incomplete bound computation")
-    if lo.value > hi.value:
-        raise InputError(f"{invariant}: lower end {lo.value} ({lo.name}) "
-                         f"exceeds upper end {hi.value} ({hi.name})")
+    if lo[1] > hi[1]:
+        raise InputError(f"{invariant}: lower end {lo[1]} ({lo[2]}) "
+                         f"exceeds upper end {hi[1]} ({hi[2]})")
     return BoundReport(invariant,
-                       IntervalValue(lo.value, hi.value, lo.name, hi.name, lo.witness),
-                       tuple([(r.side, r.name, r.detail) for r in rules]), tuple(flags))
+                       IntervalValue(lo[1], hi[1], lo[2], hi[2], lo[4] if len(lo) > 4 else ()),
+                       tuple(map(itemgetter(0, 2, 3), rules)), tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -210,82 +188,127 @@ def free_circle_blocks(B: BottMatrix) -> List[int]:
             if j not in twisted and (s := sorted(w))[::2] == s[1::2]]
 
 
-def _zcl_rules(M: ManifoldDescription, budget: int) -> Tuple[_Rule, ...]:
-    """The zero-divisor lower ends of a polytope manifold, as "lo" rules in
-    trail order.  `tc_bounds` and `manifold_zcl` both read it, listed once
-    per budget on M."""
-    if ("zcl", budget) in M._by_budget:
-        return M._by_budget["zcl", budget]
-    n = M.n
-    ring = manifold_ring(M)
-    rules = []
-    if M.bmat is not None:
-        cert = M._certificate
-        rules.append(_Rule("lo", cert.k, "tensor power certificate",
-                           f"{cert.k} diagonal zero divisors with nonzero product, "
-                           f"surviving terms {', '.join(cert.surviving_terms)}"))
-    try:
-        ex = zcl_exact(ring, budget)
-        rules.append(_Rule("lo", ex.lo, "exact kernel search",
-                           "complete search within budget", ex.witness))
-    except BudgetExceeded:
-        pass
-    if n > 1:
-        has_simplex, det_ok = M._facet_hypotheses
-        if has_simplex:
-            rules.append(_Rule("lo", zcl_rp(n - 1).lo, "facet projective restriction",
-                               f"simplex facet restricts onto the ({n - 1})-projective ring"))
-        if det_ok:
-            rules.append(_Rule("lo", zcl_rp(n).lo, "connected-sum projective subring",
-                               f"invertible neighbour matrix embeds the {n}-projective ring"))
-    return M._by_budget.setdefault(("zcl", budget), tuple(rules))
+# ---------------------------------------------------------------------------
+# one evaluator per (manifold, budget); the engines read it
+
+
+class _part(cached_property):
+    """A `_Bounds` part: a `cached_property` without the lock it takes on 3.11."""
+    def __get__(self, rec, owner=None):
+        value = rec.__dict__[self.attrname] = self.func(rec)
+        return value
+
+
+class _Bounds:
+    """What the rules read of one description M at one budget (`_at`), each part
+    built once.  It keeps M's fields and ring, not M, which keeps it: no cycle."""
+
+    def __init__(self, M: ManifoldDescription, budget: int):
+        self.M, self.ring, self.budget = _ManifoldFields._make(M), manifold_ring(M), budget
+
+    @_part
+    def hypotheses(self) -> Tuple[bool, bool]:
+        return simplex_facet_hypotheses(self.M.P, self.M.vectors)
+
+    @_part
+    def exact(self) -> Optional[IntervalValue]:  # None above the budget
+        try:
+            return zcl_exact(self.ring, self.budget)
+        except BudgetExceeded:
+            return None
+
+    @_part
+    def zcl_rules(self) -> Tuple[tuple, ...]:  # a polytope manifold's "lo" zcl ends
+        n, rules = self.M.n, []
+        if self.M.bmat is not None:
+            cert = zcl_certificate_bott(self.M.bmat)
+            rules.append(("lo", cert.k, "tensor power certificate",
+                          f"{cert.k} diagonal zero divisors with nonzero product, "
+                          f"surviving terms {', '.join(cert.surviving_terms)}"))
+        if self.exact is not None:
+            rules.append(("lo", self.exact.lo, "exact kernel search",
+                          "complete search within budget", self.exact.witness))
+        if n > 1:
+            has_simplex, det_ok = self.hypotheses
+            if has_simplex:
+                rules.append(("lo", zcl_rp(n - 1).lo, "facet projective restriction",
+                              f"simplex facet restricts onto the ({n - 1})-projective ring"))
+            if det_ok:
+                rules.append(("lo", zcl_rp(n).lo, "connected-sum projective subring",
+                              f"invertible neighbour matrix embeds the {n}-projective ring"))
+        return tuple(rules)
+
+    @_part
+    def zcl(self) -> IntervalValue:  # an exact value ends the merge
+        if self.M.kind == "sphere":
+            return sphere_zcl(self.M.n)
+        return self.exact or _report("zcl", [("lo", 1, "degree-one diagonal class", ""),
+                                             *self.zcl_rules,
+                                             ("hi", 2 * self.M.n, "grading cap", "")]).interval
+
+    @_part
+    def cat(self) -> BoundReport:
+        if self.M.kind == "sphere":
+            return _report("cat", [("lo", 2, "cup-length floor", "single positive-degree class"),
+                                   ("hi", 2, "two contractible caps", "")])
+        n = self.M.n
+        return _report("cat", [("lo", n + 1, "vertex class product",
+                                "product of the facet classes through one vertex is nonzero"),
+                               ("hi", n + 1, "dimension cap", "dim + 1")])
+
+    @_part
+    def tc(self) -> BoundReport:
+        M, n = self.M, self.M.n
+        if M.kind == "sphere":
+            rules = [("lo", sphere_zcl_declared(n) + 1, "rational sphere zero-divisor bound",
+                      "zero-divisor-cup-length over Q plus one"),
+                     ("hi", 2 * self.cat.interval.hi - 1, "category sandwich", "")]
+        else:
+            rules = [("lo", self.cat.interval.lo, "category floor", "TC is at least cat"),
+                     *[("lo", r[1] + 1) + r[2:] for r in self.zcl_rules]]
+        rules.append(("hi", 2 * n + 1, "dimension cap", ""))
+        if M.bmat is not None and (blocks := free_circle_blocks(M.bmat)):
+            rules.append(("hi", 2 * n - len(blocks) + 1, "free circle actions",
+                          "free circle on blocks " + ", ".join(map(str, blocks))))
+        return _report("TC", rules)
+
+    @_part
+    def tcs(self) -> BoundReport:
+        M, n = self.M, self.M.n
+        rules = [("lo", self.tc.interval.lo, "ordinary complexity floor", "")]
+        if n >= 1:  # a point has TC_S 1
+            # in characteristic 2 the norm elements x (x) y + y (x) x are the diagonal
+            # zero divisors, so the norm subring's cup-length is at least the zcl
+            zcl = self.zcl
+            rules += [("lo", 2, "more than one point", ""),
+                      ("lo", zcl.lo + 2, "norm subring",
+                       f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")]
+        rules.append(("hi", 2 * n + 1, "dimension cap", ""))
+        if M.kind != "sphere" and n > 1 and self.hypotheses[1] and n & (n - 1) == 0:
+            rules.append(("lo", 2 * n + 1, "projective exactness",
+                          "power-of-two dimension with invertible neighbour matrix"))
+        return _report("TC_S", rules)
+
+
+def _at(M: ManifoldDescription, budget: int) -> _Bounds:
+    records = vars(M).setdefault("_records", {})
+    return records.get(budget) or records.setdefault(budget, _Bounds(M, budget))
 
 
 def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
-    """Zero-divisor interval: the exact search within the budget, otherwise
-    the `_report` of the degree-one class, `_zcl_rules` and the grading cap 2n."""
-    if M.kind == "sphere":  # spheres use the declared mod-2 value only
-        return sphere_zcl(M.n)
-    ring = manifold_ring(M)
-    if ring.dim <= budget:  # an exact value ends the merge
-        return zcl_exact(ring, budget)
-    return _report("zcl", [_Rule("lo", 1, "degree-one diagonal class"), *_zcl_rules(M, budget),
-                           _Rule("hi", 2 * M.n, "grading cap")]).interval
-
-
-# ---------------------------------------------------------------------------
-# invariant engines
+    return _at(M, budget).zcl
 
 
 def cat_bounds(M: ManifoldDescription) -> BoundReport:
-    if M.kind == "sphere":
-        return _report("cat", [_Rule("lo", 2, "cup-length floor", "single positive-degree class"),
-                               _Rule("hi", 2, "two contractible caps")])
-    n = M.n
-    return _report("cat", [
-        _Rule("lo", n + 1, "vertex class product",
-              "product of the facet classes through one vertex is nonzero"),
-        _Rule("hi", n + 1, "dimension cap", "dim + 1")])
+    return _at(M, DEFAULT_BUDGET).cat
 
 
 def tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundReport:
-    """The TC report, built once per budget on M; `symm_tc_bounds` reads it."""
-    if ("TC", budget) in M._by_budget:
-        return M._by_budget["TC", budget]
-    n = M.n
-    if M.kind == "sphere":
-        rules = [_Rule("lo", sphere_zcl_declared(n) + 1, "rational sphere zero-divisor bound",
-                       "zero-divisor-cup-length over Q plus one"),
-                 _Rule("hi", 2 * cat_bounds(M).interval.hi - 1, "category sandwich")]
-    else:
-        rules = [_Rule("lo", cat_bounds(M).interval.lo, "category floor", "TC is at least cat"),
-                 *[r._replace(value=r.value + 1) for r in _zcl_rules(M, budget)]]
-    rules.append(_Rule("hi", 2 * n + 1, "dimension cap"))
-    blocks = () if M.bmat is None else free_circle_blocks(M.bmat)
-    if blocks:
-        rules.append(_Rule("hi", 2 * n - len(blocks) + 1, "free circle actions",
-                           "free circle on blocks " + ", ".join(map(str, blocks))))
-    return M._by_budget.setdefault(("TC", budget), _report("TC", rules))
+    return _at(M, budget).tc
+
+
+def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundReport:
+    return _at(M, budget).tcs
 
 
 def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
@@ -297,12 +320,11 @@ def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
     n = M.n
     if M.fixed_set_connected:
         return _report("cat_eq", [
-            _Rule("lo", n + 1, "connected fixed set",
-                  "invariant categorical cover by height levels"),
-            _Rule("hi", n + 1, "connected fixed set")], ["fixed_set_connected"])
+            ("lo", n + 1, "connected fixed set", "invariant categorical cover by height levels"),
+            ("hi", n + 1, "connected fixed set", "")], ["fixed_set_connected"])
     P, vectors = M.P, M.vectors
-    rules = [_Rule("hi", P.vertex_count, "fixed point count",
-                   "one invariant categorical set per vertex")]
+    rules = [("hi", P.vertex_count, "fixed point count",
+              "one invariant categorical set per vertex")]
     target = mask_of(g) if len(g) == n else None  # of another length, g matches no facet
     matching = [f for f, mask in enumerate(vectors) if mask == target]
     if n == 2 and matching:
@@ -313,30 +335,10 @@ def eq_cat_bounds(M: ManifoldDescription) -> BoundReport:
         )
         circles = set(matching)
         if disjoint and all(not circles.isdisjoint(v) for v in P.vertices):
-            rules.append(_Rule("lo", 2 * len(matching), "fixed circle cover",
-                               f"{len(matching)} disjoint fixed circles through every vertex"))
-    rules.append(_Rule("lo", cat_bounds(M).interval.lo, "non-equivariant floor"))
+            rules.append(("lo", 2 * len(matching), "fixed circle cover",
+                          f"{len(matching)} disjoint fixed circles through every vertex"))
+    rules.append(("lo", _at(M, DEFAULT_BUDGET).cat.interval.lo, "non-equivariant floor", ""))
     return _report("cat_eq", rules)
-
-
-def symm_tc_bounds(M: ManifoldDescription, budget: int = DEFAULT_BUDGET) -> BoundReport:
-    n = M.n
-    rules = [_Rule("lo", tc_bounds(M, budget).interval.lo, "ordinary complexity floor")]
-    if n >= 1:  # a point has TC_S 1
-        # in characteristic 2 the norm elements x (x) y + y (x) x are the
-        # diagonal zero divisors, so the norm subring's cup-length is at
-        # least the zcl
-        zcl = manifold_zcl(M, budget)
-        rules += [_Rule("lo", 2, "more than one point"),
-                  _Rule("lo", zcl.lo + 2, "norm subring",
-                        f"norm-subring cup-length at least {zcl.lo} ({zcl.lo_source})")]
-    rules.append(_Rule("hi", 2 * n + 1, "dimension cap"))
-    if M.kind != "sphere" and n > 1:
-        _, det_ok = M._facet_hypotheses
-        if det_ok and n & (n - 1) == 0:
-            rules.append(_Rule("lo", 2 * n + 1, "projective exactness",
-                               "power-of-two dimension with invertible neighbour matrix"))
-    return _report("TC_S", rules)
 
 
 def dold_bounds(M: ManifoldDescription, p: Sequence[int],
@@ -348,43 +350,39 @@ def dold_bounds(M: ManifoldDescription, p: Sequence[int],
     TC_S "norm subring" end plus 2, the norm rule of `symm_tc_bounds`.
     """
     p = dold_exponents(p)
-    r = len(p)
-    p1 = p[0]
-    n = M.n
+    r, p1, n = len(p), p[0], M.n
     dim_d = n + sum(p)
     flags = ["fixed_set_connected"] if M.fixed_set_connected else []
-
-    cl_base = cup_length(manifold_ring(M))
+    rec = _at(M, budget)
+    cl_base = cup_length(rec.ring)
     cat_tau = 2 if M.kind == "sphere" else n + 1
-
-    cat = [_Rule("lo", cl_base + p1 + r, "cup-length product",
-                 "base cup-length plus fibre cup-length, plus one")]
+    cat = [("lo", cl_base + p1 + r, "cup-length product",
+            "base cup-length plus fibre cup-length, plus one")]
     if M.fixed_set_connected or M.kind == "sphere":
-        cat.append(_Rule("hi", cat_tau + p1 + r - 1, "invariant cover product",
-                         "invariant categorical cover of the base times the fibre cover"))
-    cat.append(_Rule("hi", dim_d + 1, "dimension cap"))
+        cat.append(("hi", cat_tau + p1 + r - 1, "invariant cover product",
+                    "invariant categorical cover of the base times the fibre cover"))
+    cat.append(("hi", dim_d + 1, "dimension cap", ""))
 
-    zb = manifold_zcl(M, budget)
-    rp = zcl_rp(p1)
+    zb, rp = rec.zcl, zcl_rp(p1)
     zsum = zb.lo + rp.lo + r - 1
-    tc = [_Rule("lo", zsum + 1, "tensor zero-divisor sum",
-                f"base bound {zb.lo} ({zb.lo_source}) plus fibre bound {rp.lo}"),
-          _Rule("lo", cl_base + p1 + r, "category floor")]
+    tc = [("lo", zsum + 1, "tensor zero-divisor sum",
+           f"base bound {zb.lo} ({zb.lo_source}) plus fibre bound {rp.lo}"),
+          ("lo", cl_base + p1 + r, "category floor", "")]
     # one fibre factor over a polytope base with an invertible neighbour matrix
-    det_ok = r == 1 and M.kind != "sphere" and M._facet_hypotheses[1]
+    det_ok = r == 1 and M.kind != "sphere" and rec.hypotheses[1]
     if M.kind == "sphere":
-        tc.append(_Rule("hi", 2 * (cat_tau + p1 + r) - 1, "invariant cover cap"))
+        tc.append(("hi", 2 * (cat_tau + p1 + r) - 1, "invariant cover cap", ""))
     else:
-        tc.append(_Rule("hi", 2 * (n + p1 + r) + 1, "dimension-type cap"))
+        tc.append(("hi", 2 * (n + p1 + r) + 1, "dimension-type cap", ""))
         if det_ok:
-            tc.append(_Rule("hi", 2 * (n + p1) + 1, "single-factor projective cap",
-                            "invertible neighbour matrix, one fibre factor"))
-    tc.append(_Rule("hi", 2 * dim_d + 1, "dimension cap"))
+            tc.append(("hi", 2 * (n + p1) + 1, "single-factor projective cap",
+                       "invertible neighbour matrix, one fibre factor"))
+    tc.append(("hi", 2 * dim_d + 1, "dimension cap", ""))
 
-    tcs = [_Rule("lo", 2, "more than one point"),
-           _Rule("lo", zsum + 2, "norm subring"),
-           _Rule("hi", 2 * dim_d + 1, "dimension cap")]
+    tcs = [("lo", 2, "more than one point", ""),
+           ("lo", zsum + 2, "norm subring", ""),
+           ("hi", 2 * dim_d + 1, "dimension cap", "")]
     if det_ok:
-        tcs.append(_Rule("hi", 2 * (n + p1) + 1, "single-factor projective cap"))
+        tcs.append(("hi", 2 * (n + p1) + 1, "single-factor projective cap", ""))
 
     return _report("cat", cat, flags), _report("TC", tc, flags), _report("TC_S", tcs, flags)

@@ -222,7 +222,7 @@ def cmd_zcl(spec: ProblemSpec, args) -> _Result:
     if args.certificate_only:
         if M.bmat is None:
             raise InputError("--certificate-only needs a product of simplices")
-        cert = M._certificate
+        cert = invariants.zcl_certificate_bott(M.bmat)
         lines = [f"certificate length = {cert.k}",
                  "surviving terms: " + ", ".join(cert.surviving_terms),
                  f"argument: {cert.argument}"]

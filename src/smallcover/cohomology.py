@@ -450,10 +450,10 @@ def _normal_form_table(mons: Sequence[int], pivots: Dict[int, int]) -> Dict[int,
 class BottRing(QuotientRing):
     """Z2[y_1..y_m]/<Gamma_1..Gamma_m>, the ring of B's tower; `dims` is B.dims."""
     kind = "bott"
-    dim = property(lambda self: product_vertex_count(self.dims))  # prod (n_j + 1), no `betti`
+    dim = 0  # set by __init__ to prod (n_j + 1), read from no `betti`
 
     def __init__(self, B: BottMatrix):
-        self.dims = B.dims
+        self.dims, self.dim = B.dims, product_vertex_count(B.dims)
         self.bmat = B
         self.m = len(B.dims)
         super().__init__(gf2.default_names(self.m, "y"), sum(B.dims))

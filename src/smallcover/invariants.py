@@ -4,7 +4,8 @@ The exact search works in the tensor square: the kernel of the
 multiplication map is the ideal generated by the diagonal classes
 g (x) 1 + 1 (x) g of the algebra generators g, so its k-th power is
 generated by the k-fold monomials in those classes, and the zcl is the
-longest nonzero such monomial.  An element is a bit matrix over the
+longest nonzero such monomial, found depth first with the exponent caps
+pruning what cannot beat it.  An element is a bit matrix over the
 algebra's basis, on which each class acts through its generator's products.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import accumulate
 from operator import or_
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from . import gf2
 from .charfun import BottMatrix
@@ -122,20 +123,16 @@ def zcl_certificate_bott(B: BottMatrix) -> ZclCertificate:
     `verify_certificate` re-checks it by the full expansion.
     """
     dims = B.dims
-    names = gf2.default_names(len(dims), "y")
     one = (0,) * len(dims)
-    factors: List[frozenset] = []
-    left: List[int] = []
-    surviving = []
+    factors, left, surviving = [], [], []
     for j, nj in enumerate(dims):
         dj = (1 << power_exponent(nj)) - 1
         y_j = one[:j] + (1,) + one[j + 1:]
         factors.extend([frozenset({(one, y_j), (y_j, one)})] * dj)
         left.append(dj - nj)
-        name = names[j:j + 1]
+        name = (f"y{j + 1}",)  # gf2.default_names
         surviving.append(gf2.mono_render((dj - nj,), name) + "(x)" + gf2.mono_render((nj,), name))
-    witness = frozenset({(tuple(left), dims)})
-    return ZclCertificate(certificate_length(dims), tuple(factors), witness,
+    return ZclCertificate(len(factors), tuple(factors), frozenset({(tuple(left), dims)}),
                           tuple(surviving), LEADING_TERM_ARGUMENT)
 
 
@@ -241,31 +238,36 @@ class _Diagonal:
 
 
 def _longest_monomial(alg: GradedAlgebra) -> Tuple[int, Tuple[int, ...]]:
-    """(k, a): the length and exponents of the longest nonzero monomial in
-    the diagonal classes, level by level over the nonzero monomials only (a
-    multiple of a zero monomial is zero).  A monomial (j, M, run, prefix)
-    ends in a run of z_j and takes only the z_j' with j' >= j, z_j up to its
-    cap, so each multiset is visited once; a is the first of the last level."""
+    """(k, a): the length and exponents of the first longest nonzero monomial in
+    the diagonal classes, depth first over the nonzero monomials in lex order of
+    their sorted factors: one ending in a run of z_j takes only the z_i, i >= j,
+    z_j up to its cap.  A branch whose open caps cannot beat the longest found
+    is dropped, and 2 top, the grading cap, ends it; zcl + 1 frames deep."""
     offset = list(accumulate(alg.betti, initial=0))
-    diagonals = [_Diagonal(alg, offset, s, m.bit_length() - 1) for s, m in alg.gens]
-    level = [(j, z.z, 1, None) for j, z in enumerate(diagonals)]
-    k, last = 0, None
-    while level:
-        k, last, nxt = k + 1, level[0], []
-        for monomial in level:
-            j, M, run, _ = monomial
-            rows = reduce(or_, M.values())  # M is symmetric: its nonzero rows
-            for i, z in enumerate(diagonals[j:], j):
-                if (i > j or run < z.cap) and z.support & rows:
-                    image = z.times(M)
-                    if image:
-                        nxt.append((i, image, run + 1 if i == j else 1, monomial))
-        level = nxt
-    a = [0] * len(diagonals)
-    while last:
-        a[last[0]] += 1
-        last = last[3]
-    return k, tuple(a)
+    diagonals = list(enumerate(_Diagonal(alg, offset, s, m.bit_length() - 1) for s, m in alg.gens))
+    # reach[i]: the most factors z_i, z_(i+1), ... can still add
+    reach = list(accumulate([z.cap for _, z in reversed(diagonals)], initial=0))[::-1]
+    best, first, path, limit = 0, [], [], 2 * alg.top
+
+    def extend(j: int, M: dict, run: int, k: int) -> None:
+        """Visit the nonzero z_i.M, i >= j, that can beat `best`; M has length k."""
+        nonlocal best, first
+        rows = reduce(or_, M.values())  # M is symmetric: its nonzero rows
+        for i, z in diagonals[j:]:
+            if z.support & rows and (i > j or run < z.cap):
+                if best == limit or k + reach[i] - (run if i == j else 0) <= best:
+                    return  # and so for every later i: reach falls with i
+                image = z.times(M)
+                if image:
+                    path.append(i)
+                    if k + 1 > best:
+                        best, first = k + 1, path[:]
+                    extend(i, image, run + 1 if i == j else 1, k + 1)
+                    path.pop()
+
+    extend(0, {0: 1}, 0, 0)  # from the unit 1 (x) 1, a run of no factor
+    del extend  # its own cell holds it: a cycle would keep the diagonals
+    return best, tuple(map(first.count, range(len(diagonals))))
 
 
 def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:

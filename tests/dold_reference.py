@@ -9,10 +9,14 @@ Z2[a]/(a^{p_1+1}) (x) Z2[a_2]/(a_2^2) (x) ... (x) Z2[a_r]/(a_r^2) (x) H*(B)
 comes from the exhaustive search `cup_length_algebra`, which also checks
 the package's closed forms (`invariants.cup_length`).  It runs level by
 level over the nonzero monomials in the generators, stepping through each
-generator's product rows, built per degree.
+generator's product rows, built per degree.  `longest_monomial_levels` is
+the same level loop over the diagonal classes in the tensor square: the
+reference for the package's depth-first zcl search.
 """
 
 from functools import cache, cached_property, reduce
+from itertools import accumulate
+from operator import or_
 from typing import Optional, Sequence, Tuple
 
 from smallcover.cohomology import (
@@ -24,6 +28,7 @@ from smallcover.cohomology import (
     square_zero,
 )
 from smallcover.errors import InputError
+from smallcover.invariants import _Diagonal
 from smallcover.polytope import _poly_product
 
 
@@ -139,3 +144,32 @@ def _longest_product(start, steps, top: int) -> int:
                         nxt.append((i, d + s, image))
         level = nxt
     return k
+
+
+def longest_monomial_levels(alg: GradedAlgebra) -> Tuple[int, Tuple[int, ...]]:
+    """(k, a): the length and exponents of the longest nonzero monomial in
+    the diagonal classes, level by level over the nonzero monomials only (a
+    multiple of a zero monomial is zero).  A monomial (j, M, run, prefix)
+    ends in a run of z_j and takes only the z_j' with j' >= j, z_j up to its
+    cap, so each multiset is visited once; a is the first of the last level.
+    `invariants._longest_monomial` must give the same (k, a)."""
+    offset = list(accumulate(alg.betti, initial=0))
+    diagonals = [_Diagonal(alg, offset, s, m.bit_length() - 1) for s, m in alg.gens]
+    level = [(j, z.z, 1, None) for j, z in enumerate(diagonals)]
+    k, last = 0, None
+    while level:
+        k, last, nxt = k + 1, level[0], []
+        for monomial in level:
+            j, M, run, _ = monomial
+            rows = reduce(or_, M.values())  # M is symmetric: its nonzero rows
+            for i, z in enumerate(diagonals[j:], j):
+                if (i > j or run < z.cap) and z.support & rows:
+                    image = z.times(M)
+                    if image:
+                        nxt.append((i, image, run + 1 if i == j else 1, monomial))
+        level = nxt
+    a = [0] * len(diagonals)
+    while last:
+        a[last[0]] += 1
+        last = last[3]
+    return k, tuple(a)

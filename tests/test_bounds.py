@@ -331,32 +331,33 @@ def test_dold_norm_end_over_rp2():
 def test_contradictory_rules_name_both_rules():
     """`_report`, the one merge: the first largest "lo" with its own witness,
     the first smallest "hi" and the trail in the given order; an error that
-    names both rules when the ends cross, and one when a side has no rule."""
-    Rule = bounds._Rule
+    names both rules when the ends cross, and one when a side has no rule.
+    A rule is a tuple (side, value, name, detail[, witness])."""
     with pytest.raises(InputError) as exc:
-        bounds._report("TC", [Rule("lo", 14, "exact kernel search"),
-                              Rule("lo", 8, "category floor"),
-                              Rule("hi", 13, "free circle actions"),
-                              Rule("hi", 20, "dimension cap")])
+        bounds._report("TC", [("lo", 14, "exact kernel search", ""),
+                              ("lo", 8, "category floor", ""),
+                              ("hi", 13, "free circle actions", ""),
+                              ("hi", 20, "dimension cap", "")])
     assert str(exc.value) == ("TC: lower end 14 (exact kernel search) exceeds "
                               "upper end 13 (free circle actions)")
-    rules = [Rule("hi", 9, "dimension cap", "dim"),
-             Rule("lo", 5, "tensor power certificate", "", ("a",)),
-             Rule("lo", 5, "exact kernel search", "search", ("b", "c")),
-             Rule("hi", 7, "free circle actions"),
-             Rule("lo", 3, "category floor"),
-             Rule("hi", 7, "grading cap")]
+    rules = [("hi", 9, "dimension cap", "dim"),
+             ("lo", 5, "tensor power certificate", "", ("a",)),
+             ("lo", 5, "exact kernel search", "search", ("b", "c")),
+             ("hi", 7, "free circle actions", ""),
+             ("lo", 3, "category floor", ""),
+             ("hi", 7, "grading cap", "")]
     rep = bounds._report("zcl", rules, ["fixed_set_connected"])
     assert rep.interval == IntervalValue(5, 7, "tensor power certificate",
                                          "free circle actions", ("a",))
-    assert rep.certificates == tuple((r.side, r.name, r.detail) for r in rules)
+    assert rep.certificates == tuple((side, name, detail)
+                                     for side, _, name, detail, *_ in rules)
     assert rep.assumed_flags == ("fixed_set_connected",)
     # a lone largest "lo" keeps its own witness, even an empty one
-    assert bounds._report("zcl", rules + [Rule("lo", 6, "facet projective restriction")]
+    assert bounds._report("zcl", rules + [("lo", 6, "facet projective restriction", "")]
                           ).interval.witness == ()
     for side in ("lo", "hi"):
         with pytest.raises(InputError) as exc:
-            bounds._report("TC", [r for r in rules if r.side != side])
+            bounds._report("TC", [r for r in rules if r[0] != side])
         assert str(exc.value) == "incomplete bound computation"
 
 
@@ -571,8 +572,50 @@ def test_certificate_built_once_per_tower(monkeypatch):
     tc = tc_bounds(M)
     symm_tc_bounds(M)
     assert calls == [(3, 2)]
-    assert vars(M)["_certificate"].k == 3 + 3  # 2^2 - 1 for each block
+    assert M._records[12].zcl_rules[0][1] == 3 + 3  # 2^2 - 1 for each block
     assert tc_bounds(M) == tc and calls == [(3, 2)]
+
+
+def test_each_part_is_built_once_per_manifold_and_budget(monkeypatch):
+    """cat, TC, TC_S and a Dold report on one tower build the certificate,
+    the facet hypotheses, the free-circle blocks and the exact search at
+    most once each, within the budget (12) and above it (0); the cat, TC
+    and TC_S reports are kept, so asking again builds no report."""
+    counts = Counter()
+
+    def counting(name, fn):
+        return lambda *args: counts.update([name]) or fn(*args)
+
+    parts = ("zcl_certificate_bott", "simplex_facet_hypotheses", "free_circle_blocks",
+             "zcl_exact", "_report")
+    for name in parts:
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    B = BottMatrix.make((3, 1), {(2, 1): (1,)})  # ring dimension 8
+    for budget in (12, 0):
+        M = bott_manifold((3, 1), B)
+        counts.clear()
+        cat = cat_bounds(M)
+        engines = (tc_bounds(M, budget), symm_tc_bounds(M, budget), dold_bounds(M, (1,), budget))
+        assert {name: counts[name] for name in parts[:4]} == dict.fromkeys(parts[:4], 1), budget
+        # cat, TC, TC_S and the three Dold reports; above the budget also the
+        # zcl merge and the cat of that budget's record, which TC reads
+        reports = counts["_report"]
+        assert reports == {12: 6, 0: 8}[budget]
+        assert cat_bounds(M) is cat and cat_bounds(M) == cat_bounds(bott_manifold((3, 1), B))
+        assert (tc_bounds(M, budget), symm_tc_bounds(M, budget)) == engines[:2]
+        assert counts["_report"] == reports + 1  # the fresh description's cat only
+        assert tc_bounds(M, budget) is engines[0] and symm_tc_bounds(M, budget) is engines[1]
+    # the records hold M's fields, not M, so no reference cycle keeps M alive
+    monkeypatch.undo()
+    gc.collect()
+    gc.disable()
+    try:
+        M = bott_manifold((3, 1), B)
+        dold_bounds(M, (1,), 0), symm_tc_bounds(M, 0), symm_tc_bounds(M)
+        del M
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_bounds_all_tries_the_exact_search_once(monkeypatch, tmp_path):
@@ -654,7 +697,7 @@ def test_scrambled_tower_bounds_hold_against_the_exact_search(rng):
         M = small_cover_manifold(product_of_simplices(scrambled_dims), vectors)
         assert M.bmat == ref.reduce_to_bott(scrambled_dims, vectors).matrix
         n, exact = M.n, zcl_exact(manifold_ring(M), 64).lo
-        assert all(rule.value <= exact for rule in bounds._zcl_rules(M, 0))
+        assert all(value <= exact for _, value, *_ in bounds._at(M, 0).zcl_rules)
         zcl, tc, tcs = (manifold_zcl(M, 0), tc_bounds(M, 0).interval,
                         symm_tc_bounds(M, 0).interval)
         assert zcl.lo <= exact <= zcl.hi, (dims, vectors)

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from itertools import accumulate, product
+from math import prod
 
 import pytest
 
@@ -28,7 +29,7 @@ from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, random_characteristic, random_product_dims
 import tuple_reference as ref
-from dold_reference import DoldRing, TruncatedRing
+from dold_reference import DoldRing, TruncatedRing, longest_monomial_levels
 
 
 def _mult_elem(alg, e1, e2):
@@ -754,6 +755,40 @@ def test_search_matches_tensor_square_reference():
                 ring.relations_text
 
 
+def test_search_matches_the_level_loop(rng):
+    """The depth-first search finds the level loop's (k, exponents), and so
+    the same witness text, on every tower with m <= 3, n_j <= 3 and ring
+    dimension <= 32, on the 3- to 32-gons with `_polygon_vectors` and with
+    sampled vectors, and on sampled prisms and products within budget 64."""
+    rings = [BottRing(B) for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)
+             if prod(d + 1 for d in dims) <= 32]
+    assert len(rings) == 1717
+    nonzero = [(1, 0), (0, 1), (1, 1)]
+    for k in range(3, 33):
+        # sampled: neighbouring edges, the last and the first too, get distinct
+        # nonzero vectors, which form a basis
+        sampled = [rng.choice(nonzero)]
+        for i in range(1, k):
+            sampled.append(rng.choice([v for v in nonzero if v != sampled[-1]
+                                       and (i < k - 1 or v != sampled[0])]))
+        rings += [SmallCoverRing(polygon(k), vectors) for vectors in (_polygon_vectors(k), sampled)]
+    for k in (3, 4, 5, 7, 9, 12, 16, 24, 32):  # 2k vertices
+        P, vectors = _shuffled_prism(rng, k)
+        sampled = random_characteristic(P, rng)
+        rings += [SmallCoverRing(P, v) for v in (vectors, sampled) if v is not None]
+    products = 0
+    while products < 30:
+        P = product_of_simplices(random_product_dims(rng, max_vertices=64))
+        vectors = random_characteristic(P, rng)
+        if vectors is not None:
+            rings.append(SmallCoverRing(P, vectors))
+            products += 1
+    for ring in rings:
+        alg = ring.algebra()
+        assert invariants._longest_monomial(alg) == longest_monomial_levels(alg), \
+            ring.relations_text
+
+
 def _diagonals(alg):
     offset = list(accumulate(alg.betti, initial=0))
     return offset, [invariants._Diagonal(alg, offset, s, m.bit_length() - 1)
@@ -821,9 +856,10 @@ def test_ideal_powers_need_positive_degree_generators():
 
 def test_rings_freed_by_reference_count():
     # a ring and its algebra form no reference cycle: del frees the ring
-    # without the cycle collector
+    # without the cycle collector; nor does the exact search leave one
     rings = [lambda: BottRing(BottMatrix.make((1, 2), {(2, 1): (1, 0)})),
              lambda: SmallCoverRing(polygon(5), _polygon_vectors(5))]
+    gc.collect()
     gc.disable()
     try:
         for make in rings:
@@ -833,6 +869,7 @@ def test_rings_freed_by_reference_count():
             ref = weakref.ref(ring)
             del ring
             assert ref() is None
+        assert gc.collect() == 0
         # P keeps the ring it was built on only weakly, and hands it back
         # while it lives
         P, vectors = polygon(5), _polygon_vectors(5)

@@ -68,7 +68,8 @@ def _readme_rules():
 def test_readme_rule_table_names_every_rule():
     """Every rule in a committed golden trail is in its report's row of the
     README's rule table, on its side, and the table names exactly the rules
-    that `bounds.py` states as `_Rule` records."""
+    that `bounds.py` states as rule tuples (side, value, name, detail[,
+    witness]), each with its name written out."""
     listed = _readme_rules()
     trails = 0
     for path in sorted(GOLDEN.glob("*.json")):
@@ -81,6 +82,9 @@ def test_readme_rule_table_names_every_rule():
                 trails += 1
     assert trails > 0
     source = ast.parse(Path(bounds.__file__).read_text())
-    stated = {node.args[2].value for node in ast.walk(source)
-              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Rule"}
+    rules = [node.elts for node in ast.walk(source)
+             if isinstance(node, ast.Tuple) and len(node.elts) >= 3
+             and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in ("lo", "hi")]
+    assert all(isinstance(r[2], ast.Constant) and isinstance(r[2].value, str) for r in rules)
+    stated = {r[2].value for r in rules}
     assert set().union(*listed.values()) == stated

@@ -13,6 +13,7 @@ from smallcover.cohomology import (
 from smallcover.errors import BudgetExceeded, InputError
 from smallcover.invariants import (
     LEADING_TERM_ARGUMENT,
+    MAX_EXACT_BUDGET,
     RP_CLOSED_FORM,
     IntervalValue,
     ZclCertificate,
@@ -77,6 +78,9 @@ def test_zcl_exact_projective_oracles():
         iv = zcl_exact(projective_ring(n))
         assert iv.exact and iv.lo == expected
         assert len(iv.witness) == expected
+    # the deepest search the CLI's largest budget allows: one frame per factor
+    iv = zcl_exact(projective_ring(127), MAX_EXACT_BUDGET)
+    assert iv.lo == 127 == len(iv.witness) == zcl_rp(127).lo
 
 
 def test_zcl_exact_witness_rp2():

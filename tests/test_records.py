@@ -116,9 +116,9 @@ def test_kept_values_stay_off_the_fields():
     twin = bounds.bott_manifold((1, 2), B)
     bounds.manifold_ring(M)
     bounds.tc_bounds(M, 0)
-    assert M._ring is not None and M._by_budget and twin._ring is None
+    assert M._ring is not None and M._records and twin._ring is None
     assert M == twin and hash(M) == hash(twin) and repr(M) == repr(twin)
-    assert twin._by_budget == {} and twin._by_budget is not M._by_budget
+    assert "_records" not in vars(twin) and "_records" not in repr(M)
     P = polytope.SimplePolytope(2, 4, SQUARE, ("polygon", 4))
     polytope.h_vector(P)
     assert "_h_vector" in vars(P) and P == polytope.polygon(4)
