@@ -43,8 +43,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _bitstring(s: str) -> str:
     """s, if it is a bitstring.  Only a str is a bitstring: a JSON array of
     "0"/"1" strings is refused."""
-    # strip leaves a character other than 0 and 1, if there is one
-    if not isinstance(s, str) or not s or s.strip("01"):
+    if not isinstance(s, str) or not s or s.count("0") + s.count("1") < len(s):
         raise InputError(f"bad bitstring {s!r}")
     return s
 
@@ -57,9 +56,7 @@ def parse_bits(s: str) -> GF2Vector:
 def parse_vectors(strings: Sequence[str]) -> FacetMasks:
     """Bitstrings to masks as `parse_bits` reads them, each checked in turn;
     `validate` checks their count and lengths."""
-    for s in strings:
-        _bitstring(s)
-    masks = [int(s[::-1], 2) for s in strings]
+    masks = [int(_bitstring(s)[::-1], 2) for s in strings]
     lengths = set(map(len, strings))
     return FacetMasks(lengths.pop() if len(lengths) == 1 else -1, masks)
 
@@ -192,15 +189,15 @@ class BottMatrix(_BottFields):
 
     @staticmethod
     def make(dims: Sequence[int], beta: Dict[Tuple[int, int], Sequence[int]] = None) -> "BottMatrix":
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(dims)
+        if not dims or min(dims) < 1:
             raise InputError("dims must be a nonempty list of positive integers")
         items = []
         beta = beta or {}
         for (k, j), bits in beta.items():
             if not (1 <= j < k <= len(dims)):
                 raise InputError(f"bad beta block index ({k}, {j})")
-            bits = tuple(int(b) & 1 for b in bits)
+            bits = tuple(bits) if {0, 1}.issuperset(bits) else tuple(int(b) & 1 for b in bits)
             if len(bits) != dims[k - 1]:
                 raise InputError(f"beta block ({k}, {j}) must have length {dims[k - 1]}")
             if any(bits):

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-One JSON problem document per invocation.  `main` parses the arguments with
-one parser built at import, loads the document, runs the subcommand's
-handler and prints its result once, as a plain table or as the JSON form of
-the same report.  Exit codes: 0 success, 1 invalid facet assignment,
-2 malformed input, 64 usage.  A reader that closes the pipe early cuts the
-output short, quietly, and the exit code stays the command's own.
+One JSON problem document per invocation.  `main` reads the arguments with
+the command's own parser, built at import, loads the document, runs the
+subcommand's handler and prints its result once, as a plain table or as the
+JSON form of the same report.  Exit codes: 0 success, 1 invalid facet
+assignment, 2 malformed input, 64 usage.  A reader that closes the pipe
+early cuts the output short, quietly, and the exit code stays the command's own.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ def _object(x, field: str) -> Dict:
     return x
 
 
-def _array(xs, field: str, item: Callable = _int) -> List:
-    """xs, which must be a JSON array; item checks each entry."""
+def _array(xs, field: str, item: Optional[Callable] = _int) -> List:
+    """xs, which must be a JSON array; item, if given, checks each entry."""
     if not isinstance(xs, list):
         raise InputError(f"{field} must be an array, not {type(xs).__name__}")
-    return [item(x, field) for x in xs]
+    return xs if item is None else [item(x, field) for x in xs]
 
 
 def _parse_polytope(obj) -> polytope.SimplePolytope:
@@ -113,7 +113,7 @@ def _parse_characteristic(P, obj):
         raise InputError("characteristic section must be an object with a type")
     kind = obj["type"]
     if kind == "facet_vectors":
-        return charfun.parse_vectors(_array(obj["vectors"], "vectors", lambda s, _: s)), None
+        return charfun.parse_vectors(_array(obj["vectors"], "vectors", None)), None
     if kind == "bott_matrix":
         dims = tuple(_array(obj["dims"], "characteristic dims"))
         if P.family[0] != "product_of_simplices" or P.family[1] != dims:
@@ -121,7 +121,7 @@ def _parse_characteristic(P, obj):
         beta = {}
         for key, bits in _object(obj.get("beta"), "beta").items():
             try:
-                k, j = (int(x) for x in key.split(","))
+                k, j = map(int, key.split(","))
             except ValueError:
                 raise InputError(f"beta key {key!r} is not two integers k,j") from None
             if (k, j) in beta:
@@ -259,20 +259,28 @@ def _report_lines(reports: List[bounds_mod.BoundReport]) -> List[str]:
 
 def _json_text(x, indent: str = "\n") -> str:
     """`json.dumps(x, indent=2, sort_keys=True)` without the pure-Python encoder
-    that `indent` selects: lists and tuples are arrays, bool is read before int."""
-    if isinstance(x, str):
+    that `indent` selects, keyed on `type(x)`: lists and tuples are arrays."""
+    kind = type(x)
+    if kind is str:
         return encode_basestring_ascii(x)
-    if isinstance(x, int) and not isinstance(x, bool):
+    if kind is int:
         return int.__repr__(x)
     inner = indent + "  "
-    if isinstance(x, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
-                 for k, v in sorted(x.items())]
+    if kind is dict:
+        items = []  # str and int values written in place, without a call
+        for k in sorted(x):
+            v = x[k]
+            kind = type(v)
+            items.append(encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if kind is str else
+                int.__repr__(v) if kind is int else _json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}" if x else "{}"
-    if isinstance(x, (list, tuple)):
+    if kind is list or kind is tuple:
         items = [_json_text(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if x else "[]"
-    return json.dumps(x)  # None, bool, float
+    if isinstance(x, (dict, list, tuple)):  # a subclass, as its base type
+        return _json_text(dict(x.items()) if isinstance(x, dict) else list(x), indent)
+    return json.dumps(x)  # None, bool, a float, or a str or int subclass
 
 
 def cmd_bounds(spec: ProblemSpec, args) -> _Result:
@@ -461,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="cohomology rings and category/complexity bounds for small covers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # each command's own parser, by name
 
     def document(name, run, help, exact_budget=False):
-        p = sub.add_parser(name, help=help)
+        p = parser.commands[name] = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("problem", help="JSON problem file")
         p.add_argument("--format", choices=["table", "json"], default=None)
@@ -487,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = document("dold", cmd_dold, "bounds for the twisted sphere product",
                  exact_budget=True)
     p.add_argument("--dold", default=None, metavar="P1,P2,...")
-    p = sub.add_parser("verify", help="run the built-in verification sweeps")
+    p = parser.commands["verify"] = sub.add_parser(
+        "verify", help="run the built-in verification sweeps")
     p.set_defaults(run=cmd_verify)
     p.add_argument("--suite", choices=sorted(_SUITES), default=None)
     p.add_argument("--max-m", dest="max_m", type=_positive, default=3)
@@ -500,13 +510,21 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _args(argv: List[str]) -> argparse.Namespace:
+    """argv as its command's own parser reads it; the top-level parser, which
+    writes every usage text, reads one that names no command or leaves words."""
+    own = _PARSER.commands.get(argv[0]) if argv else None
+    args, extra = own.parse_known_args(argv[1:]) if own else (None, None)
+    return args if own and not extra else _PARSER.parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.command == "verify":
+        if args.run is cmd_verify:
             code, lines = args.run(args)
         else:
             spec = _load(args.problem)

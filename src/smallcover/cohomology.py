@@ -642,9 +642,9 @@ class PointRing(QuotientRing):
 
 
 def dold_exponents(p: Iterable) -> Tuple[int, ...]:
-    """The fibre exponents p_1 <= ... <= p_r of a twisted product, as ints;
+    """The fibre exponents p_1 <= ... <= p_r of a twisted product, integers;
     InputError unless they are nonempty, ascending and positive."""
-    p = tuple(int(x) for x in p)
+    p = tuple(p)
     if not p or list(p) != sorted(p) or p[0] < 1:
         raise InputError("dold exponents must be ascending positive integers")
     return p

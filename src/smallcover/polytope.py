@@ -138,8 +138,8 @@ class ProductOfSimplices(SimplePolytope):
     """
 
     def __init__(self, dims: Sequence[int]):
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(dims)
+        if not dims or min(dims) < 1:
             raise InputError("dims must be a nonempty list of positive integers")
         if sum(dims) > MAX_PRODUCT_DIMENSION:
             raise InputError(f"a product of simplices has dimension at most "

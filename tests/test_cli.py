@@ -76,6 +76,40 @@ def test_unknown_command_exit_64(capsys, klein):
     assert main([]) == 64
 
 
+# argv shapes for the route test; "K" stands for the Klein bottle problem
+_ROUTED_ARGV = [
+    ["betti", "K"], ["bounds", "K", "--format", "json", "--invariant", "tc"],
+    ["zcl", "K", "--exact-budget", "3"], ["dold", "K", "--dold", "1,2"],
+    ["bounds", "--format", "json", "K"],
+    ["bounds", "K", "--format=json", "--invariant=cat"], ["zcl", "K", "--exact-budget=2"],
+    ["bounds", "K", "--inv", "all"], ["bounds", "K", "--in", "all"], ["zcl", "K", "--exact", "2"],
+    ["ring", "K", "--format", "xml"], ["bounds", "K", "--invariant", "nope"],
+    ["zcl", "K", "--exact-budget", "-1"], ["zcl", "K", "--exact-budget", "x"],
+    ["bounds", "K", "--invariant"], ["zcl", "K", "--certificate-only=1"],
+    ["betti", "K", "--frob"], ["betti", "K", "--frob=1"], ["betti", "K", "-x"],
+    ["betti", "--frob", "K"], ["ring", "K", "--exact-budget", "5"],
+    ["betti"], ["bounds", "--format", "json"], ["betti", "K", "K"],
+    ["betti", "K", "K", "--frob"], ["betti", "-1"],
+    ["betti", "--", "K"], ["betti", "K", "--"], ["--", "betti", "K"], ["betti", "K", "--", "-x"],
+    ["-h"], ["--help"], ["--he"], ["betti", "-h"], ["bounds", "K", "--help"], ["verify", "-h"],
+    [], ["frobnicate", "K"], ["bett", "K"], ["--format", "json", "betti", "K"], ["-x", "betti", "K"],
+    ["verify", "--suite", "binom"], ["verify", "--suite=binom", "--max-m", "2", "--seed", "4"],
+    ["verify", "--suite", "nope"], ["verify", "--max-m", "0"], ["verify", "--seed", "x"],
+    ["verify", "K"], ["verify", "--suite"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROUTED_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
+def test_argv_reaches_the_command_as_the_top_level_parser_reads_it(capsys, monkeypatch,
+                                                                    klein, argv):
+    argv = [klein if word == "K" else word for word in argv]
+    code = main(argv)
+    routed = (code, *capsys.readouterr())
+    monkeypatch.setattr(cli, "_args", cli._PARSER.parse_args)
+    code = main(argv)
+    assert routed == (code, *capsys.readouterr())
+
+
 def test_main_builds_no_parser(capsys, klein, monkeypatch):
     built = []
     build = cli.build_parser
@@ -141,6 +175,10 @@ def test_entry_point_in_a_fresh_interpreter(klein):
     assert (done.returncode, done.stdout) == (0, "1 2 1\n"), done.stderr
     assert _entry_point("frobnicate", klein).returncode == 64
     assert _entry_point().returncode == 64
+    # an unknown option after a known command, read from sys.argv
+    done = _entry_point("betti", klein, "--frob")
+    assert (done.returncode, done.stdout) == (64, "")
+    assert done.stderr.endswith("smallcover: error: unrecognized arguments: --frob\n")
     done = _entry_point("--help")
     assert done.returncode == 0 and done.stdout.startswith("usage: smallcover")
 

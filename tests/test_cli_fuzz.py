@@ -10,6 +10,7 @@ edges and an exact budget of at most 16.
 
 import copy
 import json
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -82,15 +83,37 @@ def test_cli_exits_cleanly_on_mutated_documents(tmp_path, capsys, doc, command, 
     assert "Traceback" not in err
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
 # the corners of the string encoder: quotes, backslashes, control
 # characters and non-ASCII text, as well as any text
 _STRINGS = st.text(st.sampled_from('a"\\/\n\t\x00\x1f\x7fé€\u2028😀')) | st.text()
+# the writer reads exact types by type(): subclasses of str, int, dict and
+# tuple, and bool, take its other route
 _SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
-            | st.floats(allow_nan=True, allow_infinity=True) | _STRINGS)
+            | st.floats(allow_nan=True, allow_infinity=True) | _STRINGS
+            | st.integers(-2**70, 2**70).map(_Int) | _STRINGS.map(_Str))
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(_STRINGS, inner, max_size=4)),
+                   | st.builds(_Pair, inner, inner)
+                   | st.dictionaries(_STRINGS | _STRINGS.map(_Str), inner, max_size=4)
+                   | st.dictionaries(_STRINGS, inner, max_size=4).map(_Dict)),
     max_leaves=30)
 
 
@@ -98,5 +121,6 @@ _VALUES = st.recursive(
 @given(_VALUES)
 @example({"b": [], "a": {}, "c": (), "é": [True, False, None, 2**64, -2**63 - 1]})
 @example([[], {}, [[1, (2, "x")]], {"": {"\"": "\\"}}])
+@example(_Pair(_Int(3), [True, _Str("é"), _Dict(b=_Pair(False, {}), a=())]))
 def test_json_writer_writes_what_json_dumps_writes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
