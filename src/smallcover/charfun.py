@@ -182,22 +182,22 @@ class _BottFields(NamedTuple):
 class BottMatrix(_BottFields):
     """Unipotent lower-triangular block matrix.
 
-    beta[(k, j)] is the block in row k, column j (1-based, j < k), a vector of
-    length dims[k-1].  Diagonal blocks are all-ones, upper blocks zero.  A
-    `NamedTuple` with a `__dict__`, where `_blocks` is kept off the fields.
+    beta[(k, j)] is the block in row k, column j (1-based, j < k), 0/1 ints
+    of length dims[k-1], kept as `make` is given them.  Diagonal blocks are
+    all-ones, upper zero.  A `NamedTuple` with a `__dict__` for `_blocks`.
     """
 
     @staticmethod
     def make(dims: Sequence[int], beta: Dict[Tuple[int, int], Sequence[int]] = None) -> "BottMatrix":
         dims = tuple(dims)
-        if not dims or min(dims) < 1:
+        if not dims or {*map(type, dims)} != {int} or min(dims) < 1:
             raise InputError("dims must be a nonempty list of positive integers")
         items = []
         beta = beta or {}
         for (k, j), bits in beta.items():
             if not (1 <= j < k <= len(dims)):
                 raise InputError(f"bad beta block index ({k}, {j})")
-            bits = tuple(bits) if {0, 1}.issuperset(bits) else tuple(int(b) & 1 for b in bits)
+            bits = tuple(bits)
             if len(bits) != dims[k - 1]:
                 raise InputError(f"beta block ({k}, {j}) must have length {dims[k - 1]}")
             if any(bits):

@@ -267,13 +267,12 @@ def _json_text(x, indent: str = "\n") -> str:
         return int.__repr__(x)
     inner = indent + "  "
     if kind is dict:
-        items = []  # str and int values written in place, without a call
+        items = []  # a str or int value is written here, without a call
         for k in sorted(x):
             v = x[k]
-            kind = type(v)
             items.append(encode_basestring_ascii(k) + ": " + (
-                encode_basestring_ascii(v) if kind is str else
-                int.__repr__(v) if kind is int else _json_text(v, inner)))
+                encode_basestring_ascii(v) if type(v) is str else
+                int.__repr__(v) if type(v) is int else _json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}" if x else "{}"
     if kind is list or kind is tuple:
         items = [_json_text(v, inner) for v in x]

@@ -642,10 +642,10 @@ class PointRing(QuotientRing):
 
 
 def dold_exponents(p: Iterable) -> Tuple[int, ...]:
-    """The fibre exponents p_1 <= ... <= p_r of a twisted product, integers;
-    InputError unless they are nonempty, ascending and positive."""
+    """The fibre exponents p_1 <= ... <= p_r of a twisted product, as given;
+    InputError unless they are nonempty, exact ints, ascending and positive."""
     p = tuple(p)
-    if not p or list(p) != sorted(p) or p[0] < 1:
+    if not p or {*map(type, p)} != {int} or list(p) != sorted(p) or p[0] < 1:
         raise InputError("dold exponents must be ascending positive integers")
     return p
 

@@ -138,8 +138,8 @@ class ProductOfSimplices(SimplePolytope):
     """
 
     def __init__(self, dims: Sequence[int]):
-        dims = tuple(dims)
-        if not dims or min(dims) < 1:
+        dims = tuple(dims)  # exact ints only: an interned polytope is shared
+        if not dims or {*map(type, dims)} != {int} or min(dims) < 1:
             raise InputError("dims must be a nonempty list of positive integers")
         if sum(dims) > MAX_PRODUCT_DIMENSION:
             raise InputError(f"a product of simplices has dimension at most "

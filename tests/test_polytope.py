@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from smallcover import bounds, charfun, polytope, sampling
+from smallcover import bounds, charfun, cohomology, polytope, sampling
 from smallcover.errors import InputError
 from smallcover.polytope import (
     MAX_PRODUCT_DIMENSION,
@@ -38,6 +38,15 @@ def test_product_rejects_bad_dims():
         product_of_simplices([])
     with pytest.raises(InputError):
         product_of_simplices([0, 2])
+    # nothing is converted, so anything but an exact int is refused: a float
+    # or bool equal to an int must not be interned for later callers
+    for dims in [(1.0, 2), (True, 2), ("1", 2), (1, None)]:
+        for make in (product_of_simplices, charfun.BottMatrix.make, cohomology.dold_exponents):
+            with pytest.raises(InputError):
+                make(dims)
+    assert repr(product_of_simplices((1, 2))) == "ProductOfSimplices(dims=(1, 2))"
+    block = charfun.BottMatrix.make((1, 2), {(2, 1): iter((1, 0))}).block(2, 1)
+    assert block == (1, 0) and type(block) is tuple
 
 
 def test_polygon_structure():
