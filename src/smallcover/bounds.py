@@ -172,7 +172,7 @@ def free_circle_blocks(B: BottMatrix) -> List[int]:
     no later block is twisted by y_j (beta(j', j) = 0 for every j' > j).  The
     bundles pair up when every vector of {w_0 = 0, w_1, ..., w_{n_j}}, with
     w_k = (beta(j, l)[k])_{l < j}, occurs an even number of times: the fibre
-    is then a complex projectivisation.  The README gives the argument.
+    is then a complex projectivisation.  The README's bound rules give the argument.
     """
     # each candidate's w_k, an int with bit l set when beta(j, l)[k] = 1
     fibres = {j: [0] * (nj + 1) for j, nj in enumerate(B.dims, start=1) if nj > 1 and nj % 2}
@@ -295,6 +295,7 @@ def _at(M: ManifoldDescription, budget: int) -> _Bounds:
     return records.get(budget) or records.setdefault(budget, _Bounds(M, budget))
 
 
+# module functions, since the CLI, perfbench and its tracer call them by name
 def manifold_zcl(M: ManifoldDescription, budget: int) -> IntervalValue:
     return _at(M, budget).zcl
 

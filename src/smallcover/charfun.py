@@ -157,7 +157,8 @@ def _dependent_vertices(P: SimplePolytope, masks: Sequence[int]) -> Tuple[Tuple[
 def _vertex_rows(P: SimplePolytope):
     """The vertices as sorted facet tuples in ascending order, and per row a
     str whose k-th character codes the facet vertex k puts there: its n
-    facets, or on a product with F - n < n the F - n off it, one per block.
+    facets, or on a product with F - n < n the F - n off it, one per block
+    (on the triangle and the 3-prism, those rows took longer per draw).
     In `product_vertices` order, block j's row counts down its facets, each
     held for as many vertices as the later blocks have, and repeats that run
     once per vertex of the earlier blocks."""

@@ -135,7 +135,7 @@ def _load(path: str) -> ProblemSpec:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too deep
         raise InputError(f"cannot read problem file: {exc}")
     try:
         return ProblemSpec(data)

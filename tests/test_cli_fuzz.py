@@ -1,15 +1,18 @@
 """The CLI on mutated problem documents: a clean exit code, never a traceback.
 Its JSON writer on random JSON values: the text `json.dumps` writes.
 
-Each example takes a small valid document, applies one to three mutations
-(drop a key or list entry, swap a value's type, or put in a small integer
-that may be out of range) and runs one command through `cli.main`.  Sizes
-stay small: block dimensions at most 4, at most 4 blocks, at most 12 polygon
-edges and an exact budget of at most 16.
+Each document example takes a small valid document, applies one to three
+mutations (drop a key or list entry, swap a value's type, or put in a small
+integer that may be out of range) and runs one command through `cli.main`.
+Sizes stay small: block dimensions at most 4, at most 4 blocks, at most 12
+polygon edges and an exact budget of at most 16.  Each byte example takes a
+golden problem file, mutates its bytes once to three times, and runs every
+document command on the result.
 """
 
 import copy
 import json
+from pathlib import Path
 from typing import NamedTuple
 
 from hypothesis import HealthCheck, example, given, settings
@@ -81,6 +84,55 @@ def test_cli_exits_cleanly_on_mutated_documents(tmp_path, capsys, doc, command, 
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 64), (code, doc)
     assert "Traceback" not in err
+
+
+GOLDEN_PROBLEMS = [path.read_bytes()
+                   for path in sorted((Path(__file__).parent / "golden").glob("*.problem.json"))]
+# a lone continuation byte, a lead byte with no continuation, an overlong
+# slash and an encoded surrogate: none of them is UTF-8
+INVALID_UTF8 = [b"\x80", b"\xc3", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff"]
+
+
+@st.composite
+def mutated_bytes(draw):
+    """A golden problem file after one to three byte-level mutations."""
+    data = bytearray(draw(st.sampled_from(GOLDEN_PROBLEMS)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(
+            ["truncate", "flip", "insert", "utf8", "bom", "nest", "digits"]))
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "flip" and at < len(data):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "utf8":
+            data[at:at] = draw(st.sampled_from(INVALID_UTF8))
+        elif kind == "bom":
+            data[:0] = b"\xef\xbb\xbf"
+        elif kind == "nest":  # past the decoder's recursion limit, or not
+            depth = draw(st.sampled_from([2, 999, 5_000, 200_000]))
+            data[at:at] = b"[" * depth
+        elif kind == "digits":  # past the int digit limit, or not
+            data[at:at] = b"9" * draw(st.sampled_from([1, 20, 4_300, 5_000]))
+    return bytes(data)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_bytes())
+@example(data=b'{"polytope": "\xff')
+@example(data=b"[" * 200_000)
+@example(data=b'{"polytope": {"type": "polygon", "edges": ' + b"9" * 5_000 + b"}}")
+def test_cli_exits_cleanly_on_mutated_bytes(tmp_path, capsys, data):
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+    for command in COMMANDS:
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (command, code, err)
+        assert "Traceback" not in err
 
 
 class _Int(int):

@@ -4,6 +4,8 @@ Each `<name>.problem.json` under `golden/` has the outputs that OUTPUTS
 names for it next to it, one `<name>.<output>.json` per command in COMMANDS,
 each from `smallcover <command> <problem> ... --format json`.  A change that
 moves a bound on purpose rewrites the file and says why in CHANGES.md.
+The README's rule table is checked against the golden trails and
+`bounds.py`, and its Python example against the values it states.
 """
 
 import ast
@@ -88,3 +90,15 @@ def test_readme_rule_table_names_every_rule():
     assert all(isinstance(r[2], ast.Constant) and isinstance(r[2].value, str) for r in rules)
     stated = {r[2].value for r in rules}
     assert set().union(*listed.values()) == stated
+
+
+def test_readme_example_runs():
+    """The README's Python example runs and gives the values its comments state."""
+    block = README.read_text().split("```python\n")[1].split("```")[0]
+    names = {}
+    exec(block, names)
+    assert "betti (1, 2, 1)" in block and names["ring"].betti == (1, 2, 1)
+    assert "TC in [47, 49]" in block and names["rep"].interval[:2] == (47, 49)
+    rp2 = names["rp2"]
+    assert "lo = hi = 3" in block and (rp2.lo, rp2.hi, len(rp2.witness)) == (3, 3, 3)
+    assert "TC in [7, 9]" in block and names["tc"].interval[:2] == (7, 9)

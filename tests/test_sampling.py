@@ -1,3 +1,6 @@
+"""The samplers' draws: random facet vectors, twistings and product dims,
+each checked against a plain reference loop."""
+
 import random
 from itertools import product
 
