@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from . import gf2
 from .errors import CharacteristicError, InputError
-from .polytope import SimplePolytope, block_offsets, kept, product_vertices
+from .polytope import SimplePolytope, kept, product_vertices
 
 GF2Vector = Tuple[int, ...]
 
@@ -159,18 +159,18 @@ def _vertex_rows(P: SimplePolytope):
     str whose k-th character codes the facet vertex k puts there: its n
     facets, or on a product with F - n < n the F - n off it, one per block
     (on the triangle and the 3-prism, those rows took longer per draw).
-    In `product_vertices` order, block j's row counts down its facets, each
-    held for as many vertices as the later blocks have, and repeats that run
-    once per vertex of the earlier blocks."""
+    In `product_vertices` order, block j's row counts down P.blocks[j], each
+    facet held for as many vertices as the later blocks have, and repeats
+    that run once per vertex of the earlier blocks."""
     on_product = P.family[0] == "product_of_simplices"
     vertices = (product_vertices(P) if on_product
                 else sorted(tuple(sorted(v)) for v in P.vertices))
     if not on_product or P.facet_count - P.n >= P.n:
         return vertices, tuple("".join(map(chr, row)) for row in zip(*vertices))
     rows, held = [], len(vertices)
-    for off, d in zip(block_offsets(P.family[1]), P.family[1]):
-        held //= d + 1  # the vertices of the later blocks
-        run = "".join(chr(f) * held for f in range(off + d, off - 1, -1))
+    for block in P.blocks:
+        held //= len(block)  # the vertices of the later blocks
+        run = "".join(chr(f) * held for f in reversed(block))
         rows.append(run * (len(vertices) // len(run)))
     return vertices, tuple(rows)
 
@@ -219,7 +219,7 @@ def from_bott(B: BottMatrix) -> FacetMasks:
     block j's first n_j facets get consecutive standard basis vectors, its last
     column j of B, ones on block j and block (k, j) on each k > j."""
     starts = list(accumulate(B.dims, initial=0))  # each block's first coordinate, then n
-    columns = [(1 << end) - (1 << start) for start, end in zip(starts, starts[1:])]
+    columns = list(_segments(B.dims))
     for (k, j), bits in B.beta:
         columns[j - 1] |= gf2.mask_of(bits) << starts[k - 1]
     masks: List[int] = []
@@ -228,11 +228,17 @@ def from_bott(B: BottMatrix) -> FacetMasks:
     return FacetMasks(starts[-1], masks)
 
 
+def _segments(dims: Sequence[int]) -> Tuple[int, ...]:
+    """Each block's coordinates as a mask: n_j bits from its first one."""
+    starts = tuple(accumulate(dims, initial=0))
+    return tuple((1 << end) - (1 << start) for start, end in zip(starts, starts[1:]))
+
+
 def peel_matrix(dims: Sequence[int], peeled) -> BottMatrix:
     """The Bott matrix of a peel on the product of simplices of dims, its
     blocks in the peeled order: block (s, t) is alpha_t read on block s."""
     _, images, order = peeled
-    starts = [off - j for j, off in enumerate(block_offsets(dims))]
+    starts = list(accumulate(dims, initial=0))  # each block's first coordinate
     beta = {(s + 1, t + 1): gf2.bits_of(images[j] >> starts[k], dims[k])
             for t, j in enumerate(order) for s, k in enumerate(order) if s > t}
     return BottMatrix.make([dims[j] for j in order], beta)
@@ -292,14 +298,8 @@ def _peel(P: SimplePolytope, masks: Sequence[int]):
 
 def _peel_layout(P: SimplePolytope):
     """What the peel reads of a product of simplices alone: the alpha facet
-    of each block, the other facets in order, and each block's coordinates
-    as a mask."""
-    dims = P.family[1]
-    alphas = tuple(off + d for off, d in zip(block_offsets(dims), dims))
-    alpha_set = set(alphas)
-    basis = tuple(f for f in range(P.facet_count) if f not in alpha_set)
-    segments, start = [], 0
-    for d in dims:
-        segments.append(((1 << d) - 1) << start)
-        start += d
-    return alphas, basis, tuple(segments)
+    of each block, the last of `P.blocks[j]`, the other facets in order, and
+    each block's coordinates as a mask (`_segments`)."""
+    alphas = tuple(block[-1] for block in P.blocks)
+    basis = tuple(f for block in P.blocks for f in block[:-1])
+    return alphas, basis, _segments(P.family[1])

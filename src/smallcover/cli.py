@@ -386,18 +386,18 @@ def _suite_duality(max_m: int, max_n: int, rng: random.Random):
 
 
 # longest certificate the certificate suite expands: the oracle multiplies
-# out up to 2^k tensor terms, so longer draws are skipped
+# out up to 2^k tensor terms, so longer draws are skipped, twisting undrawn
 _CERTIFICATE_MAX_LENGTH = 20
 
 
 def _suite_certificate(max_m: int, max_n: int, rng: random.Random):
     for _ in range(8):
         dims = sampling.random_dims(rng, max_m, max_n)
-        B = sampling.random_bott_matrix(dims, rng)
         k = invariants.certificate_length(dims)
         if k > _CERTIFICATE_MAX_LENGTH:
             yield None
             continue
+        B = sampling.random_bott_matrix(dims, rng)
         cert = invariants.zcl_certificate_bott(B)
         ok = cert.k == k and invariants.verify_certificate(cohomology.BottRing(B), cert)
         yield "" if ok else f"dims={list(dims)} beta={dict(B.beta)}"

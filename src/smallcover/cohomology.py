@@ -265,8 +265,6 @@ class Ring:
     top: int
     generators: Tuple[Tuple[str, int], ...]
     relations_text: Tuple[str, ...]
-    # the exact zero-divisor-cup-length, kept once found (invariants.zcl_exact)
-    _zcl = None
 
     def algebra(self) -> GradedAlgebra:
         raise NotImplementedError

@@ -280,24 +280,22 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     is sum (a_i (x) 1) z_(b_i), as sum a_i b_i (x) 1 = 0; z is additive, and
     z_(gh) = (g (x) 1) z_h + (1 (x) h) z_g.)  The value is the length of the
     longest nonzero monomial, and the witness is that monomial, each factor
-    z_g repeated a_g times; multiplying it out re-checks it.  The ring keeps
-    the result; the budget is checked before it is reused.
+    z_g repeated a_g times; multiplying it out re-checks it.  Each call
+    searches: `bounds` keeps the result once per manifold and budget.
     """
     if ring.dim > budget:
         raise BudgetExceeded(
             f"ring dimension {ring.dim} exceeds the exact-search budget {budget}"
         )
-    if ring._zcl is None:
-        alg = ring.algebra()
-        k, exponents = _longest_monomial(alg)
-        witness: Tuple[str, ...] = ()
-        for (d, m), e in zip(alg.gens, exponents):
-            if e:
-                one, g = alg.label(0, 0), alg.label(d, m.bit_length() - 1)
-                witness += (f"{one}(x){g} + {g}(x){one}",) * e
-        ring._zcl = IntervalValue(k, k, "exhaustive kernel power search",
-                                  "exhaustive kernel power search", witness)
-    return ring._zcl
+    alg = ring.algebra()
+    k, exponents = _longest_monomial(alg)
+    witness: Tuple[str, ...] = ()
+    for (d, m), e in zip(alg.gens, exponents):
+        if e:
+            one, g = alg.label(0, 0), alg.label(d, m.bit_length() - 1)
+            witness += (f"{one}(x){g} + {g}(x){one}",) * e
+    return IntervalValue(k, k, "exhaustive kernel power search",
+                         "exhaustive kernel power search", witness)
 
 
 # ---------------------------------------------------------------------------

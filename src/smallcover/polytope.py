@@ -3,19 +3,20 @@
 Vertices are the primitive data: each vertex is the set of the n facets
 meeting it.  Higher faces are recovered by intersecting facet subsets, and
 f-/h-vectors are derived from the incidence structure (closed forms for the
-built-in families).  A product of simplices holds only its block dimensions:
-its vertex count, simplex facets, facet neighbours and disjoint facet pairs
-come in closed form, and so do its vertices (`product_vertices`), listed up
-to MAX_PRODUCT_VERTICES only when read.  Equal constructions return one
-object while any is alive, so what `kept` stores is found once per value.
+built-in families).  A product of simplices holds only its dims and their
+`blocks`: its vertex count, simplex facets, facet neighbours and disjoint
+facet pairs come in closed form, and so do its vertices (`product_vertices`),
+listed up to MAX_PRODUCT_VERTICES only when read.  Equal constructions
+share one object while any is alive, so what `kept` stores is built once.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from collections import Counter
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, prod
 from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -132,9 +133,11 @@ def kept(P: SimplePolytope, name: str, build: Callable):
 class ProductOfSimplices(SimplePolytope):
     """Product of simplices held as its dims; see product_of_simplices.
 
-    `vertices` and `_facet_vertices` come from `product_vertices` on first
-    read and are kept; no closed form, nor `charfun.validate`, reads them.
-    Equality and hashing go by dims alone.
+    `blocks`, the layout every reader shares, holds block j's n_j + 1
+    facets as a range, the last its alpha (`charfun`).  `vertices` and
+    `_facet_vertices` come from `product_vertices` on first read and are
+    kept; no closed form, nor `charfun.validate`, reads them.  Equality and
+    hashing go by dims alone.
     """
 
     def __init__(self, dims: Sequence[int]):
@@ -144,8 +147,10 @@ class ProductOfSimplices(SimplePolytope):
         if sum(dims) > MAX_PRODUCT_DIMENSION:
             raise InputError(f"a product of simplices has dimension at most "
                              f"{MAX_PRODUCT_DIMENSION}, got n = {sum(dims)}")
-        vars(self).update(n=sum(dims), facet_count=sum(dims) + len(dims),
-                          family=("product_of_simplices", dims))
+        ends = tuple(accumulate(d + 1 for d in dims))
+        vars(self).update(n=sum(dims), facet_count=ends[-1],
+                          family=("product_of_simplices", dims),
+                          blocks=tuple(map(range, (0,) + ends, ends)))
 
     @cached_property
     def vertices(self) -> Tuple[FrozenSet[int], ...]:
@@ -169,15 +174,12 @@ class ProductOfSimplices(SimplePolytope):
     def facets_disjoint(self, f: int, g: int) -> bool:
         # only the two facets of a 1-dimensional block miss each other
         block = _block(self, f)
-        return f != g and block == _block(self, g) and self.family[1][block[0]] == 1
+        return f != g and block == _block(self, g) and len(block) == 2
 
 
 def product_of_simplices(dims: Sequence[int]) -> SimplePolytope:
-    """Product of simplices with the given dimensions.
-
-    Block j contributes facets indexed consecutively; a vertex omits exactly
-    one facet from each block.  Holds only the dims (see ProductOfSimplices).
-    """
+    """Product of simplices with the given dimensions: block j's facets are
+    the range P.blocks[j], and a vertex omits exactly one facet of each."""
     P = ProductOfSimplices(dims)
     return _LIVE.setdefault(P.family, P)
 
@@ -185,10 +187,8 @@ def product_of_simplices(dims: Sequence[int]) -> SimplePolytope:
 def product_vertices(P: SimplePolytope) -> List[Tuple[int, ...]]:
     """The vertices of a product of simplices as sorted facet tuples in
     ascending order: a vertex keeps all facets of each block but one."""
-    dims = P.family[1]
     check_vertex_cap(P)
-    blocks = [combinations(range(off, off + d + 1), d)
-              for off, d in zip(block_offsets(dims), dims)]
+    blocks = [combinations(block, len(block) - 1) for block in P.blocks]
     return list(map(tuple, map(chain.from_iterable, product(*blocks))))
 
 
@@ -197,15 +197,6 @@ def check_vertex_cap(P: SimplePolytope) -> None:
     if P.vertex_count > MAX_PRODUCT_VERTICES:
         raise InputError(f"product of simplices {list(P.family[1])} has {P.vertex_count} "
                          f"vertices; at most {MAX_PRODUCT_VERTICES} can be built")
-
-
-def block_offsets(dims: Sequence[int]) -> List[int]:
-    """Starting facet index of each block in the product layout."""
-    offsets, off = [], 0
-    for d in dims:
-        offsets.append(off)
-        off += d + 1
-    return offsets
 
 
 def polygon(k: int) -> SimplePolytope:
@@ -260,9 +251,8 @@ def _poly_product(polys: Iterable[Sequence[int]]) -> Tuple[int, ...]:
 def f_vector(P: SimplePolytope) -> FVector:
     kind = P.family[0]
     if kind == "product_of_simplices":
-        dims = P.family[1]
         # face-count polynomial of a simplex block: sum_d C(n_j+1, d+1) t^d
-        coeffs = _poly_product([comb(d + 1, k + 1) for k in range(d + 1)] for d in dims)
+        coeffs = _poly_product([comb(len(b), d + 1) for d in range(len(b))] for b in P.blocks)
         return FVector(coeffs[: P.n])  # drop the whole-polytope term
     if kind == "polygon":
         k = P.family[1]
@@ -343,9 +333,7 @@ def minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
 def _minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
     kind = P.family[0]
     if kind == "product_of_simplices":
-        dims = P.family[1]
-        offs = block_offsets(dims)
-        return [tuple(range(offs[j], offs[j] + dims[j] + 1)) for j in range(len(dims))]
+        return list(map(tuple, P.blocks))
     if kind == "polygon":
         k = P.family[1]
         if k == 3:  # a triangle: its three edges meet in no vertex
@@ -370,28 +358,20 @@ def _minimal_non_faces(P: SimplePolytope) -> List[Tuple[int, ...]]:
     return sorted(out)
 
 
-def _block(P: SimplePolytope, f: int) -> Tuple[int, int]:
-    """(block, first facet of the block) of facet f in a product of simplices."""
+def _block(P: SimplePolytope, f: int) -> range:
+    """The facet range of facet f's block in a product of simplices."""
     if not 0 <= f < P.facet_count:
         raise InputError(f"unknown facet {f}")
-    off = 0
-    for j, d in enumerate(P.family[1]):
-        if f <= off + d:
-            return j, off
-        off += d + 1
+    return P.blocks[bisect_right(P.blocks, f, key=lambda block: block.stop)]
 
 
 def simplex_facets(P: SimplePolytope) -> List[int]:
     """Facets that are simplices: their induced vertex count equals n."""
     if P.family[0] == "product_of_simplices":
         # a block-j facet has n_j * prod_{i != j} (n_i + 1) vertices
-        dims, count = P.family[1], P.vertex_count
-        return [
-            f
-            for off, d in zip(block_offsets(dims), dims)
-            if count // (d + 1) * d == P.n
-            for f in range(off, off + d + 1)
-        ]
+        count = P.vertex_count
+        return [f for block in P.blocks if count // len(block) * (len(block) - 1) == P.n
+                for f in block]
     return [
         f
         for f in range(P.facet_count)
@@ -403,8 +383,8 @@ def facet_neighbours(P: SimplePolytope, f: int) -> List[int]:
     """Facets other than f sharing at least one vertex with f."""
     if P.family[0] == "product_of_simplices":
         # every other facet, except the other facet of a 1-dimensional block
-        j, off = _block(P, f)
-        skip = range(off, off + 2) if P.family[1][j] == 1 else (f,)
+        block = _block(P, f)
+        skip = block if len(block) == 2 else (f,)
         return [g for g in range(P.facet_count) if g not in skip]
     out = set()
     for vi in P.facet_vertex_indices(f):

@@ -13,13 +13,18 @@ from itertools import product
 from typing import Iterator, Optional, Tuple
 
 from .charfun import BottMatrix, FacetMasks, _dependent_vertices, _peel
-from .polytope import SimplePolytope, block_offsets, check_vertex_cap
+from .errors import InputError
+from .polytope import MAX_PRODUCT_DIMENSION, SimplePolytope, check_vertex_cap
 
 
 def random_dims(rng: random.Random, max_m: int, max_n: int) -> Tuple[int, ...]:
     """Random block dimensions of a product of simplices: one
     rng.randint(1, max_m) for the block count, then one rng.randint(1, max_n)
-    per block."""
+    per block.  Each block adds at least 1 to the dimension, so a max_m past
+    MAX_PRODUCT_DIMENSION is refused before any draw."""
+    if max_m > MAX_PRODUCT_DIMENSION:
+        raise InputError(f"a product of simplices has at most {MAX_PRODUCT_DIMENSION} "
+                         f"blocks, got a block count up to {max_m}")
     return tuple(rng.randint(1, max_n) for _ in range(rng.randint(1, max_m)))
 
 
@@ -31,8 +36,7 @@ def random_characteristic(P: SimplePolytope, rng: random.Random,
     on_product = P.family[0] == "product_of_simplices"
     if on_product:  # refused past the vertex cap, as listing its vertices is
         check_vertex_cap(P)
-        starts = set(block_offsets(P.family[1]))  # the last vertex listed omits these
-    first = ([f for f in range(P.facet_count) if f not in starts] if on_product
+    first = ([f for block in P.blocks for f in block[1:]] if on_product  # vertex 0's facets
              else sorted(P.vertices[0]))
     for _ in range(tries):
         # a nonzero vector is one draw from 1 .. 2^n - 1, as a mask, so no

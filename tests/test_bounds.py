@@ -25,7 +25,7 @@ from smallcover.bounds import (
 from smallcover.charfun import BottMatrix, from_bott, parse_bits
 from smallcover.cohomology import PointRing
 from smallcover.errors import CharacteristicError, InputError
-from smallcover.invariants import IntervalValue, cup_length, zcl_exact, zcl_interval
+from smallcover.invariants import DEFAULT_BUDGET, IntervalValue, cup_length, zcl_exact, zcl_interval
 from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
@@ -530,13 +530,14 @@ def test_manifold_ring_built_once():
     M = rp_manifold(3)
     ring = manifold_ring(M)
     assert manifold_ring(M) is ring
-    assert ring._zcl is None
+    record = bounds._at(M, DEFAULT_BUDGET)
+    assert "exact" not in vars(record)
     tc_bounds(M)
-    kept = ring._zcl
-    assert kept is not None
+    kept = record.exact
+    assert kept is not None and record.ring is ring
     symm_tc_bounds(M)
     dold_bounds(M, [1])
-    assert ring._zcl is kept
+    assert record.exact is kept and bounds._at(M, DEFAULT_BUDGET) is record
     # the ring is not part of the description's value
     assert M == rp_manifold(3) and "_ring" not in repr(M)
 

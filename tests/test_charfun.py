@@ -7,12 +7,12 @@ import pytest
 from smallcover import charfun, gf2
 from smallcover.charfun import BottMatrix, FacetMasks, from_bott, parse_bits, validate
 from smallcover.errors import CharacteristicError, InputError
-from smallcover.polytope import block_offsets, explicit_polytope, polygon, product_of_simplices
+from smallcover.polytope import explicit_polytope, polygon, product_of_simplices
 from smallcover.sampling import random_bott_matrix
 
 from conftest import all_bott_matrices, new_polytope, random_characteristic
 import tuple_reference as ref
-from tuple_reference import ReductionFailed, reduce_to_bott
+from tuple_reference import ReductionFailed, block_offsets, reduce_to_bott
 
 
 def test_parse_render_bits():

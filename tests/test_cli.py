@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -408,6 +409,24 @@ def test_verify_refuses_an_oversized_lemma_sweep(capsys, monkeypatch):
     # the other suites do not sweep towers
     code, out = run(capsys, "verify", "--suite", "binom", "--max-m", "4", "--max-n", "4")
     assert code == 0
+
+
+def test_verify_refuses_a_block_count_past_the_dimension_cap(capsys):
+    for suite in ("betti", "duality", "certificate"):
+        err = assert_malformed(capsys, ["verify", "--suite", suite, "--max-m", "1025"])
+        assert "at most 1024 blocks" in err
+
+
+def test_skipped_certificate_draws_draw_no_twisting(monkeypatch):
+    calls = []
+    draw = cli.sampling.random_bott_matrix
+    monkeypatch.setattr(cli.sampling, "random_bott_matrix",
+                        lambda dims, rng: calls.append(dims) or draw(dims, rng))
+    # every certificate at --max-n 10^6 is longer than the suite expands
+    outcomes = list(cli._suite_certificate(3, 10 ** 6, random.Random(1)))
+    assert outcomes == [None] * 8 and calls == []
+    outcomes = list(cli._suite_certificate(2, 2, random.Random(3)))
+    assert outcomes == [""] * 8 and len(calls) == 8
 
 
 def _flip_binom(monkeypatch):

@@ -262,11 +262,11 @@ def test_cup_length_algebra_matches_closed_forms():
         assert cup_length_algebra(ring.algebra()) == cup_length(ring)
 
 
-def test_zcl_exact_kept_on_the_ring():
+def test_zcl_exact_checks_the_budget_on_every_call():
     ring = projective_ring(3)
     iv = zcl_exact(ring)
-    assert zcl_exact(ring) is iv
-    # the budget is still checked before the kept result is reused
+    assert (iv.lo, iv.hi) == (3, 3) and zcl_exact(ring) == iv
+    # the budget is checked on every call, a searched ring too
     with pytest.raises(BudgetExceeded):
         zcl_exact(ring, budget=3)
 

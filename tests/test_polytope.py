@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from smallcover import bounds, charfun, cohomology, polytope, sampling
+from smallcover import bounds, charfun, cohomology, gf2, polytope, sampling
 from smallcover.errors import InputError
 from smallcover.polytope import (
     MAX_PRODUCT_DIMENSION,
@@ -21,6 +21,7 @@ from smallcover.polytope import (
 )
 
 from conftest import new_polytope
+import tuple_reference as ref
 
 
 def test_product_structure():
@@ -306,11 +307,12 @@ def _scanned_h_vector(P):
 def _prefix_vertices(dims):
     """A product's vertices as frozensets, built prefix by prefix, each
     block leaving out its facets in turn: the order P.vertices keeps."""
-    prefixes = [()]
-    for off, d in zip(polytope.block_offsets(dims), dims):
+    prefixes, off = [()], 0
+    for d in dims:  # block j owns the n_j + 1 facets from off on
         block = range(off, off + d + 1)
         kept = [tuple(g for g in block if g != f) for f in block]
         prefixes = [p + k for p in prefixes for k in kept]
+        off += d + 1
     return tuple(map(frozenset, prefixes))
 
 
@@ -335,6 +337,22 @@ def test_product_closed_forms_match_vertex_scan():
             assert f_vector(P).f[1] == edge_count, dims
         if P.vertex_count <= 24:  # the generic face enumeration is quadratic
             assert f_vector(P) == f_vector(Q), dims
+
+
+def test_product_layout_is_one_range_per_block(rng):
+    # the layout every product reader shares: consecutive facet ranges, the
+    # first n_j facets of each laid out as unit vectors by from_bott and the
+    # last one (the alpha facet) as its block's column of the Bott matrix
+    for dims in _small_products():
+        P = product_of_simplices(dims)
+        assert [len(block) for block in P.blocks] == [d + 1 for d in dims], dims
+        assert [f for block in P.blocks for f in block] == list(range(P.facet_count)), dims
+        B = sampling.random_bott_matrix(dims, rng)
+        masks = charfun.from_bott(B)
+        units = [masks[f] for block in P.blocks for f in block[:-1]]
+        assert units == [1 << c for c in range(P.n)], dims
+        for j, block in enumerate(P.blocks, start=1):
+            assert masks[block[-1]] == gf2.mask_of(ref.bott_column(B, j)), (dims, j)
 
 
 def test_product_closed_forms_reject_unknown_facets():

@@ -127,6 +127,16 @@ def test_random_bott_matrix_draws_as_the_inline_loop():
     assert twisted > 20
 
 
+def test_random_dims_refuses_a_block_count_past_the_cap_before_drawing():
+    # each block adds at least 1 to the dimension, so no draw could be built
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="at most 1024 blocks"):
+        sampling.random_dims(rng, polytope.MAX_PRODUCT_DIMENSION + 1, 1)
+    assert rng.getstate() == state
+    assert len(sampling.random_dims(rng, polytope.MAX_PRODUCT_DIMENSION, 1)) >= 1
+
+
 def test_random_dims_draws_as_the_inline_loop():
     shapes = set()
     for seed in range(40):

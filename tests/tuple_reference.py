@@ -30,8 +30,7 @@ from smallcover.errors import CharacteristicError, InputError
 from smallcover.gf2 import _as_masks, default_names, mono_render, row_reduce_masks
 from smallcover.invariants import (LEADING_TERM_ARGUMENT, ZclCertificate, certificate_length,
                                    power_exponent)
-from smallcover.polytope import (block_offsets, facet_neighbours, product_of_simplices,
-                                 simplex_facets)
+from smallcover.polytope import facet_neighbours, product_of_simplices, simplex_facets
 
 Monomial = Tuple[int, ...]
 GF2Poly = frozenset  # of Monomial
@@ -245,6 +244,16 @@ def bott_column(B, j: int) -> Tuple[int, ...]:
     for k, d in enumerate(B.dims, start=1):  # zero above block j, ones on it
         out.extend(B.block(k, j) if k > j else (int(k == j),) * d)
     return tuple(out)
+
+
+def block_offsets(dims) -> List[int]:
+    """The first facet of each block of a product of simplices, stated here
+    rather than read from the package: block j owns n_j + 1 facets in turn."""
+    offsets, off = [], 0
+    for d in dims:
+        offsets.append(off)
+        off += d + 1
+    return offsets
 
 
 def from_bott(dims, B) -> List[Tuple[int, ...]]:
