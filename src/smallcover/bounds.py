@@ -11,8 +11,8 @@ user-asserted flags and are recorded in the report when used.
 
 from __future__ import annotations
 
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .charfun import BottMatrix, FacetMasks, GF2Vector, Vectors, from_bott, peel_matrix
@@ -168,24 +168,18 @@ def simplex_facet_hypotheses(P: SimplePolytope, masks: FacetMasks):
 def free_circle_blocks(B: BottMatrix) -> List[int]:
     """Blocks j (1-based) whose stage of B's tower carries a free circle action by scalars.
 
-    Block j counts when n_j > 1 is odd, its fibre line bundles pair up, and
-    no later block is twisted by y_j (beta(j', j) = 0 for every j' > j).  The
-    bundles pair up when every vector of {w_0 = 0, w_1, ..., w_{n_j}}, with
-    w_k = (beta(j, l)[k])_{l < j}, occurs an even number of times: the fibre
-    is then a complex projectivisation.  The README's bound rules give the argument.
+    Block j counts when n_j > 1 is odd, its roots (`BottMatrix.roots`)
+    pair up, and no later block is twisted by y_j: bit j - 1 is clear in
+    every block's roots.  The roots pair up when every mask w_0 = 0, w_1,
+    ..., w_{n_j} occurs an even number of times: the fibre is then a complex
+    projectivisation.  The README's bound rules give the argument.
     """
-    # each candidate's w_k, an int with bit l set when beta(j, l)[k] = 1
-    fibres = {j: [0] * (nj + 1) for j, nj in enumerate(B.dims, start=1) if nj > 1 and nj % 2}
-    twisted = set()
-    for (j, l), bits in B.beta:
-        twisted.add(l)
-        w = fibres.get(j)
-        if w is not None:
-            for k, bit in enumerate(bits):
-                w[k] |= bit << l
+    roots = B.roots()
+    twisted = reduce(or_, (r for w in roots for r in w))  # bit l - 1: y_l twists a block
     # sorted, every value occurs an even number of times iff the pairs match
-    return [j for j, w in fibres.items()
-            if j not in twisted and (s := sorted(w))[::2] == s[1::2]]
+    return [j for j, (nj, w) in enumerate(zip(B.dims, roots), start=1)
+            if nj > 1 and nj % 2 and not twisted >> j - 1 & 1
+            and (s := sorted(w))[::2] == s[1::2]]
 
 
 # ---------------------------------------------------------------------------

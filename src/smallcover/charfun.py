@@ -15,7 +15,6 @@ assignments, so on a product it decides validity; `validate` keeps it, and
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import accumulate, compress
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
@@ -175,18 +174,16 @@ def _vertex_rows(P: SimplePolytope):
     return vertices, tuple(rows)
 
 
-class _BottFields(NamedTuple):
-    dims: Tuple[int, ...]
-    beta: Tuple[Tuple[Tuple[int, int], GF2Vector], ...] = ()
-
-
-class BottMatrix(_BottFields):
+class BottMatrix(NamedTuple):
     """Unipotent lower-triangular block matrix.
 
     beta[(k, j)] is the block in row k, column j (1-based, j < k), 0/1 ints
     of length dims[k-1], kept as `make` is given them.  Diagonal blocks are
-    all-ones, upper zero.  A `NamedTuple` with a `__dict__` for `_blocks`.
+    all-ones, upper zero.  Row j's twisting is read through its block roots
+    (`roots`), column j's by `from_bott`.
     """
+    dims: Tuple[int, ...]
+    beta: Tuple[Tuple[Tuple[int, int], GF2Vector], ...] = ()
 
     @staticmethod
     def make(dims: Sequence[int], beta: Dict[Tuple[int, int], Sequence[int]] = None) -> "BottMatrix":
@@ -205,13 +202,17 @@ class BottMatrix(_BottFields):
                 items.append(((k, j), bits))
         return BottMatrix(dims, tuple(sorted(items)))
 
-    @cached_property
-    def _blocks(self) -> Dict[Tuple[int, int], GF2Vector]:
-        # off the fields, so equality and hash read dims and beta alone
-        return dict(self.beta)
-
-    def block(self, k: int, j: int) -> GF2Vector:
-        return self._blocks.get((k, j)) or (0,) * self.dims[k - 1]
+    def roots(self) -> Tuple[Tuple[int, ...], ...]:
+        """Block j's roots, at j - 1: the masks w_0 = 0, w_1, ..., w_{n_j}
+        of stage j's line bundles L_0, ..., L_{n_j}, w_k with bit l - 1 set
+        when beta(j, l)[k - 1] = 1.  Block j's root classes are y_j + w_k:
+        one factor each of Gamma_j, in one pass over beta."""
+        roots = [[0] * (n + 1) for n in self.dims]
+        for (j, l), bits in self.beta:
+            w = roots[j - 1]
+            for k, bit in enumerate(bits, start=1):
+                w[k] |= bit << l - 1
+        return tuple(map(tuple, roots))
 
 
 def from_bott(B: BottMatrix) -> FacetMasks:

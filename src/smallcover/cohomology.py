@@ -11,7 +11,7 @@ and the non-face monomials as relations in the surviving variables.  The
 Bott relations have pairwise-coprime leading monomials under graded lex with
 y1 < ... < ym, so single polynomials also reduce by rewriting, on the same
 packed ints, without completion and without a slice; exponent tuples appear
-only as the input and output of `BottRing.normal_form` and `power`.
+only as the input and output of `BottRing.normal_form`.
 A sphere's algebra is one square-zero class, and the tensor square of an
 algebra, in which the cup kernel lives, is a `TensorAlgebra`.  Betti numbers
 of both presentations are read in closed form, building nothing.
@@ -463,13 +463,12 @@ class BottRing(QuotientRing):
         return _poly_product((1,) * (n + 1) for n in self.dims)
 
     def _relations(self):
-        """Gamma_j = y_j prod_{k <= n_j} (y_j + sum_{l < j} beta(j, l)[k] y_l)."""
+        """Gamma_j = prod_w (y_j + sum_{l in w} y_l) over block j's roots
+        w (`BottMatrix.roots`), w_0 = 0 giving the factor y_j."""
         w = self._width
-        for j, n in enumerate(self.dims):
-            y = [1 << (i * w) for i in range(j + 1)]
-            blocks = [self.bmat.block(j + 1, l + 1) for l in range(j)]
-            factors = [[y[j]] + [y[l] for l in range(j) if blocks[l][k]] for k in range(n)]
-            yield n + 1, _product([[y[j]]] + factors)
+        for j, roots in enumerate(self.bmat.roots()):
+            yield len(roots), _product([1 << j * w] + [1 << l * w for l in gf2.bit_positions(r)]
+                                       for r in roots)
 
     @cached_property
     def _tails(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
@@ -541,10 +540,6 @@ class BottRing(QuotientRing):
             else:
                 out.add(t)
         return out
-
-    def power(self, j: int, e: int) -> FrozenSet[Tuple[int, ...]]:
-        """Reduced y_j^e."""
-        return self.normal_form({tuple(e if i == j - 1 else 0 for i in range(self.m))})
 
 
 def projective_ring(n: int) -> BottRing:

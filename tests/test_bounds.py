@@ -471,7 +471,7 @@ def _sparse_tower(rng, m):
 
 
 def test_free_circle_blocks_match_the_block_by_block_reference():
-    """The one pass over the nonzero blocks against the reference's m^2
+    """The reading through the block roots against the reference's m^2
     block lookups: every tower with m <= 3 and n_j <= 3, then seeded sparse
     towers with up to 8 blocks of sizes up to 7."""
     towers = [B for m in (1, 2, 3) for _, B in all_bott_matrices(m, 3)]

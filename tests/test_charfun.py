@@ -50,7 +50,7 @@ def test_validate_shape_errors():
 
 def test_bott_matrix_make():
     B = BottMatrix.make((1, 1), {(2, 1): (1,)})
-    assert B.block(2, 1) == (1,)
+    assert dict(B.beta)[(2, 1)] == (1,)
     assert ref.bott_column(B, 1) == (1, 1)
     assert ref.bott_column(B, 2) == (0, 1)
     with pytest.raises(InputError):
@@ -65,26 +65,30 @@ def test_bott_matrix_zero_blocks_dropped():
     assert BottMatrix.make((1, 1), {(2, 1): (0,)}) == BottMatrix.make((1, 1))
 
 
-def test_block_lookup_leaves_value_and_speed(rng):
+def test_from_bott_speed_and_bott_matrix_value():
     dims = (1,) * 512
     B = BottMatrix.make(dims, {(k, 1): (1,) for k in range(2, 513)})
     start = time.perf_counter()
     vectors = from_bott(B)
     assert time.perf_counter() - start < 1.0
     assert vectors[1] == (1 << 512) - 1 and vectors[3] == vectors[2] == 1 << 1
-    # all m^2 block lookups, as free_circle_blocks and BottRing make them
-    start = time.perf_counter()
-    blocks = [B.block(k, j) for k in range(1, 513) for j in range(1, 513)]
-    assert time.perf_counter() - start < 1.0  # over 10 s scanning beta per block
-    assert blocks.count((1,)) == 511 and blocks[511 * 512] == (1,) and blocks[2 * 512 + 1] == (0,)
-    # the lookup table is kept off the fields: equality and hash read dims and beta
+    # equality, hash and repr read dims and beta alone
     twin = BottMatrix(B.dims, B.beta)
-    assert "_blocks" in vars(B) and "_blocks" not in vars(twin)
     assert B == twin and hash(B) == hash(twin) and repr(B) == repr(twin)
-    for dims in [(2, 1, 3), (3, 3, 2, 1)]:
-        B = random_bott_matrix(dims, rng)
-        assert all(B.block(k, j) == dict(B.beta).get((k, j), (0,) * dims[k - 1])
-                   for k in range(1, len(dims) + 1) for j in range(1, len(dims) + 1))
+
+
+def test_roots_match_the_reference_block_lookups():
+    """B.roots() against masks built from the reference's own block
+    lookups, on every tower with m <= 3 and n_j <= 3 and on the 512-block
+    tower; the record keeps no attribute off its fields."""
+    towers = [B for m in (1, 2, 3) for _, B in all_bott_matrices(m, 3)]
+    big = BottMatrix.make((1,) * 512, {(k, 1): (1,) for k in range(2, 513)})
+    for B in towers + [big]:
+        assert B.roots() == ref.bott_roots(B), B
+    assert big.roots()[1:] == ((0, 1),) * 511
+    with pytest.raises(AttributeError):
+        big.memo = {}
+    assert not hasattr(big, "__dict__")
 
 
 def test_from_bott_layout():

@@ -46,7 +46,7 @@ def test_product_rejects_bad_dims():
             with pytest.raises(InputError):
                 make(dims)
     assert repr(product_of_simplices((1, 2))) == "ProductOfSimplices(dims=(1, 2))"
-    block = charfun.BottMatrix.make((1, 2), {(2, 1): iter((1, 0))}).block(2, 1)
+    block = dict(charfun.BottMatrix.make((1, 2), {(2, 1): iter((1, 0))}).beta)[(2, 1)]
     assert block == (1, 0) and type(block) is tuple
 
 

@@ -11,7 +11,7 @@ cover's reduced coordinate matrix (`gf2.column_rref`) is checked against.
 Last come facet vectors as 0/1 tuples: the Bott matrix layout and the
 simplex-facet hypotheses by a rank of tuple rows, which the package's
 masks are checked against, and the free-circle blocks of a tower read block
-by block, which the package's one pass over the nonzero blocks is checked
+by block, which the package's block roots (`BottMatrix.roots`) are checked
 against.  The tower's tensor-power certificate is kept as the package
 first built it, per-block unit tuples and rendered terms included.  At the
 end, `reduce_to_bott` reads the peel that `validate` keeps as the basis
@@ -136,6 +136,25 @@ def unpacked_relations(ring) -> Tuple[GF2Poly, ...]:
                            for t in terms) for _, terms in ring._packed)
 
 
+def _block(B, k: int, j: int, table=None) -> Tuple[int, ...]:
+    """Block (k, j) of a Bott matrix, looked up in its stored beta (or in
+    `table`, that beta as a dict): the reference's own reading, not the
+    package's roots."""
+    return (table or dict(B.beta)).get((k, j)) or (0,) * B.dims[k - 1]
+
+
+def bott_roots(B) -> Tuple[Tuple[int, ...], ...]:
+    """`BottMatrix.roots` by block lookups: block j's masks w_0 = 0, w_1,
+    ..., w_{n_j}, w_k with bit l - 1 set when block (j, l) has entry k."""
+    table = dict(B.beta)
+    out = []
+    for j, n in enumerate(B.dims, start=1):
+        rows = [_block(B, j, l, table) for l in range(1, j)]
+        out.append((0,) + tuple(sum(row[k] << l for l, row in enumerate(rows))
+                                for k in range(n)))
+    return tuple(out)
+
+
 def gammas(dims, B) -> Tuple[GF2Poly, ...]:
     """Gamma_j = y_j prod_k (y_j + sum_l beta(j, l)[k] y_l) of a tower."""
     m = len(dims)
@@ -145,7 +164,7 @@ def gammas(dims, B) -> Tuple[GF2Poly, ...]:
         for k in range(1, dims[j - 1] + 1):
             factor = {mono_var(m, j)}
             for l in range(1, j):
-                if B.block(j, l)[k - 1]:
+                if _block(B, j, l)[k - 1]:
                     factor ^= {mono_var(m, l)}
             acc = poly_mul(acc, frozenset(factor))
         out.append(acc)
@@ -242,7 +261,7 @@ def bott_column(B, j: int) -> Tuple[int, ...]:
     """Column j of a Bott matrix as a length-n vector over the block layout."""
     out: List[int] = []
     for k, d in enumerate(B.dims, start=1):  # zero above block j, ones on it
-        out.extend(B.block(k, j) if k > j else (int(k == j),) * d)
+        out.extend(_block(B, k, j) if k > j else (int(k == j),) * d)
     return tuple(out)
 
 
@@ -305,13 +324,13 @@ def simplex_facet_hypotheses(P, vectors) -> Tuple[bool, bool]:
 
 def free_circle_blocks(dims, B) -> List[int]:
     """`bounds.free_circle_blocks` block by block: each candidate's fibre
-    vectors w_k as tuples of `B.block` lookups, counted."""
+    vectors w_k as tuples of `_block` lookups, counted."""
     twisted = {j for (_, j), bits in B.beta if any(bits)}
     out = []
     for j, nj in enumerate(dims, start=1):
         if nj == 1 or nj % 2 == 0 or j in twisted:
             continue
-        rows = [B.block(j, l) for l in range(1, j)]
+        rows = [_block(B, j, l) for l in range(1, j)]
         fibre = Counter(tuple(row[k] for row in rows) for k in range(nj))
         fibre[(0,) * (j - 1)] += 1
         if all(c % 2 == 0 for c in fibre.values()):
