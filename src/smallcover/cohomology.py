@@ -1,17 +1,20 @@
 """Mod-2 cohomology rings.
 
 One engine for quotients Z2[v1..vk]/(relations) of degree-one variables
-(`QuotientRing`): each degree is row-reduced once and products are looked up
-in a normal-form table.  A monomial there is one int whose fields are its
-exponents, so a product of monomials is an integer sum, with no carry.  Each
-presentation builds its relations in that packed form, on first use, through
-one hook: the triangular (Bott) presentation Z2[y1..ym]/<Gamma_1..Gamma_m>,
-and an arbitrary polytope/vector pair with the linear relations eliminated
-and the non-face monomials as relations in the surviving variables.  The
-Bott relations have pairwise-coprime leading monomials under graded lex with
-y1 < ... < ym, so single polynomials also reduce by rewriting, on the same
-packed ints, without completion and without a slice; exponent tuples appear
-only as the input and output of `BottRing.normal_form`.
+(`QuotientRing`): each degree has a basis of standard monomials and a
+normal-form table in which products are looked up, filled by division when
+the relations lead with pure powers of distinct variables (a Groebner basis
+by Buchberger's first criterion), and by row-reducing the degree otherwise.
+A monomial there is one int whose fields are its exponents, so a product of
+monomials is an integer sum, with no carry.  Each presentation builds its
+relations in that packed form, on first use, through one hook: the
+triangular (Bott) presentation Z2[y1..ym]/<Gamma_1..Gamma_m>, and an
+arbitrary polytope/vector pair with the linear relations eliminated and the
+non-face monomials as relations in the surviving variables.  The Bott
+relations lead so under graded lex with y1 < ... < ym, so single
+polynomials also reduce by rewriting, on the same packed ints, without
+completion and without a slice; exponent tuples appear only as the input
+and output of `BottRing.normal_form`.
 A sphere's algebra is one square-zero class, and the tensor square of an
 algebra, in which the cup kernel lives, is a `TensorAlgebra`.  Betti numbers
 of both presentations are read in closed form, building nothing.
@@ -20,7 +23,7 @@ of both presentations are read in closed form, building nothing.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import lshift
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
@@ -41,17 +44,23 @@ class GradedAlgebra:
     """Finite graded-commutative GF(2) algebra with an explicit basis.
 
     Basis elements are addressed as (degree, index); homogeneous elements are
-    (degree, bitmask) pairs.  Products of basis elements are supplied by a
-    callable, which caches what it needs itself.  The builder also supplies
-    label(d, i), the name of a basis element, and gens, basis elements
-    (d, 1 << i) that generate the algebra, sorted by degree, then index.
+    (degree, bitmask) pairs.  The builder names basis element i of degree d
+    by a key, basis[d][i], and supplies table(d): the mask of the product of
+    two basis elements whose degrees add up to d <= top, under the sum of
+    their keys.  A ring's keys are its packed monomials, whose sum is their
+    product, and its tables their normal forms; a tensor product keys
+    (d, i), so a sum is the pair of factors whose product its table computes
+    on first read.  The builder also supplies label(d, i), the name of a
+    basis element, and gens, basis elements (d, 1 << i) that generate the
+    algebra, sorted by degree, then index.
     """
 
-    def __init__(self, betti: Sequence[int], mult: Callable[[int, int, int, int], int],
+    def __init__(self, basis: Sequence[Sequence], table: Callable[[int], Dict],
                  label: Callable[[int, int], str], gens: Sequence[Tuple[int, int]]):
-        self.betti = tuple(betti)
+        self.basis = tuple(basis)
+        self.betti = tuple(map(len, self.basis))
         self.top = len(self.betti) - 1
-        self._mult = mult
+        self.table = table
         self.label = label
         self.gens = tuple(gens)
 
@@ -62,7 +71,7 @@ class GradedAlgebra:
     def mult_basis(self, d1: int, i: int, d2: int, j: int) -> int:
         if d1 + d2 > self.top:
             return 0
-        return self._mult(d1, i, d2, j)
+        return self.table(d1 + d2)[self.basis[d1][i] + self.basis[d2][j]]
 
 
 class GradedSpan:
@@ -176,7 +185,7 @@ class TensorAlgebra(GradedAlgebra):
     basis element (d1, i1) of A times basis element (d2, i2) of B.  index
     maps a pair back to its position in its degree.  join names a pair from
     the names of its two factors.  Its product is the one built from other
-    products, so it is the one product that is memoised.
+    products, so its table computes each one on first read and keeps it.
     """
 
     def __init__(self, A: GradedAlgebra, B: GradedAlgebra, join: Callable[[str, str], str]):
@@ -201,7 +210,6 @@ class TensorAlgebra(GradedAlgebra):
         gens = sorted([(d, 1 << index[(d, m.bit_length() - 1, 0, 0)]) for d, m in A.gens]
                       + [(d, 1 << index[(0, 0, d, m.bit_length() - 1)]) for d, m in B.gens])
 
-        @lru_cache(maxsize=None)
         def mult(da: int, ia: int, db: int, jb: int) -> int:
             a1, i1, a2, j1 = pairs[da][ia]
             b1, i2, b2, j2 = pairs[db][jb]
@@ -224,7 +232,21 @@ class TensorAlgebra(GradedAlgebra):
                     acc ^= 1 << index[(dl, li, dr, rj)]
             return acc
 
-        super().__init__([len(p) for p in pairs], mult, label, gens)
+        products = _Computed(mult)
+        super().__init__([[(d, i) for i in range(len(p))] for d, p in enumerate(pairs)],
+                         lambda d: products, label, gens)
+
+
+class _Computed(dict):
+    """Products computed on first read: the key (d1, i, d2, j), the sum of
+    the keys (d1, i) and (d2, j), reads mult(d1, i, d2, j) and keeps it."""
+
+    def __init__(self, mult: Callable[[int, int, int, int], int]):
+        self.mult = mult
+
+    def __missing__(self, key: Tuple[int, int, int, int]) -> int:
+        value = self[key] = self.mult(*key)
+        return value
 
 
 def tensor_square(A: GradedAlgebra) -> TensorAlgebra:
@@ -248,10 +270,15 @@ def cup_kernel(A: GradedAlgebra) -> Tuple[TensorAlgebra, List[Tuple[int, int]]]:
 
 
 def square_zero(name: str, n: int) -> GradedAlgebra:
-    """Z2[x]/(x^2) with x in degree n >= 1.  A product inside the top degree
-    has a unit factor, so it is the one basis element of its degree."""
-    return GradedAlgebra([1] + [0] * (n - 1) + [1], lambda d1, i, d2, j: 1,
-                         lambda d, i: name if d else "1", [(n, 1)])
+    """Z2[x]/(x^2) with x in degree n >= 1, 1 keyed 0 and x keyed 1.  A
+    product inside the top degree has a unit factor, so it is the one basis
+    element of its degree, keyed by its degree's one key."""
+    return GradedAlgebra([[0]] + [[] for _ in range(n - 1)] + [[1]],
+                         lambda d: _SQUARE_ZERO[d > 0], lambda d, i: name if d else "1",
+                         [(n, 1)])
+
+
+_SQUARE_ZERO = ({0: 1}, {1: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +309,28 @@ class QuotientRing(Ring):
     """Z2[v1..vk]/(relations) on degree-one variables, built degree by degree.
 
     A presentation supplies the variable names, the top degree and, through
-    one hook, `_relations`, its relations packed; the first slice, text or
-    normal form builds them.  Degree d's slice row-reduces the multiples of
-    the relations among all monomials of degree d; its basis is the
-    monomials that lead no pivot row, in grlex order, and its normal-form
-    table, built when the algebra first needs it, gives the product of two
-    basis monomials that lands in degree d.
+    one hook, `_relations`, its relations packed; the first algebra, text or
+    normal form builds them.  Each degree has a basis of standard monomials
+    in grlex order and a normal-form table, built when the algebra first
+    needs it, that gives the product of two basis monomials landing there.
+
+    When every relation leads with a pure power z_v^e of a variable that no
+    other relation leads with (`_tails`), as on towers and block-layout
+    product covers, the leads are pairwise coprime, so by Buchberger's first
+    criterion the relations are a Groebner basis (Cox-Little-O'Shea, 2.9):
+    the basis is the box a_v < e_v, and each table is filled by division
+    (`_division_table`).  Any other ring builds degree d's slice: it
+    row-reduces the multiples of the relations among all monomials of
+    degree d, and its basis is the monomials that lead no pivot row.
 
     A monomial is packed into one int of k fields, each of width
     w = (top + 1).bit_length(); the exponent of variable i sits at bit
     i*w, so the last variable takes the highest field and, within one
     degree, int order is grlex order.  An exponent is at most top + 1 <
-    2^w, the largest degree of a relation, and in a slice at most its
-    degree d <= top, so the sum of two monomials whose degrees add up to at
-    most top never carries from one field into the next: it is their
-    product.  Labels render a monomial when they are asked for.
+    2^w, the largest degree of a relation, and in a degree d <= top at most
+    d, so the sum of two monomials whose degrees add up to at most top
+    never carries from one field into the next: it is their product.
+    Labels render a monomial when they are asked for.
     """
 
     def __init__(self, names: Sequence[str], top: int):
@@ -309,8 +343,9 @@ class QuotientRing(Ring):
         self._alg: Optional[GradedAlgebra] = None
 
     def _relations(self) -> Iterable[Tuple[int, Tuple[int, ...]]]:
-        """(degree, packed terms) of each nonzero relation, of degree at
-        most top + 1: each presentation's one hook.  Here none, a point."""
+        """(degree, packed terms ascending) of each nonzero relation, of
+        degree at most top + 1: each presentation's one hook.  Here none, a
+        point."""
         return ()
 
     @cached_property
@@ -327,19 +362,28 @@ class QuotientRing(Ring):
                      for _, terms in self._packed)
 
     @cached_property
+    def _tails(self) -> Optional[List[Tuple[int, int, Tuple[int, ...]]]]:
+        """When every relation leads with a pure power z_v^e (its largest
+        packed term) of a variable no other relation leads with: for each
+        relation, the shift of z_v's field, e, and the relation's other
+        terms, packed, the shortest tail first, so that a lead with none
+        reduces to 0 at once.  Else None."""
+        w = self._width
+        tails = {}
+        for _, terms in self._packed:
+            lead = terms[-1]
+            shift = ((lead & -lead).bit_length() - 1) // w * w
+            e = lead >> shift
+            if e >> w or shift in tails:  # another field, or a second lead in z_v
+                return None
+            tails[shift] = (shift, e, terms[:-1])
+        return sorted(tails.values(), key=lambda tail: len(tail[2]))
+
+    @cached_property
     def _monomials(self) -> List[List[int]]:
         """_monomials[d]: all packed monomials of degree d <= top, ascending
         (in grlex order)."""
-        k, w, top = self.nvars, self._width, self.top
-        if k == 0:
-            return [[0]] + [[] for _ in range(top)]
-        # levels[e]: the monomials of degree e in the variables so far
-        levels = [[e] for e in range(top + 1)]
-        for shift in range(w, k * w, w):
-            # ascending in the new, highest field, then in the rest
-            levels = [[m + (a << shift) for a in range(e + 1) for m in levels[e - a]]
-                      for e in range(top + 1)]
-        return levels
+        return _box([self.top + 1] * self.nvars, self._width, self.top)
 
     def _slice(self, d: int):
         """(monomials, pivot rows, basis monomials) of degree d, monomials
@@ -369,28 +413,77 @@ class QuotientRing(Ring):
 
     def algebra(self) -> GradedAlgebra:
         if self._alg is None:
-            slices = [self._slice(d) for d in range(self.top + 1)]
-            betti = [len(s[2]) for s in slices]
+            top, w, tails, names = self.top, self._width, self._tails, self.names
+            # the tables and the labels hold the ring's monomials, slices and
+            # names, not the ring, so a ring and its algebra form no cycle
+            if tails is None:
+                slices = [self._slice(d) for d in range(top + 1)]
+                basis = [s[2] for s in slices]
+                fill = lambda d: _normal_form_table(*slices[d][:2])
+            else:
+                caps = [top + 1] * self.nvars
+                for shift, e, _ in tails:
+                    caps[shift // w] = e
+                basis, mons = _box(caps, w, top), self._monomials
+                fill = lambda d: _division_table(mons[d], tails, w)
             # a ring that only pairs builds only the top degree's table
-            tables = [None] * len(slices)
-            # the product and the labels hold the ring's slices and names,
-            # not the ring, so a ring and its algebra form no cycle
-            names, w = self.names, self._width
+            tables = [None] * (top + 1)
 
-            def mult(d1, i, d2, j):
-                d = d1 + d2
-                table = tables[d]
-                if table is None:
-                    table = tables[d] = _normal_form_table(*slices[d][:2])
-                return table[slices[d1][2][i] + slices[d2][2][j]]
+            def table(d):
+                found = tables[d]
+                if found is None:
+                    found = tables[d] = fill(d)
+                return found
 
             def label(d, i):
-                return _render(slices[d][2][i], w, names)
+                return _render(basis[d][i], w, names)
 
             # generated in degree one, as the polynomial ring is
-            gens = [(1, 1 << i) for i in range(betti[1])] if self.top else []
-            self._alg = GradedAlgebra(betti, mult, label, gens)
+            gens = [(1, 1 << i) for i in range(len(basis[1]))] if top else []
+            self._alg = GradedAlgebra(basis, table, label, gens)
         return self._alg
+
+
+def _box(caps: Sequence[int], w: int, top: int) -> List[List[int]]:
+    """levels[d]: the packed monomials of degree d <= top with exponent
+    a_v < caps[v] in each variable v, ascending (in grlex order)."""
+    if not caps:
+        return [[0]] + [[] for _ in range(top)]
+    # levels[e]: the monomials of degree e in the variables so far
+    levels = [[e] if e < caps[0] else [] for e in range(top + 1)]
+    for shift, cap in zip(range(w, len(caps) * w, w), caps[1:]):
+        # ascending in the new, highest field, then in the rest
+        levels = [[m + (a << shift) for a in range(min(e + 1, cap)) for m in levels[e - a]]
+                  for e in range(top + 1)]
+    return levels
+
+
+def _division_table(mons: Sequence[int], tails: Sequence[Tuple[int, int, Tuple[int, ...]]],
+                    w: int) -> Dict[int, int]:
+    """Normal form of every monomial of one degree, as a basis mask, for a
+    ring whose relations are a Groebner basis with leads z_v^e (`_tails`).
+
+    In ascending order, a monomial that no lead divides is the next basis
+    monomial; any other is u*z_v^e for the first such lead, and its form is
+    the XOR of the forms already found for u*t over the relation's tail
+    terms t, lower monomials of the same degree.  A degree is at most top,
+    so no field carries.  This equals the slice's `_normal_form_table`.
+    """
+    field = (1 << w) - 1
+    forms: Dict[int, int] = {}
+    rank = 0
+    for m in mons:
+        for shift, e, tail in tails:
+            if (m >> shift) & field >= e:
+                rest, form = m - (e << shift), 0
+                for t in tail:
+                    form ^= forms[rest + t]
+                break
+        else:
+            form = 1 << rank
+            rank += 1
+        forms[m] = form
+    return forms
 
 
 def _product(factors: Iterable[Sequence[int]]) -> Tuple[int, ...]:
@@ -470,15 +563,6 @@ class BottRing(QuotientRing):
             yield len(roots), _product([1 << j * w] + [1 << l * w for l in gf2.bit_positions(r)]
                                        for r in roots)
 
-    @cached_property
-    def _tails(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
-        """For j from m down to 1: the shift of y_j's field, n_j, and
-        Gamma_j without its leading monomial y_j^{n_j+1}, packed."""
-        w = self._width
-        tails = [(j * w, n, tuple(t for t in terms if t != (n + 1) << (j * w)))
-                 for j, ((_, terms), n) in enumerate(zip(self._packed, self.dims))]
-        return tuple(reversed(tails))
-
     def _pack(self, mon: Sequence[int]) -> int:
         """An exponent tuple as one int.  The fields hold the exponents of
         a monomial of degree at most top + 1; a higher one may carry."""
@@ -509,12 +593,13 @@ class BottRing(QuotientRing):
         most top, packed.
 
         Monomials leave a max-heap largest first.  A standard one is final;
-        in any other, y_j^{n_j+1}, for the highest j it exceeds, becomes the
-        tail of Gamma_j.  The leading monomials are pairwise coprime, so the
-        rewriting needs no S-polynomial completion.  A tail term is a
-        smaller int of the same degree (lower in grlex), so no field
-        carries, and a monomial once taken never comes back.  Whatever the
-        ints hold above the m fields rides along unchanged.
+        in any other, y_j^{n_j+1}, for the first Gamma_j of `_tails` whose
+        lead it exceeds, becomes the tail of Gamma_j.  The leading monomials
+        are pairwise coprime, so the rewriting needs no S-polynomial
+        completion, and any choice of j gives the one normal form.  A tail
+        term is a smaller int of the same degree (lower in grlex), so no
+        field carries, and a monomial once taken never comes back.  Whatever
+        the ints hold above the m fields rides along unchanged.
         """
         field, tails = (1 << self._width) - 1, self._tails
         cur = set(terms)
@@ -526,9 +611,9 @@ class BottRing(QuotientRing):
             if t not in cur:  # cancelled, or pushed twice
                 continue
             cur.remove(t)
-            for shift, n, tail in tails:
-                if (t >> shift) & field > n:
-                    rest = t - ((n + 1) << shift)
+            for shift, e, tail in tails:
+                if (t >> shift) & field >= e:
+                    rest = t - (e << shift)
                     for u in tail:
                         u += rest
                         if u in cur:
@@ -656,18 +741,19 @@ def poincare_pairing(ring: Ring) -> PairingReport:
     """Nondegeneracy of H^d x H^{top-d} -> H^top for each degree.  The
     algebra is commutative, so the matrix of degree top - d is the
     transpose of that of degree d: each flag is found for d <= top/2 and
-    mirrored."""
+    mirrored.  Every row is read off the top degree's table, whose masks
+    are 0 or 1."""
     alg = ring.algebra()
-    top, betti = alg.top, alg.betti
+    top, betti, basis = alg.top, alg.betti, alg.basis
     if betti[top] != 1:
         raise InputError("ring has no one-dimensional top class")
+    table = alg.table(top)
     flags = [False] * (top + 1)
     for d in range(top // 2 + 1):
         e = top - d
         if betti[d] != betti[e]:
             continue
-        rows = [sum(1 << j for j in range(betti[e]) if alg.mult_basis(d, i, e, j))
-                for i in range(betti[d])]
+        rows = [sum(table[u + v] << j for j, v in enumerate(basis[e])) for u in basis[d]]
         flags[d] = flags[e] = len(gf2.row_reduce_masks(rows)) == betti[d]
     return PairingReport(all(flags), tuple(flags))
 

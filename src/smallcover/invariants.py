@@ -210,8 +210,10 @@ class _Diagonal:
     """
 
     def __init__(self, alg: GradedAlgebra, offset: Sequence[int], s: int, i: int):
-        G = [alg.mult_basis(d, j, s, i) << offset[d + s]
-             for d in range(alg.top + 1 - s) for j in range(alg.betti[d])]
+        G, g = [], alg.basis[s][i]  # read off the tables of degree s and up
+        for d in range(alg.top + 1 - s):
+            table, shift = alg.table(d + s), offset[d + s]
+            G += [table[u + g] << shift for u in alg.basis[d]]
         self.G = G = G + [0] * (offset[-1] - len(G))
         self.targets = [gf2.bit_positions(row) for row in G]
         self.support = sum(1 << j for j, row in enumerate(G) if row)

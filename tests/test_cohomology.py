@@ -988,3 +988,44 @@ def test_table_products_match_reduction(rng):
         assert expected
         for (d1, i, d2, j), mask in expected.items():
             assert alg.mult_basis(d1, i, d2, j) == mask, (P.family, d1, i, d2, j)
+
+
+# --- division on rings whose relations lead with pure powers -------------------
+
+
+def _matches_elimination(ring):
+    """The algebra's basis and table of each degree equal the slice's."""
+    alg = ring.algebra()
+    for d in range(ring.top + 1):
+        mons, pivots, basis = ring._slice(d)
+        assert alg.basis[d] == basis, (ring.relations_text, d)
+        assert alg.table(d) == cohomology._normal_form_table(mons, pivots), (
+            ring.relations_text, d)
+
+
+def test_pure_power_leads_give_the_box_and_the_slices_tables(rng):
+    """On every tower with m <= 3, n_j <= 3 and n <= 7, and on seeded
+    product covers, the division's box basis and tables equal elimination's;
+    a cover whose leads are not all pure powers of distinct variables takes
+    elimination, so its comparison guards the detection."""
+    towers = [BottRing(B) for m in (1, 2, 3) for dims, B in all_bott_matrices(m, 3)
+              if sum(dims) <= 7]
+    assert len(towers) == 2165
+    covers = []
+    while len(covers) < 120:
+        P = product_of_simplices(random_product_dims(rng, max_vertices=64))
+        vectors = random_characteristic(P, rng)
+        if vectors is not None:
+            covers.append(SmallCoverRing(P, vectors))
+    divided = sum(ring._tails is not None for ring in covers)
+    assert 30 <= divided <= 90, divided
+    for ring in towers + covers:
+        assert ring._tails is not None or ring.kind == "small_cover"
+        _matches_elimination(ring)
+    # leads that are not pure powers, or share a variable: polygon (z1*z3
+    # twice), prism (z1*z3, z1*z4) and the square's z1*z2 beside z2^2
+    prism, vectors = _prism(6)
+    for ring in (SmallCoverRing(polygon(5), _polygon_vectors(5)), SmallCoverRing(prism, vectors),
+                 SmallCoverRing(product_of_simplices((1, 1)), [(1, 0), (1, 0), (0, 1), (1, 1)])):
+        assert ring._tails is None, ring.relations_text
+        _matches_elimination(ring)
