@@ -24,8 +24,9 @@ from .cohomology import cup_kernel, ideal_powers  # noqa: F401
 from .errors import BudgetExceeded, InputError
 
 DEFAULT_BUDGET = 12
-# Largest budget the CLI takes: the 128-gon, of dimension 128, searches in 0.20 s
-# at 24 MB peak RSS, the 256-gon in 1.5 s at 111 MB (best of 3, Python 3.11, 2 vCPUs).
+# Largest budget the CLI takes: the 128-gon, of dimension 128, builds its ring and
+# searches in 0.10 s at 24 MB peak RSS, the 256-gon in 0.6 s at 112 MB (one fresh
+# process each, Python 3.11, 2 vCPUs).
 MAX_EXACT_BUDGET = 128
 
 
@@ -244,12 +245,22 @@ def _longest_monomial(alg: GradedAlgebra) -> Tuple[int, Tuple[int, ...]]:
     the diagonal classes, depth first over the nonzero monomials in lex order of
     their sorted factors: one ending in a run of z_j takes only the z_i, i >= j,
     z_j up to its cap.  A branch whose open caps cannot beat the longest found
-    is dropped, and 2 top, the grading cap, ends it; zcl + 1 frames deep."""
+    is dropped, and `limit`, the longest a nonzero monomial can be, ends it;
+    zcl + 1 frames deep.
+
+    The limit is 2 top - 1 when H^top is one-dimensional and top > 0 (the
+    terms of a length-2 top monomial cancel in pairs, see `zcl_exact`), 0 on
+    a point, and the grading cap 2 top otherwise.  `first` changes only for
+    a strictly longer monomial, and none is longer than the limit, so
+    stopping there keeps the first longest monomial, and so the witness,
+    that a search of the whole tree finds."""
     offset = list(accumulate(alg.betti, initial=0))
     diagonals = list(enumerate(_Diagonal(alg, offset, s, m.bit_length() - 1) for s, m in alg.gens))
     # reach[i]: the most factors z_i, z_(i+1), ... can still add
     reach = list(accumulate([z.cap for _, z in reversed(diagonals)], initial=0))[::-1]
-    best, first, path, limit = 0, [], [], 2 * alg.top
+    top = alg.top
+    limit = 2 * top - 1 if top and alg.betti[top] == 1 else 2 * top
+    best, first, path = 0, [], []
 
     def extend(j: int, M: dict, run: int, k: int) -> None:
         """Visit the nonzero z_i.M, i >= j, that can beat `best`; M has length k."""
@@ -284,6 +295,18 @@ def zcl_exact(ring: Ring, budget: int = DEFAULT_BUDGET) -> IntervalValue:
     longest nonzero monomial, and the witness is that monomial, each factor
     z_g repeated a_g times; multiplying it out re-checks it.  Each call
     searches: `bounds` keeps the result once per manifold and budget.
+
+    The value is at most 2 top - 1 when H^top is one-dimensional, as on a
+    closed manifold.  A monomial of length k has degree at least k, and
+    A (x) A is zero above degree 2 top.  At k = 2 top every factor has
+    degree one, and z_(g_1)...z_(g_k) = sum over index sets S of
+    g_S (x) g_(S^c), of which only the |S| = top terms survive, each
+    c_S c_(S^c) u (x) u with u spanning H^top.  The terms for S and for
+    S^c != S are equal, so they cancel in pairs mod 2.  So the search ends
+    at its first monomial of length 2 top - 1, with the witness that a
+    search of the whole tree finds.  Where H^top has dimension two or more,
+    the search runs to 2 top: on Z2[a, b]/(a^2, ab, b^2),
+    z_a z_b = a (x) b + b (x) a is not zero.
     """
     if ring.dim > budget:
         raise BudgetExceeded(

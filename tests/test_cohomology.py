@@ -694,6 +694,9 @@ def test_monomial_search_matches_full_kernel_reference(step_references):
         alg = ring.algebra()
         iv = invariants.zcl_exact(ring)
         assert iv.lo == len(full) == len(iv.witness)
+        # the search's limit by a second route: the top degree is
+        # one-dimensional, and the full kernel's powers vanish from 2 top on
+        assert alg.betti[alg.top] == 1 and len(full) <= 2 * alg.top - 1
         # the witness factors are diagonal classes, rendered; each lies in
         # the kernel and their product is nonzero
         diagonals = {_render_elem(T, z): z
@@ -706,6 +709,49 @@ def test_monomial_search_matches_full_kernel_reference(step_references):
         assert product[1]
     iv = invariants.zcl_exact(PointRing())
     assert (iv.lo, iv.witness) == (0, ())
+
+
+class _TwoDimensionalTop(cohomology.QuotientRing):
+    """Z2[a, b]/(a^2, ab, b^2), Betti numbers 1 2: a top degree of dimension
+    two, where a product of 2 top diagonal classes need not cancel."""
+
+    def __init__(self):
+        super().__init__(["a", "b"], 1)
+
+    def _relations(self):
+        w = self._width
+        return ((2, (2,)), (2, (1 + (1 << w),)), (2, (2 << w,)))
+
+
+def test_search_runs_to_twice_the_top_on_a_two_dimensional_top():
+    """z_a z_b = a(x)b + b(x)a is not zero, so the zcl is 2 = 2 top: the
+    search may end at 2 top - 1 only when the top degree is one-dimensional."""
+    ring = _TwoDimensionalTop()
+    alg = ring.algebra()
+    assert alg.betti == (1, 2)
+    iv = invariants.zcl_exact(ring)
+    assert (iv.lo, iv.hi) == (2, 2) == (2 * ring.top,) * 2
+    assert iv.witness == ("1(x)a + a(x)1", "1(x)b + b(x)1")
+    assert invariants._longest_monomial(alg) == _reference_search(alg)[:2] == (2, (1, 1))
+
+
+def test_search_stops_at_its_first_witness_of_length_2_top_minus_1(monkeypatch):
+    """On the 64-gon, zcl = 3 = 2 top - 1, the largest possible, so the search
+    ends at the first monomial of that length: three steps, where a search of
+    the whole tree takes thousands."""
+    calls = 0
+    times = invariants._Diagonal.times
+
+    def counted(self, M):
+        nonlocal calls
+        calls += 1
+        return times(self, M)
+
+    monkeypatch.setattr(invariants._Diagonal, "times", counted)
+    ring = SmallCoverRing(polygon(64), _polygon_vectors(64))
+    iv = invariants.zcl_exact(ring, 64)
+    assert iv.lo == 3 == 2 * ring.top - 1
+    assert calls == 3
 
 
 def test_diagonal_step_is_multiplication_by_the_diagonal():
